@@ -32,7 +32,7 @@ m = np.array(
     ]
 )
 
-proj = project(x, m, Orthant(p), verify=True)  # verify: both routes must agree
+proj = project(x, m, Orthant(p))
 print("x =", x)
 print("projection onto the orthant:", proj.point.round(4))
 print("active subset:", proj.active_subset.a)

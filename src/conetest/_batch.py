@@ -8,13 +8,16 @@ process the chunks.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from itertools import combinations
 
 import numpy as np
 
-from .exceptions import DegenerateBoundaryError
+from .exceptions import SolverError
 
 DEFAULT_CHUNK = 16384
+
+# Active-set steps allowed per draw: max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN).
+ITER_CAP_PER_DIM = 10
+ITER_CAP_MIN = 30
 
 
 def substream(seed, key):
@@ -77,67 +80,82 @@ def batch_t2(means, covs, n):
     return np.einsum("ri,ri->r", y, _solve_vec(covs, y))
 
 
+def orthant_active_set(y, metric):
+    """Active-set solve of the orthant projection of each row of ``y``.
+
+    ``y`` has shape (reps, p) and ``metric`` is one (p, p) positive definite
+    matrix or a (reps, p, p) stack.  Each draw starts from its sign pattern
+    ``y > 0`` and repairs primal violations (an adjusted free component
+    ``<= 0``: the most negative leaves the free set) before dual ones (a
+    positive multiplier ``M_cc^{-1} y_c``: the largest joins it), one index
+    per step.  Draws sharing a free mask are solved together, one batched
+    solve per mask and step.
+
+    Returns ``(free, q_res)``: the free-index mask, on which the adjusted
+    mean is strictly positive while the complement multipliers are ``<= 0``,
+    and the squared residual norm ``y_c' M_cc^{-1} y_c``.  Raises
+    :class:`SolverError` naming the first draw still unresolved after
+    ``max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)`` steps.
+    """
+    reps, p = y.shape
+    fixed = metric.ndim == 2
+    free = y > 0.0
+    q_res = np.zeros(reps)
+    todo = np.arange(reps)
+    cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
+    for _ in range(cap):
+        if not todo.size:
+            break
+        # Group pending draws by free mask: sort the packed masks, split at changes.
+        bits = np.packbits(free[todo], axis=1)
+        order = np.lexsort(bits.T)
+        bits = bits[order]
+        starts = np.nonzero((bits[1:] != bits[:-1]).any(axis=1))[0] + 1
+        done = np.zeros(todo.size, dtype=bool)
+        for members in np.split(order, starts):
+            rows = todo[members]
+            mask = free[rows[0]]
+            a, c = np.nonzero(mask)[0], np.nonzero(~mask)[0]
+            y_rows = y[rows]
+            y_c = y_rows[:, c]
+            if fixed:
+                sol = np.linalg.solve(metric[c][:, c], y_c.T).T
+                theta = y_rows[:, a] - sol @ metric[a][:, c].T
+            else:
+                s_cc = metric[rows[:, None, None], c[:, None], c]
+                s_ac = metric[rows[:, None, None], a[:, None], c]
+                sol = _solve_vec(s_cc, y_c)
+                theta = y_rows[:, a] - np.einsum("rij,rj->ri", s_ac, sol)
+            primal = (theta <= 0.0).any(axis=1)
+            dual = ~primal & (sol > 0.0).any(axis=1)
+            if primal.any():
+                free[rows[primal], a[np.argmin(theta[primal], axis=1)]] = False
+            if dual.any():
+                free[rows[dual], c[np.argmax(sol[dual], axis=1)]] = True
+            ok = ~(primal | dual)
+            q_res[rows[ok]] = np.einsum("ri,ri->r", y_c[ok], sol[ok])
+            done[members[ok]] = True
+        todo = todo[~done]
+    if todo.size:
+        bad = int(todo[0])
+        raise SolverError(
+            f"active-set iteration cap {cap} exceeded at draw {bad}",
+            details={"draw": bad, "y": y[bad].tolist()},
+        )
+    return free, q_res
+
+
 def batch_orthant(means, covs, n):
     """Orthant projection decomposition per draw.
 
     Returns ``(sizes, q_proj, q_res)`` where ``sizes`` is the active-subset
     cardinality, ``q_proj`` the squared projection norm of ``sqrt(n) xbar``
-    and ``q_res`` the squared residual norm.  Raises
-    :class:`DegenerateBoundaryError` if any draw matches zero or multiple
-    subsets (a probability-zero tie).
+    and ``q_res`` the squared residual norm.  ``covs`` is one (p, p) matrix
+    or a (reps, p, p) stack.
     """
-    reps, p = means.shape
-    y = np.sqrt(n) * means
-    t2 = batch_t2(means, covs, n)
-    sizes = np.full(reps, -1, dtype=np.int64)
-    q_proj = np.zeros(reps)
-    matches = np.zeros(reps, dtype=np.int64)
-    fixed_cov = covs.ndim == 2
-    for k in range(p + 1):
-        for a in combinations(range(p), k):
-            ac = tuple(i for i in range(p) if i not in a)
-            if not ac:
-                cond = np.all(y > 0.0, axis=1)
-                qf = t2
-            else:
-                if fixed_cov:
-                    s_cc = covs[np.ix_(ac, ac)]
-                    sol = np.linalg.solve(s_cc, y[:, ac].T).T
-                else:
-                    s_cc = covs[:, ac, :][:, :, ac]
-                    sol = _solve_vec(s_cc, y[:, ac])
-                cond = np.all(sol <= 0.0, axis=1)
-                if a:
-                    if fixed_cov:
-                        s_ac = covs[np.ix_(a, ac)]
-                        adj = y[:, a] - sol @ s_ac.T
-                        s_cond = covs[np.ix_(a, a)] - s_ac @ np.linalg.solve(
-                            s_cc, s_ac.T
-                        )
-                        qf = np.einsum(
-                            "ri,ri->r", adj, np.linalg.solve(s_cond, adj.T).T
-                        )
-                    else:
-                        s_ac = covs[:, a, :][:, :, ac]
-                        adj = y[:, a] - np.einsum("rij,rj->ri", s_ac, sol)
-                        cross = np.linalg.solve(s_cc, np.swapaxes(s_ac, 1, 2))
-                        s_cond = covs[:, a, :][:, :, a] - np.einsum(
-                            "rij,rjk->rik", s_ac, cross
-                        )
-                        qf = np.einsum("ri,ri->r", adj, _solve_vec(s_cond, adj))
-                    cond = cond & np.all(adj > 0.0, axis=1)
-                else:
-                    qf = np.zeros(reps)
-            sizes = np.where(cond, k, sizes)
-            q_proj = np.where(cond, qf, q_proj)
-            matches += cond
-    if np.any(matches != 1):
-        bad = int(np.flatnonzero(matches != 1)[0])
-        raise DegenerateBoundaryError(
-            f"draw {bad} matched {int(matches[bad])} subsets; expected exactly one"
-        )
-    q_res = np.maximum(t2 - q_proj, 0.0)
-    return sizes, q_proj, q_res
+    free, q_res = orthant_active_set(np.sqrt(n) * means, covs)
+    q_proj = np.maximum(batch_t2(means, covs, n) - q_res, 0.0)
+    return free.sum(axis=1), q_proj, q_res
 
 
 def batch_halfspace(means, covs, n):
@@ -157,37 +175,6 @@ def batch_fuit_max_t(means, covs, n):
     """Largest coordinatewise one-sided t statistic per draw."""
     diag = np.diagonal(covs, axis1=-2, axis2=-1)
     return np.max(np.sqrt(n) * means / np.sqrt(diag), axis=1)
-
-
-def batch_active_sizes_fixed_cov(z, sigma):
-    """Active-subset cardinalities for draws ``z`` under a fixed matrix.
-
-    Classification matrices are precomputed per subset, so the cost per
-    subset is two small matrix products over all draws.
-    """
-    reps, p = z.shape
-    sizes = np.full(reps, -1, dtype=np.int64)
-    matches = np.zeros(reps, dtype=np.int64)
-    for k in range(p + 1):
-        for a in combinations(range(p), k):
-            ac = tuple(i for i in range(p) if i not in a)
-            if not ac:
-                cond = np.all(z > 0.0, axis=1)
-            else:
-                s_cc = sigma[np.ix_(ac, ac)]
-                sol = np.linalg.solve(s_cc, z[:, ac].T).T
-                cond = np.all(sol <= 0.0, axis=1)
-                if a:
-                    adj = z[:, a] - sol @ sigma[np.ix_(a, ac)].T
-                    cond = cond & np.all(adj > 0.0, axis=1)
-            sizes = np.where(cond, k, sizes)
-            matches += cond
-    if np.any(matches != 1):
-        bad = int(np.flatnonzero(matches != 1)[0])
-        raise DegenerateBoundaryError(
-            f"draw {bad} matched {int(matches[bad])} subsets; expected exactly one"
-        )
-    return sizes
 
 
 def sample_invwishart_chol(rng, scale, df, reps):

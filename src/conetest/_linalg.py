@@ -39,14 +39,6 @@ def check_symmetric(m, name="matrix", rtol=SYMMETRY_RTOL):
     return 0.5 * (m + m.T)
 
 
-def cholesky_or_none(m):
-    """Cholesky factor of ``m``, or None if it is not positive definite."""
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return None
-
-
 def check_positive_definite(m, name="matrix"):
     m = check_symmetric(m, name)
     if not is_positive_definite(m):
@@ -75,11 +67,6 @@ def condition_exceeds_cap(m, cap=CONDITION_CAP):
     if s[-1] <= 0.0:
         return True
     return bool(s[0] / s[-1] > cap)
-
-
-def solve_psd(m, b):
-    """Solve ``m @ x = b`` for symmetric positive definite ``m``."""
-    return np.linalg.solve(m, b)
 
 
 def quad_form_inv(m, x):

@@ -17,7 +17,6 @@ import numpy as np
 from . import stats
 from ._batch import (
     DEFAULT_CHUNK,
-    batch_active_sizes_fixed_cov,
     batch_orthant,
     chunk_sizes,
     run_chunks,
@@ -210,8 +209,8 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     def worker(i):
         rng = substream(seed, (10, i))
         z = rng.standard_normal((sizes_of[i], p)) @ chol.T
-        counts = np.bincount(batch_active_sizes_fixed_cov(z, corr), minlength=p + 1)
-        return counts
+        sizes, _, _ = batch_orthant(z, corr, 1)
+        return np.bincount(sizes, minlength=p + 1)
 
     counts = np.sum(run_chunks(worker, len(sizes_of), workers), axis=0)
     w = counts / mc_samples

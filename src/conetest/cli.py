@@ -65,11 +65,17 @@ def _sanitize(obj):
 
 
 def build_manifest(command, input_paths, seed, resolved_config):
+    """Report manifest; ``config_digest`` covers the resolved configuration
+    and the contents of every input file, so editing any input changes it.
+    Runs without input files keep the digest of their configuration alone."""
+    config = dict(resolved_config)
+    if input_paths:
+        config["input_digests"] = [_file_digest(path) for path in input_paths]
     return {
         "command": command,
         "input_paths": list(input_paths),
         "seed": seed,
-        "config_digest": _digest(_sanitize(resolved_config)),
+        "config_digest": _digest(_sanitize(config)),
         "tool_version": __version__,
     }
 
@@ -235,10 +241,8 @@ def cmd_test(args):
         "calibration": args.calibration,
         "seed": args.seed,
         "mc_samples": args.mc_samples,
-        "data_digest": _file_digest(args.data),
         "prior_df": args.prior_df,
     }
-    manifest = build_manifest("test", input_paths, args.seed, resolved)
 
     result = {
         "config": resolved,
@@ -263,6 +267,7 @@ def cmd_test(args):
                 "calibration": "bonferroni",
             }
         )
+        manifest = build_manifest("test", input_paths, args.seed, resolved)
         emit_report({"manifest": manifest, "result": result}, args.out)
         return 0
 
@@ -316,6 +321,7 @@ def cmd_test(args):
             "std_errors": weights.std_errors.tolist(),
             "mc_samples": weights.mc_samples,
         }
+    manifest = build_manifest("test", input_paths, args.seed, resolved)
     emit_report({"manifest": manifest, "result": result}, args.out)
     return 0
 

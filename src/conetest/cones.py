@@ -19,19 +19,12 @@ from ._linalg import (
     quad_form_inv,
     read_only,
 )
-from .exceptions import (
-    DataError,
-    DegenerateBoundaryError,
-    ReductionError,
-    SolverError,
-)
-from .sample import SubsetPartition, qualifying_subsets
+from ._batch import orthant_active_set
+from .exceptions import DataError, ReductionError
+from .sample import SubsetPartition
 
 # Relative tolerance on singular values when validating constraint matrices.
 RANK_RTOL = 1e-10
-
-# Relative agreement required between the two orthant projection routes.
-VERIFY_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -132,39 +125,6 @@ def metric_sq_norm(z, metric):
     return quad_form_inv(m, z)
 
 
-def _orthant_active_set(x, m, max_iter=None):
-    """Active-set solve of the orthant projection; returns the free-index mask.
-
-    Starts from the sign pattern of ``x`` and repairs primal violations
-    (adjusted solution components <= 0 leave the free set) before dual ones
-    (positive multipliers join it), one index per step.
-    """
-    p = x.shape[0]
-    cap = max_iter if max_iter is not None else max(10 * p, 30)
-    free = x > 0.0
-    for _ in range(cap):
-        a = np.flatnonzero(free)
-        ac = np.flatnonzero(~free)
-        if a.size:
-            if ac.size:
-                sol = np.linalg.solve(m[np.ix_(ac, ac)], x[ac])
-                theta = x[a] - m[np.ix_(a, ac)] @ sol
-            else:
-                theta = x[a]
-            if np.any(theta <= 0.0):
-                worst = a[int(np.argmin(theta))]
-                free[worst] = False
-                continue
-        if ac.size:
-            mult = np.linalg.solve(m[np.ix_(ac, ac)], x[ac])
-            if np.any(mult > 0.0):
-                worst = ac[int(np.argmax(mult))]
-                free[worst] = True
-                continue
-        return free
-    return None
-
-
 def _orthant_solution(x, m, free):
     """Assemble the projection for a given free-index mask."""
     p = x.shape[0]
@@ -191,44 +151,9 @@ def _orthant_solution(x, m, free):
     )
 
 
-def _project_orthant(x, m, verify=False, max_iter=None):
-    free = _orthant_active_set(x, m, max_iter=max_iter)
-    if free is None:
-        # Cycling is essentially impossible for positive definite metrics;
-        # fall back to enumeration before giving up.
-        found = qualifying_subsets(x, m)
-        if len(found) == 1:
-            free = np.zeros(x.shape[0], dtype=bool)
-            free[list(found[0])] = True
-        elif len(found) == 0:
-            raise DegenerateBoundaryError(
-                "no subset satisfies the projection sign conditions"
-            )
-        else:
-            raise SolverError(
-                "active-set iteration cap exceeded",
-                details={"qualifying_subsets": found},
-            )
-    proj = _orthant_solution(x, m, free)
-    if verify:
-        found = qualifying_subsets(x, m)
-        if len(found) != 1:
-            raise DegenerateBoundaryError(
-                f"{len(found)} subsets satisfy the sign conditions; expected exactly one"
-            )
-        alt = _orthant_solution(
-            x, m, np.isin(np.arange(x.shape[0]), found[0])
-        )
-        scale = max(1.0, abs(alt.sq_norm_projection))
-        if abs(alt.sq_norm_projection - proj.sq_norm_projection) > VERIFY_RTOL * scale:
-            raise SolverError(
-                "subset characterization and active-set projection disagree",
-                details={
-                    "active_set": proj.sq_norm_projection,
-                    "subset_formula": alt.sq_norm_projection,
-                },
-            )
-    return proj
+def _project_orthant(x, m):
+    free, _ = orthant_active_set(x[None, :], m)
+    return _orthant_solution(x, m, free[0])
 
 
 def _project_halfspace(x, m, coord):
@@ -257,7 +182,7 @@ def _project_halfspace(x, m, coord):
     )
 
 
-def _project_polyhedral(x, m, cone, max_iter=None):
+def _project_polyhedral(x, m, cone):
     b = np.asarray(cone.constraints, dtype=float)
     mrows, p = b.shape
     if mrows == p:
@@ -266,7 +191,7 @@ def _project_polyhedral(x, m, cone, max_iter=None):
         y = b @ x
         metric_y = b @ m @ b.T
         metric_y = 0.5 * (metric_y + metric_y.T)
-        inner = _project_orthant(y, metric_y, max_iter=max_iter)
+        inner = _project_orthant(y, metric_y)
         theta = np.linalg.solve(b, inner.point)
         residual = x - theta
         return MetricProjection(
@@ -294,7 +219,7 @@ def _project_polyhedral(x, m, cone, max_iter=None):
     h_mat = 0.5 * (h_mat + h_mat.T)
     h_vec = bplus.T @ minv @ x - nmb.T @ np.linalg.solve(nmn, nmx)
     v0 = np.linalg.solve(h_mat, h_vec)
-    inner = _project_orthant(v0, np.linalg.inv(h_mat), max_iter=max_iter)
+    inner = _project_orthant(v0, np.linalg.inv(h_mat))
     v = inner.point
     u = np.linalg.solve(nmn, nmx - nmb @ v)
     theta = nullbasis @ u + bplus @ v
@@ -308,7 +233,7 @@ def _project_polyhedral(x, m, cone, max_iter=None):
     )
 
 
-def project(x, metric, cone, verify=False, max_iter=None):
+def project(x, metric, cone):
     """Metric projection of ``x`` onto a cone.
 
     Parameters
@@ -320,16 +245,16 @@ def project(x, metric, cone, verify=False, max_iter=None):
         ``(x - t)' M^{-1} (x - t)``.
     cone : ConeSpec
         Orthant, coordinate halfspace, or polyhedral cone.
-    verify : bool, optional
-        For the orthant, additionally run the exhaustive subset
-        characterization and require agreement with the active-set solver to
-        ``1e-8`` relative in the squared projection norm.
-    max_iter : int, optional
-        Iteration cap for the active-set solver (default ``10 p``).
 
     Returns
     -------
     MetricProjection
+
+    Raises
+    ------
+    SolverError
+        If the orthant active-set iteration exceeds its step cap
+        ``max(10 p, 30)``.
     """
     x = as_float_vector(x, "x")
     m = check_positive_definite(metric, "metric")
@@ -338,7 +263,7 @@ def project(x, metric, cone, verify=False, max_iter=None):
     if isinstance(cone, Orthant):
         if cone.p != x.shape[0]:
             raise DataError("cone dimension disagrees with x")
-        return _project_orthant(x, m, verify=verify, max_iter=max_iter)
+        return _project_orthant(x, m)
     if isinstance(cone, CoordinateHalfspace):
         if cone.p != x.shape[0]:
             raise DataError("cone dimension disagrees with x")
@@ -346,7 +271,7 @@ def project(x, metric, cone, verify=False, max_iter=None):
     if isinstance(cone, Polyhedral):
         if cone.p != x.shape[0]:
             raise DataError("cone dimension disagrees with x")
-        return _project_polyhedral(x, m, cone, max_iter=max_iter)
+        return _project_polyhedral(x, m, cone)
     raise DataError(f"unsupported cone specification: {cone!r}")
 
 

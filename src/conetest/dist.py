@@ -10,15 +10,13 @@ chi-squares independent, evaluated by adaptive quadrature.
 
 import numpy as np
 from scipy import integrate
-from scipy.special import betainc, betaincc, betaln
+from scipy.special import betainc, betaincc, betaln, stdtr, stdtrit
 
 from .exceptions import QuadratureError
 
 # Absolute quadrature tolerance and subdivision cap for the convolution tail.
 QUAD_ABS_TOL = 1e-7
 QUAD_SUBDIV_CAP = 2000
-
-_T_QUANTILE_TOL = 1e-10
 
 
 def _check_df(a, b):
@@ -112,42 +110,20 @@ def g_star_tail(n, a, p, u):
 
 
 def student_t_cdf(x, df):
-    """Student-t distribution function via the regularized incomplete beta."""
+    """Student-t distribution function (``scipy.special.stdtr``)."""
     if df <= 0:
         raise ValueError(f"degrees of freedom must be > 0, got {df}")
-    if x == 0.0:
-        return 0.5
-    z = df / (df + x * x)
-    half_tail = 0.5 * betainc(df / 2.0, 0.5, z)
-    return float(1.0 - half_tail if x > 0 else half_tail)
+    return float(stdtr(df, x))
 
 
 def student_t_upper_quantile(df, alpha):
-    """Upper-``alpha`` quantile of the Student-t distribution, by bisection.
+    """Upper-``alpha`` quantile of the Student-t distribution.
 
-    Solves ``1 - cdf(x) = alpha`` on a doubling bracket to an absolute
-    tolerance of ``1e-10`` on ``x``.
+    Uses the symmetry ``t_{1-alpha} = -t_alpha`` so small ``alpha`` keep
+    full relative precision (``scipy.special.stdtrit``).
     """
     if df <= 0:
         raise ValueError(f"degrees of freedom must be > 0, got {df}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    target = 1.0 - alpha
-    lo, hi = -1.0, 1.0
-    while student_t_cdf(lo, df) > target:
-        lo *= 2.0
-        if lo < -1e300:
-            raise ValueError("quantile bracket underflow")
-    while student_t_cdf(hi, df) < target:
-        hi *= 2.0
-        if hi > 1e300:
-            raise ValueError("quantile bracket overflow")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_cdf(mid, df) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= _T_QUANTILE_TOL * max(1.0, abs(mid)):
-            break
-    return 0.5 * (lo + hi)
+    return float(-stdtrit(df, alpha))

@@ -196,18 +196,6 @@ class PowerTable:
             ],
         }
 
-    def lookup(self, theta=None, family=None, sigma_id=None):
-        out = []
-        for r in self.rows:
-            if theta is not None and tuple(r.theta) != tuple(theta):
-                continue
-            if family is not None and r.family != family:
-                continue
-            if sigma_id is not None and r.sigma_id != sigma_id:
-                continue
-            out.append(r)
-        return out
-
 
 def random_correlation_matrix(rng, p, df=None):
     """Random correlation matrix from a normalized Wishart draw."""

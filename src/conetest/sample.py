@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._batch import orthant_active_set
 from ._linalg import (
     CONDITION_CAP,
     check_symmetric,
@@ -25,12 +26,11 @@ from .exceptions import (
     ConditioningError,
     ConeTestError,
     DataError,
-    DegenerateBoundaryError,
     InsufficientDataError,
     MetricError,
 )
 
-# Hard cap for routines that enumerate all 2^p subsets.
+# Hard cap for the reference subset enumeration (2^p subsets).
 MAX_ENUMERATION_DIM = 20
 
 
@@ -210,7 +210,9 @@ def qualifying_subsets(x, m):
 
     A subset ``a`` qualifies when ``x[a] - m[a,a'] m[a',a']^{-1} x[a'] > 0``
     componentwise (strict) and ``m[a',a']^{-1} x[a'] <= 0`` componentwise.
-    Returned in lexicographic bitmask order.
+    Returned in lexicographic bitmask order.  This exhaustive scan is the
+    reference characterization for the tests; the runtime classifier is the
+    active-set kernel :func:`conetest._batch.orthant_active_set`.
     """
     x = np.asarray(x, dtype=float)
     p = x.shape[0]
@@ -235,16 +237,15 @@ def qualifying_subsets(x, m):
 def active_subset_orthant(s):
     """The unique subset with positive adjusted mean and nonpositive complement.
 
-    Ties on the boundary (a zero adjusted-mean component, or no qualifying
-    subset) raise :class:`DegenerateBoundaryError` rather than guessing.
+    It is the support of the metric projection of the mean onto the orthant,
+    found by the active-set kernel.  A zero adjusted-mean component counts as
+    nonpositive, so boundary draws fall to the smaller subset.
     """
     s.require_positive_definite()
-    found = qualifying_subsets(np.asarray(s.mean, dtype=float), np.asarray(s.cov, dtype=float))
-    if len(found) != 1:
-        raise DegenerateBoundaryError(
-            f"{len(found)} subsets satisfy the sign conditions; expected exactly one"
-        )
-    return SubsetPartition.from_indices(found[0], s.p)
+    free, _ = orthant_active_set(
+        np.asarray(s.mean, dtype=float)[None, :], np.asarray(s.cov, dtype=float)
+    )
+    return SubsetPartition.from_indices(np.flatnonzero(free[0]), s.p)
 
 
 def active_branch_halfspace(s):

@@ -218,6 +218,35 @@ class TestEnvironmentDefaults:
         assert "config_digest" in report["manifest"]
 
 
+class TestManifest:
+    def test_bayes_manifest_lists_prior_scale(self, tmp_path, rng):
+        dpath = tmp_path / "d.csv"
+        write_csv(dpath, rng.standard_normal((12, 2)) + 0.5)
+        gpath = tmp_path / "g.csv"
+        write_csv(gpath, np.eye(2))
+        out = tmp_path / "r.json"
+        args = ["test", "--data", str(dpath), "--family", "lrt", "--calibration", "bayes",
+                "--prior-scale", str(gpath), "--prior-df", "6", "--mc-samples", "2000",
+                "--seed", "3", "--out", str(out)]
+        assert main(args) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert manifest["input_paths"] == [str(dpath), str(gpath)]
+
+    def test_b_matrix_contents_enter_digest(self, tmp_path, rng):
+        dpath = tmp_path / "d.csv"
+        write_csv(dpath, rng.standard_normal((20, 2)) + [0.5, 0.2])
+        bpath = tmp_path / "B.csv"
+        out = tmp_path / "r.json"
+        args = ["test", "--data", str(dpath), "--cone", "polyhedral", "--b-matrix",
+                str(bpath), "--family", "uit", "--seed", "0", "--out", str(out)]
+        digests = []
+        for corner in (0.0, 0.5):
+            write_csv(bpath, np.array([[1.0, -1.0], [corner, 1.0]]))
+            assert main(args) == 0
+            digests.append(json.loads(out.read_text())["manifest"]["config_digest"])
+        assert digests[0] != digests[1]
+
+
 class TestExitCodes:
     def test_usage_error_is_2(self, dataset):
         path, _ = dataset

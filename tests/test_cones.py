@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import nnls
 
 from conetest import (
     CoordinateHalfspace,
@@ -8,11 +9,15 @@ from conetest import (
     Orthant,
     Polyhedral,
     ReductionError,
+    SolverError,
     dual_cone_contains,
     metric_sq_norm,
     project,
     reduce_model,
 )
+from conetest import _batch
+from conetest._batch import batch_orthant, orthant_active_set
+from conetest.sample import qualifying_subsets
 
 from conftest import kkt_enumeration_projection, random_pd_matrix
 
@@ -36,12 +41,26 @@ class TestOrthantProjection:
         for _ in range(60):
             x = rng.standard_normal(p) * rng.uniform(0.5, 3.0)
             m = random_pd_matrix(rng, p)
-            proj = project(x, m, Orthant(p), verify=True)  # subset formula cross-check
+            proj = project(x, m, Orthant(p))
+            # Subset-formula route: the norm of the adjusted mean of the one
+            # qualifying subset under its Schur complement.
+            found = qualifying_subsets(x, m)
+            assert found == [proj.active_subset.a]
+            a = list(found[0])
+            ac = [i for i in range(p) if i not in a]
+            adj, cond = x[a], m[np.ix_(a, a)]
+            if a and ac:
+                adj = adj - m[np.ix_(a, ac)] @ np.linalg.solve(m[np.ix_(ac, ac)], x[ac])
+                cond = cond - m[np.ix_(a, ac)] @ np.linalg.solve(
+                    m[np.ix_(ac, ac)], m[np.ix_(ac, a)]
+                )
+            subset_norm = float(adj @ np.linalg.solve(cond, adj)) if a else 0.0
             theta, obj = kkt_enumeration_projection(x, m)
             assert np.allclose(proj.point, theta, rtol=1e-8, atol=1e-10)
             scale = max(1.0, proj.sq_norm_projection)
             brute_norm = float(theta @ np.linalg.solve(m, theta))
             assert abs(proj.sq_norm_projection - brute_norm) <= 1e-8 * scale
+            assert abs(subset_norm - brute_norm) <= 1e-8 * scale
             assert obj == pytest.approx(proj.sq_norm_residual, rel=1e-8, abs=1e-10)
 
     def test_pythagoras_and_complementarity(self, rng):
@@ -77,6 +96,67 @@ class TestOrthantProjection:
     def test_non_pd_metric_raises(self):
         with pytest.raises(MetricError):
             project([1.0, 1.0], np.array([[1.0, 2.0], [2.0, 1.0]]), Orthant(2))
+
+
+def nnls_orthant(y, m):
+    """``(support, q_proj, q_res)`` from ``scipy.optimize.nnls`` on the whitened problem.
+
+    With ``m = L L'`` the metric distance is ``|L^{-1} (y - t)|^2``, a
+    nonnegative least-squares problem in ``t`` (Lawson & Hanson).
+    """
+    w = np.linalg.inv(np.linalg.cholesky(m))
+    theta, rnorm = nnls(w, w @ y)
+    proj = w @ theta
+    return np.flatnonzero(theta > 0.0), float(proj @ proj), float(rnorm**2)
+
+
+class TestOrthantKernel:
+    # p = 16 has 65536 subsets, beyond any enumeration at this size.
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
+    @pytest.mark.parametrize("p", [*range(2, 13), 16])
+    def test_matches_nnls(self, rng, p, per_draw):
+        reps = 150
+        y = rng.standard_normal((reps, p)) * rng.uniform(0.5, 3.0, size=(reps, 1))
+        if per_draw:
+            metric = np.stack([random_pd_matrix(rng, p) for _ in range(reps)])
+        else:
+            metric = random_pd_matrix(rng, p)
+        free, _ = orthant_active_set(y, metric)
+        _, q_proj, q_res = batch_orthant(y, metric, 1)
+        for i in range(reps):
+            m = metric[i] if per_draw else metric
+            support, ref_proj, ref_res = nnls_orthant(y[i], m)
+            scale = max(1.0, float(y[i] @ np.linalg.solve(m, y[i])))
+            assert np.flatnonzero(free[i]).tolist() == support.tolist()
+            assert abs(q_proj[i] - ref_proj) <= 1e-9 * scale
+            assert abs(q_res[i] - ref_res) <= 1e-9 * scale
+
+    def test_boundary_convention(self):
+        # A zero component is not strictly positive, and the inclusive
+        # complement condition takes the draw, in either metric form.
+        y = np.array([[0.0, -1.0], [0.0, 1.0]])
+        for metric in (np.eye(2), np.stack([np.eye(2)] * 2)):
+            free, q_res = orthant_active_set(y, metric)
+            assert free.tolist() == [[False, False], [False, True]]
+            assert q_res.tolist() == [1.0, 0.0]
+        # An adjusted mean of exactly zero leaves the free set as well.
+        y, metric = np.array([0.5, -1.0]), np.array([[1.0, -0.5], [-0.5, 1.0]])
+        free, _ = orthant_active_set(y[None, :], metric)
+        assert qualifying_subsets(y, metric) == [()]
+        assert free.tolist() == [[False, False]]
+
+    def test_iteration_cap_names_draw(self, monkeypatch):
+        # Draw 0 satisfies the sign conditions at its sign pattern; draw 1
+        # needs a second step, which a one-step cap forbids.
+        monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
+        metric = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        y = np.array([[1.0, 1.0], [0.5, -1.0]])
+        with pytest.raises(SolverError, match="draw 1") as err:
+            orthant_active_set(y, metric)
+        assert err.value.details == {"draw": 1, "y": [0.5, -1.0]}
+        with pytest.raises(SolverError, match="draw 0"):
+            project(y[1], metric, Orthant(2))
 
 
 class TestHalfspaceProjection:
