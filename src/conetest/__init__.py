@@ -47,7 +47,6 @@ from .exceptions import (
     ConditioningError,
     ConeTestError,
     DataError,
-    DegenerateBoundaryError,
     DegenerateVarianceError,
     InsufficientDataError,
     MetricError,

@@ -218,6 +218,76 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     return MixtureWeights(weights=w, std_errors=se, method=MONTE_CARLO, mc_samples=mc_samples)
 
 
+# Each family's null tail is a mixture of branch tails over the
+# active-subset dimension k.  The branch tail of dimension k is
+# g_ratio_tail(k, n - p, c) for T2 and the likelihood-ratio families and
+# g_star_tail(n, k, p, c) for the union-intersection families.  Both are
+# looked up as module globals at each call, so wrappers installed on them
+# (as by ``bench/tracer.py``) see every evaluation.
+
+
+def _ratio_branch(n, p):
+    return lambda k, c: g_ratio_tail(k, n - p, c)
+
+
+def _star_branch(n, p):
+    return lambda k, c: g_star_tail(n, k, p, c)
+
+
+# Mixtures over k: each returns the tail ``c -> float`` and its mass on k = 0.
+
+
+def _at_p(branch, p, weights):
+    """All mass on k = p."""
+    return (lambda c: branch(p, c)), 0.0
+
+
+def _even_split(branch, p, weights):
+    """Mass 1/2 on each of k = p - 1 and k = p."""
+    return (lambda c: 0.5 * (branch(p - 1, c) + branch(p, c))), (0.5 if p == 1 else 0.0)
+
+
+def _weighted(branch, p, weights):
+    """Mass ``weights[k]`` on each k = 0..p (``w(p, k; Sigma)`` or ``b1(k, n, p)``)."""
+    if weights is None:
+        raise CalibrationError("orthant null tails require mixture weights")
+    w = np.asarray(weights.weights, dtype=float)
+    if w.shape[0] != p + 1:
+        raise DataError("weights length does not match p + 1")
+    dims = range(p + 1)
+    return (lambda c: float(np.dot(w, [branch(k, c) for k in dims]))), float(w[0])
+
+
+_NULL_LAWS = {
+    stats.T2: (_ratio_branch, _at_p),
+    stats.LRT_HALFSPACE: (_ratio_branch, _even_split),
+    stats.UIT_HALFSPACE: (_star_branch, _even_split),
+    stats.LRT_ORTHANT: (_ratio_branch, _weighted),
+    stats.UIT_ORTHANT: (_star_branch, _weighted),
+}
+
+# The supremum of an orthant family's null tail over all covariances is the
+# tail of its halfspace counterpart (Silvapulle & Sen 2005, ch. 3).
+_SUPREMUM_LAWS = {
+    stats.LRT_ORTHANT: stats.LRT_HALFSPACE,
+    stats.UIT_ORTHANT: stats.UIT_HALFSPACE,
+}
+
+# Families whose null law is free of the covariance.
+_EXACT_FAMILIES = stats.HALFSPACE_FAMILIES + (stats.T2,)
+
+
+def _null_law(family, n, p, weights):
+    """Null tail ``c -> float`` (for ``c > 0``) of ``family`` and its mass on k = 0."""
+    n, p = int(n), int(p)
+    if n <= p:
+        raise DataError(f"need n > p, got n={n}, p={p}")
+    if family not in _NULL_LAWS:
+        raise CalibrationError(f"no null tail for family {family!r}")
+    branch, mixture = _NULL_LAWS[family]
+    return mixture(branch(n, p), p, weights)
+
+
 def null_tail(family, c, n, p, weights=None):
     """Null upper-tail probability at ``c`` on the chi-square-ratio scale.
 
@@ -226,30 +296,8 @@ def null_tail(family, c, n, p, weights=None):
     supplied weights (which are then required).  ``c <= 0`` returns 1
     (statistics are nonnegative, with an atom at zero).
     """
-    n = int(n)
-    p = int(p)
-    if n <= p:
-        raise DataError(f"need n > p, got n={n}, p={p}")
-    if c <= 0.0:
-        return 1.0
-    if family == stats.T2:
-        return g_ratio_tail(p, n - p, c)
-    if family == stats.LRT_HALFSPACE:
-        return 0.5 * (g_ratio_tail(p - 1, n - p, c) + g_ratio_tail(p, n - p, c))
-    if family == stats.UIT_HALFSPACE:
-        return 0.5 * (g_star_tail(n, p - 1, p, c) + g_star_tail(n, p, p, c))
-    if family in (stats.LRT_ORTHANT, stats.UIT_ORTHANT):
-        if weights is None:
-            raise CalibrationError(f"{family} tail requires mixture weights")
-        w = np.asarray(weights.weights, dtype=float)
-        if w.shape[0] != p + 1:
-            raise DataError("weights length does not match p + 1")
-        if family == stats.LRT_ORTHANT:
-            terms = [g_ratio_tail(k, n - p, c) for k in range(p + 1)]
-        else:
-            terms = [g_star_tail(n, k, p, c) for k in range(p + 1)]
-        return float(np.dot(w, terms))
-    raise CalibrationError(f"no null tail for family {family!r}")
+    tail, _ = _null_law(family, n, p, weights)
+    return tail(c) if c > 0.0 else 1.0
 
 
 def _invert_tail(tail, alpha, tol_c=_BISECT_TOL_C):
@@ -275,6 +323,24 @@ def _invert_tail(tail, alpha, tol_c=_BISECT_TOL_C):
     return 0.5 * (lo + hi)
 
 
+def _critical_value(family, law, alpha, n, p, weights, calibration):
+    """Invert the null tail of ``law`` at ``alpha``, labeled for ``family``.
+
+    The tail reaches at most one minus its mass on k = 0.  Bayes-weighted
+    values are polished until the defining equation holds to ``1e-6``.
+    """
+    tail, atom = _null_law(law, n, p, weights)
+    attainable = 1.0 - atom
+    if not 0.0 < alpha < attainable:
+        raise CalibrationError(
+            f"alpha = {alpha} is outside the attainable tail range (0, {attainable:.4g})"
+        )
+    value = _invert_tail(tail, alpha)
+    if calibration == BAYES_WEIGHTED and abs(tail(value) - alpha) > 1e-6:
+        value = _invert_tail(tail, alpha, tol_c=1e-10)
+    return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=calibration)
+
+
 def sup_critical_value(family, alpha, n, p):
     """Critical value equating the covariance-supremum of the null tail to alpha.
 
@@ -283,39 +349,17 @@ def sup_critical_value(family, alpha, n, p):
     conservative, since the supremum of their null tail over all covariances
     equals the halfspace expression.
     """
-    n = int(n)
-    p = int(p)
-    if n <= p:
-        raise DataError(f"need n > p, got n={n}, p={p}")
-    if family in (stats.LRT_ORTHANT, stats.LRT_HALFSPACE):
-        tail = lambda c: 0.5 * (
-            g_ratio_tail(p - 1, n - p, c) + g_ratio_tail(p, n - p, c)
-        )
-    elif family in (stats.UIT_ORTHANT, stats.UIT_HALFSPACE):
-        tail = lambda c: 0.5 * (g_star_tail(n, p - 1, p, c) + g_star_tail(n, p, p, c))
-    elif family == stats.T2:
-        tail = lambda c: g_ratio_tail(p, n - p, c)
-    else:
-        raise CalibrationError(f"no supremum calibration for family {family!r}")
-    attainable = 1.0 if (p >= 2 or family == stats.T2) else 0.5
-    if not 0.0 < alpha < attainable:
-        raise CalibrationError(
-            f"alpha = {alpha} is outside the attainable tail range (0, {attainable})"
-        )
-    value = _invert_tail(tail, alpha)
-    return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=SUP_SIGMA)
+    law = _SUPREMUM_LAWS.get(family, family)
+    return _critical_value(family, law, alpha, n, p, None, SUP_SIGMA)
 
 
 def exact_halfspace_critical_value(family, alpha, n, p):
     """Exact critical value for a halfspace family (same tail, exact label)."""
-    if family not in stats.HALFSPACE_FAMILIES + (stats.T2,):
+    if family not in _EXACT_FAMILIES:
         raise CalibrationError(
             f"exact calibration applies to halfspace families, not {family!r}"
         )
-    cv = sup_critical_value(family, alpha, n, p)
-    return CriticalValue(
-        value=cv.value, alpha=cv.alpha, family=family, calibration=EXACT_HALFSPACE
-    )
+    return _critical_value(family, family, alpha, n, p, None, EXACT_HALFSPACE)
 
 
 def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, workers=1):
@@ -364,23 +408,22 @@ def bayes_critical_value(family, alpha, n, p, weights):
     likelihood-ratio family and the two-block convolution tail for the
     union-intersection family.
     """
-    if family not in (stats.LRT_ORTHANT, stats.UIT_ORTHANT):
+    if family not in stats.ORTHANT_FAMILIES:
         raise CalibrationError(
             f"Bayes-weighted calibration applies to orthant families, not {family!r}"
         )
-    if weights is None:
-        raise CalibrationError("Bayes-weighted calibration requires weights")
-    tail = lambda c: null_tail(family, c, n, p, weights=weights)
-    attainable = 1.0 - float(weights.weights[0])
-    if not 0.0 < alpha < attainable:
-        raise CalibrationError(
-            f"alpha = {alpha} is outside the attainable tail range (0, {attainable:.4f})"
-        )
-    value = _invert_tail(tail, alpha, tol_c=1e-8)
-    # Polish until the defining equation holds to 1e-6.
-    if abs(tail(value) - alpha) > 1e-6:
-        value = _invert_tail(tail, alpha, tol_c=1e-10)
-    return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=BAYES_WEIGHTED)
+    return _critical_value(family, family, alpha, n, p, weights, BAYES_WEIGHTED)
+
+
+# Calibration mode -> (critical-value solver ``(family, alpha, n, p, weights)``,
+# p-value mode).  Each solver calls the public function of its name through
+# the module globals, so wrappers installed on those functions (as by
+# ``bench/tracer.py``) see every call.
+CALIBRATIONS = {
+    "sup": (lambda f, a, n, p, w: sup_critical_value(f, a, n, p), "sup_conservative"),
+    "exact": (lambda f, a, n, p, w: exact_halfspace_critical_value(f, a, n, p), EXACT_HALFSPACE),
+    "bayes": (lambda f, a, n, p, w: bayes_critical_value(f, a, n, p, w), "weighted"),
+}
 
 
 def marginal_logdensity(s, theta, prior):
@@ -439,25 +482,17 @@ def p_value(outcome, mode, weights=None):
     value = stats.calibration_scale(outcome)
     n, p = outcome.n, outcome.p
     if mode == EXACT_HALFSPACE:
-        if family not in stats.HALFSPACE_FAMILIES + (stats.T2,):
+        if family not in _EXACT_FAMILIES:
             raise CalibrationError(
                 f"exact_halfspace p-values apply to halfspace families, not {family!r}"
             )
         return null_tail(family, value, n, p)
     if mode == "sup_conservative":
-        if family == stats.T2:
-            return null_tail(stats.T2, value, n, p)
-        if family in (stats.LRT_ORTHANT, stats.LRT_HALFSPACE):
-            return null_tail(stats.LRT_HALFSPACE, value, n, p)
-        if family in (stats.UIT_ORTHANT, stats.UIT_HALFSPACE):
-            return null_tail(stats.UIT_HALFSPACE, value, n, p)
-        raise CalibrationError(f"no conservative p-value for family {family!r}")
+        return null_tail(_SUPREMUM_LAWS.get(family, family), value, n, p)
     if mode == "weighted":
         if family not in stats.ORTHANT_FAMILIES:
             raise CalibrationError(
                 f"weighted p-values apply to orthant families, not {family!r}"
             )
-        if weights is None:
-            raise CalibrationError("weighted p-values require mixture weights")
         return null_tail(family, value, n, p, weights=weights)
     raise CalibrationError(f"unknown p-value mode {mode!r}")

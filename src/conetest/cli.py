@@ -2,9 +2,9 @@
 and drive simulation experiments.
 
 Reports are JSON documents with sorted keys; a manifest (command, input
-paths, seed, configuration digest, tool version) is embedded in every
-report, and identical manifests with identical inputs produce byte-identical
-reports regardless of the worker count.
+paths, seed, configuration digest, tool and library versions) is embedded
+in every report, and identical manifests with identical inputs produce
+byte-identical reports regardless of the worker count.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric or
 calibration error.
@@ -18,9 +18,11 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 
 import numpy as np
+import scipy
 
 from . import __version__, calibrate, cones, powerlab, sample, stats
 from .dist import student_t_cdf, student_t_upper_quantile
@@ -67,7 +69,8 @@ def _sanitize(obj):
 def build_manifest(command, input_paths, seed, resolved_config):
     """Report manifest; ``config_digest`` covers the resolved configuration
     and the contents of every input file, so editing any input changes it.
-    Runs without input files keep the digest of their configuration alone."""
+    Runs without input files keep the digest of their configuration alone.
+    ``library_versions`` records python, numpy and scipy outside the digest."""
     config = dict(resolved_config)
     if input_paths:
         config["input_digests"] = [_file_digest(path) for path in input_paths]
@@ -77,6 +80,11 @@ def build_manifest(command, input_paths, seed, resolved_config):
         "seed": seed,
         "config_digest": _digest(_sanitize(config)),
         "tool_version": __version__,
+        "library_versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
     }
 
 
@@ -280,24 +288,16 @@ def cmd_test(args):
     }[family](s)
     value = stats.calibration_scale(outcome)
     weights = None
-    if args.calibration == "sup":
-        cv = calibrate.sup_critical_value(family, args.alpha, s.n, s.p)
-        pv = calibrate.p_value(outcome, "sup_conservative")
-        p_label = "sup_conservative"
-    elif args.calibration == "exact":
-        cv = calibrate.exact_halfspace_critical_value(family, args.alpha, s.n, s.p)
-        pv = calibrate.p_value(outcome, calibrate.EXACT_HALFSPACE)
-        p_label = "exact_halfspace"
-    else:
+    if args.calibration == "bayes":
         prior = _load_prior(args, s.p)
         input_paths.append(args.prior_scale)
         weights = calibrate.bayes_weights_b1(
             s.n, s.p, prior, mc_samples=args.mc_samples, seed=args.seed,
             workers=args.workers,
         )
-        cv = calibrate.bayes_critical_value(family, args.alpha, s.n, s.p, weights)
-        pv = calibrate.p_value(outcome, "weighted", weights=weights)
-        p_label = "weighted"
+    solve, p_mode = calibrate.CALIBRATIONS[args.calibration]
+    cv = solve(family, args.alpha, s.n, s.p, weights)
+    pv = calibrate.p_value(outcome, p_mode, weights=weights)
     result.update(
         {
             "statistic": outcome.statistic,
@@ -310,7 +310,7 @@ def cmd_test(args):
                 "alpha": cv.alpha,
                 "calibration": cv.calibration,
             },
-            "p_value": {p_label: pv},
+            "p_value": {p_mode: pv},
             "reject": bool(value >= cv.value),
             "calibration": args.calibration,
         }
@@ -364,52 +364,36 @@ def cmd_calibrate(args):
         result.update(
             {"threshold": thr, "alpha_star": args.alpha / args.p, "calibration": "bonferroni"}
         )
-    elif args.calibration == "sup":
-        cv = calibrate.sup_critical_value(family, args.alpha, args.n, args.p)
-        result.update(
-            {
-                "critical_value": cv.value,
-                "calibration": cv.calibration,
-                "achieved_alpha": calibrate.null_tail(family, cv.value, args.n, args.p)
-                if family in stats.HALFSPACE_FAMILIES + (stats.T2,)
-                else None,
-            }
-        )
-    elif args.calibration == "exact":
-        cv = calibrate.exact_halfspace_critical_value(family, args.alpha, args.n, args.p)
-        result.update(
-            {
-                "critical_value": cv.value,
-                "calibration": cv.calibration,
-                "achieved_alpha": calibrate.null_tail(family, cv.value, args.n, args.p),
-            }
-        )
     else:
-        if args.prior_scale is not None:
-            prior = _load_prior(args, args.p)
-            input_paths.append(args.prior_scale)
-        else:
-            if args.prior_df is None:
+        weights = None
+        if args.calibration == "bayes":
+            if args.prior_scale is not None:
+                prior = _load_prior(args, args.p)
+                input_paths.append(args.prior_scale)
+            elif args.prior_df is None:
                 raise UsageError("bayes calibration requires --prior-df")
-            prior = calibrate.PriorSpec.inverse_wishart(np.eye(args.p), args.prior_df)
-        weights = calibrate.bayes_weights_b1(
-            args.n, args.p, prior, mc_samples=args.mc_samples, seed=args.seed,
-            workers=args.workers,
-        )
-        cv = calibrate.bayes_critical_value(family, args.alpha, args.n, args.p, weights)
+            else:
+                prior = calibrate.PriorSpec.inverse_wishart(np.eye(args.p), args.prior_df)
+            weights = calibrate.bayes_weights_b1(
+                args.n, args.p, prior, mc_samples=args.mc_samples, seed=args.seed,
+                workers=args.workers,
+            )
+            result["weights"] = {
+                "values": weights.weights.tolist(),
+                "std_errors": weights.std_errors.tolist(),
+                "mc_samples": weights.mc_samples,
+                "seed": args.seed,
+            }
+        solve, _ = calibrate.CALIBRATIONS[args.calibration]
+        cv = solve(family, args.alpha, args.n, args.p, weights)
+        unweighted_orthant = family in stats.ORTHANT_FAMILIES and weights is None
         result.update(
             {
                 "critical_value": cv.value,
                 "calibration": cv.calibration,
-                "achieved_alpha": calibrate.null_tail(
-                    family, cv.value, args.n, args.p, weights=weights
-                ),
-                "weights": {
-                    "values": weights.weights.tolist(),
-                    "std_errors": weights.std_errors.tolist(),
-                    "mc_samples": weights.mc_samples,
-                    "seed": args.seed,
-                },
+                "achieved_alpha": None
+                if unweighted_orthant
+                else calibrate.null_tail(family, cv.value, args.n, args.p, weights=weights),
             }
         )
     manifest = build_manifest("calibrate", input_paths, args.seed, resolved)
@@ -580,7 +564,6 @@ def build_parser():
     s = sub.add_parser("simulate", help="run a power/domination experiment from a config file")
     s.add_argument("--config", required=True, help="JSON experiment configuration")
     s.add_argument("--csv", default=None, help="also mirror the result rows to CSV")
-    s.add_argument("--mc-samples", type=int, default=None, help=argparse.SUPPRESS)
     common(s)
     s.set_defaults(func=cmd_simulate)
     return parser

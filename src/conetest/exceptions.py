@@ -32,14 +32,6 @@ class MetricError(ConeTestError):
     """A metric or covariance matrix is not symmetric positive definite."""
 
 
-class DegenerateBoundaryError(ConeTestError):
-    """No (or more than one) index subset satisfies the sign conditions.
-
-    Under any continuous sampling distribution this is a probability-zero
-    event; it signals input sitting exactly on a classification boundary.
-    """
-
-
 class SolverError(ConeTestError):
     """The active-set solver failed to converge; diagnostics in ``details``."""
 

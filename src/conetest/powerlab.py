@@ -105,7 +105,7 @@ class TestPlan:
     def __post_init__(self):
         if self.family not in stats.FAMILIES:
             raise DataError(f"unknown family {self.family!r}")
-        if self.calibration not in ("sup", "exact", "bayes"):
+        if self.calibration not in calibrate.CALIBRATIONS:
             raise DataError(f"unknown calibration {self.calibration!r}")
         if self.calibration == "bayes" and self.prior is None:
             raise DataError("bayes calibration requires a prior")
@@ -225,39 +225,32 @@ def _resolve_critical(plan, alpha, n, p, seed):
     """Critical value on the calibration scale for one test plan."""
     if plan.family == FUIT:
         return student_t_upper_quantile(n - 1, alpha / p)
-    if plan.calibration == "sup":
-        return calibrate.sup_critical_value(plan.family, alpha, n, p).value
-    if plan.calibration == "exact":
-        return calibrate.exact_halfspace_critical_value(plan.family, alpha, n, p).value
-    weights = calibrate.bayes_weights_b1(
-        n, p, plan.prior, mc_samples=plan.weight_samples, seed=seed
-    )
-    return calibrate.bayes_critical_value(plan.family, alpha, n, p, weights).value
+    weights = None
+    if plan.calibration == "bayes":
+        weights = calibrate.bayes_weights_b1(
+            n, p, plan.prior, mc_samples=plan.weight_samples, seed=seed
+        )
+    solve, _ = calibrate.CALIBRATIONS[plan.calibration]
+    return solve(plan.family, alpha, n, p, weights).value
 
 
-def _needs(plans):
-    fams = {t.family for t in plans}
-    return {
-        "orthant": bool(fams & {LRT_ORTHANT, UIT_ORTHANT}),
-        "halfspace": bool(fams & {LRT_HALFSPACE, UIT_HALFSPACE, T2}),
-        "fuit": FUIT in fams,
-    }
+def _batch_values(means, covs, n, families):
+    """Calibration-scale statistic values per draw for each of ``families``.
 
-
-def _batch_values(means, covs, n, needs):
-    """Calibration-scale statistic values per draw for the requested groups."""
-    nm1 = n - 1
+    T2 is the sum of the halfspace projection and residual norms.
+    """
     values = {}
-    if needs["orthant"]:
+    orthant = [f for f in stats.ORTHANT_FAMILIES if f in families]
+    if orthant:
         _, q_proj, q_res = batch_orthant(means, covs, n)
-        values[UIT_ORTHANT] = q_proj / nm1
-        values[LRT_ORTHANT] = q_proj / (nm1 + q_res)
-    if needs["halfspace"]:
-        q_proj_h, q_res_h = batch_halfspace(means, covs, n)
-        values[UIT_HALFSPACE] = q_proj_h / nm1
-        values[LRT_HALFSPACE] = q_proj_h / (nm1 + q_res_h)
-        values[T2] = (q_proj_h + q_res_h) / nm1
-    if needs["fuit"]:
+        for family in orthant:
+            values[family] = stats.calibration_value(family, q_proj, q_res, n)
+    halfspace = [f for f in stats.HALFSPACE_FAMILIES + (T2,) if f in families]
+    if halfspace:
+        q_proj, q_res = batch_halfspace(means, covs, n)
+        for family in halfspace:
+            values[family] = stats.calibration_value(family, q_proj, q_res, n)
+    if FUIT in families:
         values[FUIT] = batch_fuit_max_t(means, covs, n)
     return values
 
@@ -274,7 +267,7 @@ def simulate_power(cfg):
         plan.label: _resolve_critical(plan, cfg.alpha, cfg.n, cfg.p, cfg.seed)
         for plan in cfg.tests
     }
-    needs = _needs(cfg.tests)
+    families = {plan.family for plan in cfg.tests}
     sizes = chunk_sizes(cfg.replications, cfg.chunk)
     rows = []
     for is_, (sigma_id, sigma) in enumerate(sigmas):
@@ -284,7 +277,7 @@ def simulate_power(cfg):
             def worker(j, _is=is_, _it=it, _theta=theta, _chol=chol, _sizes=sizes):
                 rng = substream(cfg.seed, (_STREAM_POWER, _is, _it, j))
                 means, covs = sample_mean_cov(rng, _theta, _chol, cfg.n, _sizes[j])
-                values = _batch_values(means, covs, cfg.n, needs)
+                values = _batch_values(means, covs, cfg.n, families)
                 return {
                     plan.label: int(np.sum(values[plan.family] >= criticals[plan.label]))
                     for plan in cfg.tests
@@ -386,7 +379,7 @@ def domination_experiment(cfg, pairs=("UIT", "LRT")):
             fam_o, cfg.alpha, cfg.n, cfg.p
         ).value
     sizes = chunk_sizes(cfg.replications, cfg.chunk)
-    needs = {"orthant": True, "halfspace": True, "fuit": False}
+    families = {family for name in pairs for family in _PAIRS[name]}
     rows = []
     flagged = []
     for is_, (sigma_id, sigma) in enumerate(sigmas):
@@ -396,7 +389,7 @@ def domination_experiment(cfg, pairs=("UIT", "LRT")):
             def worker(j, _is=is_, _it=it, _theta=theta, _chol=chol, _sizes=sizes):
                 rng = substream(cfg.seed, (_STREAM_POWER, _is, _it, j))
                 means, covs = sample_mean_cov(rng, _theta, _chol, cfg.n, _sizes[j])
-                values = _batch_values(means, covs, cfg.n, needs)
+                values = _batch_values(means, covs, cfg.n, families)
                 out = {}
                 for name in pairs:
                     fam_o, fam_h = _PAIRS[name]
@@ -487,18 +480,13 @@ _WITNESS_CAP = 1_000_000
 
 def _member_means(family, c, n, p, cov, rng, count):
     """Means inside the acceptance slice for a fixed covariance matrix."""
-    needs = {
-        "orthant": family == UIT_ORTHANT,
-        "halfspace": family == UIT_HALFSPACE,
-        "fuit": False,
-    }
     pool = []
     got = 0
     for scale in (0.6, 1.2, 2.5, 5.0):
         means = (rng.standard_normal((count, p)) @ np.linalg.cholesky(cov).T) * (
             scale / np.sqrt(n)
         )
-        values = _batch_values(means, cov, n, needs)[family]
+        values = _batch_values(means, cov, n, {family})[family]
         keep = values <= c
         pool.append(means[keep])
         got += int(keep.sum())
@@ -589,11 +577,6 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
         raise DataError(f"unknown region {region!r}")
     family = UIT_ORTHANT if region == UIT_ORTHANT_ACCEPTANCE else UIT_HALFSPACE
     c = calibrate.sup_critical_value(family, alpha, n, p).value
-    needs = {
-        "orthant": family == UIT_ORTHANT,
-        "halfspace": family == UIT_HALFSPACE,
-        "fuit": False,
-    }
     violations = 0
     tested = 0
     block_pairs = 10_000
@@ -611,7 +594,7 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
         i = rng.integers(0, m, size=block)
         j = rng.integers(0, m, size=block)
         mid = 0.5 * (means[i] + means[j])
-        values = _batch_values(mid, cov, n, needs)[family]
+        values = _batch_values(mid, cov, n, {family})[family]
         bad = values > c * (1.0 + 1e-9)
         violations += int(bad.sum())
         if bad.any() and worst is None:
@@ -667,20 +650,17 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     null (covariance drawn from the prior) and reports the aggregate rate,
     which matches the level by construction.
     """
+    if calibration not in calibrate.CALIBRATIONS:
+        raise DataError(f"unknown calibration {calibration!r}")
+    weights = None
     if calibration == "bayes":
         if prior is None:
             raise CalibrationError("bayes similarity probe requires a prior")
         weights = calibrate.bayes_weights_b1(
             cfg.n, cfg.p, prior, mc_samples=200_000, seed=cfg.seed
         )
-        critical = calibrate.bayes_critical_value(
-            family, cfg.alpha, cfg.n, cfg.p, weights
-        ).value
-    elif calibration in ("sup", "exact"):
-        critical = calibrate.sup_critical_value(family, cfg.alpha, cfg.n, cfg.p).value
-    else:
-        raise DataError(f"unknown calibration {calibration!r}")
-    needs = _needs([TestPlan(family=family)])
+    solve, _ = calibrate.CALIBRATIONS[calibration]
+    critical = solve(family, cfg.alpha, cfg.n, cfg.p, weights).value
     sizes = chunk_sizes(cfg.replications, cfg.chunk)
     rows = []
     if sigma_list:
@@ -691,7 +671,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
             def worker(j, _chol=chol, _cell=is_):
                 rng = substream(cfg.seed, (_STREAM_SIMILARITY, _cell, j))
                 means, covs = sample_mean_cov(rng, None, _chol, cfg.n, sizes[j])
-                values = _batch_values(means, covs, cfg.n, needs)[family]
+                values = _batch_values(means, covs, cfg.n, {family})[family]
                 return int(np.sum(values >= critical))
 
             total = sum(run_chunks(worker, len(sizes), cfg.workers))
@@ -711,7 +691,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
                 rng, np.asarray(prior.scale), prior.df, sizes[j]
             )
             means, covs = sample_mean_cov(rng, None, factors, cfg.n, sizes[j])
-            values = _batch_values(means, covs, cfg.n, needs)[family]
+            values = _batch_values(means, covs, cfg.n, {family})[family]
             return int(np.sum(values >= critical))
 
         total = sum(run_chunks(worker, len(sizes), cfg.workers))

@@ -211,17 +211,26 @@ def directional_component(s, b):
     return num / denom
 
 
-def calibration_scale(outcome):
-    """Map a test outcome onto the scale of the null tail formulas.
+def calibration_value(family, q_proj, q_res, n):
+    """Calibration-scale value from the squared projection and residual norms.
 
     Quadratic-form statistics divide by ``n - 1`` (unbiased-covariance to
     sum-of-squares standardization); the likelihood-ratio families replace
     the ``1 +`` in their denominator by ``n - 1`` under the same rescaling,
-    giving ``q_proj / ((n - 1) + q_res)``.
+    giving ``q_proj / ((n - 1) + q_res)``.  Works elementwise on arrays.
     """
-    nm1 = outcome.n - 1
-    if outcome.family in (T2,) + UIT_FAMILIES:
-        return outcome.statistic / nm1
-    if outcome.family in LRT_FAMILIES:
-        return outcome.sq_norm_projection / (nm1 + outcome.sq_norm_residual)
-    raise ValueError(f"no calibration scale for family {outcome.family!r}")
+    nm1 = n - 1
+    if family == T2:
+        return (q_proj + q_res) / nm1
+    if family in UIT_FAMILIES:
+        return q_proj / nm1
+    if family in LRT_FAMILIES:
+        return q_proj / (nm1 + q_res)
+    raise ValueError(f"no calibration scale for family {family!r}")
+
+
+def calibration_scale(outcome):
+    """Map a test outcome onto the scale of the null tail formulas."""
+    return calibration_value(
+        outcome.family, outcome.sq_norm_projection, outcome.sq_norm_residual, outcome.n
+    )

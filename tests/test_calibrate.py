@@ -11,6 +11,7 @@ from conetest import (
     chi_bar_weights,
     exact_halfspace_critical_value,
     g_ratio_tail,
+    g_star_tail,
     marginal_logdensity,
     null_tail,
     p_value,
@@ -332,3 +333,86 @@ class TestPValue:
             p_value(out, "exact_halfspace")
         with pytest.raises(CalibrationError):
             p_value(out, "weighted")
+
+
+class TestExplicitMixtures:
+    """Each null tail equals its mixture of branch tails written out by hand."""
+
+    N = 20
+    GRID = (0.02, 0.1, 0.35, 1.2)
+
+    @staticmethod
+    def orthant_weights(p):
+        prior = PriorSpec.inverse_wishart(np.eye(p), p + 4.0)
+        return (
+            chi_bar_weights(random_correlation(np.random.default_rng(p), p)),
+            bayes_weights_b1(20, p, prior, mc_samples=3000, seed=40 + p),
+        )
+
+    @staticmethod
+    def halfspace_split(branch, p, c):
+        return 0.5 * (branch(p - 1, c) + branch(p, c))
+
+    def branches(self, p):
+        n = self.N
+        return {
+            "ratio": lambda k, c: g_ratio_tail(k, n - p, c),
+            "star": lambda k, c: g_star_tail(n, k, p, c),
+        }
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_covariance_free_families(self, p):
+        b = self.branches(p)
+        for c in self.GRID:
+            expect = {
+                stats.T2: b["ratio"](p, c),
+                stats.LRT_HALFSPACE: self.halfspace_split(b["ratio"], p, c),
+                stats.UIT_HALFSPACE: self.halfspace_split(b["star"], p, c),
+            }
+            for family, value in expect.items():
+                assert null_tail(family, c, self.N, p) == pytest.approx(value, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_orthant_families(self, p):
+        b = self.branches(p)
+        for weights in self.orthant_weights(p):
+            w = weights.weights
+            for c in self.GRID:
+                for family, branch in ((stats.LRT_ORTHANT, b["ratio"]), (stats.UIT_ORTHANT, b["star"])):
+                    expect = sum(w[k] * branch(k, c) for k in range(p + 1))
+                    got = null_tail(family, c, self.N, p, weights=weights)
+                    assert got == pytest.approx(expect, rel=0, abs=1e-15)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_sup_conservative_p_value_of_orthant_outcomes(self, p):
+        from conetest import lrt_orthant, uit_orthant
+        from conetest.stats import calibration_scale
+
+        b = self.branches(p)
+        rng = np.random.default_rng(100 + p)
+        s = summarize(rng.standard_normal((self.N, p)) + 0.4)
+        for stat, branch in ((uit_orthant, b["star"]), (lrt_orthant, b["ratio"])):
+            out = stat(s)
+            assert out.statistic > 0.0
+            expect = self.halfspace_split(branch, p, calibration_scale(out))
+            assert p_value(out, "sup_conservative") == pytest.approx(expect, rel=0, abs=1e-15)
+
+    def test_bayes_critical_value_at_p1_uses_the_weights(self):
+        from scipy.optimize import brentq
+
+        n, p, alpha = self.N, 1, 0.05
+        b = self.branches(p)
+        tilted = MixtureWeights(
+            weights=np.array([0.3, 0.7]), std_errors=np.zeros(2),
+            method=CLOSED_FORM, mc_samples=0,
+        )
+        for weights in (self.orthant_weights(p)[1], tilted):
+            w = weights.weights
+            for family, branch in ((stats.LRT_ORTHANT, b["ratio"]), (stats.UIT_ORTHANT, b["star"])):
+                def mixture(c):
+                    return w[0] * branch(0, c) + w[1] * branch(1, c)
+
+                cv = bayes_critical_value(family, alpha, n, p, weights).value
+                assert mixture(cv) == pytest.approx(alpha, abs=1e-6)
+                root = brentq(lambda c: mixture(c) - alpha, 1e-6, 50.0, xtol=1e-14)
+                assert cv == pytest.approx(root, abs=1e-7)

@@ -246,6 +246,26 @@ class TestManifest:
             digests.append(json.loads(out.read_text())["manifest"]["config_digest"])
         assert digests[0] != digests[1]
 
+    def test_library_versions_outside_digest(self, tmp_path):
+        import platform
+
+        import scipy
+
+        from conetest.cli import _digest, build_manifest
+
+        out = tmp_path / "r.json"
+        args = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "20", "--p", "3",
+                "--out", str(out)]
+        assert main(args) == 0
+        manifest = json.loads(out.read_text())["manifest"]
+        assert manifest["library_versions"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        }
+        config = {"command": "calibrate", "alpha": 0.05}
+        assert build_manifest("calibrate", [], 0, config)["config_digest"] == _digest(config)
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, dataset):

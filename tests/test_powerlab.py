@@ -199,3 +199,45 @@ class TestSimilarity:
         agg = rep.rows[-1]
         assert agg["sigma_id"] == "prior_draws"
         assert abs(agg["rate"] - 0.05) <= 3.5 * max(agg["std_error"], 1e-4)
+
+
+class TestBatchMatchesScalar:
+    """``_batch_values`` agrees with the scalar statistics draw by draw."""
+
+    SCALAR = {
+        stats.T2: stats.hotelling_t2,
+        stats.UIT_ORTHANT: stats.uit_orthant,
+        stats.LRT_ORTHANT: stats.lrt_orthant,
+        stats.UIT_HALFSPACE: stats.uit_halfspace,
+        stats.LRT_HALFSPACE: stats.lrt_halfspace,
+    }
+
+    @pytest.mark.parametrize("p", [1, 3, 5])
+    @pytest.mark.parametrize("per_draw_cov", [False, True])
+    def test_values_match_scalar_statistics(self, p, per_draw_cov):
+        from conetest._batch import sample_mean_cov, substream
+        from conetest.powerlab import _batch_values
+        from test_sample import make_summary
+
+        n, reps = 12, 40
+        rng = substream(17, (p, int(per_draw_cov)))
+        chol = np.linalg.cholesky(random_correlation_matrix(rng, p))
+        theta = np.linspace(-0.3, 0.5, p)
+        means, covs = sample_mean_cov(rng, theta, chol, n, reps)
+        if not per_draw_cov:
+            covs = covs[0]
+        families = set(self.SCALAR) | {stats.FUIT}
+        values = _batch_values(means, covs, n, families)
+        assert set(values) == families
+        for i in range(reps):
+            s = make_summary(means[i], covs[i] if per_draw_cov else covs, n=n)
+            # Every statistic of a draw is at most its T2 value.  An empty
+            # active set gives q_proj = t2 - q_res, a rounding residual of
+            # about 1e-17 in place of 0, so errors are taken relative to T2.
+            scale = stats.calibration_scale(stats.hotelling_t2(s))
+            for family, statistic in self.SCALAR.items():
+                expect = stats.calibration_scale(statistic(s))
+                assert abs(values[family][i] - expect) <= 1e-12 * scale
+            assert values[stats.FUIT][i] == pytest.approx(
+                stats.fuit(s, 0.05).statistic, rel=1e-12, abs=0
+            )
