@@ -355,10 +355,7 @@ def sup_critical_value(family, alpha, n, p):
 
 def exact_halfspace_critical_value(family, alpha, n, p):
     """Exact critical value for a halfspace family (same tail, exact label)."""
-    if family not in _EXACT_FAMILIES:
-        raise CalibrationError(
-            f"exact calibration applies to halfspace families, not {family!r}"
-        )
+    check_calibration(family, "exact")
     return _critical_value(family, family, alpha, n, p, None, EXACT_HALFSPACE)
 
 
@@ -408,10 +405,7 @@ def bayes_critical_value(family, alpha, n, p, weights):
     likelihood-ratio family and the two-block convolution tail for the
     union-intersection family.
     """
-    if family not in stats.ORTHANT_FAMILIES:
-        raise CalibrationError(
-            f"Bayes-weighted calibration applies to orthant families, not {family!r}"
-        )
+    check_calibration(family, "bayes")
     return _critical_value(family, family, alpha, n, p, weights, BAYES_WEIGHTED)
 
 
@@ -424,6 +418,23 @@ CALIBRATIONS = {
     "exact": (lambda f, a, n, p, w: exact_halfspace_critical_value(f, a, n, p), EXACT_HALFSPACE),
     "bayes": (lambda f, a, n, p, w: bayes_critical_value(f, a, n, p, w), "weighted"),
 }
+
+# Calibration mode -> the families it applies to.  FUIT takes only ``sup``
+# (its Bonferroni threshold); exact needs a covariance-free null law and
+# Bayes weights mix over the orthant active-subset sizes.
+CALIBRATION_FAMILIES = {
+    "sup": stats.FAMILIES,
+    "exact": _EXACT_FAMILIES,
+    "bayes": stats.ORTHANT_FAMILIES,
+}
+
+
+def check_calibration(family, calibration):
+    """Raise :class:`CalibrationError` unless ``calibration`` applies to ``family``."""
+    if family not in CALIBRATION_FAMILIES[calibration]:
+        raise CalibrationError(
+            f"{calibration} calibration does not apply to family {family!r}"
+        )
 
 
 def marginal_logdensity(s, theta, prior):

@@ -15,6 +15,7 @@ Environment defaults (used when the flag is absent): ``CONETEST_SEED``,
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -201,6 +202,10 @@ def _load_prior(args, p):
 
 def cmd_test(args):
     _check_alpha(args.alpha)
+    # A polyhedral problem is reduced to an orthant model below.
+    cone_kind = "orthant" if args.cone == "polyhedral" else args.cone
+    family = _internal_family(args.family, cone_kind)
+    calibrate.check_calibration(family, args.calibration)
     if args.calibration == "bayes" and args.seed is None:
         raise UsageError("bayes calibration requires --seed")
     if args.seed is None:
@@ -233,10 +238,6 @@ def cmd_test(args):
             "induced_constraints": induced.tolist(),
             "transformed_dimension": data.shape[1],
         }
-        cone_kind = "orthant"
-    else:
-        cone_kind = args.cone
-    family = _internal_family(args.family, cone_kind)
     s = sample.summarize(data)
     if s.n <= s.p:
         raise DataError(f"need n > p, got n={s.n}, p={s.p}")
@@ -335,6 +336,7 @@ def cmd_calibrate(args):
     if args.n <= args.p:
         raise UsageError(f"need n > p, got n={args.n}, p={args.p}")
     family = _internal_family(args.family, args.cone)
+    calibrate.check_calibration(family, args.calibration)
     if args.calibration == "bayes" and args.seed is None:
         raise UsageError("bayes calibration requires --seed")
     if args.seed is None:
@@ -490,14 +492,9 @@ def cmd_simulate(args):
     experiment, cfg, raw = load_experiment_config(args.config, workers=args.workers)
     resolved = {"command": "simulate", "config": raw}
     manifest = build_manifest("simulate", [args.config], cfg.seed, resolved)
-    if experiment == "power":
-        table = powerlab.simulate_power(cfg)
-        body = table.to_dict()
-        rows = body["rows"]
-    else:
-        report = powerlab.domination_experiment(cfg)
-        body = report.to_dict()
-        rows = body["rows"]
+    run = powerlab.simulate_power if experiment == "power" else powerlab.domination_experiment
+    body = _sanitize(dataclasses.asdict(run(cfg)))
+    rows = body["rows"]
     body["config"] = raw
     emit_report({"manifest": manifest, "result": body}, args.out)
     if args.csv:

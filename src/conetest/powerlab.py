@@ -29,7 +29,7 @@ from ._batch import (
 )
 from ._linalg import check_positive_definite
 from .dist import student_t_upper_quantile
-from .exceptions import CalibrationError, ConeTestError, DataError
+from .exceptions import ConeTestError, DataError
 from .stats import (
     FUIT,
     LRT_HALFSPACE,
@@ -39,7 +39,8 @@ from .stats import (
     UIT_ORTHANT,
 )
 
-DEFAULT_SIM_CHUNK = 20000
+# Draws per Monte-Carlo chunk; the chunking fixes the random streams.
+SIM_CHUNK = 20000
 
 # Leading substream indices per consumer, so stream keys never collide
 # (the weight estimators in the calibration module use 10 and 11).
@@ -107,6 +108,7 @@ class TestPlan:
             raise DataError(f"unknown family {self.family!r}")
         if self.calibration not in calibrate.CALIBRATIONS:
             raise DataError(f"unknown calibration {self.calibration!r}")
+        calibrate.check_calibration(self.family, self.calibration)
         if self.calibration == "bayes" and self.prior is None:
             raise DataError("bayes calibration requires a prior")
 
@@ -128,7 +130,6 @@ class ExperimentConfig:
     theta_grid: tuple
     tests: tuple
     workers: int = 1
-    chunk: int = DEFAULT_SIM_CHUNK
 
     def __post_init__(self):
         if self.n <= self.p:
@@ -178,23 +179,6 @@ class PowerRow:
 class PowerTable:
     rows: list
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "metadata": self.metadata,
-            "rows": [
-                {
-                    "theta": list(r.theta),
-                    "sigma_id": r.sigma_id,
-                    "family": r.family,
-                    "calibration": r.calibration,
-                    "rejection_rate": r.rejection_rate,
-                    "mc_std_error": r.mc_std_error,
-                    "replications": r.replications,
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def random_correlation_matrix(rng, p, df=None):
@@ -255,6 +239,45 @@ def _batch_values(means, covs, n, families):
     return values
 
 
+def _count_cell(seed, key, replications, workers, draw, count):
+    """Summed per-chunk counts of one Monte-Carlo cell.
+
+    The cell's draws are split into fixed chunks of ``SIM_CHUNK``; chunk
+    ``j`` samples ``draw(rng, reps) -> (means, covs)`` from the substream
+    ``key + (j,)`` of ``seed`` and reduces it with ``count(means, covs)``,
+    which returns an integer or an array of integers.  The sum does not
+    depend on ``workers``.
+    """
+    sizes = chunk_sizes(replications, SIM_CHUNK)
+
+    def worker(j):
+        return count(*draw(substream(seed, key + (j,)), sizes[j]))
+
+    return np.sum(run_chunks(worker, len(sizes), workers), axis=0)
+
+
+def _rate(count, replications):
+    """Rejection rate of ``count`` in ``replications`` draws and its standard error."""
+    rate = int(count) / replications
+    return rate, float(np.sqrt(rate * (1.0 - rate) / replications))
+
+
+def _grid_counts(cfg, sigmas, count):
+    """``(sigma_id, theta, counts)`` for each (sigma, theta) cell of ``cfg``, in order."""
+    for is_, (sigma_id, sigma) in enumerate(sigmas):
+        chol = np.linalg.cholesky(sigma)
+        for it, theta in enumerate(cfg.theta_grid):
+
+            def draw(rng, reps):
+                return sample_mean_cov(rng, theta, chol, cfg.n, reps)
+
+            counts = _count_cell(
+                cfg.seed, (_STREAM_POWER, is_, it), cfg.replications, cfg.workers,
+                draw, count,
+            )
+            yield sigma_id, tuple(float(v) for v in theta), counts
+
+
 def simulate_power(cfg):
     """Rejection rates for every (theta, sigma, test plan) cell.
 
@@ -268,38 +291,26 @@ def simulate_power(cfg):
         for plan in cfg.tests
     }
     families = {plan.family for plan in cfg.tests}
-    sizes = chunk_sizes(cfg.replications, cfg.chunk)
+
+    def count(means, covs):
+        values = _batch_values(means, covs, cfg.n, families)
+        return [np.sum(values[plan.family] >= criticals[plan.label]) for plan in cfg.tests]
+
     rows = []
-    for is_, (sigma_id, sigma) in enumerate(sigmas):
-        chol = np.linalg.cholesky(sigma)
-        for it, theta in enumerate(cfg.theta_grid):
-
-            def worker(j, _is=is_, _it=it, _theta=theta, _chol=chol, _sizes=sizes):
-                rng = substream(cfg.seed, (_STREAM_POWER, _is, _it, j))
-                means, covs = sample_mean_cov(rng, _theta, _chol, cfg.n, _sizes[j])
-                values = _batch_values(means, covs, cfg.n, families)
-                return {
-                    plan.label: int(np.sum(values[plan.family] >= criticals[plan.label]))
-                    for plan in cfg.tests
-                }
-
-            counts = run_chunks(worker, len(sizes), cfg.workers)
-            for plan in cfg.tests:
-                total = sum(c[plan.label] for c in counts)
-                rate = total / cfg.replications
-                rows.append(
-                    PowerRow(
-                        theta=tuple(float(v) for v in theta),
-                        sigma_id=sigma_id,
-                        family=plan.family,
-                        calibration=plan.calibration,
-                        rejection_rate=rate,
-                        mc_std_error=float(
-                            np.sqrt(rate * (1.0 - rate) / cfg.replications)
-                        ),
-                        replications=cfg.replications,
-                    )
+    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, count):
+        for plan, total in zip(cfg.tests, counts):
+            rate, se = _rate(total, cfg.replications)
+            rows.append(
+                PowerRow(
+                    theta=theta,
+                    sigma_id=sigma_id,
+                    family=plan.family,
+                    calibration=plan.calibration,
+                    rejection_rate=rate,
+                    mc_std_error=se,
+                    replications=cfg.replications,
                 )
+            )
     return PowerTable(
         rows=rows,
         metadata={
@@ -333,25 +344,6 @@ class DominationReport:
     metadata: dict = field(default_factory=dict)
     flagged: list = field(default_factory=list)
 
-    def to_dict(self):
-        return {
-            "metadata": self.metadata,
-            "flagged": list(self.flagged),
-            "rows": [
-                {
-                    "theta": list(r.theta),
-                    "sigma_id": r.sigma_id,
-                    "pair": r.pair,
-                    "power_orthant": r.power_orthant,
-                    "power_halfspace": r.power_halfspace,
-                    "difference": r.difference,
-                    "difference_std_error": r.difference_std_error,
-                    "implication_violations": r.implication_violations,
-                }
-                for r in self.rows
-            ],
-        }
-
 
 _PAIRS = {
     "UIT": (UIT_ORTHANT, UIT_HALFSPACE),
@@ -378,64 +370,50 @@ def domination_experiment(cfg, pairs=("UIT", "LRT")):
         criticals[name] = calibrate.sup_critical_value(
             fam_o, cfg.alpha, cfg.n, cfg.p
         ).value
-    sizes = chunk_sizes(cfg.replications, cfg.chunk)
     families = {family for name in pairs for family in _PAIRS[name]}
+
+    def count(means, covs):
+        """Per pair: orthant rejections, halfspace rejections, halfspace-only
+        rejections and orthant-only rejections (implication violations)."""
+        values = _batch_values(means, covs, cfg.n, families)
+        out = []
+        for name in pairs:
+            fam_o, fam_h = _PAIRS[name]
+            rej_o = values[fam_o] >= criticals[name]
+            rej_h = values[fam_h] >= criticals[name]
+            out.append([rej_o.sum(), rej_h.sum(), np.sum(rej_h & ~rej_o), np.sum(rej_o & ~rej_h)])
+        return out
+
+    reps = cfg.replications
     rows = []
     flagged = []
-    for is_, (sigma_id, sigma) in enumerate(sigmas):
-        chol = np.linalg.cholesky(sigma)
-        for it, theta in enumerate(cfg.theta_grid):
-
-            def worker(j, _is=is_, _it=it, _theta=theta, _chol=chol, _sizes=sizes):
-                rng = substream(cfg.seed, (_STREAM_POWER, _is, _it, j))
-                means, covs = sample_mean_cov(rng, _theta, _chol, cfg.n, _sizes[j])
-                values = _batch_values(means, covs, cfg.n, families)
-                out = {}
-                for name in pairs:
-                    fam_o, fam_h = _PAIRS[name]
-                    c = criticals[name]
-                    rej_o = values[fam_o] >= c
-                    rej_h = values[fam_h] >= c
-                    viol = int(np.sum(rej_o & ~rej_h))
-                    out[name] = (
-                        int(rej_o.sum()),
-                        int(rej_h.sum()),
-                        int(np.sum(rej_h & ~rej_o)),
-                        viol,
-                    )
-                return out
-
-            counts = run_chunks(worker, len(sizes), cfg.workers)
-            for name in pairs:
-                no = sum(c[name][0] for c in counts)
-                nh = sum(c[name][1] for c in counts)
-                gain = sum(c[name][2] for c in counts)
-                viol = sum(c[name][3] for c in counts)
-                if viol:
-                    raise ConeTestError(
-                        f"per-draw domination violated {viol} times for the {name} pair"
-                    )
-                reps = cfg.replications
-                p_o, p_h = no / reps, nh / reps
-                diff = p_h - p_o
-                # Paired difference: d in {0, +1} here since violations are zero.
-                var_d = gain / reps - (gain / reps) ** 2
-                d_se = float(np.sqrt(var_d / reps))
-                row = DominationRow(
-                    theta=tuple(float(v) for v in theta),
-                    sigma_id=sigma_id,
-                    pair=name,
-                    power_orthant=p_o,
-                    power_halfspace=p_h,
-                    difference=diff,
-                    difference_std_error=d_se,
-                    implication_violations=viol,
+    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, count):
+        for name, pair_counts in zip(pairs, counts):
+            no, nh, gain, viol = (int(v) for v in pair_counts)
+            if viol:
+                raise ConeTestError(
+                    f"per-draw domination violated {viol} times for the {name} pair"
                 )
-                rows.append(row)
-                if diff < -3.0 * max(d_se, 1e-12):
-                    flagged.append(
-                        {"theta": list(row.theta), "pair": name, "difference": diff}
-                    )
+            p_o, p_h = no / reps, nh / reps
+            diff = p_h - p_o
+            # Paired difference: d in {0, +1} here since violations are zero.
+            var_d = gain / reps - (gain / reps) ** 2
+            d_se = float(np.sqrt(var_d / reps))
+            row = DominationRow(
+                theta=theta,
+                sigma_id=sigma_id,
+                pair=name,
+                power_orthant=p_o,
+                power_halfspace=p_h,
+                difference=diff,
+                difference_std_error=d_se,
+                implication_violations=viol,
+            )
+            rows.append(row)
+            if diff < -3.0 * max(d_se, 1e-12):
+                flagged.append(
+                    {"theta": list(row.theta), "pair": name, "difference": diff}
+                )
     return DominationReport(
         rows=rows,
         flagged=flagged,
@@ -459,16 +437,6 @@ class ConvexityReport:
     witness: Optional[dict]
     attempts: int
     metadata: dict = field(default_factory=dict)
-
-    def to_dict(self):
-        return {
-            "region": self.region,
-            "pairs_tested": self.pairs_tested,
-            "violations": self.violations,
-            "witness": self.witness,
-            "attempts": self.attempts,
-            "metadata": self.metadata,
-        }
 
 
 UIT_ORTHANT_ACCEPTANCE = "UIT_orthant_acceptance"
@@ -630,16 +598,6 @@ class SimilarityReport:
     rows: list
     metadata: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {
-            "family": self.family,
-            "calibration": self.calibration,
-            "alpha": self.alpha,
-            "critical": self.critical,
-            "rows": list(self.rows),
-            "metadata": self.metadata,
-        }
-
 
 def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     """Null rejection rates across covariance matrices (theta = 0).
@@ -650,59 +608,33 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     null (covariance drawn from the prior) and reports the aggregate rate,
     which matches the level by construction.
     """
-    if calibration not in calibrate.CALIBRATIONS:
-        raise DataError(f"unknown calibration {calibration!r}")
-    weights = None
+    plan = TestPlan(family, calibration, prior=prior)
+    critical = _resolve_critical(plan, cfg.alpha, cfg.n, cfg.p, cfg.seed)
+
+    def count(means, covs):
+        return np.sum(_batch_values(means, covs, cfg.n, {family})[family] >= critical)
+
+    def fixed(chol):
+        return lambda rng, reps: sample_mean_cov(rng, None, chol, cfg.n, reps)
+
+    def from_prior(rng, reps):
+        factors = sample_invwishart_chol(rng, np.asarray(prior.scale), prior.df, reps)
+        return sample_mean_cov(rng, None, factors, cfg.n, reps)
+
+    # (row label, stream cell, draw) per cell; the prior cell uses stream cell 999.
+    cells = []
+    for i, sigma in enumerate(sigma_list or ()):
+        chol = np.linalg.cholesky(check_positive_definite(sigma, f"sigma[{i}]"))
+        cells.append((f"sigma{i}", i, fixed(chol)))
     if calibration == "bayes":
-        if prior is None:
-            raise CalibrationError("bayes similarity probe requires a prior")
-        weights = calibrate.bayes_weights_b1(
-            cfg.n, cfg.p, prior, mc_samples=200_000, seed=cfg.seed
-        )
-    solve, _ = calibrate.CALIBRATIONS[calibration]
-    critical = solve(family, cfg.alpha, cfg.n, cfg.p, weights).value
-    sizes = chunk_sizes(cfg.replications, cfg.chunk)
+        cells.append(("prior_draws", 999, from_prior))
     rows = []
-    if sigma_list:
-        for is_, sigma in enumerate(sigma_list):
-            sigma = check_positive_definite(sigma, f"sigma[{is_}]")
-            chol = np.linalg.cholesky(sigma)
-
-            def worker(j, _chol=chol, _cell=is_):
-                rng = substream(cfg.seed, (_STREAM_SIMILARITY, _cell, j))
-                means, covs = sample_mean_cov(rng, None, _chol, cfg.n, sizes[j])
-                values = _batch_values(means, covs, cfg.n, {family})[family]
-                return int(np.sum(values >= critical))
-
-            total = sum(run_chunks(worker, len(sizes), cfg.workers))
-            rate = total / cfg.replications
-            rows.append(
-                {
-                    "sigma_id": f"sigma{is_}",
-                    "rate": rate,
-                    "std_error": float(np.sqrt(rate * (1 - rate) / cfg.replications)),
-                }
-            )
-    if calibration == "bayes":
-
-        def worker(j):
-            rng = substream(cfg.seed, (_STREAM_SIMILARITY, 999, j))
-            factors = sample_invwishart_chol(
-                rng, np.asarray(prior.scale), prior.df, sizes[j]
-            )
-            means, covs = sample_mean_cov(rng, None, factors, cfg.n, sizes[j])
-            values = _batch_values(means, covs, cfg.n, {family})[family]
-            return int(np.sum(values >= critical))
-
-        total = sum(run_chunks(worker, len(sizes), cfg.workers))
-        rate = total / cfg.replications
-        rows.append(
-            {
-                "sigma_id": "prior_draws",
-                "rate": rate,
-                "std_error": float(np.sqrt(rate * (1 - rate) / cfg.replications)),
-            }
+    for sigma_id, cell, draw in cells:
+        total = _count_cell(
+            cfg.seed, (_STREAM_SIMILARITY, cell), cfg.replications, cfg.workers, draw, count
         )
+        rate, se = _rate(total, cfg.replications)
+        rows.append({"sigma_id": sigma_id, "rate": rate, "std_error": se})
     return SimilarityReport(
         family=family,
         calibration=calibration,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import t as scipy_t
 
+from conetest import calibrate
 from conetest.cli import main, read_csv_matrix
 from conetest.exceptions import DataError
 
@@ -380,6 +381,67 @@ class TestCmdCalibrate:
             ]
         )
         assert code == 2
+
+
+class TestCalibrationApplicability:
+    """An invalid family/calibration pairing exits 4 before any Monte Carlo."""
+
+    PAIRINGS = [
+        ("uit", "halfspace", "bayes"),
+        ("lrt", "halfspace", "bayes"),
+        ("t2", "orthant", "bayes"),
+        ("uit", "orthant", "exact"),
+        ("fuit", "orthant", "exact"),
+        ("fuit", "orthant", "bayes"),
+    ]
+
+    @pytest.fixture
+    def weight_calls(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            calibrate, "bayes_weights_b1", lambda *a, **k: calls.append((a, k))
+        )
+        return calls
+
+    @pytest.mark.parametrize("seed", [["--seed", "1"], []])
+    @pytest.mark.parametrize("family, cone, calibration", PAIRINGS)
+    def test_calibrate(self, family, cone, calibration, seed, weight_calls, capsys):
+        argv = [
+            "calibrate", "--family", family, "--cone", cone, "--alpha", "0.05",
+            "--n", "15", "--p", "2", "--calibration", calibration, "--prior-df", "6",
+        ]
+        assert main(argv + seed) == 4
+        assert weight_calls == []
+        assert "does not apply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family, cone, calibration", PAIRINGS)
+    def test_test(self, family, cone, calibration, dataset, weight_calls, capsys):
+        path, _ = dataset
+        argv = [
+            "test", "--data", str(path), "--family", family, "--cone", cone,
+            "--calibration", calibration, "--prior-df", "6", "--seed", "1",
+        ]
+        assert main(argv) == 4
+        assert weight_calls == []
+        assert "does not apply" in capsys.readouterr().err
+
+    def test_fuit_takes_sup(self, dataset, tmp_path):
+        path, _ = dataset
+        out = tmp_path / "t.json"
+        assert main(["test", "--data", str(path), "--family", "fuit", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        assert result["calibration"] == "bonferroni"
+
+    def test_simulate_plan(self, tmp_path):
+        config = {
+            "p": 2, "n": 10, "alpha": 0.05, "replications": 10, "seed": 1,
+            "sigma": {"kind": "fixed", "matrix": [[1.0, 0.0], [0.0, 1.0]]},
+            "theta_grid": [[0.0, 0.0]],
+            "tests": [{"family": "FUIT", "calibration": "exact"}],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["simulate", "--config", str(path)]) == 4
 
 
 class TestCmdSimulate:

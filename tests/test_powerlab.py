@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from conetest import DataError, PriorSpec, stats
+from conetest import CalibrationError, DataError, PriorSpec, powerlab, stats
 from conetest.powerlab import (
     LRT_ORTHANT_ACCEPTANCE,
     UIT_HALFSPACE_ACCEPTANCE,
@@ -53,6 +55,31 @@ class TestConfigValidation:
         with pytest.raises(DataError):
             TestPlan(family=stats.UIT_ORTHANT, calibration="bayes")
 
+    @pytest.mark.parametrize(
+        "family, calibration",
+        [
+            (stats.T2, "bayes"),
+            (stats.UIT_HALFSPACE, "bayes"),
+            (stats.LRT_HALFSPACE, "bayes"),
+            (stats.UIT_ORTHANT, "exact"),
+            (stats.FUIT, "exact"),
+            (stats.FUIT, "bayes"),
+        ],
+    )
+    def test_plan_rejects_inapplicable_calibration(self, family, calibration):
+        prior = PriorSpec.inverse_wishart(np.eye(2), 6.0)
+        with pytest.raises(CalibrationError, match="does not apply"):
+            TestPlan(family=family, calibration=calibration, prior=prior)
+
+    def test_plan_accepts_applicable_calibrations(self):
+        prior = PriorSpec.inverse_wishart(np.eye(2), 6.0)
+        for family in stats.FAMILIES:
+            TestPlan(family=family)
+        for family in (stats.T2, stats.UIT_HALFSPACE, stats.LRT_HALFSPACE):
+            TestPlan(family=family, calibration="exact")
+        for family in (stats.UIT_ORTHANT, stats.LRT_ORTHANT):
+            TestPlan(family=family, calibration="bayes", prior=prior)
+
     def test_sigma_kinds(self, rng):
         assert resolve_sigmas(SigmaSource.fixed(np.eye(2)), 2, 0)[0][0] == "sigma0"
         seq = resolve_sigmas(
@@ -72,12 +99,63 @@ class TestConfigValidation:
 
 
 class TestSimulatePower:
-    def test_deterministic_across_workers(self):
-        t1 = simulate_power(small_config(workers=1))
-        t2 = simulate_power(small_config(workers=4))
-        assert [r.rejection_rate for r in t1.rows] == [
-            r.rejection_rate for r in t2.rows
+    def test_deterministic_across_workers(self, monkeypatch):
+        # Small chunks so every cell spans several chunks and the pool runs.
+        monkeypatch.setattr(powerlab, "SIM_CHUNK", 1500)
+        prior = PriorSpec.inverse_wishart(np.eye(2), 6.0)
+        theta_grid = (np.zeros(2), np.array([0.3, 0.1]))
+        high = np.array([[1.0, 0.8], [0.8, 1.0]])
+
+        def run(workers):
+            cfg = small_config(workers=workers, theta_grid=theta_grid)
+            return (
+                simulate_power(cfg),
+                domination_experiment(cfg),
+                similarity_probe(stats.UIT_HALFSPACE, "sup", [np.eye(2), high], cfg),
+                similarity_probe(stats.UIT_ORTHANT, "bayes", [high], cfg, prior=prior),
+            )
+
+        one, four = run(1), run(4)
+        assert [r.rows for r in one] == [r.rows for r in four]
+        assert one[3].rows[-1]["sigma_id"] == "prior_draws"
+
+    def test_stream_keys_pinned(self):
+        """Exact rejection counts of tiny runs, as first recorded.
+
+        The counts fix every stream key (power grid, similarity cells, the
+        prior cell) and the chunking: 20 003 draws are two chunks, the
+        second of three draws.  A deliberate change of the random streams
+        updates these numbers and says so in the change log.
+        """
+        cfg = small_config(
+            n=10,
+            alpha=0.1,
+            replications=20_003,
+            seed=5,
+            sigma_source=SigmaSource.sequence(
+                [np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]])]
+            ),
+            theta_grid=(np.zeros(2), np.array([0.3, 0.1])),
+            tests=(TestPlan(stats.UIT_ORTHANT), TestPlan(stats.LRT_HALFSPACE, "exact")),
+        )
+
+        def counts(rates):
+            return [round(r * cfg.replications) for r in rates]
+
+        power = simulate_power(cfg)
+        assert counts(r.rejection_rate for r in power.rows) == [
+            1357, 2021, 4125, 4319, 1527, 1994, 4121, 4273,
         ]
+        dom = domination_experiment(cfg)
+        assert counts(r.power_orthant for r in dom.rows) == [
+            1357, 1307, 4125, 4235, 1527, 1477, 4121, 4227,
+        ]
+        assert counts(r.power_halfspace for r in dom.rows) == [
+            2024, 2021, 4193, 4319, 1983, 1994, 4164, 4273,
+        ]
+        prior = PriorSpec.inverse_wishart(np.eye(2), 5.0)
+        sim = similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
+        assert counts(r["rate"] for r in sim.rows) == [2001, 2030]
 
     def test_null_halfspace_rate_near_alpha(self):
         cfg = small_config(
@@ -111,7 +189,7 @@ class TestSimulatePower:
 
     def test_table_round_trip(self):
         table = simulate_power(small_config(replications=100))
-        d = table.to_dict()
+        d = dataclasses.asdict(table)
         assert d["rows"][0]["family"] == stats.UIT_ORTHANT
         assert d["metadata"]["seed"] == 123
 
