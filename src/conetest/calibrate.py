@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import stats
 from ._batch import (
@@ -38,8 +39,7 @@ EXACT_HALFSPACE = "exact_halfspace"
 # Default Monte-Carlo sample count for weight estimation.
 DEFAULT_MC_SAMPLES = 1_000_000
 
-_BISECT_TOL_C = 1e-8
-_BISECT_MAX_DOUBLINGS = 200
+_BRACKET_MAX_DOUBLINGS = 200
 
 
 @dataclass(frozen=True)
@@ -300,34 +300,28 @@ def null_tail(family, c, n, p, weights=None):
     return tail(c) if c > 0.0 else 1.0
 
 
-def _invert_tail(tail, alpha, tol_c=_BISECT_TOL_C):
-    """Solve ``tail(c) = alpha`` for a nonincreasing tail on (0, inf)."""
+def _invert_tail(tail, alpha):
+    """Solve ``tail(c) = alpha`` for a nonincreasing tail on (0, inf).
+
+    ``tail(0) = 1 > alpha``; doubling ``c`` from 1 brackets the root and
+    ``scipy.optimize.brentq`` solves it to ``1e-12`` in ``c``.
+    """
     if not 0.0 < alpha < 1.0:
         raise CalibrationError(f"alpha must be in (0, 1), got {alpha}")
-    lo = 0.0
     hi = 1.0
     doublings = 0
     while tail(hi) >= alpha:
         hi *= 2.0
         doublings += 1
-        if doublings > _BISECT_MAX_DOUBLINGS:
+        if doublings > _BRACKET_MAX_DOUBLINGS:
             raise CalibrationError("tail does not drop below alpha; cannot bracket")
-    while hi - lo > tol_c:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if tail(mid) >= alpha:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return brentq(lambda c: tail(c) - alpha, 0.0, hi, xtol=1e-12)
 
 
 def _critical_value(family, law, alpha, n, p, weights, calibration):
     """Invert the null tail of ``law`` at ``alpha``, labeled for ``family``.
 
-    The tail reaches at most one minus its mass on k = 0.  Bayes-weighted
-    values are polished until the defining equation holds to ``1e-6``.
+    The tail reaches at most one minus its mass on k = 0.
     """
     tail, atom = _null_law(law, n, p, weights)
     attainable = 1.0 - atom
@@ -336,8 +330,6 @@ def _critical_value(family, law, alpha, n, p, weights, calibration):
             f"alpha = {alpha} is outside the attainable tail range (0, {attainable:.4g})"
         )
     value = _invert_tail(tail, alpha)
-    if calibration == BAYES_WEIGHTED and abs(tail(value) - alpha) > 1e-6:
-        value = _invert_tail(tail, alpha, tol_c=1e-10)
     return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=calibration)
 
 
@@ -400,7 +392,7 @@ def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, work
 def bayes_critical_value(family, alpha, n, p, weights):
     """Critical value averaging the null tail over the covariance prior.
 
-    Solves ``sum_k b1(k) * tail_k(c) = alpha`` by bisection to ``1e-6``,
+    Solves ``sum_k b1(k) * tail_k(c) = alpha`` with ``scipy.optimize.brentq``,
     where ``tail_k`` is the plain chi-square-ratio tail for the
     likelihood-ratio family and the two-block convolution tail for the
     union-intersection family.

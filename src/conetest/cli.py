@@ -264,7 +264,7 @@ def cmd_test(args):
         result["reduction"] = reduction_info
     if family == stats.FUIT:
         rep = stats.fuit(s, args.alpha)
-        tail = 1.0 - student_t_cdf(float(np.max(rep.t_values)), s.n - 1)
+        tail = student_t_cdf(-float(np.max(rep.t_values)), s.n - 1)
         result.update(
             {
                 "t_values": rep.t_values.tolist(),

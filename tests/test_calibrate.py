@@ -1,5 +1,8 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.stats import multivariate_normal
 from scipy.stats import t as scipy_t
 
 from conetest import (
@@ -30,6 +33,38 @@ def corr2(rho):
     return np.array([[1.0, rho], [rho, 1.0]])
 
 
+def orthant_probability(cov):
+    """P{N(0, cov) <= 0} by Genz's algorithm (1 for an empty vector)."""
+    k = cov.shape[0]
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return 0.5
+    return float(multivariate_normal.cdf(np.zeros(k), cov=cov, abseps=1e-6, releps=0.0))
+
+
+def subset_sum_weights(corr):
+    """Chi-bar-square weights from orthant probabilities (Kudo 1963).
+
+    ``w_k`` sums, over subsets ``A`` of size ``k``, the orthant probability
+    of the covariance of ``A`` given its complement ``C`` times that of
+    ``inv(corr[C, C])``.
+    """
+    p = corr.shape[0]
+    w = np.zeros(p + 1)
+    for k in range(p + 1):
+        for subset in combinations(range(p), k):
+            a = list(subset)
+            c = [i for i in range(p) if i not in subset]
+            cond = corr[np.ix_(a, a)]
+            inv_cc = np.zeros((0, 0))
+            if c:
+                inv_cc = np.linalg.inv(corr[np.ix_(c, c)])
+                cond = cond - corr[np.ix_(a, c)] @ inv_cc @ corr[np.ix_(c, a)]
+            w[k] += orthant_probability(cond) * orthant_probability(inv_cc)
+    return w
+
+
 class TestChiBarWeights:
     def test_identity_binomial(self):
         from math import comb
@@ -54,6 +89,17 @@ class TestChiBarWeights:
             for k in range(p + 1):
                 se = max(mc.std_errors[k], 1e-6)
                 assert abs(closed.weights[k] - mc.weights[k]) <= 4 * se
+
+    def test_subset_sum_identity_matches_closed_form(self, rng):
+        sigma = random_correlation(rng, 3)
+        assert np.allclose(subset_sum_weights(sigma), chi_bar_weights(sigma).weights, atol=1e-6)
+
+    @pytest.mark.parametrize("p", [4, 5])
+    def test_monte_carlo_matches_subset_sum(self, rng, p):
+        sigma = random_correlation(rng, p)
+        exact = subset_sum_weights(sigma)
+        mc = chi_bar_weights(sigma, method=MONTE_CARLO, mc_samples=200_000, seed=11)
+        assert np.all(np.abs(mc.weights - exact) <= 4 * np.maximum(mc.std_errors, 1e-6))
 
     def test_scale_invariance(self, rng):
         sigma = random_correlation(rng, 3)

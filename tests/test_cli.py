@@ -4,9 +4,10 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.special import stdtr
 from scipy.stats import t as scipy_t
 
-from conetest import calibrate
+from conetest import calibrate, stats
 from conetest.cli import main, read_csv_matrix
 from conetest.exceptions import DataError
 
@@ -96,6 +97,20 @@ class TestCmdTest:
             assert report["result"]["p_value"]["exact_halfspace"] == pytest.approx(
                 expect_p, abs=1e-9
             )
+
+    def test_fuit_p_value_keeps_relative_precision(self, tmp_path):
+        # With t_max near 12 the Bonferroni p-value is ~1e-12; forming it as
+        # 1 - cdf(t) keeps only about four significant digits.
+        n, p = 30, 3
+        data = np.random.default_rng(7).standard_normal((n, p)) + 1.5
+        path = tmp_path / "data.csv"
+        write_csv(path, data)
+        out = tmp_path / "report.json"
+        assert main(["test", "--data", str(path), "--family", "fuit", "--out", str(out)]) == 0
+        result = json.loads(out.read_text())["result"]
+        expect = p * stdtr(n - 1, -max(result["t_values"]))
+        assert expect < 1e-10
+        assert result["p_value"]["bonferroni"] == pytest.approx(expect, rel=1e-10, abs=0.0)
 
     def test_all_negative_orthant_accepts(self, tmp_path, rng):
         data = rng.standard_normal((15, 2)) - 4.0
@@ -331,6 +346,24 @@ class TestCmdCalibrate:
         assert code == 0
         result = json.loads(out.read_text())["result"]
         assert result["achieved_alpha"] == pytest.approx(0.05, abs=1e-6)
+
+    @pytest.mark.parametrize("n, p", [(200, 2), (250, 3), (400, 2), (1000, 4)])
+    @pytest.mark.parametrize("cone", ["orthant", "halfspace"])
+    def test_uit_large_n(self, cone, n, p, tmp_path):
+        out = tmp_path / "c.json"
+        argv = [
+            "calibrate", "--family", "uit", "--cone", cone, "--alpha", "0.05",
+            "--n", str(n), "--p", str(p), "--out", str(out),
+        ]
+        assert main(argv) == 0
+        result = json.loads(out.read_text())["result"]
+        achieved = result["achieved_alpha"]
+        if cone == "orthant":
+            # The supremum calibration reports no achieved level for the
+            # orthant; its critical value solves the halfspace equation.
+            assert achieved is None
+            achieved = calibrate.null_tail(stats.UIT_HALFSPACE, result["critical_value"], n, p)
+        assert abs(achieved - 0.05) <= 1e-9
 
     def test_bayes_emits_weights_with_errors(self, tmp_path):
         out = tmp_path / "c.json"

@@ -1,14 +1,44 @@
 import numpy as np
 import pytest
+from scipy import integrate
+from scipy.special import betaincc, betaln
 from scipy.stats import t as scipy_t
 
 from conetest import (
+    dist,
     g_ratio_cdf,
     g_ratio_tail,
     g_star_tail,
     student_t_cdf,
     student_t_upper_quantile,
 )
+from conetest.exceptions import QuadratureError
+
+
+def quad_star_tail(n, a, p, u):
+    """Adaptive-quadrature reference for ``g_star_tail`` in the Beta variable ``s``."""
+    alpha, beta = (p - a) / 2.0, (n - p + a) / 2.0
+
+    def integrand(s):
+        v = u * (1.0 - s)
+        log_density = (alpha - 1.0) * np.log(s) + (beta - 1.0) * np.log1p(-s)
+        return betaincc(a / 2.0, (n - p) / 2.0, v / (1.0 + v)) * np.exp(
+            log_density - betaln(alpha, beta)
+        )
+
+    mean = alpha / (alpha + beta)
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=500)[0]
+        for lo, hi in ((0.0, mean), (mean, 1.0))
+    )
+
+
+STAR_GRID = [
+    (n, a, p)
+    for n in (4, 6, 10, 30, 200, 1000)
+    for p in range(2, min(n, 11))
+    for a in range(1, p)
+]
 
 
 class TestRatioCdf:
@@ -72,6 +102,19 @@ class TestConvolutionTail:
         # More numerator degrees of freedom push the tail up.
         vals = [g_star_tail(18, a, 4, 0.6) for a in (1, 2, 3, 4)]
         assert all(x <= y + 1e-7 for x, y in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("n, a, p", STAR_GRID)
+    def test_quadrature_oracle(self, n, a, p):
+        # The grid holds odd a with n - p = 1 (e.g. n=10, a=1, p=9), where
+        # the integrand has a (1 - s)**(a/2) branch point in s.
+        for u in (1e-3, 0.1, 1.0, 10.0):
+            assert abs(g_star_tail(n, a, p, u) - quad_star_tail(n, a, p, u)) <= 1e-10
+
+    def test_uncertified_rule_raises(self, monkeypatch):
+        monkeypatch.setattr(dist, "GJ_NODES", 1)
+        with pytest.raises(QuadratureError) as info:
+            g_star_tail(10, 1, 9, 10.0)
+        assert info.value.error_estimate > dist.QUAD_ABS_TOL
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
