@@ -50,23 +50,42 @@ def run_chunks(worker, n_chunks, workers=1):
         return list(pool.map(worker, range(n_chunks)))
 
 
+def _bartlett(rng, dfs, reps):
+    """(reps, p, p) stack of lower-triangular Bartlett factors.
+
+    Each ``A`` has ``sqrt(chi2_{dfs[i]})`` in diagonal entry ``i`` and
+    independent N(0, 1) entries below the diagonal.  With ``dfs = df -
+    arange(p)``, ``A A' ~ Wishart(I, df)`` (Smith & Hocking 1972, AS 53).
+    """
+    p = len(dfs)
+    bart = np.zeros((reps, p, p))
+    tril = np.tril_indices(p, k=-1)
+    if tril[0].size:
+        bart[:, tril[0], tril[1]] = rng.standard_normal((reps, tril[0].size))
+    for i in range(p):
+        bart[:, i, i] = np.sqrt(rng.chisquare(dfs[i], size=reps))
+    return bart
+
+
 def sample_mean_cov(rng, theta, chol_sigma, n, reps):
     """Means and unbiased covariances of ``reps`` normal samples of size ``n``.
 
-    ``chol_sigma`` may be a single (p, p) factor or a (reps, p, p) stack of
-    per-draw factors.
+    The pair is drawn from its sampling law, not from data: ``xbar ~
+    N(theta, Sigma / n)`` independent of ``(n-1) S ~ Wishart(Sigma, n-1)``
+    (Anderson 2003, Thm 3.3.2), with ``(n-1) S = (L A)(L A)'`` for a Bartlett
+    factor ``A``.  The cost per draw is O(p^3) whatever ``n`` is.
+
+    ``chol_sigma`` is a factor ``L`` with ``L L' = Sigma``: a single (p, p)
+    matrix or a (reps, p, p) stack of per-draw factors.  Returns ``(means,
+    covs)`` of shapes (reps, p) and (reps, p, p).
     """
     p = chol_sigma.shape[-1]
-    z = rng.standard_normal((reps, n, p))
-    if chol_sigma.ndim == 2:
-        x = z @ chol_sigma.T
-    else:
-        x = np.einsum("rij,rkj->rik", z, chol_sigma)
+    z = rng.standard_normal((reps, p))
+    means = (chol_sigma @ z[..., None])[..., 0] / np.sqrt(n)
     if theta is not None:
-        x = x + theta
-    means = x.mean(axis=1)
-    centered = x - means[:, None, :]
-    covs = np.einsum("rij,rik->rjk", centered, centered) / (n - 1)
+        means = means + theta
+    c = chol_sigma @ _bartlett(rng, n - 1 - np.arange(p), reps)
+    covs = c @ np.swapaxes(c, 1, 2) / (n - 1)
     return means, covs
 
 
@@ -187,12 +206,5 @@ def sample_invwishart_chol(rng, scale, df, reps):
     """
     p = scale.shape[0]
     chol_inv_scale = np.linalg.cholesky(np.linalg.inv(scale))
-    bart = np.zeros((reps, p, p))
-    tril = np.tril_indices(p, k=-1)
-    if tril[0].size:
-        bart[:, tril[0], tril[1]] = rng.standard_normal((reps, tril[0].size))
-    dfs = df - np.arange(p)
-    for i in range(p):
-        bart[:, i, i] = np.sqrt(rng.chisquare(dfs[i], size=reps))
-    c = chol_inv_scale @ bart  # (reps, p, p), lower triangular, C C' = W
+    c = chol_inv_scale @ _bartlett(rng, df - np.arange(p), reps)  # C C' = W
     return np.swapaxes(np.linalg.inv(c), 1, 2)  # F = C^{-T}, F F' = W^{-1}

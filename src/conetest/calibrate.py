@@ -373,7 +373,7 @@ def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, work
     mc_samples = int(mc_samples)
     if mc_samples < 1:
         raise DataError("mc_samples must be positive")
-    sizes_of = chunk_sizes(mc_samples, max(1, DEFAULT_CHUNK // max(1, n // 8)))
+    sizes_of = chunk_sizes(mc_samples, DEFAULT_CHUNK)
 
     def worker(i):
         rng = substream(seed, (11, i))

@@ -5,8 +5,8 @@ independent chi-square variables (no degree-of-freedom normalization), with
 the convention that zero degrees of freedom in the numerator means a point
 mass at zero.  ``g_star_tail`` is the upper tail of the product
 ``(chi2_a / chi2_{n-p}) * (1 + chi2_{p-a} / chi2_{n-p+a})`` with all four
-chi-squares independent, evaluated by a fixed Gauss-Jacobi rule that is
-certified against the rule with twice the nodes.
+chi-squares independent, evaluated by fixed Gauss-Jacobi rules and
+certified when two consecutive rules of a bounded node ladder agree.
 """
 
 import functools
@@ -16,8 +16,8 @@ from scipy.special import betainc, betaincc, roots_jacobi, stdtr, stdtrit
 
 from .exceptions import QuadratureError
 
-# Absolute tolerance between the GJ_NODES- and 2 * GJ_NODES-node convolution
-# tails, and the node count of the smaller rule.
+# Absolute tolerance between two certifying convolution-tail rules, and the
+# node count of the smallest rule; the ladder is GJ_NODES * (1, 2, 4).
 QUAD_ABS_TOL = 1e-7
 GJ_NODES = 64
 
@@ -74,8 +74,10 @@ def g_star_tail(n, a, p, u):
     against the law of ``chi2_{p-a} / chi2_{n-p+a}``.  With ``s = t / (1+t)``
     a Beta((p-a)/2, (n-p+a)/2) variable, the integrand carries the branch
     point ``(1-s)**(a/2)``; the substitution ``s = 1 - r**2`` makes it
-    analytic in ``r``, where a Gauss-Jacobi rule integrates it.  The value
-    is that of the ``2 * GJ_NODES``-node rule.
+    analytic in ``r``, where a Gauss-Jacobi rule integrates it.  Rules of
+    ``GJ_NODES``, ``2 * GJ_NODES`` and ``4 * GJ_NODES`` nodes are evaluated
+    in turn; the value is the finer rule of the first consecutive pair that
+    agrees within ``QUAD_ABS_TOL``.
 
     Degenerate cases: ``a == p`` collapses to ``g_ratio_tail(p, n-p, u)``;
     ``a == 0`` is the point mass at zero.
@@ -83,8 +85,8 @@ def g_star_tail(n, a, p, u):
     Raises
     ------
     QuadratureError
-        If the ``GJ_NODES``- and ``2 * GJ_NODES``-node values differ by more
-        than ``QUAD_ABS_TOL``; the difference is attached as the error
+        If no consecutive pair of the ladder agrees within
+        ``QUAD_ABS_TOL``; the last difference is attached as the error
         estimate.
     """
     n = int(n)
@@ -106,13 +108,17 @@ def g_star_tail(n, a, p, u):
         v = u * one_minus_s
         return float(w @ betaincc(a / 2.0, (n - p) / 2.0, v / (1.0 + v)))
 
-    coarse, fine = rule(GJ_NODES), rule(2 * GJ_NODES)
-    if abs(fine - coarse) > QUAD_ABS_TOL:
-        raise QuadratureError(
-            f"convolution tail quadrature did not reach tolerance {QUAD_ABS_TOL}",
-            error_estimate=abs(fine - coarse),
-        )
-    return min(1.0, max(0.0, fine))
+    coarse = rule(GJ_NODES)
+    for nodes in (2 * GJ_NODES, 4 * GJ_NODES):
+        fine = rule(nodes)
+        diff = abs(fine - coarse)
+        if diff <= QUAD_ABS_TOL:
+            return min(1.0, max(0.0, fine))
+        coarse = fine
+    raise QuadratureError(
+        f"convolution tail quadrature did not reach tolerance {QUAD_ABS_TOL}",
+        error_estimate=diff,
+    )
 
 
 def student_t_cdf(x, df):

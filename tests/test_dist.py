@@ -33,6 +33,29 @@ def quad_star_tail(n, a, p, u):
     )
 
 
+def quad_star_tail_r(n, a, p, u):
+    """Adaptive-quadrature reference in ``r = sqrt(1 - s)``, split near ``r = u**-0.5``.
+
+    For large ``u`` the integrand turns over at ``r`` of order ``u**-0.5``;
+    the breakpoints let QUADPACK resolve it where the ``s`` form warns.
+    """
+    alpha, beta = (p - a) / 2.0, (n - p + a) / 2.0
+
+    def integrand(r):
+        v = u * r * r
+        log_density = (2.0 * beta - 1.0) * np.log(r) + (alpha - 1.0) * np.log1p(-r * r)
+        return betaincc(a / 2.0, (n - p) / 2.0, v / (1.0 + v)) * 2.0 * np.exp(
+            log_density - betaln(alpha, beta)
+        )
+
+    k = u**-0.5
+    edges = [0.0] + [x for x in (k, 10.0 * k, 100.0 * k) if x < 1.0] + [1.0]
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)[0]
+        for lo, hi in zip(edges, edges[1:])
+    )
+
+
 STAR_GRID = [
     (n, a, p)
     for n in (4, 6, 10, 30, 200, 1000)
@@ -109,6 +132,14 @@ class TestConvolutionTail:
         # the integrand has a (1 - s)**(a/2) branch point in s.
         for u in (1e-3, 0.1, 1.0, 10.0):
             assert abs(g_star_tail(n, a, p, u) - quad_star_tail(n, a, p, u)) <= 1e-10
+
+    @pytest.mark.parametrize("p", [9, 12, 20, 40])
+    @pytest.mark.parametrize("u", [5e6, 6e7, 1e9])
+    def test_large_u_small_df_certified(self, p, u):
+        # n = p + 1, a = 1: the 64- and 128-node rules disagree at some of
+        # these points and the 256-node rule certifies the value.
+        got = g_star_tail(p + 1, 1, p, u)
+        assert abs(got - quad_star_tail_r(p + 1, 1, p, u)) <= dist.QUAD_ABS_TOL
 
     def test_uncertified_rule_raises(self, monkeypatch):
         monkeypatch.setattr(dist, "GJ_NODES", 1)
