@@ -9,11 +9,12 @@ cardinality with weights that depend on the covariance only through its
 correlation structure.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.special import betainccinv, betaincinv, betaln
 
 from . import stats
 from ._batch import (
@@ -39,7 +40,14 @@ EXACT_HALFSPACE = "exact_halfspace"
 # Default Monte-Carlo sample count for weight estimation.
 DEFAULT_MC_SAMPLES = 1_000_000
 
-_BRACKET_MAX_DOUBLINGS = 200
+# Tail inversion stops, as ``scipy.optimize.brentq(xtol=1e-12)`` does with its
+# default ``rtol``, once the bracket is narrower than ``_XTOL + _RTOL * c``.
+_XTOL = 1e-12
+_RTOL = 4.0 * np.finfo(float).eps
+# Bracketing gives up after this many steps; one step moves log c by at most
+# ``_MAX_LOG_STEP``.
+_MAX_STEPS = 200
+_MAX_LOG_STEP = 64.0
 
 
 @dataclass(frozen=True)
@@ -300,22 +308,111 @@ def null_tail(family, c, n, p, weights=None):
     return tail(c) if c > 0.0 else 1.0
 
 
-def _invert_tail(tail, alpha):
+def _ratio_seed(a, b, alpha):
+    """Root of ``g_ratio_tail(a, b, c) = alpha`` and ``d log tail / d log c`` there.
+
+    ``x = c/(1+c)`` is Beta(a/2, b/2); of ``x`` and ``1 - x``, the one below
+    1/2 comes from its own inverse so that ``c`` keeps full relative
+    precision.  The slope is ``-x**(a/2) (1-x)**(b/2) / (B(a/2, b/2) alpha)``.
+    Where the inverse fails (``alpha`` far out in the tail), the seed is
+    ``c = 1`` with no slope.
+    """
+    a2, b2 = a / 2.0, b / 2.0
+    x = float(betainccinv(a2, b2, alpha))
+    if x <= 0.5:
+        y = 1.0 - x
+    else:
+        y = float(betaincinv(b2, a2, alpha))
+        x = 1.0 - y
+    if not (x > 0.0 and y > 0.0):  # scipy's inverse gives up far in the tail
+        return 1.0, 0.0
+    slope = -math.exp(a2 * math.log(x) + b2 * math.log(y) - betaln(a2, b2)) / alpha
+    return x / y, slope
+
+
+def _invert_tail(tail, alpha, n, p):
     """Solve ``tail(c) = alpha`` for a nonincreasing tail on (0, inf).
 
-    ``tail(0) = 1 > alpha``; doubling ``c`` from 1 brackets the root and
-    ``scipy.optimize.brentq`` solves it to ``1e-12`` in ``c``.
+    Works on ``F = log(tail / alpha)`` against ``log c``, where the
+    chi-square-ratio tails are close to power laws and ``F`` is nearly
+    linear.  The seed is the closed-form root of the k = p ratio branch
+    (the root itself for T2); a Newton step with that branch's slope, then
+    secant steps, walk from it until ``F`` changes sign.  Illinois regula
+    falsi in ``log c`` then shrinks the bracket, bisecting whenever three
+    steps have not halved its width in ``log c``.  Every new point lies at
+    least half the tolerance past the estimate or inside the bracket, so an
+    estimate within tolerance ends the search at the next evaluation, which
+    is when the bracket is narrower than ``1e-12 + 4 * eps * c``
+    (``scipy.optimize.brentq``'s rule at ``xtol=1e-12``).
     """
     if not 0.0 < alpha < 1.0:
         raise CalibrationError(f"alpha must be in (0, 1), got {alpha}")
-    hi = 1.0
-    doublings = 0
-    while tail(hi) >= alpha:
-        hi *= 2.0
-        doublings += 1
-        if doublings > _BRACKET_MAX_DOUBLINGS:
-            raise CalibrationError("tail does not drop below alpha; cannot bracket")
-    return brentq(lambda c: tail(c) - alpha, 0.0, hi, xtol=1e-12)
+
+    def log_ratio(c):
+        t = tail(c)
+        return math.log(t / alpha) if t > 0.0 else -math.inf
+
+    def tol(c):
+        return _XTOL + _RTOL * c
+
+    c, slope = _ratio_seed(p, n - p, alpha)
+    f = log_ratio(c)
+    if f == 0.0:
+        return c
+    up = f > 0.0
+    h = -f / slope if slope < 0.0 else (1.0 if up else -1.0)
+    for _ in range(_MAX_STEPS):
+        h = math.copysign(min(abs(h), _MAX_LOG_STEP) + 0.5 * tol(c) / c, h)
+        c_new = c * math.exp(h)
+        if not 0.0 < c_new < math.inf:
+            raise CalibrationError("tail does not cross alpha in floating-point range")
+        f_new = log_ratio(c_new)
+        if f_new == 0.0:
+            return c_new
+        if (f_new > 0.0) != up:
+            break
+        slope = (f_new - f) / h
+        h_new = -f_new / slope if slope < 0.0 else 2.0 * h
+        h = h_new if abs(h_new) <= 4.0 * abs(h) else 4.0 * h
+        c, f = c_new, f_new
+    else:
+        raise CalibrationError(f"tail does not cross alpha within {_MAX_STEPS} steps")
+
+    (lo, f_lo), (hi, f_hi) = ((c, f), (c_new, f_new)) if up else ((c_new, f_new), (c, f))
+    g_lo, g_hi = f_lo, f_hi  # Illinois-weighted copies
+    kept = 0  # +1 if the last step kept hi, -1 if it kept lo
+    width = math.log1p((hi - lo) / lo)
+    halved_at = width
+    steps = 0
+    while True:
+        best = lo if abs(f_lo) <= abs(f_hi) else hi
+        if hi - lo <= tol(best):
+            return best
+        steps += 1
+        if steps > 3 or math.isinf(g_hi):
+            frac = 0.5
+        else:
+            frac = g_lo / (g_lo - g_hi)
+        x = lo + lo * math.expm1(frac * width)
+        x = min(max(x, lo + 0.5 * tol(best)), hi - 0.5 * tol(best))
+        if not lo < x < hi:  # no representable point inside (or a NaN tail)
+            return best
+        fx = log_ratio(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            lo, f_lo, g_lo = x, fx, fx
+            if kept == 1:
+                g_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi, g_hi = x, fx, fx
+            if kept == -1:
+                g_lo *= 0.5
+            kept = -1
+        width = math.log1p((hi - lo) / lo)
+        if width <= 0.5 * halved_at:
+            halved_at, steps = width, 0
 
 
 def _critical_value(family, law, alpha, n, p, weights, calibration):
@@ -329,7 +426,7 @@ def _critical_value(family, law, alpha, n, p, weights, calibration):
         raise CalibrationError(
             f"alpha = {alpha} is outside the attainable tail range (0, {attainable:.4g})"
         )
-    value = _invert_tail(tail, alpha)
+    value = _invert_tail(tail, alpha, n, p)
     return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=calibration)
 
 
@@ -392,10 +489,10 @@ def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, work
 def bayes_critical_value(family, alpha, n, p, weights):
     """Critical value averaging the null tail over the covariance prior.
 
-    Solves ``sum_k b1(k) * tail_k(c) = alpha`` with ``scipy.optimize.brentq``,
-    where ``tail_k`` is the plain chi-square-ratio tail for the
-    likelihood-ratio family and the two-block convolution tail for the
-    union-intersection family.
+    Solves ``sum_k b1(k) * tail_k(c) = alpha`` by ``_invert_tail``, where
+    ``tail_k`` is the plain chi-square-ratio tail for the likelihood-ratio
+    family and the two-block convolution tail for the union-intersection
+    family.
     """
     check_calibration(family, "bayes")
     return _critical_value(family, family, alpha, n, p, weights, BAYES_WEIGHTED)

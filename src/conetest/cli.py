@@ -148,13 +148,26 @@ def _env_int(name):
         raise UsageError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
+def _resolve_count(value, flag, env, default):
+    """A count of at least 1 from its flag, else its variable, else ``default``."""
+    name = flag
+    if value is None:
+        value, name = _env_int(env), env
+    if value is None:
+        return default
+    if value < 1:
+        raise UsageError(f"{name} must be at least 1, got {value}")
+    return value
+
+
 def _resolve_common(args):
     if args.seed is None:
         args.seed = _env_int("CONETEST_SEED")
-    if args.workers is None:
-        args.workers = _env_int("CONETEST_WORKERS") or 1
-    if getattr(args, "mc_samples", None) is None:
-        args.mc_samples = _env_int("CONETEST_MC_SAMPLES") or 200_000
+    args.workers = _resolve_count(args.workers, "--workers", "CONETEST_WORKERS", 1)
+    if hasattr(args, "mc_samples"):
+        args.mc_samples = _resolve_count(
+            args.mc_samples, "--mc-samples", "CONETEST_MC_SAMPLES", 200_000
+        )
     if args.out is None:
         args.out = os.environ.get("CONETEST_OUT")
 

@@ -12,7 +12,7 @@ certified when two consecutive rules of a bounded node ladder agree.
 import functools
 
 import numpy as np
-from scipy.special import betainc, betaincc, roots_jacobi, stdtr, stdtrit
+from scipy.special import betainc, roots_jacobi, stdtr, stdtrit
 
 from .exceptions import QuadratureError
 
@@ -49,7 +49,9 @@ def g_ratio_tail(a, b, u):
         return 1.0 if u <= 0.0 else 0.0
     if u <= 0.0:
         return 1.0
-    return float(betaincc(a / 2.0, b / 2.0, u / (1.0 + u)))
+    # 1/(1+r) ~ Beta(b/2, a/2); unlike u/(1+u), 1/(1+u) keeps its relative
+    # precision at large u, where the tail is small.
+    return float(betainc(b / 2.0, a / 2.0, 1.0 / (1.0 + u)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,7 +108,7 @@ def g_star_tail(n, a, p, u):
     def rule(nodes):
         one_minus_s, w = _mixing_rule(nodes, p - a, n - p + a)
         v = u * one_minus_s
-        return float(w @ betaincc(a / 2.0, (n - p) / 2.0, v / (1.0 + v)))
+        return float(w @ betainc((n - p) / 2.0, a / 2.0, 1.0 / (1.0 + v)))
 
     coarse = rule(GJ_NODES)
     for nodes in (2 * GJ_NODES, 4 * GJ_NODES):

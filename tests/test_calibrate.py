@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -462,3 +463,114 @@ class TestExplicitMixtures:
                 assert mixture(cv) == pytest.approx(alpha, abs=1e-6)
                 root = brentq(lambda c: mixture(c) - alpha, 1e-6, 50.0, xtol=1e-14)
                 assert cv == pytest.approx(root, abs=1e-7)
+
+
+def brentq_critical_value(tail, alpha):
+    """Reference inversion: double ``c`` from 1 to bracket, then ``brentq`` at ``xtol=1e-12``."""
+    from scipy.optimize import brentq
+
+    hi = 1.0
+    while tail(hi) >= alpha:
+        hi *= 2.0
+    return brentq(lambda c: tail(c) - alpha, 0.0, hi, xtol=1e-12)
+
+
+class TestInvertTail:
+    """The seeded log-tail solver against ``scipy.optimize.brentq``."""
+
+    ALPHAS = (0.001, 0.01, 0.05, 0.1, 0.25)
+    ANALYST_SHAPES = ((15, 2), (30, 3), (100, 5), (60, 8))
+
+    @staticmethod
+    def identity_weights(p):
+        """Closed-form chi-bar-square weights of an identity covariance: Binomial(p, 1/2)."""
+        w = np.array([math.comb(p, k) for k in range(p + 1)]) / 2.0**p
+        return MixtureWeights(weights=w, std_errors=np.zeros(p + 1), method=CLOSED_FORM, mc_samples=0)
+
+    def laws(self, n, p):
+        """(family, critical value at alpha, null tail) for the five families."""
+        weights = self.identity_weights(p)
+        for family in (stats.T2,) + stats.HALFSPACE_FAMILIES:
+            yield (
+                family,
+                lambda a, f=family: sup_critical_value(f, a, n, p).value,
+                lambda c, f=family: null_tail(f, c, n, p),
+            )
+        for family in stats.ORTHANT_FAMILIES:
+            yield (
+                family,
+                lambda a, f=family: bayes_critical_value(f, a, n, p, weights).value,
+                lambda c, f=family: null_tail(f, c, n, p, weights=weights),
+            )
+
+    @pytest.mark.parametrize("p", range(1, 11))
+    def test_matches_brentq(self, p):
+        eps = np.finfo(float).eps
+        for n in sorted({p + 1, p + 2, p + 5, 3 * p + 3, 100, 1000}):
+            for family, critical_value, tail in self.laws(n, p):
+                for alpha in self.ALPHAS:
+                    c = critical_value(alpha)
+                    bound = 2e-12 + 8.0 * eps * c
+                    where = (family, n, p, alpha)
+                    assert abs(c - brentq_critical_value(tail, alpha)) <= bound, where
+                    assert tail(c - bound) >= alpha >= tail(c + bound), where
+
+    def test_fewer_branch_tail_evaluations_than_brentq(self, monkeypatch):
+        from conetest import calibrate
+
+        calls = []
+        for name in ("g_ratio_tail", "g_star_tail"):
+            branch = getattr(calibrate, name)
+            monkeypatch.setattr(
+                calibrate, name, lambda *args, branch=branch: calls.append(1) or branch(*args)
+            )
+
+        def evaluations(solve):
+            del calls[:]
+            solve()
+            return len(calls)
+
+        ours = reference = 0
+        for n, p in self.ANALYST_SHAPES:
+            for family in (stats.T2,) + stats.HALFSPACE_FAMILIES:
+                tail = lambda c, f=family: null_tail(f, c, n, p)
+                for alpha in (0.01, 0.05, 0.1):
+                    count = evaluations(lambda: sup_critical_value(family, alpha, n, p))
+                    if family == stats.T2:
+                        assert count <= 3  # the seed is the T2 root itself
+                    ours += count
+                    reference += evaluations(lambda: brentq_critical_value(tail, alpha))
+        # 339 against 748 when written; each part of the solver (seed, Newton
+        # step, overshoot, Illinois weights) saves a few percent of these.
+        assert ours < 0.6 * reference
+
+    @pytest.mark.parametrize("level", [0.5, 0.01])
+    def test_unbracketable_tail_raises(self, level):
+        from conetest.calibrate import _invert_tail
+
+        with pytest.raises(CalibrationError):
+            _invert_tail(lambda c: level, 0.1, 20, 3)
+
+    def test_seed_beyond_scipy_inverse(self):
+        # betainccinv(1.5, 8.5, 1e-300) is nan, so the walk starts from c = 1;
+        # the root is near 2.3e35.
+        n, p, alpha = 20, 3, 1e-300
+        c = sup_critical_value(stats.T2, alpha, n, p).value
+        ref = brentq_critical_value(lambda c: g_ratio_tail(p, n - p, c), alpha)
+        assert abs(c - ref) <= 2e-12 + 8.0 * np.finfo(float).eps * c
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 100])
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-3, 0.05, 0.25])
+    def test_t2_closed_form_at_p2(self, n, alpha):
+        # chi2_2 / chi2_b has tail (1 + c)**(-b/2); with n = 3 and alpha =
+        # 1e-100 the root is 1e200.
+        expect = math.expm1(-2.0 / (n - 2) * math.log(alpha))
+        got = sup_critical_value(stats.T2, alpha, n, 2).value
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1e-100, 1e-3, 0.05, 0.25])
+    def test_t2_closed_form_at_p1_n2(self, alpha):
+        # chi2_1 / chi2_1 has tail (2/pi) atan(c**-1/2).
+        expect = 1.0 / math.tan(0.5 * math.pi * alpha) ** 2
+        got = sup_critical_value(stats.T2, alpha, 2, 1).value
+        assert got == pytest.approx(expect, rel=1e-12, abs=0)

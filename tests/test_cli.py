@@ -221,6 +221,30 @@ class TestEnvironmentDefaults:
         assert main(["test", "--data", str(path), "--family", "uit", "--seed", "1"]) == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("flag", ["--workers", "--mc-samples"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_count_flag_below_one_is_usage_error(self, flag, value, capsys):
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2"]
+        assert main(argv + [flag, value]) == 2
+        assert flag in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["CONETEST_WORKERS", "CONETEST_MC_SAMPLES"])
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_count_variable_below_one_is_usage_error(self, name, value, monkeypatch, capsys):
+        monkeypatch.setenv(name, value)
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2"]
+        assert main(argv) == 2
+        assert name in capsys.readouterr().err
+
+    def test_count_variables_apply_when_flags_are_absent(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("CONETEST_MC_SAMPLES", "700")
+        monkeypatch.setenv("CONETEST_WORKERS", "2")
+        out = tmp_path / "c.json"
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
+                "--calibration", "bayes", "--prior-df", "6", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(out.read_text())["result"]["weights"]["mc_samples"] == 700
+
     def test_report_embeds_resolved_config(self, dataset, tmp_path):
         path, _ = dataset
         out = tmp_path / "r.json"
@@ -281,6 +305,16 @@ class TestManifest:
         }
         config = {"command": "calibrate", "alpha": 0.05}
         assert build_manifest("calibrate", [], 0, config)["config_digest"] == _digest(config)
+
+
+def test_import_loads_no_optimize_linalg_or_integrate():
+    # A child interpreter: this process already holds scipy.optimize, which
+    # the projection oracles import.
+    heavy = ("scipy.optimize", "scipy.linalg", "scipy.integrate")
+    code = f"import sys, conetest.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestExitCodes:

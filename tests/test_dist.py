@@ -97,6 +97,31 @@ class TestRatioCdf:
             g_ratio_cdf(2, 0, 0.5)
 
 
+class TestRatioTailLargeArgument:
+    """Closed forms of the ratio tail hold to 1e-13 relative out to u = 1e10."""
+
+    U = np.logspace(-3, 10, 27)
+
+    @pytest.mark.parametrize("b", [1, 2, 5, 17])
+    def test_two_numerator_df(self, b):
+        for u in self.U:
+            expect = (1.0 + u) ** (-b / 2.0)
+            assert g_ratio_tail(2, b, u) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_one_and_one_df(self):
+        for u in self.U:
+            expect = 2.0 / np.pi * np.arctan(u**-0.5)
+            assert g_ratio_tail(1, 1, u) == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_convolution_tail_closed_form(self):
+        # n - p = 2, a = 2, p = 4: the branch tail is 1/(1 + w) and
+        # s = t/(1+t) ~ Beta(1, 2), so the tail is the integral over y in
+        # (0, 1) of 2y / (1 + u y), i.e. 2/u - 2 log(1 + u) / u**2.
+        for u in np.logspace(0.0, 4.5, 19):
+            expect = 2.0 / u - 2.0 * np.log1p(u) / u**2
+            assert g_star_tail(6, 2, 4, u) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
 class TestConvolutionTail:
     def test_degenerate_a_equals_p(self):
         for u in (0.1, 0.7, 2.0):
