@@ -18,6 +18,8 @@ DEFAULT_CHUNK = 16384
 # Active-set steps allowed per draw: max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN).
 ITER_CAP_PER_DIM = 10
 ITER_CAP_MIN = 30
+# Pending draws per batched active-set solve; bounds the (block, p, p) systems.
+ACTIVE_SET_BLOCK = 4096
 
 
 def substream(seed, key):
@@ -107,8 +109,12 @@ def orthant_active_set(y, metric):
     ``y > 0`` and repairs primal violations (an adjusted free component
     ``<= 0``: the most negative leaves the free set) before dual ones (a
     positive multiplier ``M_cc^{-1} y_c``: the largest joins it), one index
-    per step.  Draws sharing a free mask are solved together, one batched
-    solve per mask and step.
+    per step.  A draw with ``y > 0`` everywhere is solved on entry.  Each
+    step solves ``B z = y`` for every pending draw at once, where ``B`` has
+    the metric's columns on the complement ``c`` and the identity's on the
+    free set ``a``: then ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``,
+    the adjusted mean.  Pending draws go through in blocks of
+    ``ACTIVE_SET_BLOCK``, which bounds the memory of the stacked systems.
 
     Returns ``(free, q_res)``: the free-index mask, on which the adjusted
     mean is strictly positive while the complement multipliers are ``<= 0``,
@@ -117,51 +123,47 @@ def orthant_active_set(y, metric):
     ``max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)`` steps.
     """
     reps, p = y.shape
-    fixed = metric.ndim == 2
+    metric = np.broadcast_to(np.asarray(metric, dtype=float), (reps, p, p))
+    eye = np.eye(p)
     free = y > 0.0
     q_res = np.zeros(reps)
-    todo = np.arange(reps)
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
-    for _ in range(cap):
-        if not todo.size:
-            break
-        # Group pending draws by free mask: sort the packed masks, split at changes.
-        bits = np.packbits(free[todo], axis=1)
-        order = np.lexsort(bits.T)
-        bits = bits[order]
-        starts = np.nonzero((bits[1:] != bits[:-1]).any(axis=1))[0] + 1
-        done = np.zeros(todo.size, dtype=bool)
-        for members in np.split(order, starts):
-            rows = todo[members]
-            mask = free[rows[0]]
-            a, c = np.nonzero(mask)[0], np.nonzero(~mask)[0]
-            y_rows = y[rows]
-            y_c = y_rows[:, c]
-            if fixed:
-                sol = np.linalg.solve(metric[c][:, c], y_c.T).T
-                theta = y_rows[:, a] - sol @ metric[a][:, c].T
-            else:
-                s_cc = metric[rows[:, None, None], c[:, None], c]
-                s_ac = metric[rows[:, None, None], a[:, None], c]
-                sol = _solve_vec(s_cc, y_c)
-                theta = y_rows[:, a] - np.einsum("rij,rj->ri", s_ac, sol)
-            primal = (theta <= 0.0).any(axis=1)
-            dual = ~primal & (sol > 0.0).any(axis=1)
-            if primal.any():
-                free[rows[primal], a[np.argmin(theta[primal], axis=1)]] = False
-            if dual.any():
-                free[rows[dual], c[np.argmax(sol[dual], axis=1)]] = True
+    pending = np.flatnonzero(~free.all(axis=1))
+    for start in range(0, pending.size, ACTIVE_SET_BLOCK):
+        todo = pending[start:start + ACTIVE_SET_BLOCK]
+        for _ in range(cap):
+            if not todo.size:
+                break
+            mask, y_t = free[todo], y[todo]
+            mats = metric[todo]
+            np.copyto(mats, eye, where=mask[:, None, :])
+            z = _solve_vec(mats, y_t)
+            primal = (mask & (z <= 0.0)).any(axis=1)
+            dual = ~primal & (~mask & (z > 0.0)).any(axis=1)
+            drop = np.argmin(np.where(mask, z, np.inf)[primal], axis=1)
+            free[todo[primal], drop] = False
+            join = np.argmax(np.where(mask, -np.inf, z)[dual], axis=1)
+            free[todo[dual], join] = True
             ok = ~(primal | dual)
-            q_res[rows[ok]] = np.einsum("ri,ri->r", y_c[ok], sol[ok])
-            done[members[ok]] = True
-        todo = todo[~done]
-    if todo.size:
-        bad = int(todo[0])
-        raise SolverError(
-            f"active-set iteration cap {cap} exceeded at draw {bad}",
-            details={"draw": bad, "y": y[bad].tolist()},
-        )
+            q_res[todo[ok]] = np.einsum("ri,ri->r", np.where(mask, 0.0, y_t)[ok], z[ok])
+            todo = todo[~ok]
+        if todo.size:
+            bad = int(todo[0])
+            raise SolverError(
+                f"active-set iteration cap {cap} exceeded at draw {bad}",
+                details={"draw": bad, "y": y[bad].tolist()},
+            )
     return free, q_res
+
+
+def halfspace_residual(y, metric):
+    """Squared residual norm of each row of ``y`` off the halfspace ``x_p >= 0``."""
+    return np.where(y[:, -1] > 0.0, 0.0, y[:, -1] ** 2 / metric[..., -1, -1])
+
+
+def projection_norm(t2, q_res):
+    """Squared projection norm ``t2 - q_res`` of the metric split, clipped at 0."""
+    return np.maximum(t2 - q_res, 0.0)
 
 
 def batch_orthant(means, covs, n):
@@ -173,21 +175,13 @@ def batch_orthant(means, covs, n):
     or a (reps, p, p) stack.
     """
     free, q_res = orthant_active_set(np.sqrt(n) * means, covs)
-    q_proj = np.maximum(batch_t2(means, covs, n) - q_res, 0.0)
-    return free.sum(axis=1), q_proj, q_res
+    return free.sum(axis=1), projection_norm(batch_t2(means, covs, n), q_res), q_res
 
 
 def batch_halfspace(means, covs, n):
     """Halfspace projection decomposition per draw: ``(q_proj, q_res)``."""
-    reps, p = means.shape
-    y = np.sqrt(n) * means
-    t2 = batch_t2(means, covs, n)
-    upper = y[:, -1] > 0.0
-    s_pp = covs[..., -1, -1]
-    q_res_low = y[:, -1] ** 2 / s_pp
-    q_proj = np.where(upper, t2, np.maximum(t2 - q_res_low, 0.0))
-    q_res = np.where(upper, 0.0, q_res_low)
-    return q_proj, q_res
+    q_res = halfspace_residual(np.sqrt(n) * means, covs)
+    return projection_norm(batch_t2(means, covs, n), q_res), q_res
 
 
 def batch_fuit_max_t(means, covs, n):

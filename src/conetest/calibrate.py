@@ -19,8 +19,8 @@ from scipy.special import betainccinv, betaincinv, betaln
 from . import stats
 from ._batch import (
     DEFAULT_CHUNK,
-    batch_orthant,
     chunk_sizes,
+    orthant_active_set,
     run_chunks,
     sample_invwishart_chol,
     sample_mean_cov,
@@ -206,19 +206,30 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
             method=CLOSED_FORM,
             mc_samples=0,
         )
+    chol = np.linalg.cholesky(corr)
+    return _size_frequencies(
+        lambda rng, reps: (rng.standard_normal((reps, p)) @ chol.T, corr),
+        p, mc_samples, seed, 10, workers,
+    )
+
+
+def _size_frequencies(draw, p, mc_samples, seed, stream, workers):
+    """Monte-Carlo active-subset size frequencies, as mixture weights.
+
+    ``mc_samples`` draws are split into chunks of ``DEFAULT_CHUNK``; chunk
+    ``i`` comes from substream ``(stream, i)`` of ``seed`` as ``draw(rng,
+    reps) -> (y, metric)``, the rows to project and their metric.
+    """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
     mc_samples = int(mc_samples)
     if mc_samples < 1:
         raise DataError("mc_samples must be positive")
-    chol = np.linalg.cholesky(corr)
     sizes_of = chunk_sizes(mc_samples, DEFAULT_CHUNK)
 
     def worker(i):
-        rng = substream(seed, (10, i))
-        z = rng.standard_normal((sizes_of[i], p)) @ chol.T
-        sizes, _, _ = batch_orthant(z, corr, 1)
-        return np.bincount(sizes, minlength=p + 1)
+        free, _ = orthant_active_set(*draw(substream(seed, (stream, i)), sizes_of[i]))
+        return np.bincount(free.sum(axis=1), minlength=p + 1)
 
     counts = np.sum(run_chunks(worker, len(sizes_of), workers), axis=0)
     w = counts / mc_samples
@@ -465,25 +476,12 @@ def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, work
         )
     if prior.scale.shape[0] != p:
         raise DataError("prior scale dimension disagrees with p")
-    if seed is None:
-        raise CalibrationError("Monte-Carlo weight estimation requires a seed")
-    mc_samples = int(mc_samples)
-    if mc_samples < 1:
-        raise DataError("mc_samples must be positive")
-    sizes_of = chunk_sizes(mc_samples, DEFAULT_CHUNK)
-
-    def worker(i):
-        rng = substream(seed, (11, i))
-        reps = sizes_of[i]
-        factors = sample_invwishart_chol(rng, np.asarray(prior.scale), prior.df, reps)
+    def draw(rng, reps):
+        factors = sample_invwishart_chol(rng, prior.scale, prior.df, reps)
         means, covs = sample_mean_cov(rng, None, factors, n, reps)
-        sizes, _, _ = batch_orthant(means, covs, n)
-        return np.bincount(sizes, minlength=p + 1)
+        return np.sqrt(n) * means, covs
 
-    counts = np.sum(run_chunks(worker, len(sizes_of), workers), axis=0)
-    w = counts / mc_samples
-    se = np.sqrt(w * (1.0 - w) / mc_samples)
-    return MixtureWeights(weights=w, std_errors=se, method=MONTE_CARLO, mc_samples=mc_samples)
+    return _size_frequencies(draw, p, mc_samples, seed, 11, workers)
 
 
 def bayes_critical_value(family, alpha, n, p, weights):

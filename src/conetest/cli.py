@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric or
 calibration error.
 
 Environment defaults (used when the flag is absent): ``CONETEST_SEED``,
-``CONETEST_MC_SAMPLES``, ``CONETEST_WORKERS``, ``CONETEST_OUT``.
+``CONETEST_MC_SAMPLES``, ``CONETEST_WORKERS``, ``CONETEST_OUT``.  ``simulate``
+takes its seed from its config only.
 """
 
 import argparse
@@ -148,25 +149,25 @@ def _env_int(name):
         raise UsageError(f"environment variable {name} must be an integer, got {raw!r}")
 
 
-def _resolve_count(value, flag, env, default):
-    """A count of at least 1 from its flag, else its variable, else ``default``."""
+def _resolve_int(value, flag, env, default, least):
+    """An integer of at least ``least`` from its flag, else its variable, else ``default``."""
     name = flag
     if value is None:
         value, name = _env_int(env), env
     if value is None:
         return default
-    if value < 1:
-        raise UsageError(f"{name} must be at least 1, got {value}")
+    if value < least:
+        raise UsageError(f"{name} must be at least {least}, got {value}")
     return value
 
 
 def _resolve_common(args):
-    if args.seed is None:
-        args.seed = _env_int("CONETEST_SEED")
-    args.workers = _resolve_count(args.workers, "--workers", "CONETEST_WORKERS", 1)
+    if hasattr(args, "seed"):
+        args.seed = _resolve_int(args.seed, "--seed", "CONETEST_SEED", None, 0)
+    args.workers = _resolve_int(args.workers, "--workers", "CONETEST_WORKERS", 1, 1)
     if hasattr(args, "mc_samples"):
-        args.mc_samples = _resolve_count(
-            args.mc_samples, "--mc-samples", "CONETEST_MC_SAMPLES", 200_000
+        args.mc_samples = _resolve_int(
+            args.mc_samples, "--mc-samples", "CONETEST_MC_SAMPLES", 200_000, 1
         )
     if args.out is None:
         args.out = os.environ.get("CONETEST_OUT")
@@ -488,7 +489,7 @@ def load_experiment_config(path, workers=1):
         n=int(_expect(raw, "n", int, "")),
         alpha=float(_expect(raw, "alpha", (int, float), "")),
         replications=int(_expect(raw, "replications", int, "")),
-        seed=int(raw["seed"]),
+        seed=raw["seed"],
         sigma_source=_parse_sigma(_expect(raw, "sigma", dict, ""), "sigma."),
         theta_grid=tuple(
             np.asarray(t, dtype=float) for t in _expect(raw, "theta_grid", list, "")
@@ -540,7 +541,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=None, help="random seed")
         sp.add_argument("--workers", type=int, default=None, help="worker threads (results unaffected)")
         sp.add_argument("--out", default=None, help="write the JSON report here (default stdout)")
 
@@ -555,6 +555,7 @@ def build_parser():
     t.add_argument("--prior-scale", default=None, help="CSV scale matrix of the inverse-Wishart prior")
     t.add_argument("--prior-df", type=float, default=None, help="degrees of freedom of the prior")
     t.add_argument("--mc-samples", type=int, default=None)
+    t.add_argument("--seed", type=int, default=None, help="random seed")
     common(t)
     t.set_defaults(func=cmd_test)
 
@@ -568,6 +569,7 @@ def build_parser():
     c.add_argument("--prior-scale", default=None)
     c.add_argument("--prior-df", type=float, default=None)
     c.add_argument("--mc-samples", type=int, default=None)
+    c.add_argument("--seed", type=int, default=None, help="random seed")
     common(c)
     c.set_defaults(func=cmd_calibrate)
 

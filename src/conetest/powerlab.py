@@ -19,9 +19,11 @@ import numpy as np
 from . import calibrate, stats
 from ._batch import (
     batch_fuit_max_t,
-    batch_halfspace,
-    batch_orthant,
+    batch_t2,
     chunk_sizes,
+    halfspace_residual,
+    orthant_active_set,
+    projection_norm,
     run_chunks,
     sample_invwishart_chol,
     sample_mean_cov,
@@ -138,8 +140,9 @@ class ExperimentConfig:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.replications < 1:
             raise DataError("replications must be >= 1")
-        if self.seed is None:
-            raise DataError("a seed is mandatory")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
         thetas = tuple(np.asarray(t, dtype=float) for t in self.theta_grid)
         for t in thetas:
             if t.shape != (self.p,):
@@ -221,19 +224,23 @@ def _resolve_critical(plan, alpha, n, p, seed):
 def _batch_values(means, covs, n, families):
     """Calibration-scale statistic values per draw for each of ``families``.
 
-    T2 is the sum of the halfspace projection and residual norms.
+    Each draw's T2 is solved once and split by the residual of each cone
+    that ``families`` needs; T2 is the halfspace split's sum.
     """
     values = {}
-    orthant = [f for f in stats.ORTHANT_FAMILIES if f in families]
-    if orthant:
-        _, q_proj, q_res = batch_orthant(means, covs, n)
-        for family in orthant:
-            values[family] = stats.calibration_value(family, q_proj, q_res, n)
-    halfspace = [f for f in stats.HALFSPACE_FAMILIES + (T2,) if f in families]
-    if halfspace:
-        q_proj, q_res = batch_halfspace(means, covs, n)
-        for family in halfspace:
-            values[family] = stats.calibration_value(family, q_proj, q_res, n)
+    if families - {FUIT}:
+        y = np.sqrt(n) * means
+        t2 = batch_t2(means, covs, n)
+    for group, residual in (
+        (stats.ORTHANT_FAMILIES, lambda: orthant_active_set(y, covs)[1]),
+        (stats.HALFSPACE_FAMILIES + (T2,), lambda: halfspace_residual(y, covs)),
+    ):
+        wanted = families.intersection(group)
+        if wanted:
+            q_res = residual()
+            q_proj = projection_norm(t2, q_res)
+            for family in wanted:
+                values[family] = stats.calibration_value(family, q_proj, q_res, n)
     if FUIT in families:
         values[FUIT] = batch_fuit_max_t(means, covs, n)
     return values

@@ -236,6 +236,16 @@ class TestEnvironmentDefaults:
         assert main(argv) == 2
         assert name in capsys.readouterr().err
 
+    def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
+                "--calibration", "bayes", "--prior-df", "6", "--mc-samples", "100"]
+        assert main(argv + ["--seed", "-1"]) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        monkeypatch.setenv("CONETEST_SEED", "-1")
+        assert main(argv) == 2
+        assert "CONETEST_SEED must be at least 0" in capsys.readouterr().err
+        assert main(argv + ["--seed", "0"]) == 0
+
     def test_count_variables_apply_when_flags_are_absent(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CONETEST_MC_SAMPLES", "700")
         monkeypatch.setenv("CONETEST_WORKERS", "2")
@@ -557,6 +567,20 @@ class TestCmdSimulate:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("seed", [-3, "abc", 1.5, True])
+    def test_bad_seed_is_data_error(self, tmp_path, seed, capsys):
+        cfg = self.write_config(tmp_path, seed=seed)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
+
+    def test_seed_comes_from_config_only(self, tmp_path, monkeypatch):
+        cfg = self.write_config(tmp_path)
+        assert main(["simulate", "--config", str(cfg), "--seed", "3"]) == 2
+        monkeypatch.setenv("CONETEST_SEED", "-1")
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["manifest"]["seed"] == 5
 
     def test_schema_violation_names_field(self, tmp_path, capsys):
         cfg = self.write_config(tmp_path, tests=[{"family": "nope"}])

@@ -158,6 +158,42 @@ class TestOrthantKernel:
         with pytest.raises(SolverError, match="draw 0"):
             project(y[1], metric, Orthant(2))
 
+    def test_stuck_draw_in_later_block_named_by_call_index(self, monkeypatch):
+        # Draws 0 and 2 are positive and never pending.  Blocks of two
+        # pending draws are (1, 3) and (4, 5); only draw 5 needs a second step.
+        monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
+        monkeypatch.setattr(_batch, "ACTIVE_SET_BLOCK", 2)
+        metric = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        y = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 1.0], [-0.5, -2.0], [-1.0, -0.1], [0.5, -1.0]])
+        with pytest.raises(SolverError, match="draw 5") as err:
+            orthant_active_set(y, metric)
+        assert err.value.details == {"draw": 5, "y": [0.5, -1.0]}
+
+    @pytest.mark.parametrize("p", range(2, 9))
+    def test_fixed_metric_equals_its_stack(self, rng, p):
+        reps = 300
+        y = rng.standard_normal((reps, p))
+        metric = random_pd_matrix(rng, p)
+        free, q_res = orthant_active_set(y, metric)
+        free_s, q_res_s = orthant_active_set(y, np.stack([metric] * reps))
+        assert np.array_equal(free, free_s)
+        assert np.array_equal(q_res, q_res_s)
+
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
+    def test_block_size_does_not_change_output(self, rng, monkeypatch, per_draw):
+        p, reps = 6, 501
+        y = rng.standard_normal((reps, p))
+        if per_draw:
+            metric = np.stack([random_pd_matrix(rng, p) for _ in range(reps)])
+        else:
+            metric = random_pd_matrix(rng, p)
+        free, q_res = orthant_active_set(y, metric)
+        monkeypatch.setattr(_batch, "ACTIVE_SET_BLOCK", 2)
+        free_b, q_res_b = orthant_active_set(y, metric)
+        assert np.array_equal(free, free_b)
+        assert np.array_equal(q_res, q_res_b)
+
 
 class TestHalfspaceProjection:
     def test_inside_halfspace(self, rng):

@@ -319,3 +319,34 @@ class TestBatchMatchesScalar:
             assert values[stats.FUIT][i] == pytest.approx(
                 stats.fuit(s, 0.05).statistic, rel=1e-12, abs=0
             )
+
+    def test_t2_solved_once_per_chunk(self, monkeypatch):
+        from itertools import combinations
+
+        from conetest import _batch, calibrate
+        from conetest.powerlab import _batch_values
+
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return _batch.batch_t2(*args)
+
+        monkeypatch.setattr(powerlab, "batch_t2", spy)
+        rng = np.random.default_rng(3)
+        means, covs = rng.standard_normal((30, 3)), np.eye(3) + 0.2
+        every = sorted(self.SCALAR) + [stats.FUIT]
+        for k in range(1, len(every) + 1):
+            for families in combinations(every, k):
+                calls.clear()
+                _batch_values(means, covs, 12, set(families))
+                assert len(calls) == (families != (stats.FUIT,))
+
+        def forbidden(*args):
+            raise AssertionError("weight estimators need no T2")
+
+        monkeypatch.setattr(_batch, "batch_t2", forbidden)
+        calibrate.chi_bar_weights(np.eye(4), method="monte_carlo", mc_samples=500, seed=1)
+        calibrate.bayes_weights_b1(
+            12, 3, PriorSpec.inverse_wishart(np.eye(3), 7.0), mc_samples=500, seed=1
+        )
