@@ -52,6 +52,21 @@ def run_chunks(worker, n_chunks, workers=1):
         return list(pool.map(worker, range(n_chunks)))
 
 
+def keyed_chunk(seed, key, chunk, task):
+    """``task(rng)`` on the substream ``key + (chunk,)`` of ``seed``.
+
+    A :class:`SolverError` raised by ``task`` leaves with its replay key:
+    ``details`` gains ``seed``, ``stream_key`` and ``chunk`` beside the
+    solver's ``draw`` index within the chunk, and the message names them.
+    """
+    try:
+        return task(substream(seed, key + (chunk,)))
+    except SolverError as err:
+        err.details.update(seed=int(seed), stream_key=list(key), chunk=int(chunk))
+        err.args = (f"{err.args[0]} (seed {seed}, stream key {list(key)}, chunk {chunk})",)
+        raise
+
+
 def _bartlett(rng, dfs, reps):
     """(reps, p, p) stack of lower-triangular Bartlett factors.
 
@@ -69,36 +84,60 @@ def _bartlett(rng, dfs, reps):
     return bart
 
 
-def sample_mean_cov(rng, theta, chol_sigma, n, reps):
-    """Means and unbiased covariances of ``reps`` normal samples of size ``n``.
+def sample_mean_chol(rng, theta, chol_sigma, n, reps):
+    """Means and scatter factors of ``reps`` normal samples of size ``n``.
 
     The pair is drawn from its sampling law, not from data: ``xbar ~
     N(theta, Sigma / n)`` independent of ``(n-1) S ~ Wishart(Sigma, n-1)``
-    (Anderson 2003, Thm 3.3.2), with ``(n-1) S = (L A)(L A)'`` for a Bartlett
-    factor ``A``.  The cost per draw is O(p^3) whatever ``n`` is.
+    (Anderson 2003, Thm 3.3.2), with ``(n-1) S = c c'`` for ``c = L A`` and
+    a Bartlett factor ``A``.  The cost per draw is O(p^3) whatever ``n`` is.
 
     ``chol_sigma`` is a factor ``L`` with ``L L' = Sigma``: a single (p, p)
     matrix or a (reps, p, p) stack of per-draw factors.  Returns ``(means,
-    covs)`` of shapes (reps, p) and (reps, p, p).
+    c)`` of shapes (reps, p) and (reps, p, p); ``c`` is lower-triangular
+    whenever ``chol_sigma`` is.
     """
     p = chol_sigma.shape[-1]
     z = rng.standard_normal((reps, p))
     means = (chol_sigma @ z[..., None])[..., 0] / np.sqrt(n)
     if theta is not None:
         means = means + theta
-    c = chol_sigma @ _bartlett(rng, n - 1 - np.arange(p), reps)
-    covs = c @ np.swapaxes(c, 1, 2) / (n - 1)
-    return means, covs
+    return means, chol_sigma @ _bartlett(rng, n - 1 - np.arange(p), reps)
 
 
-def _solve_vec(mats, vecs):
-    return np.linalg.solve(mats, vecs[..., None])[..., 0]
+def factor_cov(c, n):
+    """Unbiased covariance ``S = c c' / (n - 1)`` of one factor or a stack.
+
+    The transpose is copied to a contiguous array first: matmul on the
+    strided view is several times slower and serializes across threads.
+    """
+    return c @ np.ascontiguousarray(np.swapaxes(c, -1, -2)) / (n - 1)
+
+
+def sample_mean_cov(rng, theta, chol_sigma, n, reps):
+    """:func:`sample_mean_chol` with the factors multiplied out into ``S``."""
+    means, c = sample_mean_chol(rng, theta, chol_sigma, n, reps)
+    return means, factor_cov(c, n)
+
+
+def forward_sq_norm(x, c):
+    """``||c^{-1} x||^2`` per row of ``x`` for a lower-triangular ``c``.
+
+    ``c w = x`` is solved by forward substitution: one vectorized step per
+    row of ``c`` and no LAPACK call, so it scales across threads.  ``c`` is
+    one (p, p) factor or a (reps, p, p) stack.  With ``(n-1) S = c c'``, the
+    T2 statistic ``n xbar' S^{-1} xbar`` is ``n (n-1) forward_sq_norm(xbar, c)``.
+    """
+    w = np.empty_like(x)
+    for i in range(x.shape[1]):
+        dot = np.einsum("...j,...j->...", c[..., i, :i], w[:, :i])
+        w[:, i] = (x[:, i] - dot) / c[..., i, i]
+    return np.einsum("ri,ri->r", w, w)
 
 
 def batch_t2(means, covs, n):
-    """``n xbar' S^{-1} xbar`` per draw."""
-    y = np.sqrt(n) * means
-    return np.einsum("ri,ri->r", y, _solve_vec(covs, y))
+    """``n xbar' S^{-1} xbar`` per draw, through the Cholesky factor of ``S``."""
+    return n * forward_sq_norm(means, np.linalg.cholesky(covs))
 
 
 def orthant_active_set(y, metric):
@@ -137,7 +176,7 @@ def orthant_active_set(y, metric):
             mask, y_t = free[todo], y[todo]
             mats = metric[todo]
             np.copyto(mats, eye, where=mask[:, None, :])
-            z = _solve_vec(mats, y_t)
+            z = np.linalg.solve(mats, y_t[..., None])[..., 0]
             primal = (mask & (z <= 0.0)).any(axis=1)
             dual = ~primal & (~mask & (z > 0.0)).any(axis=1)
             drop = np.argmin(np.where(mask, z, np.inf)[primal], axis=1)
@@ -191,14 +230,17 @@ def batch_fuit_max_t(means, covs, n):
 
 
 def sample_invwishart_chol(rng, scale, df, reps):
-    """Cholesky-like factors of inverse-Wishart draws.
+    """Lower-triangular factors of inverse-Wishart draws.
 
-    Draws ``W ~ Wishart(scale^{-1}, df)`` by the Bartlett construction and
-    returns upper-triangular factors ``F`` with ``F F' = W^{-1}``, i.e.
-    factors of inverse-Wishart matrices with the given scale; proper for
-    ``df > p - 1``.
+    With ``P`` the index reversal, draws ``W ~ Wishart(P scale^{-1} P, df)``
+    as ``C C'`` by the Bartlett construction.  ``C^{-T}`` is upper-triangular
+    with ``C^{-T} C^{-1} = W^{-1}``, so flipping both of its axes gives a
+    lower-triangular ``G`` with ``G G' = P W^{-1} P``, an inverse-Wishart
+    draw with the given scale; proper for ``df > p - 1``.  Returns the
+    (reps, p, p) stack of ``G``, with exact zeros above the diagonal (the
+    pivoted LAPACK inverse leaves rounding-level entries there).
     """
     p = scale.shape[0]
-    chol_inv_scale = np.linalg.cholesky(np.linalg.inv(scale))
+    chol_inv_scale = np.linalg.cholesky(np.linalg.inv(scale)[::-1, ::-1])
     c = chol_inv_scale @ _bartlett(rng, df - np.arange(p), reps)  # C C' = W
-    return np.swapaxes(np.linalg.inv(c), 1, 2)  # F = C^{-T}, F F' = W^{-1}
+    return np.tril(np.swapaxes(np.linalg.inv(c), 1, 2)[:, ::-1, ::-1])

@@ -20,11 +20,11 @@ from . import stats
 from ._batch import (
     DEFAULT_CHUNK,
     chunk_sizes,
+    keyed_chunk,
     orthant_active_set,
     run_chunks,
     sample_invwishart_chol,
     sample_mean_cov,
-    substream,
 )
 from ._linalg import check_positive_definite, read_only
 from .dist import g_ratio_tail, g_star_tail
@@ -218,7 +218,8 @@ def _size_frequencies(draw, p, mc_samples, seed, stream, workers):
 
     ``mc_samples`` draws are split into chunks of ``DEFAULT_CHUNK``; chunk
     ``i`` comes from substream ``(stream, i)`` of ``seed`` as ``draw(rng,
-    reps) -> (y, metric)``, the rows to project and their metric.
+    reps) -> (y, metric)``, the rows to project and their metric.  A
+    :class:`SolverError` names that replay key (:func:`keyed_chunk`).
     """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
@@ -228,7 +229,9 @@ def _size_frequencies(draw, p, mc_samples, seed, stream, workers):
     sizes_of = chunk_sizes(mc_samples, DEFAULT_CHUNK)
 
     def worker(i):
-        free, _ = orthant_active_set(*draw(substream(seed, (stream, i)), sizes_of[i]))
+        free, _ = keyed_chunk(
+            seed, (stream,), i, lambda rng: orthant_active_set(*draw(rng, sizes_of[i]))
+        )
         return np.bincount(free.sum(axis=1), minlength=p + 1)
 
     counts = np.sum(run_chunks(worker, len(sizes_of), workers), axis=0)

@@ -19,14 +19,16 @@ import numpy as np
 from . import calibrate, stats
 from ._batch import (
     batch_fuit_max_t,
-    batch_t2,
     chunk_sizes,
+    factor_cov,
+    forward_sq_norm,
     halfspace_residual,
+    keyed_chunk,
     orthant_active_set,
     projection_norm,
     run_chunks,
     sample_invwishart_chol,
-    sample_mean_cov,
+    sample_mean_chol,
     substream,
 )
 from ._linalg import check_positive_definite
@@ -221,16 +223,20 @@ def _resolve_critical(plan, alpha, n, p, seed):
     return solve(plan.family, alpha, n, p, weights).value
 
 
-def _batch_values(means, covs, n, families):
+def _batch_values(means, c, n, families):
     """Calibration-scale statistic values per draw for each of ``families``.
 
-    Each draw's T2 is solved once and split by the residual of each cone
-    that ``families`` needs; T2 is the halfspace split's sum.
+    ``c`` is a lower-triangular scatter factor, ``(n-1) S = c c'``: one
+    (p, p) matrix or a (reps, p, p) stack.  Each draw's T2 comes from ``c``
+    once and is split by the residual of each cone that ``families`` needs;
+    T2 is the halfspace split's sum.  ``S`` is multiplied out once, for the
+    orthant metric, the halfspace residual and FUIT.
     """
     values = {}
+    covs = factor_cov(c, n)
     if families - {FUIT}:
         y = np.sqrt(n) * means
-        t2 = batch_t2(means, covs, n)
+        t2 = n * (n - 1) * forward_sq_norm(means, c)
     for group, residual in (
         (stats.ORTHANT_FAMILIES, lambda: orthant_active_set(y, covs)[1]),
         (stats.HALFSPACE_FAMILIES + (T2,), lambda: halfspace_residual(y, covs)),
@@ -246,21 +252,27 @@ def _batch_values(means, covs, n, families):
     return values
 
 
-def _count_cell(seed, key, replications, workers, draw, count):
-    """Summed per-chunk counts of one Monte-Carlo cell.
+def _count_cells(seed, cells, replications, workers, count):
+    """Summed per-chunk counts of each Monte-Carlo cell, in the order of ``cells``.
 
-    The cell's draws are split into fixed chunks of ``SIM_CHUNK``; chunk
-    ``j`` samples ``draw(rng, reps) -> (means, covs)`` from the substream
-    ``key + (j,)`` of ``seed`` and reduces it with ``count(means, covs)``,
-    which returns an integer or an array of integers.  The sum does not
-    depend on ``workers``.
+    ``cells`` holds ``(key, draw)`` pairs.  A cell's draws are split into
+    fixed chunks of ``SIM_CHUNK``; chunk ``j`` samples ``draw(rng, reps) ->
+    (means, c)`` from the substream ``key + (j,)`` of ``seed`` and reduces it
+    with ``count(means, c)``, which returns an integer or an array of
+    integers.  Every (cell, chunk) task goes to one :func:`run_chunks` call,
+    so the cells of an experiment share one pool; the sums do not depend on
+    ``workers``.  A :class:`SolverError` names its replay key.
     """
     sizes = chunk_sizes(replications, SIM_CHUNK)
+    tasks = [(key, draw, j) for key, draw in cells for j in range(len(sizes))]
 
-    def worker(j):
-        return count(*draw(substream(seed, key + (j,)), sizes[j]))
+    def worker(t):
+        key, draw, j = tasks[t]
+        return keyed_chunk(seed, key, j, lambda rng: count(*draw(rng, sizes[j])))
 
-    return np.sum(run_chunks(worker, len(sizes), workers), axis=0)
+    counts = run_chunks(worker, len(tasks), workers)
+    per_cell = len(sizes)
+    return [np.sum(counts[i:i + per_cell], axis=0) for i in range(0, len(tasks), per_cell)]
 
 
 def _rate(count, replications):
@@ -269,20 +281,21 @@ def _rate(count, replications):
     return rate, float(np.sqrt(rate * (1.0 - rate) / replications))
 
 
+def _fixed_draw(theta, chol, n):
+    """``draw(rng, reps)`` of a cell with a fixed covariance factor ``chol``."""
+    return lambda rng, reps: sample_mean_chol(rng, theta, chol, n, reps)
+
+
 def _grid_counts(cfg, sigmas, count):
     """``(sigma_id, theta, counts)`` for each (sigma, theta) cell of ``cfg``, in order."""
+    labels, cells = [], []
     for is_, (sigma_id, sigma) in enumerate(sigmas):
         chol = np.linalg.cholesky(sigma)
         for it, theta in enumerate(cfg.theta_grid):
-
-            def draw(rng, reps):
-                return sample_mean_cov(rng, theta, chol, cfg.n, reps)
-
-            counts = _count_cell(
-                cfg.seed, (_STREAM_POWER, is_, it), cfg.replications, cfg.workers,
-                draw, count,
-            )
-            yield sigma_id, tuple(float(v) for v in theta), counts
+            labels.append((sigma_id, tuple(float(v) for v in theta)))
+            cells.append(((_STREAM_POWER, is_, it), _fixed_draw(theta, chol, cfg.n)))
+    counts = _count_cells(cfg.seed, cells, cfg.replications, cfg.workers, count)
+    return [label + (total,) for label, total in zip(labels, counts)]
 
 
 def simulate_power(cfg):
@@ -299,8 +312,8 @@ def simulate_power(cfg):
     }
     families = {plan.family for plan in cfg.tests}
 
-    def count(means, covs):
-        values = _batch_values(means, covs, cfg.n, families)
+    def count(means, c):
+        values = _batch_values(means, c, cfg.n, families)
         return [np.sum(values[plan.family] >= criticals[plan.label]) for plan in cfg.tests]
 
     rows = []
@@ -379,10 +392,10 @@ def domination_experiment(cfg, pairs=("UIT", "LRT")):
         ).value
     families = {family for name in pairs for family in _PAIRS[name]}
 
-    def count(means, covs):
+    def count(means, c):
         """Per pair: orthant rejections, halfspace rejections, halfspace-only
         rejections and orthant-only rejections (implication violations)."""
-        values = _batch_values(means, covs, cfg.n, families)
+        values = _batch_values(means, c, cfg.n, families)
         out = []
         for name in pairs:
             fam_o, fam_h = _PAIRS[name]
@@ -453,15 +466,13 @@ LRT_ORTHANT_ACCEPTANCE = "LRT_orthant_acceptance"
 _WITNESS_CAP = 1_000_000
 
 
-def _member_means(family, c, n, p, cov, rng, count):
-    """Means inside the acceptance slice for a fixed covariance matrix."""
+def _member_means(family, c, n, p, chol, rng, count):
+    """Means inside the acceptance slice for a fixed covariance factor ``chol``."""
     pool = []
     got = 0
     for scale in (0.6, 1.2, 2.5, 5.0):
-        means = (rng.standard_normal((count, p)) @ np.linalg.cholesky(cov).T) * (
-            scale / np.sqrt(n)
-        )
-        values = _batch_values(means, cov, n, {family})[family]
+        means = (rng.standard_normal((count, p)) @ chol.T) * (scale / np.sqrt(n))
+        values = _batch_values(means, np.sqrt(n - 1) * chol, n, {family})[family]
         keep = values <= c
         pool.append(means[keep])
         got += int(keep.sum())
@@ -560,8 +571,9 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
     while tested < trials:
         rng = substream(seed, (_STREAM_CONVEXITY, covariances))
         cov = random_correlation_matrix(rng, p) * rng.uniform(0.3, 3.0)
+        chol = np.linalg.cholesky(cov)
         covariances += 1
-        means = _member_means(family, c, n, p, cov, rng, 20_000)
+        means = _member_means(family, c, n, p, chol, rng, 20_000)
         m = means.shape[0]
         if m < 2:
             continue
@@ -569,7 +581,7 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
         i = rng.integers(0, m, size=block)
         j = rng.integers(0, m, size=block)
         mid = 0.5 * (means[i] + means[j])
-        values = _batch_values(mid, cov, n, {family})[family]
+        values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family})[family]
         bad = values > c * (1.0 + 1e-9)
         violations += int(bad.sum())
         if bad.any() and worst is None:
@@ -618,28 +630,25 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     plan = TestPlan(family, calibration, prior=prior)
     critical = _resolve_critical(plan, cfg.alpha, cfg.n, cfg.p, cfg.seed)
 
-    def count(means, covs):
-        return np.sum(_batch_values(means, covs, cfg.n, {family})[family] >= critical)
-
-    def fixed(chol):
-        return lambda rng, reps: sample_mean_cov(rng, None, chol, cfg.n, reps)
+    def count(means, c):
+        return np.sum(_batch_values(means, c, cfg.n, {family})[family] >= critical)
 
     def from_prior(rng, reps):
         factors = sample_invwishart_chol(rng, np.asarray(prior.scale), prior.df, reps)
-        return sample_mean_cov(rng, None, factors, cfg.n, reps)
+        return sample_mean_chol(rng, None, factors, cfg.n, reps)
 
-    # (row label, stream cell, draw) per cell; the prior cell uses stream cell 999.
-    cells = []
+    # Row labels and (stream key, draw) cells; the prior cell uses stream cell 999.
+    labels, cells = [], []
     for i, sigma in enumerate(sigma_list or ()):
         chol = np.linalg.cholesky(check_positive_definite(sigma, f"sigma[{i}]"))
-        cells.append((f"sigma{i}", i, fixed(chol)))
+        labels.append(f"sigma{i}")
+        cells.append(((_STREAM_SIMILARITY, i), _fixed_draw(None, chol, cfg.n)))
     if calibration == "bayes":
-        cells.append(("prior_draws", 999, from_prior))
+        labels.append("prior_draws")
+        cells.append(((_STREAM_SIMILARITY, 999), from_prior))
+    totals = _count_cells(cfg.seed, cells, cfg.replications, cfg.workers, count)
     rows = []
-    for sigma_id, cell, draw in cells:
-        total = _count_cell(
-            cfg.seed, (_STREAM_SIMILARITY, cell), cfg.replications, cfg.workers, draw, count
-        )
+    for sigma_id, total in zip(labels, totals):
         rate, se = _rate(total, cfg.replications)
         rows.append({"sigma_id": sigma_id, "rate": rate, "std_error": se})
     return SimilarityReport(

@@ -1,9 +1,10 @@
 """Oracles for the sufficient-statistic sampler in ``conetest._batch``.
 
 The sampler draws ``(xbar, S)`` from their joint law through one Bartlett
-factor.  The references are ``scipy.stats.wishart`` and the data-tensor
-sampler that it replaced, kept here only as an oracle: it draws a
-(reps, n, p) normal sample and summarizes it.
+factor.  The references are ``scipy.stats.wishart``, ``scipy.stats.invwishart``
+and the data-tensor sampler that it replaced, kept here only as an oracle:
+it draws a (reps, n, p) normal sample and summarizes it.  T2 from the
+triangular factor is checked against ``np.linalg.solve``.
 """
 
 import tracemalloc
@@ -12,7 +13,15 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conetest._batch import sample_invwishart_chol, sample_mean_cov, substream
+from conetest._batch import (
+    batch_t2,
+    factor_cov,
+    forward_sq_norm,
+    sample_invwishart_chol,
+    sample_mean_chol,
+    sample_mean_cov,
+    substream,
+)
 
 from conftest import random_correlation
 
@@ -137,6 +146,74 @@ class TestSampleMeanCovFactors:
         diag = np.diagonal(covs, axis1=1, axis2=2)
         se = diag.std(axis=0, ddof=1) / np.sqrt(reps)
         assert np.all(np.abs(diag.mean(axis=0) - np.diag(scale) / (df - P - 1)) <= 4 * se)
+
+
+class TestInverseWishartFactors:
+    SCALE = np.array([[1.0, 0.3, 0.0], [0.3, 2.0, -0.4], [0.0, -0.4, 0.5]])
+    DF = P + 6.0
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        return sample_invwishart_chol(substream(49, 0), self.SCALE, self.DF, REPS)
+
+    def test_factors_are_lower_triangular(self, factors):
+        assert factors.shape == (REPS, P, P)
+        assert np.all(np.triu(factors, 1) == 0.0)
+        assert np.all(np.diagonal(factors, axis1=1, axis2=2) > 0.0)
+
+    @pytest.mark.parametrize("name", ["trace", "logdet", "offdiag"])
+    def test_matches_scipy_invwishart(self, factors, name):
+        ref = scipy_stats.invwishart(df=self.DF, scale=self.SCALE).rvs(
+            size=REPS, random_state=np.random.default_rng(50)
+        )
+        got = scatter_statistics(factors @ np.swapaxes(factors, 1, 2))[name]
+        want = scatter_statistics(ref)[name]
+        assert scipy_stats.ks_2samp(got, want).pvalue > KS_MIN_P
+
+    def test_mean_within_4_se(self, factors):
+        # E G G' = scale / (df - p - 1), elementwise.
+        draws = factors @ np.swapaxes(factors, 1, 2)
+        se = draws.std(axis=0, ddof=1) / np.sqrt(REPS)
+        want = self.SCALE / (self.DF - P - 1)
+        assert np.all(np.abs(draws.mean(axis=0) - want) <= 4 * se)
+
+
+def conditioned_cov(rng, p, cond):
+    """Covariance with eigenvalues log-spaced from 1 down to ``1 / cond`` in a random basis."""
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    return (q * np.logspace(0.0, -np.log10(cond), p)) @ q.T
+
+
+class TestFactorT2:
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_solve(self, p, cond, per_draw):
+        n, reps = 20, 200
+        rng = np.random.default_rng([51, p, int(np.log10(cond)), per_draw])
+        if per_draw:
+            covs = np.stack([conditioned_cov(rng, p, cond) for _ in range(reps)])
+        else:
+            covs = conditioned_cov(rng, p, cond)
+        c = np.sqrt(n - 1) * np.linalg.cholesky(covs)
+        means = rng.standard_normal((reps, p))
+        got = n * (n - 1) * forward_sq_norm(means, c)
+        want = n * np.einsum("ri,ri->r", means, np.linalg.solve(covs, means[..., None])[..., 0])
+        # A relative error of eps * cond is the conditioning limit of any
+        # float64 T2, np.linalg.solve's included: against a long-double
+        # reference both err by 5e-11 to 6e-11 at cond 1e6.
+        rtol = 1e-12 + 2.0 * np.finfo(float).eps * cond
+        assert np.all(np.abs(got - want) <= rtol * want)
+        assert np.all(np.abs(batch_t2(means, covs, n) - want) <= rtol * want)
+
+    def test_sampler_factors_are_lower_triangular(self, sigma):
+        chol = np.linalg.cholesky(sigma)
+        factors = sample_invwishart_chol(substream(52, 0), sigma, P + 4.0, 50)
+        for chol_sigma in (chol, factors):
+            means, c = sample_mean_chol(substream(53, 0), None, chol_sigma, N, 50)
+            assert np.all(np.triu(c, 1) == 0.0)
+            _, covs = sample_mean_cov(substream(53, 0), None, chol_sigma, N, 50)
+            assert np.array_equal(covs, factor_cov(c, N))
 
 
 def _peak_bytes(n):

@@ -127,6 +127,22 @@ class TestChiBarWeights:
         with pytest.raises(CalibrationError):
             chi_bar_weights(np.eye(4))
 
+    def test_solver_error_names_replay_key(self, monkeypatch):
+        from conetest import SolverError, _batch
+
+        # A one-step cap fails the first draw that needs a second step.
+        monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
+        corr = corr2(-0.9)
+        with pytest.raises(SolverError, match=r"seed 6, stream key \[10\], chunk 0") as err:
+            chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=200, seed=6)
+        d = err.value.details
+        assert (d["seed"], d["stream_key"], d["chunk"]) == (6, [10], 0)
+        # The key replays the draw.
+        rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
+        y = rng.standard_normal((200, 2)) @ np.linalg.cholesky(corr).T
+        assert y[d["draw"]].tolist() == d["y"]
+
 
 class TestNullTail:
     def test_statistic_zero_includes_atom(self):

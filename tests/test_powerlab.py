@@ -1,9 +1,11 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
-from conetest import CalibrationError, DataError, PriorSpec, powerlab, stats
+from conetest import CalibrationError, DataError, PriorSpec, SolverError, _batch, powerlab, stats
+from conetest._batch import run_chunks, sample_mean_chol, substream
 from conetest.powerlab import (
     LRT_ORTHANT_ACCEPTANCE,
     UIT_HALFSPACE_ACCEPTANCE,
@@ -155,7 +157,9 @@ class TestSimulatePower:
         ]
         prior = PriorSpec.inverse_wishart(np.eye(2), 5.0)
         sim = similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
-        assert counts(r["rate"] for r in sim.rows) == [2003, 2085]
+        # Reversed-index prior factors (lower-triangular) changed the prior
+        # stream: the Bayes weights, hence the critical value, and the prior cell.
+        assert counts(r["rate"] for r in sim.rows) == [2004, 2079]
 
     def test_null_halfspace_rate_near_alpha(self):
         cfg = small_config(
@@ -192,6 +196,60 @@ class TestSimulatePower:
         d = dataclasses.asdict(table)
         assert d["rows"][0]["family"] == stats.UIT_ORTHANT
         assert d["metadata"]["seed"] == 123
+
+
+class TestOnePoolPerExperiment:
+    def test_single_chunk_cells_share_one_pool(self, monkeypatch):
+        # Shaped like demos/configs/domination.json: five cells of one chunk
+        # each, all submitted to one pool.
+        calls = []
+
+        def spy(worker, n_chunks, workers=1):
+            calls.append(n_chunks)
+            return run_chunks(worker, n_chunks, workers)
+
+        monkeypatch.setattr(powerlab, "run_chunks", spy)
+        sigma = np.array([[1.0, 0.35], [0.35, 1.0]])
+        thetas = ([0.0, 0.0], [0.2, 0.2], [0.5, 0.1], [0.4, 0.4], [0.9, 0.0])
+
+        def report(workers):
+            cfg = small_config(
+                replications=3000,
+                seed=2024,
+                sigma_source=SigmaSource.fixed(sigma),
+                theta_grid=tuple(np.array(t) for t in thetas),
+                workers=workers,
+            )
+            table = dataclasses.asdict(domination_experiment(cfg))
+            return json.dumps(table, sort_keys=True).encode()
+
+        one, two, three = (report(w) for w in (1, 2, 3))
+        assert one == two == three
+        assert calls == [5, 5, 5]
+
+    def test_solver_error_names_replay_key(self, monkeypatch):
+        # A one-step cap fails every draw that needs a second step.  The far
+        # theta of the first cell leaves no draw pending, so the first failed
+        # chunk in task order is chunk 0 of the second cell.
+        monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
+        monkeypatch.setattr(powerlab, "SIM_CHUNK", 500)
+        sigma = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        cfg = small_config(
+            replications=1500,
+            seed=77,
+            sigma_source=SigmaSource.fixed(sigma),
+            theta_grid=(np.array([5.0, 5.0]), np.zeros(2)),
+            workers=2,
+        )
+        with pytest.raises(SolverError, match=r"seed 77, stream key \[2, 0, 1\], chunk 0") as err:
+            simulate_power(cfg)
+        d = err.value.details
+        assert (d["seed"], d["stream_key"], d["chunk"]) == (77, [2, 0, 1], 0)
+        # The key replays the draw.
+        rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
+        means, _ = sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500)
+        assert (np.sqrt(cfg.n) * means[d["draw"]]).tolist() == d["y"]
 
 
 class TestDomination:
@@ -293,7 +351,7 @@ class TestBatchMatchesScalar:
     @pytest.mark.parametrize("p", [1, 3, 5])
     @pytest.mark.parametrize("per_draw_cov", [False, True])
     def test_values_match_scalar_statistics(self, p, per_draw_cov):
-        from conetest._batch import sample_mean_cov, substream
+        from conetest._batch import factor_cov, sample_mean_chol, substream
         from conetest.powerlab import _batch_values
         from test_sample import make_summary
 
@@ -301,11 +359,12 @@ class TestBatchMatchesScalar:
         rng = substream(17, (p, int(per_draw_cov)))
         chol = np.linalg.cholesky(random_correlation_matrix(rng, p))
         theta = np.linspace(-0.3, 0.5, p)
-        means, covs = sample_mean_cov(rng, theta, chol, n, reps)
+        means, c = sample_mean_chol(rng, theta, chol, n, reps)
         if not per_draw_cov:
-            covs = covs[0]
+            c = c[0]
+        covs = factor_cov(c, n)
         families = set(self.SCALAR) | {stats.FUIT}
-        values = _batch_values(means, covs, n, families)
+        values = _batch_values(means, c, n, families)
         assert set(values) == families
         for i in range(reps):
             s = make_summary(means[i], covs[i] if per_draw_cov else covs, n=n)
@@ -330,22 +389,23 @@ class TestBatchMatchesScalar:
 
         def spy(*args):
             calls.append(1)
-            return _batch.batch_t2(*args)
+            return _batch.forward_sq_norm(*args)
 
-        monkeypatch.setattr(powerlab, "batch_t2", spy)
+        monkeypatch.setattr(powerlab, "forward_sq_norm", spy)
         rng = np.random.default_rng(3)
-        means, covs = rng.standard_normal((30, 3)), np.eye(3) + 0.2
+        means, c = rng.standard_normal((30, 3)), np.linalg.cholesky(np.eye(3) + 0.2)
         every = sorted(self.SCALAR) + [stats.FUIT]
         for k in range(1, len(every) + 1):
             for families in combinations(every, k):
                 calls.clear()
-                _batch_values(means, covs, 12, set(families))
+                _batch_values(means, c, 12, set(families))
                 assert len(calls) == (families != (stats.FUIT,))
 
         def forbidden(*args):
             raise AssertionError("weight estimators need no T2")
 
         monkeypatch.setattr(_batch, "batch_t2", forbidden)
+        monkeypatch.setattr(_batch, "forward_sq_norm", forbidden)
         calibrate.chi_bar_weights(np.eye(4), method="monte_carlo", mc_samples=500, seed=1)
         calibrate.bayes_weights_b1(
             12, 3, PriorSpec.inverse_wishart(np.eye(3), 7.0), mc_samples=500, seed=1
