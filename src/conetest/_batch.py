@@ -145,15 +145,16 @@ def orthant_active_set(y, metric):
 
     ``y`` has shape (reps, p) and ``metric`` is one (p, p) positive definite
     matrix or a (reps, p, p) stack.  Each draw starts from its sign pattern
-    ``y > 0`` and repairs primal violations (an adjusted free component
-    ``<= 0``: the most negative leaves the free set) before dual ones (a
-    positive multiplier ``M_cc^{-1} y_c``: the largest joins it), one index
-    per step.  A draw with ``y > 0`` everywhere is solved on entry.  Each
-    step solves ``B z = y`` for every pending draw at once, where ``B`` has
-    the metric's columns on the complement ``c`` and the identity's on the
-    free set ``a``: then ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``,
-    the adjusted mean.  Pending draws go through in blocks of
-    ``ACTIVE_SET_BLOCK``, which bounds the memory of the stacked systems.
+    ``y > 0``, solved on entry if all positive.  Each step solves ``B z = y``
+    for every pending draw at once, where ``B`` has the metric's columns on
+    the complement ``c`` and the identity's on the free set ``a``: then
+    ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``, the adjusted mean.
+    A free index with ``z <= 0`` or a complement index with ``z > 0``
+    violates its sign condition, and the lowest violating index switches
+    sides.  This least-index rule (Murty 1974) terminates for every P-matrix,
+    so for every positive definite metric, and cannot cycle; as it may take
+    exponentially many steps (Fathi 1979), a step cap stays.  Pending draws
+    go through in blocks of ``ACTIVE_SET_BLOCK`` to bound the stacked systems.
 
     Returns ``(free, q_res)``: the free-index mask, on which the adjusted
     mean is strictly positive while the complement multipliers are ``<= 0``,
@@ -177,13 +178,10 @@ def orthant_active_set(y, metric):
             mats = metric[todo]
             np.copyto(mats, eye, where=mask[:, None, :])
             z = np.linalg.solve(mats, y_t[..., None])[..., 0]
-            primal = (mask & (z <= 0.0)).any(axis=1)
-            dual = ~primal & (~mask & (z > 0.0)).any(axis=1)
-            drop = np.argmin(np.where(mask, z, np.inf)[primal], axis=1)
-            free[todo[primal], drop] = False
-            join = np.argmax(np.where(mask, -np.inf, z)[dual], axis=1)
-            free[todo[dual], join] = True
-            ok = ~(primal | dual)
+            viol = np.where(mask, z <= 0.0, z > 0.0)
+            ok = ~viol.any(axis=1)
+            rows, cols = todo[~ok], np.argmax(viol[~ok], axis=1)  # lowest violating index
+            free[rows, cols] = ~free[rows, cols]
             q_res[todo[ok]] = np.einsum("ri,ri->r", np.where(mask, 0.0, y_t)[ok], z[ok])
             todo = todo[~ok]
         if todo.size:

@@ -347,6 +347,8 @@ def cmd_test(args):
 
 def cmd_calibrate(args):
     _check_alpha(args.alpha)
+    if args.p < 1:
+        raise UsageError(f"need p >= 1, got p={args.p}")
     if args.n <= args.p:
         raise UsageError(f"need n > p, got n={args.n}, p={args.p}")
     family = _internal_family(args.family, args.cone)
@@ -421,24 +423,41 @@ def cmd_calibrate(args):
 # conetest simulate
 
 
-def _expect(cfg, key, types, path):
-    if key not in cfg:
+def _expect(cfg, key, types, path, default=None):
+    if not isinstance(cfg, dict) or key not in cfg:
+        if default is not None:
+            return default
         raise DataError(f"config field {path}{key} is missing")
     val = cfg[key]
-    if not isinstance(val, types):
+    if isinstance(val, bool) or not isinstance(val, types):
         raise DataError(f"config field {path}{key} has wrong type {type(val).__name__}")
     return val
+
+
+def _numbers(val, field):
+    """``val`` as a float array, or a :class:`DataError` naming ``field``."""
+    try:
+        arr = np.asarray(val)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise DataError(f"config field {field} must hold numbers only")
+    return arr.astype(float)
 
 
 def _parse_sigma(node, path):
     kind = _expect(node, "kind", str, path)
     if kind == "fixed":
-        return powerlab.SigmaSource.fixed(np.asarray(_expect(node, "matrix", list, path)))
+        return powerlab.SigmaSource.fixed(
+            _numbers(_expect(node, "matrix", list, path), f"{path}matrix")
+        )
     if kind == "sequence":
         mats = _expect(node, "matrices", list, path)
-        return powerlab.SigmaSource.sequence([np.asarray(m) for m in mats])
+        return powerlab.SigmaSource.sequence(
+            [_numbers(m, f"{path}matrices[{i}]") for i, m in enumerate(mats)]
+        )
     if kind == "random_correlation":
-        return powerlab.SigmaSource.random_correlation(int(node.get("count", 1)))
+        return powerlab.SigmaSource.random_correlation(_expect(node, "count", int, path, 1))
     raise DataError(f"config field {path}kind: unknown sigma kind {kind!r}")
 
 
@@ -454,7 +473,7 @@ def _parse_tests(nodes, path):
         if calibration == "bayes":
             pnode = _expect(node, "prior", dict, sub)
             prior = calibrate.PriorSpec.inverse_wishart(
-                np.asarray(_expect(pnode, "scale", list, sub + "prior.")),
+                _numbers(_expect(pnode, "scale", list, sub + "prior."), f"{sub}prior.scale"),
                 float(_expect(pnode, "df", (int, float), sub + "prior.")),
             )
         plans.append(
@@ -462,7 +481,7 @@ def _parse_tests(nodes, path):
                 family=family,
                 calibration=calibration,
                 prior=prior,
-                weight_samples=int(node.get("weight_samples", 200_000)),
+                weight_samples=_expect(node, "weight_samples", int, sub, 200_000),
             )
         )
     return tuple(plans)
@@ -492,9 +511,10 @@ def load_experiment_config(path, workers=1):
         seed=raw["seed"],
         sigma_source=_parse_sigma(_expect(raw, "sigma", dict, ""), "sigma."),
         theta_grid=tuple(
-            np.asarray(t, dtype=float) for t in _expect(raw, "theta_grid", list, "")
+            _numbers(t, f"theta_grid[{i}]")
+            for i, t in enumerate(_expect(raw, "theta_grid", list, ""))
         ),
-        tests=_parse_tests(raw.get("tests", [{"family": stats.UIT_ORTHANT}]), "tests"),
+        tests=_parse_tests(_expect(raw, "tests", list, "", [{"family": stats.UIT_ORTHANT}]), "tests"),
         workers=workers,
     )
     return experiment, cfg, raw

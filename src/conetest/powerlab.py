@@ -55,21 +55,14 @@ _STREAM_SIMILARITY = 4
 
 @dataclass(frozen=True)
 class SigmaSource:
-    """Covariance source: a fixed matrix, an explicit list, or random correlations."""
+    """Covariance source: an explicit list of matrices or random correlations."""
 
     kind: str
-    matrix: Optional[np.ndarray] = None
     matrices: Optional[tuple] = None
     count: int = 1
 
     def __post_init__(self):
-        if self.kind == "fixed":
-            if self.matrix is None:
-                raise DataError("fixed sigma source needs a matrix")
-            object.__setattr__(
-                self, "matrix", check_positive_definite(self.matrix, "sigma")
-            )
-        elif self.kind == "sequence":
+        if self.kind == "sequence":
             if not self.matrices:
                 raise DataError("sequence sigma source needs at least one matrix")
             mats = tuple(
@@ -85,7 +78,7 @@ class SigmaSource:
 
     @classmethod
     def fixed(cls, matrix):
-        return cls(kind="fixed", matrix=matrix)
+        return cls.sequence([matrix])
 
     @classmethod
     def sequence(cls, matrices):
@@ -197,9 +190,7 @@ def random_correlation_matrix(rng, p, df=None):
 
 def resolve_sigmas(source, p, seed):
     """Materialize a sigma source into labeled positive definite matrices."""
-    if source.kind == "fixed":
-        mats = [np.asarray(source.matrix)]
-    elif source.kind == "sequence":
+    if source.kind == "sequence":
         mats = [np.asarray(m) for m in source.matrices]
     else:
         rng = substream(seed, (12, 0))
@@ -481,21 +472,6 @@ def _member_means(family, c, n, p, chol, rng, count):
     return np.concatenate(pool, axis=0)
 
 
-def _lrt_ratio_p2_diag(x, n, diag):
-    """Calibration-scale likelihood-ratio statistic at p=2 for fixed diagonal S."""
-    q = float(n)
-    nm1 = n - 1.0
-    x0, x1 = float(x[0]), float(x[1])
-    v0, v1 = float(diag[0]), float(diag[1])
-    if x0 > 0 and x1 > 0:
-        return q * (x0 * x0 / v0 + x1 * x1 / v1) / nm1
-    if x0 > 0 and x1 <= 0:
-        return (q * x0 * x0 / v0) / (nm1 + q * x1 * x1 / v1)
-    if x1 > 0 and x0 <= 0:
-        return (q * x1 * x1 / v1) / (nm1 + q * x0 * x0 / v0)
-    return 0.0
-
-
 def _search_lrt_witness(c, n, seed):
     """Find member means whose midpoint leaves the acceptance region.
 
@@ -503,7 +479,11 @@ def _search_lrt_witness(c, n, seed):
     deep member of a single-coordinate branch; the acceptance set flares
     outward along the branch boundary, so midpoints overshoot.
     """
-    diag = np.ones(2)
+    c_unit = np.sqrt(n - 1) * np.eye(2)  # (n-1) S = c c' with S = I
+
+    def lrt(x):
+        return float(_batch_values(x[None, :], c_unit, n, {LRT_ORTHANT})[LRT_ORTHANT][0])
+
     rng = substream(seed, (_STREAM_CONVEXITY, 10_001))
     attempts = 0
     while attempts < _WITNESS_CAP:
@@ -515,10 +495,10 @@ def _search_lrt_witness(c, n, seed):
         a_pt = np.array([r * np.cos(phi), r * np.sin(phi)])
         b0 = np.sqrt(c * (1.0 - eps) * ((n - 1.0) + n * t * t) / n)
         b_pt = np.array([b0, -t])
-        if _lrt_ratio_p2_diag(a_pt, n, diag) > c or _lrt_ratio_p2_diag(b_pt, n, diag) > c:
+        if lrt(a_pt) > c or lrt(b_pt) > c:
             continue
         mid = 0.5 * (a_pt + b_pt)
-        val = _lrt_ratio_p2_diag(mid, n, diag)
+        val = lrt(mid)
         if val > c * (1.0 + 1e-9):
             return {
                 "member_a": a_pt.tolist(),
@@ -526,7 +506,7 @@ def _search_lrt_witness(c, n, seed):
                 "midpoint": mid.tolist(),
                 "midpoint_statistic": val,
                 "critical": c,
-                "fixed_diagonal_cov": diag.tolist(),
+                "fixed_diagonal_cov": [1.0, 1.0],
             }, attempts
     raise ConeTestError(
         f"no nonconvexity witness found within {_WITNESS_CAP} attempts"

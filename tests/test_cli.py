@@ -439,6 +439,12 @@ class TestCmdCalibrate:
         assert len(result["weights"]["std_errors"]) == 3
         assert result["achieved_alpha"] == pytest.approx(0.05, abs=1e-5)
 
+    @pytest.mark.parametrize("family, p", [("uit", -1), ("fuit", 0), ("t2", 0), ("lrt", 0)])
+    def test_p_below_one_is_usage_error(self, family, p, capsys):
+        argv = ["calibrate", "--family", family, "--alpha", "0.05", "--n", "20", "--p", str(p)]
+        assert main(argv) == 2
+        assert f"need p >= 1, got p={p}" in capsys.readouterr().err
+
     def test_bayes_without_seed_is_usage_error(self):
         code = main(
             [
@@ -587,6 +593,35 @@ class TestCmdSimulate:
         assert main(["simulate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert "tests[0].family" in err
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"sigma": {"kind": "random_correlation", "count": "2"}}, "sigma.count"),
+            ({"sigma": {"kind": "random_correlation", "count": 1.5}}, "sigma.count"),
+            ({"replications": True}, "replications"),
+            ({"sigma": {"kind": "fixed", "matrix": [[1.0, "a"], [0.0, 1.0]]}}, "sigma.matrix"),
+            ({"sigma": {"kind": "fixed", "matrix": [[1.0], [0.0, 1.0]]}}, "sigma.matrix"),
+            (
+                {"sigma": {"kind": "sequence", "matrices": [np.eye(2).tolist(), [[1, 0], [0, None]]]}},
+                "sigma.matrices[1]",
+            ),
+            ({"theta_grid": [[0.0, 0.0], ["0.5", 0.5]]}, "theta_grid[1]"),
+            ({"tests": {"family": "UIT_orthant"}}, "tests"),
+            ({"tests": ["family"]}, "tests[0].family"),
+            ({"tests": [{"family": "UIT_orthant", "weight_samples": "many"}]}, "tests[0].weight_samples"),
+            ({"tests": [{"family": "UIT_orthant", "weight_samples": 1.5}]}, "tests[0].weight_samples"),
+            (
+                {"tests": [{"family": "UIT_orthant", "calibration": "bayes",
+                            "prior": {"scale": [[1.0, 0.0], [0.0, "x"]], "df": 6}}]},
+                "tests[0].prior.scale",
+            ),
+        ],
+    )
+    def test_non_numeric_field_is_data_error(self, tmp_path, capsys, overrides, field):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert f"config field {field} " in capsys.readouterr().err
 
     def test_domination_experiment_config(self, tmp_path):
         cfg = self.write_config(

@@ -131,6 +131,20 @@ class TestOrthantKernel:
             assert abs(q_proj[i] - ref_proj) <= 1e-9 * scale
             assert abs(q_res[i] - ref_res) <= 1e-9 * scale
 
+    @pytest.mark.parametrize("seed", [5016, 5094, 5160])
+    def test_ill_conditioned_draws_do_not_cycle(self, seed):
+        # Greedy pivots (drop the most negative free index, else join the
+        # largest multiplier) cycle on some of these draws and hit the
+        # 120-step cap; the least-index rule solves those in 5 to 10 steps.
+        rng = np.random.default_rng(seed)
+        g = rng.standard_normal((13, 12))
+        d = np.exp(rng.choice([-2.0, 2.0], 12))
+        m = (g.T @ g) * np.outer(d, d)  # cond 3e5 to 1e8
+        y = rng.standard_normal((800, 12)) @ np.linalg.cholesky(m).T
+        free, _ = orthant_active_set(y, m)
+        for i in range(len(y)):
+            assert np.flatnonzero(free[i]).tolist() == nnls_orthant(y[i], m)[0].tolist()
+
     def test_boundary_convention(self):
         # A zero component is not strictly positive, and the inclusive
         # complement condition takes the draw, in either metric form.

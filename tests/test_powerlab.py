@@ -4,7 +4,17 @@ import json
 import numpy as np
 import pytest
 
-from conetest import CalibrationError, DataError, PriorSpec, SolverError, _batch, powerlab, stats
+from conetest import (
+    CalibrationError,
+    DataError,
+    Orthant,
+    PriorSpec,
+    SolverError,
+    _batch,
+    powerlab,
+    project,
+    stats,
+)
 from conetest._batch import run_chunks, sample_mean_chol, substream
 from conetest.powerlab import (
     LRT_ORTHANT_ACCEPTANCE,
@@ -288,11 +298,13 @@ class TestConvexity:
         w = rep.witness
         assert w["midpoint_statistic"] > w["critical"]
         # Both endpoints are members.
-        from conetest.powerlab import _lrt_ratio_p2_diag
-
-        diag = np.asarray(w["fixed_diagonal_cov"])
-        assert _lrt_ratio_p2_diag(np.asarray(w["member_a"]), 15, diag) <= w["critical"]
-        assert _lrt_ratio_p2_diag(np.asarray(w["member_b"]), 15, diag) <= w["critical"]
+        cov = np.diag(w["fixed_diagonal_cov"])
+        for member in (w["member_a"], w["member_b"]):
+            proj = project(np.sqrt(15) * np.asarray(member), cov, Orthant(2))
+            value = stats.calibration_value(
+                stats.LRT_ORTHANT, proj.sq_norm_projection, proj.sq_norm_residual, 15
+            )
+            assert value <= w["critical"]
         mid = 0.5 * (np.asarray(w["member_a"]) + np.asarray(w["member_b"]))
         assert np.allclose(mid, w["midpoint"])
 
