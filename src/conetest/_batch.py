@@ -120,18 +120,29 @@ def sample_mean_cov(rng, theta, chol_sigma, n, reps):
     return means, factor_cov(c, n)
 
 
+def forward_solve(c, x):
+    """``c^{-1} x`` for a lower-triangular ``c``, by forward substitution.
+
+    ``c`` is one (p, p) factor or a (reps, p, p) stack, and may be any
+    strided view; ``x`` is a (p, k) or (reps, p, k) block of right-hand
+    sides.  Row ``i`` of the solution is one vectorized step over the rows
+    before it (none at row 0), with no LAPACK call, so it scales across
+    threads.  A lower-triangular ``x`` gives exact zeros above the diagonal.
+    """
+    w = np.empty(np.broadcast_shapes(c.shape[:-2], x.shape[:-2]) + x.shape[-2:])
+    for i in range(x.shape[-2]):
+        dot = np.einsum("...j,...jk->...k", c[..., i, :i], w[..., :i, :])
+        w[..., i, :] = (x[..., i, :] - dot) / c[..., i, i, None]
+    return w
+
+
 def forward_sq_norm(x, c):
     """``||c^{-1} x||^2`` per row of ``x`` for a lower-triangular ``c``.
 
-    ``c w = x`` is solved by forward substitution: one vectorized step per
-    row of ``c`` and no LAPACK call, so it scales across threads.  ``c`` is
-    one (p, p) factor or a (reps, p, p) stack.  With ``(n-1) S = c c'``, the
-    T2 statistic ``n xbar' S^{-1} xbar`` is ``n (n-1) forward_sq_norm(xbar, c)``.
+    The one-column case of :func:`forward_solve`.  With ``(n-1) S = c c'``,
+    the T2 statistic ``n xbar' S^{-1} xbar`` is ``n (n-1) forward_sq_norm(xbar, c)``.
     """
-    w = np.empty_like(x)
-    for i in range(x.shape[1]):
-        dot = np.einsum("...j,...j->...", c[..., i, :i], w[:, :i])
-        w[:, i] = (x[:, i] - dot) / c[..., i, i]
+    w = forward_solve(c, x[..., None])[..., 0]
     return np.einsum("ri,ri->r", w, w)
 
 
@@ -227,18 +238,44 @@ def batch_fuit_max_t(means, covs, n):
     return np.max(np.sqrt(n) * means / np.sqrt(diag), axis=1)
 
 
-def sample_invwishart_chol(rng, scale, df, reps):
-    """Lower-triangular factors of inverse-Wishart draws.
+def _prior_factors(rng, scale, df, reps):
+    """``chol(scale)`` and the lower-triangular Bartlett factor ``Q``.
 
-    With ``P`` the index reversal, draws ``W ~ Wishart(P scale^{-1} P, df)``
-    as ``C C'`` by the Bartlett construction.  ``C^{-T}`` is upper-triangular
-    with ``C^{-T} C^{-1} = W^{-1}``, so flipping both of its axes gives a
-    lower-triangular ``G`` with ``G G' = P W^{-1} P``, an inverse-Wishart
-    draw with the given scale; proper for ``df > p - 1``.  Returns the
-    (reps, p, p) stack of ``G``, with exact zeros above the diagonal (the
-    pivoted LAPACK inverse leaves rounding-level entries there).
+    ``Q`` is a negative-stride view; see :func:`sample_invwishart_chol`.
     """
+    bart = _bartlett(rng, df - np.arange(scale.shape[0]), reps)
+    return np.linalg.cholesky(scale), np.swapaxes(bart, 1, 2)[:, ::-1, ::-1]
+
+
+def sample_invwishart_chol(rng, scale, df, reps):
+    """Lower-triangular factors ``G`` of inverse-Wishart draws ``G G'``.
+
+    With ``P`` the index reversal and a Bartlett factor ``A``, ``A A' ~
+    Wishart(I, df)``, the factor ``Q = P A' P`` is lower-triangular and
+    ``Q' Q = P A A' P`` is ``Wishart(I, df)`` too.  So ``G = chol(scale)
+    Q^{-1}`` gives ``G G' ~ InvWishart(scale, df)``, proper for ``df > p -
+    1``.  ``Q^{-1}`` comes from :func:`forward_solve` on the identity: no
+    inverse is formed, and the zeros above the diagonal are exact.
+    Returns the (reps, p, p) stack of ``G``.
+    """
+    chol_scale, q = _prior_factors(rng, scale, df, reps)
+    return chol_scale @ forward_solve(q, np.eye(scale.shape[0]))
+
+
+def sample_compound_null(rng, scale, df, n, reps):
+    """Means and scatter factors of the compound null of the Bayes calibration.
+
+    Draws ``G`` as :func:`sample_invwishart_chol` does, then ``(means, c)``
+    as :func:`sample_mean_chol` does with ``chol_sigma = G``, on the same
+    stream.  ``G [z, B] = chol(scale) Q^{-1} [z, B]`` for the data normal
+    ``z`` and Bartlett factor ``B`` comes from one forward substitution
+    with ``p + 1`` right-hand columns, so ``c = G B`` has exact zeros above
+    the diagonal.  Returns arrays of shapes (reps, p) and (reps, p, p).
+    """
+    chol_scale, q = _prior_factors(rng, scale, df, reps)
     p = scale.shape[0]
-    chol_inv_scale = np.linalg.cholesky(np.linalg.inv(scale)[::-1, ::-1])
-    c = chol_inv_scale @ _bartlett(rng, df - np.arange(p), reps)  # C C' = W
-    return np.tril(np.swapaxes(np.linalg.inv(c), 1, 2)[:, ::-1, ::-1])
+    rhs = np.empty((reps, p, p + 1))
+    rhs[..., 0] = rng.standard_normal((reps, p))
+    rhs[..., 1:] = _bartlett(rng, n - 1 - np.arange(p), reps)
+    w = chol_scale @ forward_solve(q, rhs)
+    return w[..., 0] / np.sqrt(n), w[..., 1:]

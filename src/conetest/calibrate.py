@@ -20,11 +20,11 @@ from . import stats
 from ._batch import (
     DEFAULT_CHUNK,
     chunk_sizes,
+    factor_cov,
     keyed_chunk,
     orthant_active_set,
     run_chunks,
-    sample_invwishart_chol,
-    sample_mean_cov,
+    sample_compound_null,
 )
 from ._linalg import check_positive_definite, read_only
 from .dist import g_ratio_tail, g_star_tail
@@ -480,9 +480,8 @@ def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, work
     if prior.scale.shape[0] != p:
         raise DataError("prior scale dimension disagrees with p")
     def draw(rng, reps):
-        factors = sample_invwishart_chol(rng, prior.scale, prior.df, reps)
-        means, covs = sample_mean_cov(rng, None, factors, n, reps)
-        return np.sqrt(n) * means, covs
+        means, c = sample_compound_null(rng, prior.scale, prior.df, n, reps)
+        return np.sqrt(n) * means, factor_cov(c, n)
 
     return _size_frequencies(draw, p, mc_samples, seed, 11, workers)
 

@@ -27,7 +27,7 @@ from ._batch import (
     orthant_active_set,
     projection_norm,
     run_chunks,
-    sample_invwishart_chol,
+    sample_compound_null,
     sample_mean_chol,
     substream,
 )
@@ -614,8 +614,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
         return np.sum(_batch_values(means, c, cfg.n, {family})[family] >= critical)
 
     def from_prior(rng, reps):
-        factors = sample_invwishart_chol(rng, np.asarray(prior.scale), prior.df, reps)
-        return sample_mean_chol(rng, None, factors, cfg.n, reps)
+        return sample_compound_null(rng, prior.scale, prior.df, cfg.n, reps)
 
     # Row labels and (stream key, draw) cells; the prior cell uses stream cell 999.
     labels, cells = [], []

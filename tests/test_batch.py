@@ -4,7 +4,9 @@ The sampler draws ``(xbar, S)`` from their joint law through one Bartlett
 factor.  The references are ``scipy.stats.wishart``, ``scipy.stats.invwishart``
 and the data-tensor sampler that it replaced, kept here only as an oracle:
 it draws a (reps, n, p) normal sample and summarizes it.  T2 from the
-triangular factor is checked against ``np.linalg.solve``.
+triangular factor is checked against ``np.linalg.solve``.  The compound
+null of the Bayes calibration is checked against the inverse-based draw it
+replaced, kept here too, and against the same draw in extended precision.
 """
 
 import tracemalloc
@@ -14,9 +16,13 @@ import pytest
 from scipy import stats as scipy_stats
 
 from conetest._batch import (
+    _bartlett,
     batch_t2,
     factor_cov,
+    forward_solve,
     forward_sq_norm,
+    orthant_active_set,
+    sample_compound_null,
     sample_invwishart_chol,
     sample_mean_chol,
     sample_mean_cov,
@@ -214,6 +220,130 @@ class TestFactorT2:
             assert np.all(np.triu(c, 1) == 0.0)
             _, covs = sample_mean_cov(substream(53, 0), None, chol_sigma, N, 50)
             assert np.array_equal(covs, factor_cov(c, N))
+
+
+def inverse_invwishart_chol(rng, scale, df, reps):
+    """Inverse-Wishart factors by a batched LAPACK inverse, as drawn before the forward solve.
+
+    Draws ``W = C C' ~ Wishart(P scale^{-1} P, df)`` with ``C = chol(P
+    scale^{-1} P) A`` for a Bartlett factor ``A``, inverts ``C`` and flips
+    ``C^{-T}`` along both axes into a lower-triangular ``G`` with ``G G' = P
+    W^{-1} P``; ``np.tril`` clears the rounding above the diagonal.
+    """
+    p = scale.shape[0]
+    chol_inv_scale = np.linalg.cholesky(np.linalg.inv(scale)[::-1, ::-1])
+    c = chol_inv_scale @ _bartlett(rng, df - np.arange(p), reps)
+    return np.tril(np.swapaxes(np.linalg.inv(c), 1, 2)[:, ::-1, ::-1])
+
+
+def inverse_compound_null(rng, scale, df, n, reps):
+    """The compound-null draw that ``sample_compound_null`` replaced."""
+    return sample_mean_chol(rng, None, inverse_invwishart_chol(rng, scale, df, reps), n, reps)
+
+
+def extended_compound_null(rng, scale, df, n, reps):
+    """``chol(scale) Q^{-1} [z, B]`` of ``sample_compound_null`` in long double, same draws."""
+    ld = np.longdouble
+    p = scale.shape[0]
+    q = np.swapaxes(_bartlett(rng, df - np.arange(p), reps), 1, 2)[:, ::-1, ::-1].astype(ld)
+    z = rng.standard_normal((reps, p)).astype(ld)
+    rhs = np.concatenate([z[..., None], _bartlett(rng, n - 1 - np.arange(p), reps)], axis=2)
+    w = np.zeros(rhs.shape, dtype=ld)
+    for i in range(p):
+        dot = np.sum(q[:, i, :i, None] * w[:, :i, :], axis=1)
+        w[:, i, :] = (rhs[:, i, :] - dot) / q[:, i, i, None]
+    v, k = scale.astype(ld), np.zeros((p, p), dtype=ld)
+    for j in range(p):
+        k[j, j] = np.sqrt(v[j, j] - np.sum(k[j, :j] ** 2))
+        k[j + 1:, j] = (v[j + 1:, j] - k[j + 1:, :j] @ k[j, :j]) / k[j, j]
+    g = np.einsum("ij,rjk->rik", k, w)
+    return g[..., 0] / np.sqrt(ld(n)), g[..., 1:]
+
+
+def scaled_correlation(rng, p, cond):
+    """A random correlation whose coordinate scales bring its condition number near ``cond``."""
+    d = np.sqrt(np.logspace(0.0, np.log10(cond), p))
+    rng.shuffle(d)
+    return random_correlation(rng, p) * np.outer(d, d)
+
+
+def block_error(draw, ref, n):
+    """Largest per-draw error of the block ``[sqrt(n) xbar, c]`` relative to its largest entry."""
+    blocks = [np.concatenate([np.sqrt(n) * m[..., None], c], axis=2) for m, c in (draw, ref)]
+    err = np.abs(blocks[0] - blocks[1]).max(axis=(1, 2))
+    return float(np.max(err / np.abs(blocks[1]).max(axis=(1, 2))))
+
+
+def same_masks(draw, ref, n):
+    masks = [orthant_active_set(np.sqrt(n) * m, factor_cov(c, n))[0] for m, c in (draw, ref)]
+    return np.array_equal(*masks)
+
+
+class TestForwardSolve:
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
+    @pytest.mark.parametrize("p", [1, 2, 5, 12])
+    def test_matches_solve(self, p, per_draw):
+        rng = np.random.default_rng([56, p, per_draw])
+        reps, k = 40, 3
+        if per_draw:
+            covs = np.stack([conditioned_cov(rng, p, 1e3) for _ in range(reps)])
+        else:
+            covs = conditioned_cov(rng, p, 1e3)
+        c = np.linalg.cholesky(covs)
+        x = rng.standard_normal((reps, p, k))
+        want = np.linalg.solve(np.broadcast_to(c, (reps, p, p)), x)
+        got = forward_solve(c, x)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
+
+    def test_reversed_transpose_view_and_triangular_rhs(self):
+        # The prior's Q is a negative-stride view; a lower-triangular right
+        # side keeps exact zeros above the diagonal.
+        rng = substream(57, 0)
+        q = np.swapaxes(_bartlett(rng, 9.0 - np.arange(6), 30), 1, 2)[:, ::-1, ::-1]
+        b = _bartlett(rng, 20.0 - np.arange(6), 30)
+        got = forward_solve(q, b)
+        assert np.all(np.triu(got, 1) == 0.0)
+        assert np.allclose(q @ got, b, rtol=0, atol=1e-12 * np.abs(b).max())
+        assert np.array_equal(forward_solve(np.ascontiguousarray(q), b), got)
+
+
+class TestCompoundNull:
+    """``sample_compound_null`` against the inverse-based draw on the same substream."""
+
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_inverse_reference(self, p, cond):
+        n, reps, df = 2 * p + 10, 2000, p + 4.0
+        scale = scaled_correlation(np.random.default_rng([54, p, int(np.log10(cond))]), p, cond)
+        draw = sample_compound_null(substream(55, p), scale, df, n, reps)
+        ref = inverse_compound_null(substream(55, p), scale, df, n, reps)
+        assert draw[0].shape == (reps, p) and draw[1].shape == (reps, p, p)
+        assert block_error(draw, ref, n) <= 1e-13
+        assert np.all(np.triu(draw[1], 1) == 0.0)
+        assert same_masks(draw, ref, n)
+        factors = sample_invwishart_chol(substream(55, p), scale, df, reps)
+        ref_factors = inverse_invwishart_chol(substream(55, p), scale, df, reps)
+        assert np.all(np.triu(factors, 1) == 0.0)
+        err = np.abs(factors - ref_factors).max(axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.abs(ref_factors).max(axis=(1, 2)))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="long double is double here"
+    )
+    @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_rotated_scales_match_extended_precision(self, p, cond):
+        # In a random basis the inverse-based draw inverts the scale and
+        # loses accuracy with cond: up to 9e-8 from the long-double draw at
+        # cond 1e6, where this one stays within 4e-13.  The Cholesky factor of the scale has
+        # condition number sqrt(cond), which sets the bound.
+        n, reps, df = 2 * p + 10, 500, p + 4.0
+        scale = conditioned_cov(np.random.default_rng([58, p, int(np.log10(cond))]), p, cond)
+        draw = sample_compound_null(substream(59, p), scale, df, n, reps)
+        exact = extended_compound_null(substream(59, p), scale, df, n, reps)
+        rtol = 1e-13 + 4.0 * np.finfo(float).eps * np.sqrt(cond)
+        assert block_error(draw, [a.astype(float) for a in exact], n) <= rtol
+        assert same_masks(draw, inverse_compound_null(substream(59, p), scale, df, n, reps), n)
 
 
 def _peak_bytes(n):

@@ -268,6 +268,26 @@ class TestBayesWeights:
         assert np.all(np.abs(w1.weights - w2.weights) <= 3 * np.maximum(joint, 1e-9))
         assert np.all(w1.weights[1:] > 0)
 
+    @pytest.mark.parametrize(
+        "p, n, seed, counts",
+        [
+            (3, 20, 1101, [760, 4807, 9372, 5061]),
+            (8, 60, 1102, [1, 17, 138, 754, 2553, 5116, 6235, 4017, 1169]),
+            (12, 60, 1103, [0, 0, 1, 9, 91, 371, 1179, 2800, 4488, 5023, 3916, 1777, 345]),
+        ],
+    )
+    def test_stream_pinned(self, p, n, seed, counts):
+        # Size counts of 20 000 draws (two chunks) as recorded with the
+        # inverse-based prior factors; the one forward substitution that
+        # replaced them draws the same stream.  A deliberate change of the
+        # prior stream updates these numbers and says so in the change log.
+        d = np.linspace(0.5, 2.0, p)
+        scale = 0.6 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p))) * np.outer(d, d)
+        prior = PriorSpec.inverse_wishart(scale, p + 4.0)
+        for workers in (1, 2):
+            w = bayes_weights_b1(n, p, prior, mc_samples=20_000, seed=seed, workers=workers)
+            assert np.rint(w.weights * 20_000).astype(int).tolist() == counts
+
     def test_improper_prior_rejected(self):
         with pytest.raises(CalibrationError):
             bayes_weights_b1(10, 2, PriorSpec.haar(), mc_samples=100, seed=0)

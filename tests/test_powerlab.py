@@ -391,6 +391,19 @@ class TestBatchMatchesScalar:
                 stats.fuit(s, 0.05).statistic, rel=1e-12, abs=0
             )
 
+    def test_compound_null_inverts_nothing(self, monkeypatch):
+        from conetest import calibrate
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the compound null needs no matrix inverse")
+
+        monkeypatch.setattr(np.linalg, "inv", forbidden)
+        prior = PriorSpec.inverse_wishart(np.array([[1.0, 0.3], [0.3, 2.0]]), 6.0)
+        calibrate.bayes_weights_b1(12, 2, prior, mc_samples=500, seed=1)
+        cfg = small_config(replications=500, theta_grid=(np.zeros(2),))
+        rep = similarity_probe(stats.UIT_ORTHANT, "bayes", [], cfg, prior=prior)
+        assert [row["sigma_id"] for row in rep.rows] == ["prior_draws"]
+
     def test_t2_solved_once_per_chunk(self, monkeypatch):
         from itertools import combinations
 
