@@ -20,6 +20,8 @@ ITER_CAP_PER_DIM = 10
 ITER_CAP_MIN = 30
 # Pending draws per batched active-set solve; bounds the (block, p, p) systems.
 ACTIVE_SET_BLOCK = 4096
+# Sign conditions count a value within this fraction of |y| as zero.
+ACTIVE_SET_RTOL = 1e-10
 
 
 def substream(seed, key):
@@ -164,11 +166,16 @@ def orthant_active_set(y, metric):
     violates its sign condition, and the lowest violating index switches
     sides.  This least-index rule (Murty 1974) terminates for every P-matrix,
     so for every positive definite metric, and cannot cycle; as it may take
-    exponentially many steps (Fathi 1979), a step cap stays.  Pending draws
-    go through in blocks of ``ACTIVE_SET_BLOCK`` to bound the stacked systems.
+    exponentially many steps (Fathi 1979), a step cap stays.  In floating
+    point a degenerate index, whose adjusted mean and multiplier are both
+    zero, would flip on rounding noise forever.  So the conditions compare
+    ``z``, with complement entries times ``M_jj`` to put them in units of
+    ``y``, against ``ACTIVE_SET_RTOL * |y|`` instead of 0, and such an
+    index stays in the complement.  Pending draws go through in blocks of
+    ``ACTIVE_SET_BLOCK`` to bound the stacked systems.
 
     Returns ``(free, q_res)``: the free-index mask, on which the adjusted
-    mean is strictly positive while the complement multipliers are ``<= 0``,
+    mean exceeds that tolerance while the complement multipliers do not,
     and the squared residual norm ``y_c' M_cc^{-1} y_c``.  Raises
     :class:`SolverError` naming the first draw still unresolved after
     ``max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)`` steps.
@@ -178,6 +185,7 @@ def orthant_active_set(y, metric):
     eye = np.eye(p)
     free = y > 0.0
     q_res = np.zeros(reps)
+    tol = ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
     pending = np.flatnonzero(~free.all(axis=1))
     for start in range(0, pending.size, ACTIVE_SET_BLOCK):
@@ -189,7 +197,9 @@ def orthant_active_set(y, metric):
             mats = metric[todo]
             np.copyto(mats, eye, where=mask[:, None, :])
             z = np.linalg.solve(mats, y_t[..., None])[..., 0]
-            viol = np.where(mask, z <= 0.0, z > 0.0)
+            # The diagonal is 1 on the free set and M_jj on the complement.
+            zs = z * np.diagonal(mats, axis1=1, axis2=2)
+            viol = (zs > tol[todo]) != mask
             ok = ~viol.any(axis=1)
             rows, cols = todo[~ok], np.argmax(viol[~ok], axis=1)  # lowest violating index
             free[rows, cols] = ~free[rows, cols]

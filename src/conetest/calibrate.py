@@ -256,36 +256,25 @@ def _star_branch(n, p):
     return lambda k, c: g_star_tail(n, k, p, c)
 
 
-# Mixtures over k: each returns the tail ``c -> float`` and its mass on k = 0.
+def _mixture(branch, p, weights):
+    """Tail with mass ``weights[j]`` on k = p - len(weights) + 1 + j, and its mass on k = 0."""
+    w = np.asarray(weights, dtype=float)
+    dims = range(p + 1 - w.shape[0], p + 1)
+    atom = float(w[0]) if dims[0] == 0 else 0.0
+    return (lambda c: float(np.dot(w, [branch(k, c) for k in dims]))), atom
 
 
-def _at_p(branch, p, weights):
-    """All mass on k = p."""
-    return (lambda c: branch(p, c)), 0.0
-
-
-def _even_split(branch, p, weights):
-    """Mass 1/2 on each of k = p - 1 and k = p."""
-    return (lambda c: 0.5 * (branch(p - 1, c) + branch(p, c))), (0.5 if p == 1 else 0.0)
-
-
-def _weighted(branch, p, weights):
-    """Mass ``weights[k]`` on each k = 0..p (``w(p, k; Sigma)`` or ``b1(k, n, p)``)."""
-    if weights is None:
-        raise CalibrationError("orthant null tails require mixture weights")
-    w = np.asarray(weights.weights, dtype=float)
-    if w.shape[0] != p + 1:
-        raise DataError("weights length does not match p + 1")
-    dims = range(p + 1)
-    return (lambda c: float(np.dot(w, [branch(k, c) for k in dims]))), float(w[0])
-
-
+# Family -> (branch, weights on the top active dimensions).  With m of the p
+# coordinates constrained, the active dimension is k = p - m + j with mass
+# w(m, j) (Perlman 1969; Silvapulle & Sen 2005, ch. 3): T2 has m = 0, the
+# halfspace m = 1 with w(1, .) = (1/2, 1/2), the orthant m = p with the
+# supplied w(p, k; Sigma) or b1(k, n, p) (``None`` here).
 _NULL_LAWS = {
-    stats.T2: (_ratio_branch, _at_p),
-    stats.LRT_HALFSPACE: (_ratio_branch, _even_split),
-    stats.UIT_HALFSPACE: (_star_branch, _even_split),
-    stats.LRT_ORTHANT: (_ratio_branch, _weighted),
-    stats.UIT_ORTHANT: (_star_branch, _weighted),
+    stats.T2: (_ratio_branch, (1.0,)),
+    stats.LRT_HALFSPACE: (_ratio_branch, (0.5, 0.5)),
+    stats.UIT_HALFSPACE: (_star_branch, (0.5, 0.5)),
+    stats.LRT_ORTHANT: (_ratio_branch, None),
+    stats.UIT_ORTHANT: (_star_branch, None),
 }
 
 # The supremum of an orthant family's null tail over all covariances is the
@@ -306,8 +295,14 @@ def _null_law(family, n, p, weights):
         raise DataError(f"need n > p, got n={n}, p={p}")
     if family not in _NULL_LAWS:
         raise CalibrationError(f"no null tail for family {family!r}")
-    branch, mixture = _NULL_LAWS[family]
-    return mixture(branch(n, p), p, weights)
+    branch, law = _NULL_LAWS[family]
+    if law is None:
+        if weights is None:
+            raise CalibrationError("orthant null tails require mixture weights")
+        law = weights.weights
+        if len(law) != p + 1:
+            raise DataError("weights length does not match p + 1")
+    return _mixture(branch(n, p), p, law)
 
 
 def null_tail(family, c, n, p, weights=None):

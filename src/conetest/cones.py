@@ -27,8 +27,15 @@ from .sample import SubsetPartition
 RANK_RTOL = 1e-10
 
 
+class _Cone:
+    """A cone ``{t in R^p : B t >= 0}`` given by its full-row-rank ``constraints`` ``B``."""
+
+    def contains(self, t, tol=0.0):
+        return bool(np.all(self.constraints @ np.asarray(t, dtype=float) >= -tol))
+
+
 @dataclass(frozen=True)
-class Orthant:
+class Orthant(_Cone):
     """The nonnegative orthant ``{t in R^p : t >= 0}``."""
 
     p: int
@@ -37,13 +44,13 @@ class Orthant:
         if self.p < 1:
             raise DataError("orthant dimension must be >= 1")
 
-    def contains(self, t, tol=0.0):
-        t = np.asarray(t, dtype=float)
-        return bool(np.all(t >= -tol))
+    @property
+    def constraints(self):
+        return np.eye(self.p)
 
 
 @dataclass(frozen=True)
-class CoordinateHalfspace:
+class CoordinateHalfspace(_Cone):
     """The halfspace ``{t in R^p : t[coord] >= 0}``; by default the last coordinate."""
 
     p: int
@@ -57,12 +64,13 @@ class CoordinateHalfspace:
             raise DataError(f"coordinate index {self.coord} out of range for p={self.p}")
         object.__setattr__(self, "coord", coord)
 
-    def contains(self, t, tol=0.0):
-        return bool(np.asarray(t, dtype=float)[self.coord] >= -tol)
+    @property
+    def constraints(self):
+        return np.eye(self.p)[[self.coord]]
 
 
 @dataclass(frozen=True)
-class Polyhedral:
+class Polyhedral(_Cone):
     """The polyhedral cone ``{t in R^p : B t >= 0}`` for full-row-rank ``B``."""
 
     constraints: np.ndarray
@@ -72,11 +80,9 @@ class Polyhedral:
         m, p = b.shape
         if m < 1 or p < 1:
             raise DataError("constraint matrix must be nonempty")
-        sv = np.linalg.svd(b, compute_uv=False)
-        if m > p or sv[-1] <= RANK_RTOL * max(1.0, sv[0]):
-            raise ReductionError(
-                f"constraint matrix is not of full row rank {m} (min singular value {sv[-1]:.3e})"
-            )
+        _require_full_row_rank(
+            b, "constraint matrix is not of full row rank {m} (min singular value {sv:.3e})"
+        )
         object.__setattr__(self, "constraints", read_only(b))
 
     @property
@@ -87,11 +93,19 @@ class Polyhedral:
     def m(self):
         return self.constraints.shape[0]
 
-    def contains(self, t, tol=0.0):
-        return bool(np.all(self.constraints @ np.asarray(t, dtype=float) >= -tol))
-
 
 ConeSpec = Union[Orthant, CoordinateHalfspace, Polyhedral]
+
+
+def _require_full_row_rank(b, message):
+    """Raise :class:`ReductionError` unless ``b`` has full row rank.
+
+    ``message`` may name the row count ``{m}`` and the smallest singular
+    value ``{sv}``.
+    """
+    sv = np.linalg.svd(b, compute_uv=False)
+    if b.shape[0] > b.shape[1] or sv[-1] <= RANK_RTOL * max(1.0, sv[0]):
+        raise ReductionError(message.format(m=b.shape[0], sv=sv[-1]))
 
 
 @dataclass(frozen=True)
@@ -101,6 +115,8 @@ class MetricProjection:
     ``point + residual`` recomposes the input; ``sq_norm_projection`` and
     ``sq_norm_residual`` add up to the squared metric norm of the input
     (Pythagoras), and the two pieces are metric-orthogonal.
+    ``active_subset`` holds the coordinates that no active constraint row
+    touches: for the orthant, the coordinates left free.
     """
 
     point: np.ndarray
@@ -125,116 +141,39 @@ def metric_sq_norm(z, metric):
     return quad_form_inv(m, z)
 
 
-def _orthant_solution(x, m, free):
-    """Assemble the projection for a given free-index mask."""
-    p = x.shape[0]
-    theta = np.zeros(p)
-    a = np.flatnonzero(free)
-    ac = np.flatnonzero(~free)
-    if a.size:
-        if ac.size:
-            sol = np.linalg.solve(m[np.ix_(ac, ac)], x[ac])
-            theta[a] = x[a] - m[np.ix_(a, ac)] @ sol
-        else:
-            theta[a] = x[a]
-    residual = x - theta
-    sq_proj = quad_form_inv(m, theta)
-    # Residual norm via the complement block; exact under the metric split.
-    sq_res = quad_form_inv(m[np.ix_(ac, ac)], x[ac]) if ac.size else 0.0
-    part = SubsetPartition.from_indices(a.tolist(), p)
+def _project(x, m, b):
+    """Metric projection of ``x`` onto ``{t : B t >= 0}`` for full-row-rank ``B``.
+
+    Its KKT conditions are those of the orthant projection of ``y = B x``
+    under the metric ``G = B M B'``, so the orthant kernel classifies the
+    constraint rows.  With ``B_c`` the active rows, the multipliers are
+    ``lam = (B_c M B_c')^{-1} B_c x`` and the projection is ``x - M B_c'
+    lam``.  One Euclidean step onto ``B_c t = 0`` then puts it on the face
+    exactly, with exact zeros for coordinate cones.
+    """
+    g = b @ m @ b.T
+    free, _ = orthant_active_set((b @ x)[None, :], 0.5 * (g + g.T))
+    act = b[~free[0]]
+    point, sq_res = x.copy(), 0.0
+    if act.shape[0]:  # no 0 x 0 solves when every constraint is slack
+        lam = np.linalg.solve(act @ m @ act.T, act @ x)
+        point -= m @ act.T @ lam
+        point -= act.T @ np.linalg.solve(act @ act.T, act @ point)
+        sq_res = float((act @ x) @ lam)
     return MetricProjection(
-        point=theta,
-        residual=residual,
-        sq_norm_projection=sq_proj,
+        point=point,
+        residual=x - point,
+        sq_norm_projection=quad_form_inv(m, point),
         sq_norm_residual=sq_res,
-        active_subset=part,
-    )
-
-
-def _project_orthant(x, m):
-    free, _ = orthant_active_set(x[None, :], m)
-    return _orthant_solution(x, m, free[0])
-
-
-def _project_halfspace(x, m, coord):
-    p = x.shape[0]
-    if x[coord] >= 0.0:
-        part = SubsetPartition.full(p)
-        return MetricProjection(
-            point=x.copy(),
-            residual=np.zeros(p),
-            sq_norm_projection=quad_form_inv(m, x),
-            sq_norm_residual=0.0,
-            active_subset=part,
-        )
-    rest = [i for i in range(p) if i != coord]
-    theta = np.zeros(p)
-    if rest:
-        theta[rest] = x[rest] - m[rest, coord] * (x[coord] / m[coord, coord])
-    sq_res = float(x[coord] ** 2 / m[coord, coord])
-    part = SubsetPartition.from_indices(rest, p)
-    return MetricProjection(
-        point=theta,
-        residual=x - theta,
-        sq_norm_projection=max(0.0, quad_form_inv(m, x) - sq_res),
-        sq_norm_residual=sq_res,
-        active_subset=part,
-    )
-
-
-def _project_polyhedral(x, m, cone):
-    b = np.asarray(cone.constraints, dtype=float)
-    mrows, p = b.shape
-    if mrows == p:
-        # Square full-rank constraints: substitute v = B t, which turns the
-        # problem into an orthant projection of B x under the metric B M B'.
-        y = b @ x
-        metric_y = b @ m @ b.T
-        metric_y = 0.5 * (metric_y + metric_y.T)
-        inner = _project_orthant(y, metric_y)
-        theta = np.linalg.solve(b, inner.point)
-        residual = x - theta
-        return MetricProjection(
-            point=theta,
-            residual=residual,
-            sq_norm_projection=quad_form_inv(m, theta),
-            sq_norm_residual=quad_form_inv(m, residual),
-            active_subset=None,
-        )
-    # Fewer constraints than dimensions: profile out the unconstrained
-    # null-space directions, leaving an m-dimensional orthant problem in the
-    # constraint values v = B t.
-    #   t = N u + B'(B B')^{-1} v,   u free,  v >= 0
-    bbt = b @ b.T
-    bplus = np.linalg.solve(bbt, b).T  # p x m, B bplus = I
-    _, _, vh = np.linalg.svd(b)
-    nullbasis = vh[mrows:].T  # p x (p - m)
-    minv = np.linalg.inv(m)
-    # Objective in (u, v): (x - N u - bplus v)' M^{-1} (...); eliminate u.
-    nmn = nullbasis.T @ minv @ nullbasis
-    nmb = nullbasis.T @ minv @ bplus
-    nmx = nullbasis.T @ minv @ x
-    # Reduced quadratic in v: v' H v - 2 h' v + const, H p.d. since rank(B) = m.
-    h_mat = bplus.T @ minv @ bplus - nmb.T @ np.linalg.solve(nmn, nmb)
-    h_mat = 0.5 * (h_mat + h_mat.T)
-    h_vec = bplus.T @ minv @ x - nmb.T @ np.linalg.solve(nmn, nmx)
-    v0 = np.linalg.solve(h_mat, h_vec)
-    inner = _project_orthant(v0, np.linalg.inv(h_mat))
-    v = inner.point
-    u = np.linalg.solve(nmn, nmx - nmb @ v)
-    theta = nullbasis @ u + bplus @ v
-    residual = x - theta
-    return MetricProjection(
-        point=theta,
-        residual=residual,
-        sq_norm_projection=quad_form_inv(m, theta),
-        sq_norm_residual=quad_form_inv(m, residual),
-        active_subset=None,
+        active_subset=SubsetPartition.from_indices(np.flatnonzero(~act.any(axis=0)), x.shape[0]),
     )
 
 
 def project(x, metric, cone):
-    """Metric projection of ``x`` onto a cone.
+    """Metric projection of ``x`` onto a cone ``{t : B t >= 0}``.
+
+    ``B`` is the cone's ``constraints``: the identity for the orthant, one
+    unit row for a coordinate halfspace.
 
     Parameters
     ----------
@@ -249,30 +188,24 @@ def project(x, metric, cone):
     Returns
     -------
     MetricProjection
+        Its ``active_subset`` holds the coordinates that no active
+        constraint row touches.
 
     Raises
     ------
     SolverError
-        If the orthant active-set iteration exceeds its step cap
-        ``max(10 p, 30)``.
+        If the orthant active-set iteration over the ``m`` constraint rows
+        exceeds its step cap ``max(10 m, 30)``.
     """
     x = as_float_vector(x, "x")
     m = check_positive_definite(metric, "metric")
     if x.shape[0] != m.shape[0]:
         raise DataError("x and metric dimensions disagree")
-    if isinstance(cone, Orthant):
-        if cone.p != x.shape[0]:
-            raise DataError("cone dimension disagrees with x")
-        return _project_orthant(x, m)
-    if isinstance(cone, CoordinateHalfspace):
-        if cone.p != x.shape[0]:
-            raise DataError("cone dimension disagrees with x")
-        return _project_halfspace(x, m, cone.coord)
-    if isinstance(cone, Polyhedral):
-        if cone.p != x.shape[0]:
-            raise DataError("cone dimension disagrees with x")
-        return _project_polyhedral(x, m, cone)
-    raise DataError(f"unsupported cone specification: {cone!r}")
+    if not isinstance(cone, _Cone):
+        raise DataError(f"unsupported cone specification: {cone!r}")
+    if cone.p != x.shape[0]:
+        raise DataError("cone dimension disagrees with x")
+    return _project(x, m, np.asarray(cone.constraints))
 
 
 def reduce_model(b1, b2, data):
@@ -294,9 +227,7 @@ def reduce_model(b1, b2, data):
     if b1.shape[1] != data.shape[1] or b2.shape[1] != data.shape[1]:
         raise DataError("b1, b2 and data column counts disagree")
     for name, b in (("b1", b1), ("b2", b2)):
-        sv = np.linalg.svd(b, compute_uv=False)
-        if b.shape[0] > b.shape[1] or sv[-1] <= RANK_RTOL * max(1.0, sv[0]):
-            raise ReductionError(f"{name} is rank deficient")
+        _require_full_row_rank(b, f"{name} is rank deficient")
     gram = b1 @ b1.T
     induced = b2 @ np.linalg.solve(gram, b1).T
     try:
@@ -310,29 +241,13 @@ def dual_cone_contains(w, cone, metric=None):
     """Membership of ``w`` in the dual (polar) cone ``{w : <w, t> <= 0 on the cone}``.
 
     With a metric ``M`` the pairing is ``w' M^{-1} t``, which reduces to the
-    plain dual test applied to ``M^{-1} w``.
+    plain dual test applied to ``M^{-1} w``.  By Moreau's decomposition,
+    ``w`` is dual exactly when its Euclidean projection onto the cone is
+    zero; here, when its norm is at most ``1e-10 (1 + |w|)``.
     """
     w = as_float_vector(w, "w")
     if metric is not None:
         m = check_positive_definite(metric, "metric")
         w = np.linalg.solve(m, w)
-    if isinstance(cone, Orthant):
-        return bool(np.all(w <= 0.0))
-    if isinstance(cone, CoordinateHalfspace):
-        scale = max(1.0, float(np.abs(w).max()))
-        others = [i for i in range(cone.p) if i != cone.coord]
-        if others and np.abs(w[others]).max() > 1e-10 * scale:
-            return False
-        return bool(w[cone.coord] <= 1e-10 * scale)
-    if isinstance(cone, Polyhedral):
-        # w is dual iff -w = B' lam for some lam >= 0.  The best nonnegative
-        # lam is the orthant projection of the unconstrained solution under
-        # the Gram metric, after which the residual decides membership.
-        b = np.asarray(cone.constraints, dtype=float)
-        gram = b @ b.T
-        target = -(b @ w)
-        lam0 = np.linalg.solve(gram, target)
-        inner = _project_orthant(lam0, np.linalg.inv(gram))
-        resid = b.T @ inner.point + w
-        return bool(np.linalg.norm(resid) <= 1e-10 * (1.0 + np.linalg.norm(w)))
-    raise DataError(f"unsupported cone specification: {cone!r}")
+    point = project(w, np.eye(w.shape[0]), cone).point
+    return bool(np.linalg.norm(point) <= 1e-10 * (1.0 + np.linalg.norm(w)))

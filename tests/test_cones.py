@@ -42,6 +42,8 @@ class TestOrthantProjection:
             x = rng.standard_normal(p) * rng.uniform(0.5, 3.0)
             m = random_pd_matrix(rng, p)
             proj = project(x, m, Orthant(p))
+            # The projection lies exactly on its face.
+            assert all(proj.point[i] == 0.0 for i in proj.active_subset.a_complement)
             # Subset-formula route: the norm of the adjusted mean of the one
             # qualifying subset under its Schur complement.
             found = qualifying_subsets(x, m)
@@ -223,7 +225,8 @@ class TestHalfspaceProjection:
             x = rng.standard_normal(3)
             x[2] = -abs(x[2]) - 0.1
             proj = project(x, m, CoordinateHalfspace(3, 2))
-            assert proj.point[2] == pytest.approx(0.0, abs=1e-14)
+            assert proj.active_subset.a_complement == (2,)
+            assert proj.point[2] == 0.0
             # The boundary projection equals the subspace minimizer.
             theta, _ = kkt_enumeration_projection_hyperplane(x, m, 2)
             assert np.allclose(proj.point, theta, atol=1e-9)
@@ -263,12 +266,20 @@ class TestPolyhedralProjection:
                 by_orthant.sq_norm_projection, rel=1e-9, abs=1e-12
             )
 
-    def test_square_general_constraints(self, rng):
-        b = np.array([[1.0, -1.0], [0.0, 1.0]])
-        cone = Polyhedral(b)
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            Polyhedral(np.array([[1.0, -1.0], [0.0, 1.0]])),
+            Polyhedral(np.array([[1.0, 1.0, -0.5]])),
+            Polyhedral(np.array([[1.0, -1.0, 0.0, 0.5], [0.3, 0.0, 2.0, -1.0]])),
+            CoordinateHalfspace(3, 1),
+        ],
+        ids=["square", "wide_1x3", "wide_2x4", "halfspace"],
+    )
+    def test_square_general_constraints(self, rng, cone):
         for _ in range(50):
-            x = rng.standard_normal(2) * 2
-            m = random_pd_matrix(rng, 2)
+            x = rng.standard_normal(cone.p) * 2
+            m = random_pd_matrix(rng, cone.p)
             proj = project(x, m, cone)
             assert cone.contains(proj.point, tol=1e-9)
             # KKT: the metric residual lies in the dual cone and is
@@ -342,6 +353,27 @@ class TestDualCone:
         assert dual_cone_contains([-1.0, -1.0], Orthant(2))
         assert not dual_cone_contains([-1.0, 1.0], Orthant(2))
         assert dual_cone_contains([0.0, 0.0], Orthant(2))
+        # Membership holds within 1e-10 (1 + |w|), here 2e-10.
+        assert dual_cone_contains([-1.0, 1.9e-10], Orthant(2))
+        assert not dual_cone_contains([-1.0, 2.1e-10], Orthant(2))
+
+    @pytest.mark.parametrize(
+        "cone",
+        [
+            Orthant(4),
+            CoordinateHalfspace(4, 0),
+            Polyhedral(np.array([[1.0, 2.0, 0.0, -1.0], [0.0, 1.0, 1.0, 1.0]])),
+        ],
+        ids=["orthant", "halfspace", "polyhedral"],
+    )
+    def test_projection_residual_is_dual(self, rng, cone):
+        # Moreau: x minus its Euclidean projection lies in the dual cone.
+        # Where some constraint is slack at the projection, the residual is
+        # degenerate for the active-set solve (a zero multiplier on a zero
+        # constraint value), whose exact-zero sign tests once cycled there.
+        for _ in range(50):
+            x = rng.standard_normal(4) * rng.uniform(0.5, 3.0)
+            assert dual_cone_contains(x - project(x, np.eye(4), cone).point, cone)
 
     def test_coordinate_halfspace_dual(self):
         cone = CoordinateHalfspace(3, 2)
