@@ -22,6 +22,8 @@ ITER_CAP_MIN = 30
 ACTIVE_SET_BLOCK = 4096
 # Sign conditions count a value within this fraction of |y| as zero.
 ACTIVE_SET_RTOL = 1e-10
+# Block pivots a draw may take without lowering its fewest violation count.
+BLOCK_CHANCES = 3
 
 
 def substream(seed, key):
@@ -78,10 +80,10 @@ def _bartlett(rng, dfs, reps):
     """
     p = len(dfs)
     bart = np.zeros((reps, p, p))
-    tril = np.tril_indices(p, k=-1)
-    if tril[0].size:
-        bart[:, tril[0], tril[1]] = rng.standard_normal((reps, tril[0].size))
+    # Row-major below the diagonal: row i takes normals i(i-1)/2 to i(i+1)/2.
+    normals = rng.standard_normal((reps, p * (p - 1) // 2))
     for i in range(p):
+        bart[:, i, :i] = normals[:, i * (i - 1) // 2:i * (i + 1) // 2]
         bart[:, i, i] = np.sqrt(rng.chisquare(dfs[i], size=reps))
     return bart
 
@@ -122,7 +124,7 @@ def sample_mean_cov(rng, theta, chol_sigma, n, reps):
     return means, factor_cov(c, n)
 
 
-def forward_solve(c, x):
+def forward_solve(c, x, lead=None):
     """``c^{-1} x`` for a lower-triangular ``c``, by forward substitution.
 
     ``c`` is one (p, p) factor or a (reps, p, p) stack, and may be any
@@ -130,11 +132,16 @@ def forward_solve(c, x):
     sides.  Row ``i`` of the solution is one vectorized step over the rows
     before it (none at row 0), with no LAPACK call, so it scales across
     threads.  A lower-triangular ``x`` gives exact zeros above the diagonal.
+    When ``lead`` is given, ``x`` must be lower-triangular after its first
+    ``lead`` columns; row ``i`` of the solution then computes only its
+    first ``lead + i + 1`` columns and keeps exact zeros after them.
     """
-    w = np.empty(np.broadcast_shapes(c.shape[:-2], x.shape[:-2]) + x.shape[-2:])
+    k = x.shape[-1]
+    w = np.zeros(np.broadcast_shapes(c.shape[:-2], x.shape[:-2]) + x.shape[-2:])
     for i in range(x.shape[-2]):
-        dot = np.einsum("...j,...jk->...k", c[..., i, :i], w[..., :i, :])
-        w[..., i, :] = (x[..., i, :] - dot) / c[..., i, i, None]
+        end = k if lead is None else min(lead + i + 1, k)
+        dot = np.einsum("...j,...jk->...k", c[..., i, :i], w[..., :i, :end])
+        w[..., i, :end] = (x[..., i, :end] - dot) / c[..., i, i, None]
     return w
 
 
@@ -163,16 +170,25 @@ def orthant_active_set(y, metric):
     the complement ``c`` and the identity's on the free set ``a``: then
     ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``, the adjusted mean.
     A free index with ``z <= 0`` or a complement index with ``z > 0``
-    violates its sign condition, and the lowest violating index switches
-    sides.  This least-index rule (Murty 1974) terminates for every P-matrix,
-    so for every positive definite metric, and cannot cycle; as it may take
-    exponentially many steps (Fathi 1979), a step cap stays.  In floating
-    point a degenerate index, whose adjusted mean and multiplier are both
-    zero, would flip on rounding noise forever.  So the conditions compare
-    ``z``, with complement entries times ``M_jj`` to put them in units of
-    ``y``, against ``ACTIVE_SET_RTOL * |y|`` instead of 0, and such an
-    index stays in the complement.  Pending draws go through in blocks of
-    ``ACTIVE_SET_BLOCK`` to bound the stacked systems.
+    violates its sign condition.
+
+    Pivots follow block principal pivoting (Judice & Pires 1994; Kim & Park
+    2011).  Each draw keeps the fewest violations it has seen.  A step that
+    lowers that count switches every violating index at once and restores
+    ``BLOCK_CHANCES`` chances; any other step spends a chance to do the
+    same.  With none left, only the lowest violating index switches, which
+    is Murty's least-index rule (Murty 1974), until the count falls again.
+    Murty's rule terminates for every P-matrix, so for every positive
+    definite metric, and the fewest count can fall at most ``p`` times, so
+    no draw cycles.  As the backup may take exponentially many steps
+    (Fathi 1979), a step cap stays.
+
+    In floating point a degenerate index, whose adjusted mean and
+    multiplier are both zero, would flip on rounding noise forever.  So the
+    conditions compare ``z``, with complement entries times ``M_jj`` to put
+    them in units of ``y``, against ``ACTIVE_SET_RTOL * |y|`` instead of 0,
+    and such an index stays in the complement.  Pending draws go through in
+    blocks of ``ACTIVE_SET_BLOCK`` to bound the stacked systems.
 
     Returns ``(free, q_res)``: the free-index mask, on which the adjusted
     mean exceeds that tolerance while the complement multipliers do not,
@@ -182,7 +198,7 @@ def orthant_active_set(y, metric):
     """
     reps, p = y.shape
     metric = np.broadcast_to(np.asarray(metric, dtype=float), (reps, p, p))
-    eye = np.eye(p)
+    eye, ones = np.eye(p), np.ones(p)
     free = y > 0.0
     q_res = np.zeros(reps)
     tol = ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
@@ -190,6 +206,8 @@ def orthant_active_set(y, metric):
     pending = np.flatnonzero(~free.all(axis=1))
     for start in range(0, pending.size, ACTIVE_SET_BLOCK):
         todo = pending[start:start + ACTIVE_SET_BLOCK]
+        fewest = np.full(todo.size, p + 1.0)
+        chances = np.full(todo.size, BLOCK_CHANCES)
         for _ in range(cap):
             if not todo.size:
                 break
@@ -200,11 +218,19 @@ def orthant_active_set(y, metric):
             # The diagonal is 1 on the free set and M_jj on the complement.
             zs = z * np.diagonal(mats, axis1=1, axis2=2)
             viol = (zs > tol[todo]) != mask
-            ok = ~viol.any(axis=1)
-            rows, cols = todo[~ok], np.argmax(viol[~ok], axis=1)  # lowest violating index
-            free[rows, cols] = ~free[rows, cols]
+            count = viol @ ones  # a sum over the short axis is several times slower
+            ok = count == 0
             q_res[todo[ok]] = np.einsum("ri,ri->r", np.where(mask, 0.0, y_t)[ok], z[ok])
-            todo = todo[~ok]
+            keep = ~ok
+            todo, mask, viol, count = todo[keep], mask[keep], viol[keep], count[keep]
+            chances = np.where(count < fewest[keep], BLOCK_CHANCES, chances[keep] - 1)
+            fewest = np.minimum(fewest[keep], count)
+            # Draws out of chances flip only their lowest violating index.
+            single = np.flatnonzero(chances < 0)
+            lowest = np.argmax(viol[single], axis=1)
+            viol[single] = False
+            viol[single, lowest] = True
+            free[todo] = mask ^ viol
         if todo.size:
             bad = int(todo[0])
             raise SolverError(
@@ -269,7 +295,7 @@ def sample_invwishart_chol(rng, scale, df, reps):
     Returns the (reps, p, p) stack of ``G``.
     """
     chol_scale, q = _prior_factors(rng, scale, df, reps)
-    return chol_scale @ forward_solve(q, np.eye(scale.shape[0]))
+    return chol_scale @ forward_solve(q, np.eye(scale.shape[0]), lead=0)
 
 
 def sample_compound_null(rng, scale, df, n, reps):
@@ -287,5 +313,5 @@ def sample_compound_null(rng, scale, df, n, reps):
     rhs = np.empty((reps, p, p + 1))
     rhs[..., 0] = rng.standard_normal((reps, p))
     rhs[..., 1:] = _bartlett(rng, n - 1 - np.arange(p), reps)
-    w = chol_scale @ forward_solve(q, rhs)
+    w = chol_scale @ forward_solve(q, rhs, lead=1)
     return w[..., 0] / np.sqrt(n), w[..., 1:]

@@ -16,7 +16,13 @@ from conetest import (
     reduce_model,
 )
 from conetest import _batch
-from conetest._batch import batch_orthant, orthant_active_set
+from conetest._batch import (
+    batch_orthant,
+    factor_cov,
+    orthant_active_set,
+    sample_compound_null,
+    substream,
+)
 from conetest.sample import qualifying_subsets
 
 from conftest import kkt_enumeration_projection, random_pd_matrix
@@ -112,6 +118,48 @@ def nnls_orthant(y, m):
     return np.flatnonzero(theta > 0.0), float(proj @ proj), float(rnorm**2)
 
 
+def ill_conditioned_draws(seed):
+    """800 draws at p = 12 under a fixed metric of condition number 3e5 to 1e8."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((13, 12))
+    d = np.exp(rng.choice([-2.0, 2.0], 12))
+    m = (g.T @ g) * np.outer(d, d)
+    return rng.standard_normal((800, 12)) @ np.linalg.cholesky(m).T, m
+
+
+def least_index_reference(y, metric):
+    """``(free, q_res)`` by Murty's least-index rule alone.
+
+    The kernel's sign conditions and tolerance, but every step flips only
+    the lowest violating index of each pending draw: the kernel's backup
+    step, run alone.
+    """
+    reps, p = y.shape
+    metric = np.broadcast_to(metric, (reps, p, p))
+    free, q_res = y > 0.0, np.zeros(reps)
+    tol = _batch.ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
+    todo = np.flatnonzero(~free.all(axis=1))
+    for _ in range(2**p):  # the rule never returns to a free set
+        if not todo.size:
+            break
+        mask = free[todo]
+        mats = np.where(mask[:, None, :], np.eye(p), metric[todo])
+        z = np.linalg.solve(mats, y[todo][..., None])[..., 0]
+        viol = (z * np.diagonal(mats, axis1=1, axis2=2) > tol[todo]) != mask
+        ok = ~viol.any(axis=1)
+        q_res[todo[ok]] = np.einsum("ri,ri->r", np.where(mask, 0.0, y[todo])[ok], z[ok])
+        todo = todo[~ok]
+        free[todo, np.argmax(viol[~ok], axis=1)] ^= True
+    assert not todo.size
+    return free, q_res
+
+
+def bayes_draws(p, reps, seed):
+    """Scaled means and covariances of the Bayes compound null at n = 60, prior df p + 4."""
+    means, c = sample_compound_null(substream(seed, p), np.eye(p), p + 4.0, 60, reps)
+    return np.sqrt(60) * means, factor_cov(c, 60)
+
+
 class TestOrthantKernel:
     # p = 16 has 65536 subsets, beyond any enumeration at this size.
     @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
@@ -137,15 +185,73 @@ class TestOrthantKernel:
     def test_ill_conditioned_draws_do_not_cycle(self, seed):
         # Greedy pivots (drop the most negative free index, else join the
         # largest multiplier) cycle on some of these draws and hit the
-        # 120-step cap; the least-index rule solves those in 5 to 10 steps.
-        rng = np.random.default_rng(seed)
-        g = rng.standard_normal((13, 12))
-        d = np.exp(rng.choice([-2.0, 2.0], 12))
-        m = (g.T @ g) * np.outer(d, d)  # cond 3e5 to 1e8
-        y = rng.standard_normal((800, 12)) @ np.linalg.cholesky(m).T
+        # 120-step cap; the least-index rule alone needs up to 21 steps here,
+        # block pivoting up to 7.
+        y, m = ill_conditioned_draws(seed)
         free, _ = orthant_active_set(y, m)
         for i in range(len(y)):
             assert np.flatnonzero(free[i]).tolist() == nnls_orthant(y[i], m)[0].tolist()
+
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_matches_least_index_reference(self, rng, p, per_draw):
+        reps = 400
+        y = rng.standard_normal((reps, p)) * rng.uniform(0.5, 3.0, size=(reps, 1))
+        if per_draw:
+            metric = np.stack([random_pd_matrix(rng, p) for _ in range(reps)])
+        else:
+            metric = random_pd_matrix(rng, p)
+        free, q_res = orthant_active_set(y, metric)
+        ref_free, ref_q_res = least_index_reference(y, metric)
+        assert np.array_equal(free, ref_free)
+        assert np.array_equal(q_res, ref_q_res)
+
+    @pytest.mark.parametrize("seed", [5016, 5094, 5160])
+    def test_ill_conditioned_draws_match_least_index_reference(self, seed):
+        y, m = ill_conditioned_draws(seed)
+        free, q_res = orthant_active_set(y, m)
+        ref_free, ref_q_res = least_index_reference(y, m)
+        assert np.array_equal(free, ref_free)
+        assert np.array_equal(q_res, ref_q_res)
+
+    @pytest.mark.parametrize("p", [8, 12])
+    def test_block_pivots_solve_fewer_rows(self, monkeypatch, p):
+        # Rows solved for these 2000 draws: 4473 against 6227 at p = 8 and
+        # 5656 against 10515 at p = 12.
+        y, metric = bayes_draws(p, 2000, 61)
+        rows = []
+        solve = np.linalg.solve
+
+        def counting_solve(a, b):
+            rows.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        free, q_res = orthant_active_set(y, metric)
+        kernel_rows = sum(rows)
+        rows.clear()
+        ref_free, ref_q_res = least_index_reference(y, metric)
+        assert np.array_equal(free, ref_free) and np.array_equal(q_res, ref_q_res)
+        assert kernel_rows < 0.8 * sum(rows)
+
+    def test_least_index_backup_ends_a_block_cycle(self, monkeypatch):
+        # Flipping every violating index at every step walks the free sets
+        # {2} -> {3} -> {1, 2, 3} -> {2}, two violations each, forever; once
+        # the count has stalled for its chances the backup step ends it.
+        y = np.array([[-0.669, -1.656, 0.899, -0.163]])
+        metric = np.array([
+            [4.72, -0.328, 0.225, 0.66],
+            [-0.328, 2.24, -0.934, 0.262],
+            [0.225, -0.934, 0.511, -0.064],
+            [0.66, 0.262, -0.064, 0.144],
+        ])
+        free, q_res = orthant_active_set(y, metric)
+        assert np.flatnonzero(free[0]).tolist() == nnls_orthant(y[0], metric)[0].tolist() == [2, 3]
+        ref_free, ref_q_res = least_index_reference(y, metric)
+        assert np.array_equal(free, ref_free) and np.array_equal(q_res, ref_q_res)
+        monkeypatch.setattr(_batch, "BLOCK_CHANCES", 10**9)
+        with pytest.raises(SolverError, match="draw 0"):
+            orthant_active_set(y, metric)
 
     def test_boundary_convention(self):
         # A zero component is not strictly positive, and the inclusive
