@@ -17,7 +17,9 @@ takes its seed from its config only.
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import os
 import platform
@@ -68,17 +70,19 @@ def _sanitize(obj):
     return obj
 
 
-def build_manifest(command, input_paths, seed, resolved_config):
+def build_manifest(command, inputs, seed, resolved_config):
     """Report manifest; ``config_digest`` covers the resolved configuration
     and the contents of every input file, so editing any input changes it.
+    ``inputs`` holds a ``(path, digest)`` pair per input file, the digest
+    taken from the bytes that were parsed (see :func:`_read_input`).
     Runs without input files keep the digest of their configuration alone.
     ``library_versions`` records python, numpy and scipy outside the digest."""
     config = dict(resolved_config)
-    if input_paths:
-        config["input_digests"] = [_file_digest(path) for path in input_paths]
+    if inputs:
+        config["input_digests"] = [digest for _, digest in inputs]
     return {
         "command": command,
-        "input_paths": list(input_paths),
+        "input_paths": [path for path, _ in inputs],
         "seed": seed,
         "config_digest": _digest(_sanitize(config)),
         "tool_version": __version__,
@@ -103,13 +107,36 @@ def emit_report(report, out_path):
 # input parsing
 
 
-def read_csv_matrix(path, name="data"):
-    """Read a numeric CSV matrix; a non-numeric first row is a header."""
+def _read_input(path, what, inputs=None):
+    """The UTF-8 text of an input file.
+
+    The file is read once.  With a list ``inputs``, ``(path, SHA-256 of the
+    bytes)`` is appended to it for the manifest, so the digest covers exactly
+    the bytes that are parsed."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
-        raise DataError(f"cannot read {name} file {path}: {exc}") from exc
+        raise DataError(f"cannot read {what} {path}: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{what} {path} is not UTF-8 text: byte {exc.start} is {raw[exc.start]:#04x}"
+        ) from exc
+    if inputs is not None:
+        inputs.append((path, hashlib.sha256(raw).hexdigest()))
+    return text
+
+
+def read_csv_matrix(path, name="data", inputs=None):
+    """Read a numeric CSV matrix; a non-numeric first row is a header.
+
+    ``inputs`` is as for :func:`_read_input`."""
+    text = _read_input(path, f"{name} file", inputs)
+    # newline="" leaves line ends to the reader, as the csv module asks, so
+    # quoted fields keep their line breaks.
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     rows = [r for r in rows if any(field.strip() for field in r)]
     if not rows:
         raise DataError(f"{name} file {path} is empty")
@@ -178,13 +205,6 @@ def _check_alpha(alpha):
         raise UsageError(f"--alpha must be in (0, 1), got {alpha}")
 
 
-def _file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
 # ---------------------------------------------------------------------------
 # conetest test
 
@@ -203,10 +223,10 @@ def _internal_family(family, cone):
     raise UsageError(f"unknown family {family!r}")
 
 
-def _load_prior(args, p):
+def _load_prior(args, p, inputs):
     if args.prior_scale is None or args.prior_df is None:
         raise UsageError("bayes calibration requires --prior-scale and --prior-df")
-    scale = read_csv_matrix(args.prior_scale, "prior scale")
+    scale = read_csv_matrix(args.prior_scale, "prior scale", inputs)
     if scale.shape != (p, p):
         raise DataError(
             f"prior scale has shape {scale.shape}, expected ({p}, {p})"
@@ -224,17 +244,15 @@ def cmd_test(args):
         raise UsageError("bayes calibration requires --seed")
     if args.seed is None:
         args.seed = 0
-    data = read_csv_matrix(args.data, "data")
-    input_paths = [args.data]
+    inputs = []
+    data = read_csv_matrix(args.data, "data", inputs)
     reduction_info = None
     if args.cone == "polyhedral":
         if args.b_matrix is None:
             raise UsageError("polyhedral cone requires --b-matrix")
-        b2 = read_csv_matrix(args.b_matrix, "constraint matrix")
-        input_paths.append(args.b_matrix)
+        b2 = read_csv_matrix(args.b_matrix, "constraint matrix", inputs)
         if args.b1_matrix is not None:
-            b1 = read_csv_matrix(args.b1_matrix, "null-space matrix")
-            input_paths.append(args.b1_matrix)
+            b1 = read_csv_matrix(args.b1_matrix, "null-space matrix", inputs)
         else:
             b1 = b2
         reduced = cones.reduce_model(b1, b2, data)
@@ -290,7 +308,7 @@ def cmd_test(args):
                 "calibration": "bonferroni",
             }
         )
-        manifest = build_manifest("test", input_paths, args.seed, resolved)
+        manifest = build_manifest("test", inputs, args.seed, resolved)
         emit_report({"manifest": manifest, "result": result}, args.out)
         return 0
 
@@ -304,8 +322,7 @@ def cmd_test(args):
     value = stats.calibration_scale(outcome)
     weights = None
     if args.calibration == "bayes":
-        prior = _load_prior(args, s.p)
-        input_paths.append(args.prior_scale)
+        prior = _load_prior(args, s.p, inputs)
         weights = calibrate.bayes_weights_b1(
             s.n, s.p, prior, mc_samples=args.mc_samples, seed=args.seed,
             workers=args.workers,
@@ -336,7 +353,7 @@ def cmd_test(args):
             "std_errors": weights.std_errors.tolist(),
             "mc_samples": weights.mc_samples,
         }
-    manifest = build_manifest("test", input_paths, args.seed, resolved)
+    manifest = build_manifest("test", inputs, args.seed, resolved)
     emit_report({"manifest": manifest, "result": result}, args.out)
     return 0
 
@@ -357,7 +374,7 @@ def cmd_calibrate(args):
         raise UsageError("bayes calibration requires --seed")
     if args.seed is None:
         args.seed = 0
-    input_paths = []
+    inputs = []
     resolved = {
         "command": "calibrate",
         "family": args.family,
@@ -386,8 +403,7 @@ def cmd_calibrate(args):
         weights = None
         if args.calibration == "bayes":
             if args.prior_scale is not None:
-                prior = _load_prior(args, args.p)
-                input_paths.append(args.prior_scale)
+                prior = _load_prior(args, args.p, inputs)
             elif args.prior_df is None:
                 raise UsageError("bayes calibration requires --prior-df")
             else:
@@ -414,7 +430,7 @@ def cmd_calibrate(args):
                 else calibrate.null_tail(family, cv.value, args.n, args.p, weights=weights),
             }
         )
-    manifest = build_manifest("calibrate", input_paths, args.seed, resolved)
+    manifest = build_manifest("calibrate", inputs, args.seed, resolved)
     emit_report({"manifest": manifest, "result": result}, args.out)
     return 0
 
@@ -487,12 +503,11 @@ def _parse_tests(nodes, path):
     return tuple(plans)
 
 
-def load_experiment_config(path, workers=1):
+def load_experiment_config(path, workers=1, inputs=None):
+    """Parse a simulation config file; ``inputs`` is as for :func:`_read_input`."""
+    text = _read_input(path, "config", inputs)
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"cannot read config {path}: {exc}") from exc
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -523,9 +538,10 @@ def load_experiment_config(path, workers=1):
 def cmd_simulate(args):
     if args.config is None:
         raise UsageError("simulate requires --config")
-    experiment, cfg, raw = load_experiment_config(args.config, workers=args.workers)
+    inputs = []
+    experiment, cfg, raw = load_experiment_config(args.config, args.workers, inputs)
     resolved = {"command": "simulate", "config": raw}
-    manifest = build_manifest("simulate", [args.config], cfg.seed, resolved)
+    manifest = build_manifest("simulate", inputs, cfg.seed, resolved)
     run = powerlab.simulate_power if experiment == "power" else powerlab.domination_experiment
     body = _sanitize(dataclasses.asdict(run(cfg)))
     rows = body["rows"]
@@ -601,10 +617,20 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on the first :func:`main` call.
+
+    Parsing leaves it unchanged and every default is ``None`` or fixed, so
+    one parser serves any number of calls; environment defaults are read per
+    call by :func:`_resolve_common`."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
+    """Run one command; returns its exit code.  May be called repeatedly."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage problems and 0 on --help/--version
         return int(exc.code or 0)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ import pytest
 from scipy.special import stdtr
 from scipy.stats import t as scipy_t
 
-from conetest import calibrate, stats
+from conetest import calibrate, cli, stats
 from conetest.cli import main, read_csv_matrix
 from conetest.exceptions import DataError
 
@@ -268,7 +269,110 @@ class TestEnvironmentDefaults:
         assert "config_digest" in report["manifest"]
 
 
+class TestOneParser:
+    """``main`` keeps one parser per process and no state between calls."""
+
+    CALIBRATE = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "20", "--p", "3"]
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """Count parser builds from a cleared cache; clear it again after."""
+        count = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: count.append(1) or real())
+        cli._parser.cache_clear()
+        yield count
+        cli._parser.cache_clear()
+
+    def test_built_once_over_many_calls(self, builds, dataset, tmp_path, capsys):
+        path, _ = dataset
+        out = str(tmp_path / "r.json")
+        assert main(["--version"]) == 0
+        assert main(self.CALIBRATE + ["--out", out]) == 0
+        assert main(["test", "--data", str(path), "--family", "uit", "--out", out]) == 0
+        assert main(["test", "--data", str(path), "--family", "bogus"]) == 2
+        assert main(["simulate", "--config", str(tmp_path / "missing.json")]) == 3
+        assert len(builds) == 1
+
+    def test_version_twice(self, builds, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["--version"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1] == f"conetest {cli.__version__}\n"
+
+    def test_seed_flag_does_not_carry(self, dataset, tmp_path, monkeypatch):
+        path, _ = dataset
+        out = tmp_path / "r.json"
+        argv = ["test", "--data", str(path), "--family", "uit", "--out", str(out)]
+        monkeypatch.delenv("CONETEST_SEED", raising=False)
+        seeds = []
+        for extra, env in ((["--seed", "5"], None), ([], None), (["--seed", "5"], "9"), ([], "9")):
+            if env is not None:
+                monkeypatch.setenv("CONETEST_SEED", env)
+            assert main(argv + extra) == 0
+            seeds.append(json.loads(out.read_text())["manifest"]["seed"])
+        assert seeds == [5, 0, 5, 9]
+
+    def test_environment_read_on_every_call(self, dataset, tmp_path, monkeypatch):
+        path, _ = dataset
+        argv = ["test", "--data", str(path), "--family", "uit"]
+        for seed in ("11", "12"):
+            out = tmp_path / f"r{seed}.json"
+            monkeypatch.setenv("CONETEST_SEED", seed)
+            monkeypatch.setenv("CONETEST_OUT", str(out))
+            assert main(argv) == 0
+            assert json.loads(out.read_text())["manifest"]["seed"] == int(seed)
+
+    def test_usage_error_then_fresh_process_report(self, tmp_path, capsys):
+        assert main(["calibrate", "--family", "bogus", "--alpha", "0.05", "--n", "20",
+                     "--p", "3"]) == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+        argv = self.CALIBRATE + ["--cone", "halfspace"]
+        out = tmp_path / "r.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        fresh = run_cli(argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert out.read_text() == fresh.stdout
+
+    def test_interleaved_commands_repeat_reports(self, dataset, tmp_path):
+        path, _ = dataset
+        reports = []
+        for i in range(2):
+            out = tmp_path / f"c{i}.json"
+            assert main(self.CALIBRATE + ["--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+            argv = ["test", "--data", str(path), "--family", "lrt", "--cone", "halfspace",
+                    "--calibration", "exact", "--alpha", "0.1", "--seed", "3",
+                    "--out", str(tmp_path / "t.json")]
+            assert main(argv) == 0
+        assert reports[0] == reports[1]
+
+
 class TestManifest:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y\n" + "\n".join(f"{0.1 * i + 0.3!r}" for i in range(12)) + "\n",
+            "y\r\n" + "\r\n".join(f"{0.1 * i + 0.3!r}" for i in range(12)) + "\r\n",
+            '"shift,\nin y"\n' + "\n".join(f'"{0.1 * i + 0.3!r}"' for i in range(12)),
+        ],
+        ids=["header", "crlf", "quoted"],
+    )
+    def test_digest_covers_file_bytes(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode("utf-8"))
+        out = tmp_path / "r.json"
+        assert main(["test", "--data", str(path), "--family", "uit", "--seed", "1",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["result"]["n"] == 12
+        config = dict(report["result"]["config"])
+        config["input_digests"] = [hashlib.sha256(path.read_bytes()).hexdigest()]
+        canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), allow_nan=False)
+        expected = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        assert report["manifest"]["config_digest"] == expected
+
     def test_bayes_manifest_lists_prior_scale(self, tmp_path, rng):
         dpath = tmp_path / "d.csv"
         write_csv(dpath, rng.standard_normal((12, 2)) + 0.5)
@@ -334,6 +438,24 @@ class TestExitCodes:
 
     def test_missing_file_is_3(self):
         assert main(["test", "--data", "/nonexistent.csv", "--family", "uit"]) == 3
+
+    @pytest.mark.parametrize(
+        "name, content, argv",
+        [
+            ("d.csv", b"x1,x2\n1,2\n\xff\xfe,3\n", ["test", "--family", "uit", "--data"]),
+            ("g.csv", b"1,0\n0,\xff1\n", ["calibrate", "--family", "uit", "--alpha", "0.05",
+                                           "--n", "15", "--p", "2", "--calibration", "bayes",
+                                           "--prior-df", "6", "--seed", "1", "--prior-scale"]),
+            ("c.json", b'{"seed": 1, "p": 2 \xff}', ["simulate", "--config"]),
+        ],
+        ids=["data", "prior-scale", "config"],
+    )
+    def test_non_utf8_file_is_3(self, tmp_path, capsys, name, content, argv):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert main(argv + [str(path)]) == 3
+        err = capsys.readouterr().err
+        assert str(path) in err and "not UTF-8" in err
 
     def test_dimension_error_is_3(self, tmp_path, rng):
         # n <= p: 3 rows, 4 columns.
