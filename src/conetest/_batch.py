@@ -71,6 +71,31 @@ def keyed_chunk(seed, key, chunk, task):
         raise
 
 
+def _count_cells(seed, cells, total, chunk, workers, count):
+    """Summed per-chunk counts of each Monte-Carlo cell, in the order of ``cells``.
+
+    ``cells`` holds ``(key, draw)`` pairs.  A cell's ``total`` draws are
+    split into fixed chunks of ``chunk``; chunk ``j`` calls ``draw(rng,
+    reps)`` on the substream ``key + (j,)`` of ``seed`` and passes the tuple
+    it returns to ``count``, which returns an integer or an array of integers.
+    Every (cell, chunk) task goes to one :func:`run_chunks` call, so the
+    cells share one pool; the sums do not depend on ``workers``.  A
+    :class:`SolverError` names its replay key (:func:`keyed_chunk`).
+    Private, so wrappers installed on this module's public functions (as by
+    ``bench/tracer.py``) see that call as made from the caller's layer.
+    """
+    sizes = chunk_sizes(total, chunk)
+    tasks = [(key, draw, j) for key, draw in cells for j in range(len(sizes))]
+
+    def worker(t):
+        key, draw, j = tasks[t]
+        return keyed_chunk(seed, key, j, lambda rng: count(*draw(rng, sizes[j])))
+
+    counts = run_chunks(worker, len(tasks), workers)
+    per_cell = len(sizes)
+    return [np.sum(counts[i:i + per_cell], axis=0) for i in range(0, len(tasks), per_cell)]
+
+
 def _bartlett(rng, dfs, reps):
     """(reps, p, p) stack of lower-triangular Bartlett factors.
 

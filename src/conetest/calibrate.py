@@ -10,6 +10,7 @@ correlation structure.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,15 +20,13 @@ from scipy.special import betainccinv, betaincinv, betaln
 from . import stats
 from ._batch import (
     DEFAULT_CHUNK,
-    chunk_sizes,
+    _count_cells,
     factor_cov,
-    keyed_chunk,
     orthant_active_set,
-    run_chunks,
     sample_compound_null,
 )
 from ._linalg import check_positive_definite, read_only
-from .dist import g_ratio_tail, g_star_tail
+from .dist import g_ratio_tail, g_star_tail, student_t_upper_quantile
 from .exceptions import CalibrationError, DataError, MetricError
 
 CLOSED_FORM = "closed_form"
@@ -128,48 +127,27 @@ def _correlation_from(sigma):
     return sigma * np.outer(d, d)
 
 
-def _orthant_probability_2(r):
-    """P{Z1 > 0, Z2 > 0} for a bivariate normal with correlation ``r``."""
-    return 0.25 + np.arcsin(r) / (2.0 * np.pi)
-
-
-def _orthant_probability_3(corr):
-    """Trivariate positive-orthant probability via pairwise arcsines."""
-    r12, r13, r23 = corr[0, 1], corr[0, 2], corr[1, 2]
-    return 0.125 + (np.arcsin(r12) + np.arcsin(r13) + np.arcsin(r23)) / (4.0 * np.pi)
+def _orthant_probability(corr):
+    """P{Z > 0} for Z ~ N(0, corr) with p <= 3: 2^-p + sum_{i<j} asin r_ij / (2^(p-1) pi)."""
+    p = corr.shape[0]
+    return 2.0**-p + np.arcsin(corr[np.triu_indices(p, 1)]).sum() / (2.0 ** (p - 1) * np.pi)
 
 
 def _closed_form_weights(corr):
+    """Weights for p <= 3 from the orthant probabilities of ``corr`` and its inverse.
+
+    Those give ``w[p]`` and ``w[0]``; even and odd sizes each carry 1/2
+    (Kudo 1963; Silvapulle & Sen 2005, ch. 3), which gives the rest.
+    """
     p = corr.shape[0]
     w = np.zeros(p + 1)
-    if p == 1:
-        w[:] = (0.5, 0.5)
-        return w
+    w[p] = _orthant_probability(corr)
+    w[0] = _orthant_probability(_correlation_from(np.linalg.inv(corr)))
     if p == 2:
-        rho = corr[0, 1]
-        w[2] = _orthant_probability_2(rho)
-        w[0] = 0.25 - np.arcsin(rho) / (2.0 * np.pi)
-        w[1] = 1.0 - w[0] - w[2]
-        return w
-    if p == 3:
-        w[3] = _orthant_probability_3(corr)
-        inv_corr = _correlation_from(np.linalg.inv(corr))
-        w[0] = _orthant_probability_3(inv_corr)
-        # |a| = 2: the adjusted pair is independent of the leftover coordinate,
-        # with partial correlation given that coordinate.
-        for k in range(3):
-            i, j = [t for t in range(3) if t != k]
-            partial = (corr[i, j] - corr[i, k] * corr[j, k]) / np.sqrt(
-                (1.0 - corr[i, k] ** 2) * (1.0 - corr[j, k] ** 2)
-            )
-            w[2] += 0.5 * _orthant_probability_2(partial)
-        # |a| = 1: the complement-pair condition flips the sign of the
-        # pairwise correlation under block inversion.
-        for i in range(3):
-            j, k = [t for t in range(3) if t != i]
-            w[1] += 0.5 * (0.25 - np.arcsin(corr[j, k]) / (2.0 * np.pi))
-        return w
-    raise CalibrationError(f"no closed-form weights for p = {p}")
+        w[1] = 0.5
+    elif p == 3:
+        w[1], w[2] = 0.5 - w[3], 0.5 - w[0]
+    return w
 
 
 def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=None, workers=1):
@@ -200,12 +178,7 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
         raise CalibrationError(f"closed-form weights stop at p = 3, got p = {p}")
     if method in ("auto", CLOSED_FORM) and p <= 3:
         w = _closed_form_weights(corr)
-        return MixtureWeights(
-            weights=w,
-            std_errors=np.zeros(p + 1),
-            method=CLOSED_FORM,
-            mc_samples=0,
-        )
+        return MixtureWeights(weights=w, std_errors=np.zeros(p + 1), method=CLOSED_FORM, mc_samples=0)
     chol = np.linalg.cholesky(corr)
     return _size_frequencies(
         lambda rng, reps: (rng.standard_normal((reps, p)) @ chol.T, corr),
@@ -216,25 +189,20 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
 def _size_frequencies(draw, p, mc_samples, seed, stream, workers):
     """Monte-Carlo active-subset size frequencies, as mixture weights.
 
-    ``mc_samples`` draws are split into chunks of ``DEFAULT_CHUNK``; chunk
-    ``i`` comes from substream ``(stream, i)`` of ``seed`` as ``draw(rng,
-    reps) -> (y, metric)``, the rows to project and their metric.  A
-    :class:`SolverError` names that replay key (:func:`keyed_chunk`).
+    One cell of ``_count_cells`` in chunks of ``DEFAULT_CHUNK`` on the
+    substreams ``(stream, i)``; ``draw(rng, reps) -> (y, metric)`` gives the
+    rows to project and their metric.
     """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
     mc_samples = int(mc_samples)
     if mc_samples < 1:
         raise DataError("mc_samples must be positive")
-    sizes_of = chunk_sizes(mc_samples, DEFAULT_CHUNK)
 
-    def worker(i):
-        free, _ = keyed_chunk(
-            seed, (stream,), i, lambda rng: orthant_active_set(*draw(rng, sizes_of[i]))
-        )
-        return np.bincount(free.sum(axis=1), minlength=p + 1)
+    def count(y, metric):
+        return np.bincount(orthant_active_set(y, metric)[0].sum(axis=1), minlength=p + 1)
 
-    counts = np.sum(run_chunks(worker, len(sizes_of), workers), axis=0)
+    [counts] = _count_cells(seed, [((stream,), draw)], mc_samples, DEFAULT_CHUNK, workers, count)
     w = counts / mc_samples
     se = np.sqrt(w * (1.0 - w) / mc_samples)
     return MixtureWeights(weights=w, std_errors=se, method=MONTE_CARLO, mc_samples=mc_samples)
@@ -283,9 +251,6 @@ _SUPREMUM_LAWS = {
     stats.LRT_ORTHANT: stats.LRT_HALFSPACE,
     stats.UIT_ORTHANT: stats.UIT_HALFSPACE,
 }
-
-# Families whose null law is free of the covariance.
-_EXACT_FAMILIES = stats.HALFSPACE_FAMILIES + (stats.T2,)
 
 
 def _null_law(family, n, p, weights):
@@ -424,19 +389,32 @@ def _invert_tail(tail, alpha, n, p):
             halved_at, steps = width, 0
 
 
-def _critical_value(family, law, alpha, n, p, weights, calibration):
-    """Invert the null tail of ``law`` at ``alpha``, labeled for ``family``.
+def _calibrated_law(family, calibration, n, p, weights):
+    """Null tail of ``family`` under ``calibration`` and its mass on k = 0.
+
+    ``sup`` takes the supremum over the covariance, which for an orthant
+    family is its halfspace counterpart's tail.
+    """
+    check_calibration(family, calibration)
+    if calibration == "sup":
+        family = _SUPREMUM_LAWS.get(family, family)
+    return _null_law(family, n, p, weights)
+
+
+def _critical_value(family, calibration, alpha, n, p, weights):
+    """Invert the null tail of ``family`` under ``calibration`` at ``alpha``.
 
     The tail reaches at most one minus its mass on k = 0.
     """
-    tail, atom = _null_law(law, n, p, weights)
+    tail, atom = _calibrated_law(family, calibration, n, p, weights)
     attainable = 1.0 - atom
     if not 0.0 < alpha < attainable:
         raise CalibrationError(
             f"alpha = {alpha} is outside the attainable tail range (0, {attainable:.4g})"
         )
     value = _invert_tail(tail, alpha, n, p)
-    return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=calibration)
+    label = CALIBRATIONS[calibration].label
+    return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=label)
 
 
 def sup_critical_value(family, alpha, n, p):
@@ -447,14 +425,12 @@ def sup_critical_value(family, alpha, n, p):
     conservative, since the supremum of their null tail over all covariances
     equals the halfspace expression.
     """
-    law = _SUPREMUM_LAWS.get(family, family)
-    return _critical_value(family, law, alpha, n, p, None, SUP_SIGMA)
+    return _critical_value(family, "sup", alpha, n, p, None)
 
 
 def exact_halfspace_critical_value(family, alpha, n, p):
     """Exact critical value for a halfspace family (same tail, exact label)."""
-    check_calibration(family, "exact")
-    return _critical_value(family, family, alpha, n, p, None, EXACT_HALFSPACE)
+    return _critical_value(family, "exact", alpha, n, p, None)
 
 
 def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, workers=1):
@@ -489,36 +465,52 @@ def bayes_critical_value(family, alpha, n, p, weights):
     family and the two-block convolution tail for the union-intersection
     family.
     """
-    check_calibration(family, "bayes")
-    return _critical_value(family, family, alpha, n, p, weights, BAYES_WEIGHTED)
+    return _critical_value(family, "bayes", alpha, n, p, weights)
 
 
-# Calibration mode -> (critical-value solver ``(family, alpha, n, p, weights)``,
-# p-value mode).  Each solver calls the public function of its name through
-# the module globals, so wrappers installed on those functions (as by
+# Calibration mode -> the families it applies to, its CriticalValue label,
+# its p-value mode and its critical-value solver ``(family, alpha, n, p,
+# weights)``.  FUIT takes only ``sup`` (its Bonferroni threshold); exact needs
+# a covariance-free null law and Bayes weights mix over the orthant
+# active-subset sizes.  Each solver calls the public function of its name
+# through the module globals, so wrappers installed on those functions (as by
 # ``bench/tracer.py``) see every call.
+_Mode = namedtuple("_Mode", "families label p_value_mode solve")
 CALIBRATIONS = {
-    "sup": (lambda f, a, n, p, w: sup_critical_value(f, a, n, p), "sup_conservative"),
-    "exact": (lambda f, a, n, p, w: exact_halfspace_critical_value(f, a, n, p), EXACT_HALFSPACE),
-    "bayes": (lambda f, a, n, p, w: bayes_critical_value(f, a, n, p, w), "weighted"),
-}
-
-# Calibration mode -> the families it applies to.  FUIT takes only ``sup``
-# (its Bonferroni threshold); exact needs a covariance-free null law and
-# Bayes weights mix over the orthant active-subset sizes.
-CALIBRATION_FAMILIES = {
-    "sup": stats.FAMILIES,
-    "exact": _EXACT_FAMILIES,
-    "bayes": stats.ORTHANT_FAMILIES,
+    "sup": _Mode(stats.FAMILIES, SUP_SIGMA, "sup_conservative",
+                 lambda f, a, n, p, w: sup_critical_value(f, a, n, p)),
+    "exact": _Mode(stats.HALFSPACE_FAMILIES + (stats.T2,), EXACT_HALFSPACE, EXACT_HALFSPACE,
+                   lambda f, a, n, p, w: exact_halfspace_critical_value(f, a, n, p)),
+    "bayes": _Mode(stats.ORTHANT_FAMILIES, BAYES_WEIGHTED, "weighted",
+                   lambda f, a, n, p, w: bayes_critical_value(f, a, n, p, w)),
 }
 
 
 def check_calibration(family, calibration):
     """Raise :class:`CalibrationError` unless ``calibration`` applies to ``family``."""
-    if family not in CALIBRATION_FAMILIES[calibration]:
+    if family not in CALIBRATIONS[calibration].families:
         raise CalibrationError(
             f"{calibration} calibration does not apply to family {family!r}"
         )
+
+
+def _calibration(family, calibration, alpha, n, p, prior, mc_samples, seed, workers):
+    """Critical value of ``family`` under ``calibration``, and the weights it used.
+
+    FUIT takes its Bonferroni threshold, labelled ``bonferroni``; ``bayes``
+    first estimates the weights of ``prior``; other modes use none.  Private,
+    and calling the public functions through the module globals (the table's
+    solvers), so wrappers installed on them (as by ``bench/tracer.py``) see
+    each such call as made from the caller's layer.
+    """
+    check_calibration(family, calibration)
+    if family == stats.FUIT:
+        value = student_t_upper_quantile(n - 1, alpha / p)
+        return CriticalValue(value, alpha, family, "bonferroni"), None
+    weights = None
+    if calibration == "bayes":
+        weights = bayes_weights_b1(n, p, prior, mc_samples=mc_samples, seed=seed, workers=workers)
+    return CALIBRATIONS[calibration].solve(family, alpha, n, p, weights), weights
 
 
 def marginal_logdensity(s, theta, prior):
@@ -568,26 +560,13 @@ def p_value(outcome, mode, weights=None):
     Modes: ``exact_halfspace`` (halfspace families, whose null law is free
     of the covariance), ``sup_conservative`` (upper bound; exact for
     halfspace families, conservative for orthant ones), and ``weighted``
-    (orthant families with supplied mixture or Bayes weights).  A statistic
-    of exactly zero reports 1.
+    (orthant families with supplied mixture or Bayes weights), the p-value
+    modes of :data:`CALIBRATIONS`.  A statistic of exactly zero reports 1,
+    once the mode, the family and the weights have been checked.
     """
-    family = outcome.family
-    if outcome.statistic <= 0.0:
-        return 1.0
+    calibration = next((c for c, m in CALIBRATIONS.items() if m.p_value_mode == mode), None)
+    if calibration is None:
+        raise CalibrationError(f"unknown p-value mode {mode!r}")
+    tail, _ = _calibrated_law(outcome.family, calibration, outcome.n, outcome.p, weights)
     value = stats.calibration_scale(outcome)
-    n, p = outcome.n, outcome.p
-    if mode == EXACT_HALFSPACE:
-        if family not in _EXACT_FAMILIES:
-            raise CalibrationError(
-                f"exact_halfspace p-values apply to halfspace families, not {family!r}"
-            )
-        return null_tail(family, value, n, p)
-    if mode == "sup_conservative":
-        return null_tail(_SUPREMUM_LAWS.get(family, family), value, n, p)
-    if mode == "weighted":
-        if family not in stats.ORTHANT_FAMILIES:
-            raise CalibrationError(
-                f"weighted p-values apply to orthant families, not {family!r}"
-            )
-        return null_tail(family, value, n, p, weights=weights)
-    raise CalibrationError(f"unknown p-value mode {mode!r}")
+    return tail(value) if outcome.statistic > 0.0 and value > 0.0 else 1.0

@@ -29,7 +29,7 @@ import numpy as np
 import scipy
 
 from . import __version__, calibrate, cones, powerlab, sample, stats
-from .dist import student_t_cdf, student_t_upper_quantile
+from .dist import student_t_cdf
 from .exceptions import ConeTestError, DataError
 
 USAGE_EXIT = 2
@@ -234,22 +234,38 @@ def _load_prior(args, p, inputs):
     return calibrate.PriorSpec.inverse_wishart(scale, args.prior_df)
 
 
-def cmd_test(args):
-    _check_alpha(args.alpha)
-    # A polyhedral problem is reduced to an orthant model below.
-    cone_kind = "orthant" if args.cone == "polyhedral" else args.cone
-    family = _internal_family(args.family, cone_kind)
+def _refuse_unread(args, flags, needed):
+    """Usage error for an input-file flag given where it would not be read."""
+    for flag in flags:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"{flag} is read only with {needed}")
+
+
+def _calibrated_family(args, cone):
+    """The internal family of ``args``, checked before any file is read or any draw made."""
+    family = _internal_family(args.family, cone)
     calibrate.check_calibration(family, args.calibration)
-    if args.calibration == "bayes" and args.seed is None:
+    if args.calibration != "bayes":
+        _refuse_unread(args, ("--prior-scale",), "--calibration bayes")
+    elif args.seed is None:
         raise UsageError("bayes calibration requires --seed")
     if args.seed is None:
         args.seed = 0
+    return family
+
+
+def cmd_test(args):
+    _check_alpha(args.alpha)
+    # A polyhedral problem is reduced to an orthant model below.
+    family = _calibrated_family(args, "orthant" if args.cone == "polyhedral" else args.cone)
+    if args.cone != "polyhedral":
+        _refuse_unread(args, ("--b-matrix", "--b1-matrix"), "--cone polyhedral")
+    elif args.b_matrix is None:
+        raise UsageError("polyhedral cone requires --b-matrix")
     inputs = []
     data = read_csv_matrix(args.data, "data", inputs)
     reduction_info = None
     if args.cone == "polyhedral":
-        if args.b_matrix is None:
-            raise UsageError("polyhedral cone requires --b-matrix")
         b2 = read_csv_matrix(args.b_matrix, "constraint matrix", inputs)
         if args.b1_matrix is not None:
             b1 = read_csv_matrix(args.b1_matrix, "null-space matrix", inputs)
@@ -320,15 +336,12 @@ def cmd_test(args):
         stats.UIT_HALFSPACE: stats.uit_halfspace,
     }[family](s)
     value = stats.calibration_scale(outcome)
-    weights = None
-    if args.calibration == "bayes":
-        prior = _load_prior(args, s.p, inputs)
-        weights = calibrate.bayes_weights_b1(
-            s.n, s.p, prior, mc_samples=args.mc_samples, seed=args.seed,
-            workers=args.workers,
-        )
-    solve, p_mode = calibrate.CALIBRATIONS[args.calibration]
-    cv = solve(family, args.alpha, s.n, s.p, weights)
+    prior = _load_prior(args, s.p, inputs) if args.calibration == "bayes" else None
+    cv, weights = calibrate._calibration(
+        family, args.calibration, args.alpha, s.n, s.p, prior, args.mc_samples,
+        args.seed, args.workers,
+    )
+    p_mode = calibrate.CALIBRATIONS[args.calibration].p_value_mode
     pv = calibrate.p_value(outcome, p_mode, weights=weights)
     result.update(
         {
@@ -368,12 +381,7 @@ def cmd_calibrate(args):
         raise UsageError(f"need p >= 1, got p={args.p}")
     if args.n <= args.p:
         raise UsageError(f"need n > p, got n={args.n}, p={args.p}")
-    family = _internal_family(args.family, args.cone)
-    calibrate.check_calibration(family, args.calibration)
-    if args.calibration == "bayes" and args.seed is None:
-        raise UsageError("bayes calibration requires --seed")
-    if args.seed is None:
-        args.seed = 0
+    family = _calibrated_family(args, args.cone)
     inputs = []
     resolved = {
         "command": "calibrate",
@@ -394,41 +402,33 @@ def cmd_calibrate(args):
         "n": args.n,
         "p": args.p,
     }
+    prior = None
+    if args.calibration == "bayes":
+        if args.prior_scale is not None:
+            prior = _load_prior(args, args.p, inputs)
+        elif args.prior_df is None:
+            raise UsageError("bayes calibration requires --prior-df")
+        else:
+            prior = calibrate.PriorSpec.inverse_wishart(np.eye(args.p), args.prior_df)
+    cv, weights = calibrate._calibration(
+        family, args.calibration, args.alpha, args.n, args.p, prior, args.mc_samples,
+        args.seed, args.workers,
+    )
+    result["calibration"] = cv.calibration
+    if weights is not None:
+        result["weights"] = {
+            "values": weights.weights.tolist(),
+            "std_errors": weights.std_errors.tolist(),
+            "mc_samples": weights.mc_samples,
+            "seed": args.seed,
+        }
     if family == stats.FUIT:
-        thr = student_t_upper_quantile(args.n - 1, args.alpha / args.p)
-        result.update(
-            {"threshold": thr, "alpha_star": args.alpha / args.p, "calibration": "bonferroni"}
-        )
+        result.update({"threshold": cv.value, "alpha_star": args.alpha / args.p})
     else:
-        weights = None
-        if args.calibration == "bayes":
-            if args.prior_scale is not None:
-                prior = _load_prior(args, args.p, inputs)
-            elif args.prior_df is None:
-                raise UsageError("bayes calibration requires --prior-df")
-            else:
-                prior = calibrate.PriorSpec.inverse_wishart(np.eye(args.p), args.prior_df)
-            weights = calibrate.bayes_weights_b1(
-                args.n, args.p, prior, mc_samples=args.mc_samples, seed=args.seed,
-                workers=args.workers,
-            )
-            result["weights"] = {
-                "values": weights.weights.tolist(),
-                "std_errors": weights.std_errors.tolist(),
-                "mc_samples": weights.mc_samples,
-                "seed": args.seed,
-            }
-        solve, _ = calibrate.CALIBRATIONS[args.calibration]
-        cv = solve(family, args.alpha, args.n, args.p, weights)
         unweighted_orthant = family in stats.ORTHANT_FAMILIES and weights is None
-        result.update(
-            {
-                "critical_value": cv.value,
-                "calibration": cv.calibration,
-                "achieved_alpha": None
-                if unweighted_orthant
-                else calibrate.null_tail(family, cv.value, args.n, args.p, weights=weights),
-            }
+        result["critical_value"] = cv.value
+        result["achieved_alpha"] = None if unweighted_orthant else calibrate.null_tail(
+            family, cv.value, args.n, args.p, weights=weights
         )
     manifest = build_manifest("calibrate", inputs, args.seed, resolved)
     emit_report({"manifest": manifest, "result": result}, args.out)
@@ -506,8 +506,12 @@ def _parse_tests(nodes, path):
 def load_experiment_config(path, workers=1, inputs=None):
     """Parse a simulation config file; ``inputs`` is as for :func:`_read_input`."""
     text = _read_input(path, "config", inputs)
+
+    def non_finite(name):  # json.loads accepts NaN and +-Infinity; JSON has no such values
+        raise DataError(f"config {path} holds the non-finite constant {name}")
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=non_finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -18,21 +18,18 @@ import numpy as np
 
 from . import calibrate, stats
 from ._batch import (
+    _count_cells,
     batch_fuit_max_t,
-    chunk_sizes,
     factor_cov,
     forward_sq_norm,
     halfspace_residual,
-    keyed_chunk,
     orthant_active_set,
     projection_norm,
-    run_chunks,
     sample_compound_null,
     sample_mean_chol,
     substream,
 )
 from ._linalg import check_positive_definite
-from .dist import student_t_upper_quantile
 from .exceptions import ConeTestError, DataError
 from .stats import (
     FUIT,
@@ -201,17 +198,13 @@ def resolve_sigmas(source, p, seed):
     return [(f"sigma{i}", m) for i, m in enumerate(mats)]
 
 
-def _resolve_critical(plan, alpha, n, p, seed):
+def _resolve_critical(plan, cfg):
     """Critical value on the calibration scale for one test plan."""
-    if plan.family == FUIT:
-        return student_t_upper_quantile(n - 1, alpha / p)
-    weights = None
-    if plan.calibration == "bayes":
-        weights = calibrate.bayes_weights_b1(
-            n, p, plan.prior, mc_samples=plan.weight_samples, seed=seed
-        )
-    solve, _ = calibrate.CALIBRATIONS[plan.calibration]
-    return solve(plan.family, alpha, n, p, weights).value
+    cv, _ = calibrate._calibration(
+        plan.family, plan.calibration, cfg.alpha, cfg.n, cfg.p, plan.prior,
+        plan.weight_samples, cfg.seed, cfg.workers,
+    )
+    return cv.value
 
 
 def _batch_values(means, c, n, families):
@@ -243,29 +236,6 @@ def _batch_values(means, c, n, families):
     return values
 
 
-def _count_cells(seed, cells, replications, workers, count):
-    """Summed per-chunk counts of each Monte-Carlo cell, in the order of ``cells``.
-
-    ``cells`` holds ``(key, draw)`` pairs.  A cell's draws are split into
-    fixed chunks of ``SIM_CHUNK``; chunk ``j`` samples ``draw(rng, reps) ->
-    (means, c)`` from the substream ``key + (j,)`` of ``seed`` and reduces it
-    with ``count(means, c)``, which returns an integer or an array of
-    integers.  Every (cell, chunk) task goes to one :func:`run_chunks` call,
-    so the cells of an experiment share one pool; the sums do not depend on
-    ``workers``.  A :class:`SolverError` names its replay key.
-    """
-    sizes = chunk_sizes(replications, SIM_CHUNK)
-    tasks = [(key, draw, j) for key, draw in cells for j in range(len(sizes))]
-
-    def worker(t):
-        key, draw, j = tasks[t]
-        return keyed_chunk(seed, key, j, lambda rng: count(*draw(rng, sizes[j])))
-
-    counts = run_chunks(worker, len(tasks), workers)
-    per_cell = len(sizes)
-    return [np.sum(counts[i:i + per_cell], axis=0) for i in range(0, len(tasks), per_cell)]
-
-
 def _rate(count, replications):
     """Rejection rate of ``count`` in ``replications`` draws and its standard error."""
     rate = int(count) / replications
@@ -285,7 +255,7 @@ def _grid_counts(cfg, sigmas, count):
         for it, theta in enumerate(cfg.theta_grid):
             labels.append((sigma_id, tuple(float(v) for v in theta)))
             cells.append(((_STREAM_POWER, is_, it), _fixed_draw(theta, chol, cfg.n)))
-    counts = _count_cells(cfg.seed, cells, cfg.replications, cfg.workers, count)
+    counts = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
     return [label + (total,) for label, total in zip(labels, counts)]
 
 
@@ -297,10 +267,7 @@ def simulate_power(cfg):
     ``(cfg, seed)`` and independent of ``workers``.
     """
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
-    criticals = {
-        plan.label: _resolve_critical(plan, cfg.alpha, cfg.n, cfg.p, cfg.seed)
-        for plan in cfg.tests
-    }
+    criticals = {plan.label: _resolve_critical(plan, cfg) for plan in cfg.tests}
     families = {plan.family for plan in cfg.tests}
 
     def count(means, c):
@@ -608,7 +575,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     which matches the level by construction.
     """
     plan = TestPlan(family, calibration, prior=prior)
-    critical = _resolve_critical(plan, cfg.alpha, cfg.n, cfg.p, cfg.seed)
+    critical = _resolve_critical(plan, cfg)
 
     def count(means, c):
         return np.sum(_batch_values(means, c, cfg.n, {family})[family] >= critical)
@@ -625,7 +592,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     if calibration == "bayes":
         labels.append("prior_draws")
         cells.append(((_STREAM_SIMILARITY, 999), from_prior))
-    totals = _count_cells(cfg.seed, cells, cfg.replications, cfg.workers, count)
+    totals = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
     rows = []
     for sigma_id, total in zip(labels, totals):
         rate, se = _rate(total, cfg.replications)

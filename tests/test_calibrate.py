@@ -22,7 +22,7 @@ from conetest import (
     sup_critical_value,
     summarize,
 )
-from conetest import stats
+from conetest import calibrate, stats
 from conetest._batch import sample_mean_cov, substream
 from conetest.calibrate import CLOSED_FORM, MONTE_CARLO
 
@@ -130,6 +130,54 @@ class TestChiBarWeights:
         w1 = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=1)
         w2 = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=4)
         assert np.array_equal(w1.weights, w2.weights)
+
+    @staticmethod
+    def arcsine_weights(corr):
+        """Closed forms for p <= 3 written out per size: arcsines of the
+        correlations for sizes 0 and p, partial correlations for size 2."""
+
+        def orthant_2(r):
+            return 0.25 + np.arcsin(r) / (2.0 * np.pi)
+
+        def orthant_3(c):
+            return 0.125 + (np.arcsin(c[0, 1]) + np.arcsin(c[0, 2]) + np.arcsin(c[1, 2])) / (4.0 * np.pi)
+
+        p = corr.shape[0]
+        if p == 1:
+            return np.array([0.5, 0.5])
+        if p == 2:
+            w2, w0 = orthant_2(corr[0, 1]), 0.25 - np.arcsin(corr[0, 1]) / (2.0 * np.pi)
+            return np.array([w0, 1.0 - w0 - w2, w2])
+        inv = np.linalg.inv(corr)
+        d = 1.0 / np.sqrt(np.diag(inv))
+        w = np.array([orthant_3(inv * np.outer(d, d)), 0.0, 0.0, orthant_3(corr)])
+        for k in range(3):
+            i, j = [t for t in range(3) if t != k]
+            partial = (corr[i, j] - corr[i, k] * corr[j, k]) / np.sqrt(
+                (1.0 - corr[i, k] ** 2) * (1.0 - corr[j, k] ** 2)
+            )
+            w[2] += 0.5 * orthant_2(partial)
+            w[1] += 0.5 * (0.25 - np.arcsin(corr[i, j]) / (2.0 * np.pi))
+        return w
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_closed_form_matches_arcsine_formulas(self, p):
+        rng = np.random.default_rng(300 + p)
+        for trial in range(200):
+            # Every fifth correlation comes from only p + 1 normal rows, so it
+            # is often close to singular.
+            corr = self.near_singular(rng, p) if trial % 5 == 0 else random_correlation(rng, p)
+            w = chi_bar_weights(corr).weights
+            assert np.max(np.abs(w - self.arcsine_weights(corr))) <= 1e-15
+            if p == 2:
+                assert abs(w[0] + w[2] - 0.5) <= 1e-15
+
+    @staticmethod
+    def near_singular(rng, p):
+        g = rng.standard_normal((p + 1, p))
+        m = g.T @ g + 1e-6 * np.eye(p)
+        d = 1.0 / np.sqrt(np.diag(m))
+        return m * np.outer(d, d)
 
     def test_seed_required_for_monte_carlo(self):
         with pytest.raises(CalibrationError):
@@ -424,6 +472,70 @@ class TestPValue:
             p_value(out, "exact_halfspace")
         with pytest.raises(CalibrationError):
             p_value(out, "weighted")
+
+
+class TestCalibrationTable:
+    """Each (family, calibration) pair that ``CALIBRATIONS`` allows, through
+    the one critical-value entry and back through ``p_value``."""
+
+    N, P, ALPHA = 20, 3, 0.05
+    PAIRS = [
+        (family, calibration)
+        for calibration, spec in calibrate.CALIBRATIONS.items()
+        for family in spec.families
+    ]
+
+    @pytest.mark.parametrize("family, calibration", PAIRS)
+    def test_p_value_at_critical_value_is_alpha(self, family, calibration):
+        from conetest.dist import student_t_cdf
+        from conetest.stats import TestOutcome
+
+        n, p, alpha = self.N, self.P, self.ALPHA
+        prior = PriorSpec.inverse_wishart(random_correlation(np.random.default_rng(1), p), p + 4.0)
+        cv, weights = calibrate._calibration(
+            family, calibration, alpha, n, p, prior, 3000, 8, 1
+        )
+        assert (weights is not None) == (calibration == "bayes")
+        if family == stats.FUIT:
+            # Bonferroni: p times the one-sided t tail at the threshold.
+            assert cv.calibration == "bonferroni"
+            assert p * student_t_cdf(-cv.value, n - 1) == pytest.approx(alpha, rel=0, abs=1e-9)
+            return
+        assert cv.calibration == calibrate.CALIBRATIONS[calibration].label
+        # With no residual, every family's calibration-scale value is
+        # q_proj / (n - 1).
+        q_proj = cv.value * (n - 1)
+        out = TestOutcome(
+            statistic=q_proj, family=family, active_subset=None, n=n, p=p,
+            sq_norm_projection=q_proj, sq_norm_residual=0.0,
+        )
+        assert stats.calibration_scale(out) == pytest.approx(cv.value, rel=1e-15)
+        mode = calibrate.CALIBRATIONS[calibration].p_value_mode
+        assert p_value(out, mode, weights=weights) == pytest.approx(alpha, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "family, mode, weights",
+        [
+            (stats.UIT_ORTHANT, "nope", None),
+            (stats.LRT_ORTHANT, "exact_halfspace", None),
+            (stats.UIT_HALFSPACE, "weighted", chi_bar_weights(np.eye(3))),
+            (stats.T2, "weighted", chi_bar_weights(np.eye(3))),
+            (stats.LRT_ORTHANT, "weighted", None),
+            (stats.FUIT, "sup_conservative", None),
+        ],
+    )
+    def test_p_value_rejects(self, family, mode, weights):
+        # TestPValue.test_incompatible_mode_raises covers UIT_orthant.  A
+        # zero statistic does not skip the checks.
+        from conetest.stats import TestOutcome
+
+        for statistic in (0.0, 1.0):
+            out = TestOutcome(
+                statistic=statistic, family=family, active_subset=None, n=self.N, p=self.P,
+                sq_norm_projection=statistic, sq_norm_residual=0.0,
+            )
+            with pytest.raises(CalibrationError):
+                p_value(out, mode, weights=weights)
 
 
 class TestExplicitMixtures:

@@ -457,6 +457,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(path) in err and "not UTF-8" in err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["test", "--family", "uit", "--b-matrix"], "--b-matrix"),
+            (["test", "--family", "lrt", "--cone", "halfspace", "--b1-matrix"], "--b1-matrix"),
+            (["test", "--family", "uit", "--calibration", "sup", "--prior-scale"], "--prior-scale"),
+            (["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
+              "--prior-df", "6", "--prior-scale"], "--prior-scale"),
+        ],
+        ids=["test-b-matrix", "test-b1-matrix", "test-prior-scale", "calibrate-prior-scale"],
+    )
+    def test_unread_file_flag_is_2(self, dataset, tmp_path, capsys, argv, flag):
+        # The named file does not exist: the flag is refused before any file is read.
+        data, _ = dataset
+        out = tmp_path / "r.json"
+        argv = argv + [str(tmp_path / "missing.csv"), "--out", str(out)]
+        if argv[0] == "test":
+            argv += ["--data", str(data)]
+        assert main(argv) == 2
+        assert not out.exists()
+        assert f"{flag} is read only with" in capsys.readouterr().err
+
     def test_dimension_error_is_3(self, tmp_path, rng):
         # n <= p: 3 rows, 4 columns.
         path = tmp_path / "wide.csv"
@@ -756,14 +778,47 @@ class TestCmdSimulate:
         assert body["flagged"] == []
         assert all(r["implication_violations"] == 0 for r in body["rows"])
 
-    def test_worker_invariance_bytes(self, tmp_path):
-        cfg = self.write_config(tmp_path)
-        outs = []
-        for w in (1, 2, 8):
-            out = tmp_path / f"sim{w}.json"
-            assert (
-                main(["simulate", "--config", str(cfg), "--workers", str(w), "--out", str(out)])
-                == 0
-            )
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+    BAYES_PLAN = {
+        "family": "UIT_orthant", "calibration": "bayes", "weight_samples": 40000,
+        "prior": {"scale": [[1.0, 0.3], [0.3, 1.0]], "df": 6},
+    }
+
+    def test_worker_invariance_bytes(self, tmp_path, monkeypatch):
+        weight_workers = []
+        estimate = calibrate.bayes_weights_b1
+
+        def spy(*args, **kwargs):
+            weight_workers.append(kwargs["workers"])
+            return estimate(*args, **kwargs)
+
+        monkeypatch.setattr(calibrate, "bayes_weights_b1", spy)
+        for tests in (None, [self.BAYES_PLAN, {"family": "FUIT"}]):
+            cfg = self.write_config(tmp_path, **({"tests": tests} if tests else {}))
+            outs = []
+            for w in (1, 2, 8):
+                out = tmp_path / f"sim{w}.json"
+                assert (
+                    main(["simulate", "--config", str(cfg), "--workers", str(w), "--out", str(out)])
+                    == 0
+                )
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1] == outs[2]
+        # The Bayes plan's 40000 weight draws (three chunks) ran on the config's workers.
+        assert weight_workers == [1, 2, 8]
+
+    @pytest.mark.parametrize(
+        "overrides, constant",
+        [
+            ({"theta_grid": [[float("inf"), 0.5]]}, "Infinity"),
+            ({"theta_grid": [[0.0, float("-inf")]]}, "-Infinity"),
+            ({"alpha": float("nan")}, "NaN"),
+            ({"sigma": {"kind": "fixed", "matrix": [[1.0, float("nan")], [0.0, 1.0]]}}, "NaN"),
+        ],
+        ids=["theta-inf", "theta-minus-inf", "alpha-nan", "sigma-nan"],
+    )
+    def test_non_finite_constant_is_data_error(self, tmp_path, capsys, overrides, constant):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert constant in cfg.read_text()
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert str(cfg) in err and f"non-finite constant {constant}" in err

@@ -218,7 +218,7 @@ class TestOnePoolPerExperiment:
             calls.append(n_chunks)
             return run_chunks(worker, n_chunks, workers)
 
-        monkeypatch.setattr(powerlab, "run_chunks", spy)
+        monkeypatch.setattr(_batch, "run_chunks", spy)
         sigma = np.array([[1.0, 0.35], [0.35, 1.0]])
         thetas = ([0.0, 0.0], [0.2, 0.2], [0.5, 0.1], [0.4, 0.4], [0.9, 0.0])
 
