@@ -62,13 +62,19 @@ def keyed_chunk(seed, key, chunk, task):
     A :class:`SolverError` raised by ``task`` leaves with its replay key:
     ``details`` gains ``seed``, ``stream_key`` and ``chunk`` beside the
     solver's ``draw`` index within the chunk, and the message names them.
+    A ``LinAlgError`` (a singular draw) leaves as such a ``SolverError``.
     """
+    def keyed(err):
+        err.details.update(seed=int(seed), stream_key=list(key), chunk=int(chunk))
+        err.args = (f"{err.args[0]} (seed {seed}, stream key {list(key)}, chunk {chunk})",)
+        return err
+
     try:
         return task(substream(seed, key + (chunk,)))
     except SolverError as err:
-        err.details.update(seed=int(seed), stream_key=list(key), chunk=int(chunk))
-        err.args = (f"{err.args[0]} (seed {seed}, stream key {list(key)}, chunk {chunk})",)
-        raise
+        raise keyed(err)
+    except np.linalg.LinAlgError as err:
+        raise keyed(SolverError(f"singular draw: {err}")) from err
 
 
 def _count_cells(seed, cells, total, chunk, workers, count):

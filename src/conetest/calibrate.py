@@ -18,13 +18,7 @@ import numpy as np
 from scipy.special import betainccinv, betaincinv, betaln
 
 from . import stats
-from ._batch import (
-    DEFAULT_CHUNK,
-    _count_cells,
-    factor_cov,
-    orthant_active_set,
-    sample_compound_null,
-)
+from ._batch import DEFAULT_CHUNK, _count_cells, orthant_active_set
 from ._linalg import check_positive_definite, read_only
 from .dist import g_ratio_tail, g_star_tail, student_t_upper_quantile
 from .exceptions import CalibrationError, DataError, MetricError
@@ -179,28 +173,27 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     if method in ("auto", CLOSED_FORM) and p <= 3:
         w = _closed_form_weights(corr)
         return MixtureWeights(weights=w, std_errors=np.zeros(p + 1), method=CLOSED_FORM, mc_samples=0)
-    chol = np.linalg.cholesky(corr)
-    return _size_frequencies(
-        lambda rng, reps: (rng.standard_normal((reps, p)) @ chol.T, corr),
-        p, mc_samples, seed, 10, workers,
-    )
+    return _fixed_metric_weights(corr, mc_samples, seed, 10, workers)
 
 
-def _size_frequencies(draw, p, mc_samples, seed, stream, workers):
-    """Monte-Carlo active-subset size frequencies, as mixture weights.
+def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
+    """Monte-Carlo size frequencies of ``N(0, corr)`` in the fixed metric ``corr``, as weights.
 
-    One cell of ``_count_cells`` in chunks of ``DEFAULT_CHUNK`` on the
-    substreams ``(stream, i)``; ``draw(rng, reps) -> (y, metric)`` gives the
-    rows to project and their metric.
+    One cell of ``_count_cells`` in chunks of ``DEFAULT_CHUNK`` on the substreams ``(stream, i)``.
     """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
     mc_samples = int(mc_samples)
     if mc_samples < 1:
         raise DataError("mc_samples must be positive")
+    p = corr.shape[0]
+    chol = np.linalg.cholesky(corr)
 
-    def count(y, metric):
-        return np.bincount(orthant_active_set(y, metric)[0].sum(axis=1), minlength=p + 1)
+    def draw(rng, reps):
+        return (rng.standard_normal((reps, p)) @ chol.T,)
+
+    def count(y):
+        return np.bincount(orthant_active_set(y, corr)[0].sum(axis=1), minlength=p + 1)
 
     [counts] = _count_cells(seed, [((stream,), draw)], mc_samples, DEFAULT_CHUNK, workers, count)
     w = counts / mc_samples
@@ -434,27 +427,25 @@ def exact_halfspace_critical_value(family, alpha, n, p):
 
 
 def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, workers=1):
-    """Active-subset size probabilities under a compound inverse-Wishart null.
+    """Active-subset size probabilities under the compound inverse-Wishart null.
 
-    The covariance is drawn from the proper inverse-Wishart prior, the data
-    are null-normal given the covariance, and each draw is classified by the
-    usual active-subset rule; standard errors accompany the estimates.
+    The covariance is drawn from the proper inverse-Wishart prior and the
+    data are null-normal given it.  The size probabilities of that compound
+    law are the chi-bar weights of the prior scale, ``b1(k) = w(p, k;
+    scale)``, whatever ``n > p`` and ``df > p - 1`` are (Kudo 1963 with the
+    block independence of the Wishart law; see the README), so they do not
+    depend on ``n`` or on ``df``.  They are estimated as the Monte-Carlo
+    size frequencies of ``N(0, corr(scale))`` classified in that fixed
+    metric, on the substreams ``(11, i)``, with their standard errors.
     """
-    n = int(n)
-    p = int(p)
+    n, p = int(n), int(p)
     if n <= p:
         raise DataError(f"need n > p, got n={n}, p={p}")
     if not isinstance(prior, PriorSpec) or prior.kind != "inverse_wishart":
-        raise CalibrationError(
-            "weight estimation requires a proper inverse-Wishart prior"
-        )
+        raise CalibrationError("weight estimation requires a proper inverse-Wishart prior")
     if prior.scale.shape[0] != p:
         raise DataError("prior scale dimension disagrees with p")
-    def draw(rng, reps):
-        means, c = sample_compound_null(rng, prior.scale, prior.df, n, reps)
-        return np.sqrt(n) * means, factor_cov(c, n)
-
-    return _size_frequencies(draw, p, mc_samples, seed, 11, workers)
+    return _fixed_metric_weights(_correlation_from(prior.scale), mc_samples, seed, 11, workers)
 
 
 def bayes_critical_value(family, alpha, n, p, weights):
@@ -463,7 +454,8 @@ def bayes_critical_value(family, alpha, n, p, weights):
     Solves ``sum_k b1(k) * tail_k(c) = alpha`` by ``_invert_tail``, where
     ``tail_k`` is the plain chi-square-ratio tail for the likelihood-ratio
     family and the two-block convolution tail for the union-intersection
-    family.
+    family.  With ``b1`` from :func:`bayes_weights_b1` this is the
+    fixed-covariance critical value at the prior scale.
     """
     return _critical_value(family, "bayes", alpha, n, p, weights)
 

@@ -224,13 +224,9 @@ def _internal_family(family, cone):
 
 
 def _load_prior(args, p, inputs):
-    if args.prior_scale is None or args.prior_df is None:
-        raise UsageError("bayes calibration requires --prior-scale and --prior-df")
     scale = read_csv_matrix(args.prior_scale, "prior scale", inputs)
     if scale.shape != (p, p):
-        raise DataError(
-            f"prior scale has shape {scale.shape}, expected ({p}, {p})"
-        )
+        raise DataError(f"prior scale has shape {scale.shape}, expected ({p}, {p})")
     return calibrate.PriorSpec.inverse_wishart(scale, args.prior_df)
 
 
@@ -241,14 +237,19 @@ def _refuse_unread(args, flags, needed):
             raise UsageError(f"{flag} is read only with {needed}")
 
 
-def _calibrated_family(args, cone):
-    """The internal family of ``args``, checked before any file is read or any draw made."""
+def _calibrated_family(args, cone, prior_flags):
+    """The internal family of ``args``, checked before any file is read or any draw made.
+
+    ``--calibration bayes`` requires the flags named in ``prior_flags``.
+    """
     family = _internal_family(args.family, cone)
     calibrate.check_calibration(family, args.calibration)
     if args.calibration != "bayes":
         _refuse_unread(args, ("--prior-scale",), "--calibration bayes")
     elif args.seed is None:
         raise UsageError("bayes calibration requires --seed")
+    elif any(getattr(args, flag[2:].replace("-", "_")) is None for flag in prior_flags):
+        raise UsageError(f"bayes calibration requires {' and '.join(prior_flags)}")
     if args.seed is None:
         args.seed = 0
     return family
@@ -257,7 +258,8 @@ def _calibrated_family(args, cone):
 def cmd_test(args):
     _check_alpha(args.alpha)
     # A polyhedral problem is reduced to an orthant model below.
-    family = _calibrated_family(args, "orthant" if args.cone == "polyhedral" else args.cone)
+    cone = "orthant" if args.cone == "polyhedral" else args.cone
+    family = _calibrated_family(args, cone, ("--prior-scale", "--prior-df"))
     if args.cone != "polyhedral":
         _refuse_unread(args, ("--b-matrix", "--b1-matrix"), "--cone polyhedral")
     elif args.b_matrix is None:
@@ -381,7 +383,7 @@ def cmd_calibrate(args):
         raise UsageError(f"need p >= 1, got p={args.p}")
     if args.n <= args.p:
         raise UsageError(f"need n > p, got n={args.n}, p={args.p}")
-    family = _calibrated_family(args, args.cone)
+    family = _calibrated_family(args, args.cone, ("--prior-df",))
     inputs = []
     resolved = {
         "command": "calibrate",
@@ -406,8 +408,6 @@ def cmd_calibrate(args):
     if args.calibration == "bayes":
         if args.prior_scale is not None:
             prior = _load_prior(args, args.p, inputs)
-        elif args.prior_df is None:
-            raise UsageError("bayes calibration requires --prior-df")
         else:
             prior = calibrate.PriorSpec.inverse_wishart(np.eye(args.p), args.prior_df)
     cv, weights = calibrate._calibration(

@@ -43,8 +43,8 @@ from .stats import (
 # Draws per Monte-Carlo chunk; the chunking fixes the random streams.
 SIM_CHUNK = 20000
 
-# Leading substream indices per consumer, so stream keys never collide
-# (the weight estimators in the calibration module use 10 and 11).
+# Leading substream indices per consumer, so stream keys never collide (the
+# calibration module's fixed-metric weights use 10 for chi-bar, 11 for Bayes).
 _STREAM_POWER = 2
 _STREAM_CONVEXITY = 3
 _STREAM_SIMILARITY = 4
@@ -570,9 +570,10 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
 
     Halfspace families calibrated by the supremum are exactly similar, so
     their rates agree across covariances; orthant families stay below the
-    level.  With ``calibration="bayes"`` the probe simulates the compound
-    null (covariance drawn from the prior) and reports the aggregate rate,
-    which matches the level by construction.
+    level.  With ``calibration="bayes"`` the probe also simulates the
+    compound null (covariance drawn from the prior) and reports its rate,
+    which matches the level: the Bayes weights, drawn at the prior scale,
+    are the size probabilities of that null.
     """
     plan = TestPlan(family, calibration, prior=prior)
     critical = _resolve_critical(plan, cfg)

@@ -23,10 +23,18 @@ from conetest import (
     summarize,
 )
 from conetest import calibrate, stats
-from conetest._batch import sample_mean_cov, substream
+from conetest._batch import (
+    DEFAULT_CHUNK,
+    chunk_sizes,
+    factor_cov,
+    orthant_active_set,
+    sample_compound_null,
+    sample_mean_cov,
+    substream,
+)
 from conetest.calibrate import CLOSED_FORM, MONTE_CARLO
 
-from conftest import random_correlation
+from conftest import random_correlation, random_pd_matrix
 from test_sample import make_summary
 
 
@@ -327,16 +335,16 @@ class TestBayesWeights:
     @pytest.mark.parametrize(
         "p, n, seed, counts",
         [
-            (3, 20, 1101, [760, 4807, 9372, 5061]),
-            (8, 60, 1102, [1, 17, 138, 754, 2553, 5116, 6235, 4017, 1169]),
-            (12, 60, 1103, [0, 0, 1, 9, 91, 371, 1179, 2800, 4488, 5023, 3916, 1777, 345]),
+            (3, 20, 1101, [795, 4925, 9170, 5110]),
+            (8, 60, 1102, [0, 19, 170, 801, 2556, 5091, 6107, 4100, 1156]),
+            (12, 60, 1103, [0, 0, 4, 13, 86, 378, 1200, 2743, 4430, 5226, 3852, 1730, 338]),
         ],
     )
     def test_stream_pinned(self, p, n, seed, counts):
         # Size counts of 20 000 draws (two chunks) as recorded with the
-        # inverse-based prior factors; the one forward substitution that
-        # replaced them draws the same stream.  A deliberate change of the
-        # prior stream updates these numbers and says so in the change log.
+        # fixed-metric draw at the prior scale's correlation, which replaced
+        # the compound-null draw.  A deliberate change of the Bayes stream
+        # updates these numbers and says so in the change log.
         d = np.linspace(0.5, 2.0, p)
         scale = 0.6 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p))) * np.outer(d, d)
         prior = PriorSpec.inverse_wishart(scale, p + 4.0)
@@ -353,6 +361,96 @@ class TestBayesWeights:
 
         with pytest.raises(DataError):
             PriorSpec.inverse_wishart(np.eye(3), 1.5)
+
+
+def compound_null_counts(n, prior, mc_samples, seed):
+    """Active-subset size counts of the compound inverse-Wishart null.
+
+    The covariance is drawn from the prior, then the mean and scatter of
+    ``n`` null-normal rows given it, and each draw is classified in its own
+    sample covariance.  This was the Bayes weight estimator, on the same
+    substreams ``(11, chunk)``, before it drew at the prior scale.
+    """
+    p = prior.scale.shape[0]
+    counts = np.zeros(p + 1, dtype=int)
+    for chunk, reps in enumerate(chunk_sizes(mc_samples, DEFAULT_CHUNK)):
+        rng = substream(seed, (11, chunk))
+        means, c = sample_compound_null(rng, prior.scale, prior.df, n, reps)
+        free, _ = orthant_active_set(np.sqrt(n) * means, factor_cov(c, n))
+        counts += np.bincount(free.sum(axis=1), minlength=p + 1)
+    return counts
+
+
+def equicorrelated(p, rho):
+    return (1.0 - rho) * np.eye(p) + rho
+
+
+class TestBayesWeightsAtPriorScale:
+    """The compound null's size law is the chi-bar law of the prior scale.
+
+    ``b1(k) = w(p, k; scale)`` for every ``n > p`` and ``df > p - 1``.
+    """
+
+    @pytest.mark.parametrize(
+        "p, n, df, scale",
+        [
+            (2, 5, 3.5, random_pd_matrix(np.random.default_rng(2), 2)),
+            (3, 4, 3.5, equicorrelated(3, 0.6)),
+            (3, 40, 6.0, random_pd_matrix(np.random.default_rng(3), 3)),
+            (3, 12, 30.0, equicorrelated(3, -0.4)),
+        ],
+        ids=["p2-random", "p3-n4-equi", "p3-random", "p3-negative"],
+    )
+    def test_compound_null_matches_closed_form(self, p, n, df, scale):
+        m = 100_000
+        rates = compound_null_counts(n, PriorSpec.inverse_wishart(scale, df), m, seed=31) / m
+        w = chi_bar_weights(scale)
+        assert w.method == CLOSED_FORM
+        se = np.sqrt(w.weights * (1.0 - w.weights) / m)
+        assert np.all(np.abs(rates - w.weights) <= 3 * se)
+
+    def test_compound_null_matches_estimator_p5(self):
+        p, n, df, m = 5, 12, 9.0, 100_000
+        d = np.arange(1.0, p + 1)
+        scale = random_pd_matrix(np.random.default_rng(5), p) * np.outer(d, d)
+        prior = PriorSpec.inverse_wishart(scale, df)
+        rates = compound_null_counts(n, prior, m, seed=32) / m
+        w = bayes_weights_b1(n, p, prior, mc_samples=m, seed=33)
+        joint = np.sqrt(rates * (1.0 - rates) / m + w.std_errors**2)
+        assert np.all(np.abs(rates - w.weights) <= 3 * np.maximum(joint, 1e-9))
+
+    def test_free_of_n_and_df(self):
+        p, m, seed = 4, 5000, 7
+        scale = random_pd_matrix(np.random.default_rng(4), p)
+        ref = bayes_weights_b1(p + 1, p, PriorSpec.inverse_wishart(scale, p - 0.5), m, seed)
+        for n in (p + 1, 20, 1000):
+            for df in (p - 0.5, p + 4.0, 250.0):
+                w = bayes_weights_b1(n, p, PriorSpec.inverse_wishart(scale, df), m, seed)
+                assert np.array_equal(w.weights, ref.weights)
+                assert np.array_equal(w.std_errors, ref.std_errors)
+
+    def test_is_fixed_metric_draw_on_stream_11(self):
+        p, m, seed = 4, 5000, 8
+        scale = random_pd_matrix(np.random.default_rng(6), p)
+        corr = calibrate._correlation_from(scale)
+        w = bayes_weights_b1(10, p, PriorSpec.inverse_wishart(scale, 6.0), m, seed, workers=2)
+        for workers in (1, 2):
+            fixed = calibrate._fixed_metric_weights(corr, m, seed, 11, workers)
+            assert np.array_equal(w.weights, fixed.weights)
+        # Stream 10 is chi_bar_weights' own estimate of the same law.
+        chi_bar = chi_bar_weights(scale, method=MONTE_CARLO, mc_samples=m, seed=seed)
+        fixed = calibrate._fixed_metric_weights(corr, m, seed, 10, 1)
+        assert np.array_equal(fixed.weights, chi_bar.weights)
+        assert not np.array_equal(w.weights, chi_bar.weights)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_monte_carlo_block_at_every_p(self, p):
+        # Also at p <= 3 with a diagonal scale, where closed forms exist.
+        m = 3000
+        prior = PriorSpec.inverse_wishart(np.diag(np.arange(1.0, p + 1)), p + 1.0)
+        w = bayes_weights_b1(p + 2, p, prior, m, 9)
+        assert w.method == MONTE_CARLO and w.mc_samples == m
+        assert np.array_equal(w.std_errors, np.sqrt(w.weights * (1.0 - w.weights) / m))
 
 
 class TestBayesCriticalValue:

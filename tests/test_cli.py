@@ -479,6 +479,37 @@ class TestExitCodes:
         assert not out.exists()
         assert f"{flag} is read only with" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, needed",
+        [
+            (["test", "--family", "uit"], "--prior-scale and --prior-df"),
+            (["test", "--family", "uit", "--prior-scale", "DATA"], "--prior-scale and --prior-df"),
+            (["test", "--family", "lrt", "--prior-df", "6"], "--prior-scale and --prior-df"),
+            (["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
+              "--prior-scale", "MISSING"], "--prior-df"),
+        ],
+        ids=["test-no-prior", "test-no-df", "test-no-scale", "calibrate-no-df"],
+    )
+    def test_missing_prior_flag_is_2_before_reading(self, dataset, tmp_path, monkeypatch, capsys,
+                                                    argv, needed):
+        data, _ = dataset
+        reads = []
+        monkeypatch.setattr(cli, "read_csv_matrix",
+                            lambda *a, **k: reads.append(a) or read_csv_matrix(*a, **k))
+        paths = {"DATA": str(data), "MISSING": str(tmp_path / "missing.csv")}
+        argv = [paths.get(a, a) for a in argv] + ["--calibration", "bayes", "--seed", "1"]
+        if argv[0] == "test":
+            argv += ["--data", str(data)]
+        assert main(argv) == 2
+        assert reads == []
+        assert f"bayes calibration requires {needed}" in capsys.readouterr().err
+
+    def test_missing_data_and_prior_is_2(self, capsys):
+        argv = ["test", "--data", "/nonexistent.csv", "--family", "uit", "--calibration", "bayes",
+                "--seed", "1"]
+        assert main(argv) == 2
+        assert "requires --prior-scale and --prior-df" in capsys.readouterr().err
+
     def test_dimension_error_is_3(self, tmp_path, rng):
         # n <= p: 3 rows, 4 columns.
         path = tmp_path / "wide.csv"
@@ -582,6 +613,24 @@ class TestCmdCalibrate:
         result = json.loads(out.read_text())["result"]
         assert len(result["weights"]["std_errors"]) == 3
         assert result["achieved_alpha"] == pytest.approx(0.05, abs=1e-5)
+
+    @pytest.mark.parametrize("p, n, df", [(3, 4, 2.1), (3, 4, 2.5), (6, 9, 5.5), (8, 60, 7.5)])
+    def test_bayes_near_improper_prior(self, tmp_path, capsys, p, n, df):
+        # The compound-null draw underflowed at these shapes; the weights are
+        # now drawn at the prior scale and do not depend on df.
+        out = tmp_path / "c.json"
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--calibration", "bayes",
+                "--p", str(p), "--n", str(n), "--prior-df", str(df), "--seed", "3",
+                "--mc-samples", "20000", "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        result = json.loads(out.read_text())["result"]
+        weights = calibrate.MixtureWeights(
+            np.array(result["weights"]["values"]), np.array(result["weights"]["std_errors"]),
+            calibrate.MONTE_CARLO, result["weights"]["mc_samples"],
+        )
+        tail = calibrate.null_tail(stats.UIT_ORTHANT, result["critical_value"], n, p, weights)
+        assert abs(tail - 0.05) <= 1e-9 * 0.05
 
     @pytest.mark.parametrize("family, p", [("uit", -1), ("fuit", 0), ("t2", 0), ("lrt", 0)])
     def test_p_below_one_is_usage_error(self, family, p, capsys):

@@ -15,7 +15,14 @@ from conetest import (
     project,
     stats,
 )
-from conetest._batch import run_chunks, sample_mean_chol, substream
+from conetest._batch import (
+    factor_cov,
+    orthant_active_set,
+    run_chunks,
+    sample_compound_null,
+    sample_mean_chol,
+    substream,
+)
 from conetest.powerlab import (
     LRT_ORTHANT_ACCEPTANCE,
     UIT_HALFSPACE_ACCEPTANCE,
@@ -167,9 +174,10 @@ class TestSimulatePower:
         ]
         prior = PriorSpec.inverse_wishart(np.eye(2), 5.0)
         sim = similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
-        # Reversed-index prior factors (lower-triangular) changed the prior
-        # stream: the Bayes weights, hence the critical value, and the prior cell.
-        assert counts(r["rate"] for r in sim.rows) == [2004, 2079]
+        # The Bayes weights come from the fixed-metric draw at the prior
+        # scale, so the critical value and both rates moved; the streams of
+        # the two cells did not.
+        assert counts(r["rate"] for r in sim.rows) == [1999, 2074]
 
     def test_null_halfspace_rate_near_alpha(self):
         cfg = small_config(
@@ -260,6 +268,23 @@ class TestOnePoolPerExperiment:
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
         means, _ = sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500)
         assert (np.sqrt(cfg.n) * means[d["draw"]]).tolist() == d["y"]
+
+    def test_singular_draw_names_replay_key(self):
+        # Near an improper prior a chi-square factor of the compound null
+        # underflows to 0, so a drawn covariance is singular.
+        cfg = small_config(n=3, seed=8)
+        prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
+        pattern = r"singular draw: .* \(seed 8, stream key \[4, 999\], chunk 0\)"
+        with pytest.raises(SolverError, match=pattern) as err:
+            similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
+        d = err.value.details
+        assert (d["seed"], d["stream_key"], d["chunk"]) == (8, [4, 999], 0)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        # The key replays the singular chunk.
+        rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
+        means, c = sample_compound_null(rng, prior.scale, prior.df, cfg.n, cfg.replications)
+        with pytest.raises(np.linalg.LinAlgError):
+            orthant_active_set(np.sqrt(cfg.n) * means, factor_cov(c, cfg.n))
 
 
 class TestDomination:
