@@ -62,19 +62,13 @@ def keyed_chunk(seed, key, chunk, task):
     A :class:`SolverError` raised by ``task`` leaves with its replay key:
     ``details`` gains ``seed``, ``stream_key`` and ``chunk`` beside the
     solver's ``draw`` index within the chunk, and the message names them.
-    A ``LinAlgError`` (a singular draw) leaves as such a ``SolverError``.
     """
-    def keyed(err):
-        err.details.update(seed=int(seed), stream_key=list(key), chunk=int(chunk))
-        err.args = (f"{err.args[0]} (seed {seed}, stream key {list(key)}, chunk {chunk})",)
-        return err
-
     try:
         return task(substream(seed, key + (chunk,)))
     except SolverError as err:
-        raise keyed(err)
-    except np.linalg.LinAlgError as err:
-        raise keyed(SolverError(f"singular draw: {err}")) from err
+        err.details.update(seed=int(seed), stream_key=list(key), chunk=int(chunk))
+        err.args = (f"{err.args[0]} (seed {seed}, stream key {list(key)}, chunk {chunk})",)
+        raise
 
 
 def _count_cells(seed, cells, total, chunk, workers, count):
@@ -155,7 +149,7 @@ def sample_mean_cov(rng, theta, chol_sigma, n, reps):
     return means, factor_cov(c, n)
 
 
-def forward_solve(c, x, lead=None):
+def forward_solve(c, x):
     """``c^{-1} x`` for a lower-triangular ``c``, by forward substitution.
 
     ``c`` is one (p, p) factor or a (reps, p, p) stack, and may be any
@@ -163,16 +157,11 @@ def forward_solve(c, x, lead=None):
     sides.  Row ``i`` of the solution is one vectorized step over the rows
     before it (none at row 0), with no LAPACK call, so it scales across
     threads.  A lower-triangular ``x`` gives exact zeros above the diagonal.
-    When ``lead`` is given, ``x`` must be lower-triangular after its first
-    ``lead`` columns; row ``i`` of the solution then computes only its
-    first ``lead + i + 1`` columns and keeps exact zeros after them.
     """
-    k = x.shape[-1]
-    w = np.zeros(np.broadcast_shapes(c.shape[:-2], x.shape[:-2]) + x.shape[-2:])
+    w = np.empty(np.broadcast_shapes(c.shape[:-2], x.shape[:-2]) + x.shape[-2:])
     for i in range(x.shape[-2]):
-        end = k if lead is None else min(lead + i + 1, k)
-        dot = np.einsum("...j,...jk->...k", c[..., i, :i], w[..., :i, :end])
-        w[..., i, :end] = (x[..., i, :end] - dot) / c[..., i, i, None]
+        dot = np.einsum("...j,...jk->...k", c[..., i, :i], w[..., :i, :])
+        w[..., i, :] = (x[..., i, :] - dot) / c[..., i, i, None]
     return w
 
 
@@ -225,7 +214,8 @@ def orthant_active_set(y, metric):
     mean exceeds that tolerance while the complement multipliers do not,
     and the squared residual norm ``y_c' M_cc^{-1} y_c``.  Raises
     :class:`SolverError` naming the first draw still unresolved after
-    ``max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)`` steps.
+    ``max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)`` steps, or the first draw of
+    a block whose system is singular, with the ``LinAlgError`` as its cause.
     """
     reps, p = y.shape
     metric = np.broadcast_to(np.asarray(metric, dtype=float), (reps, p, p))
@@ -245,7 +235,12 @@ def orthant_active_set(y, metric):
             mask, y_t = free[todo], y[todo]
             mats = metric[todo]
             np.copyto(mats, eye, where=mask[:, None, :])
-            z = np.linalg.solve(mats, y_t[..., None])[..., 0]
+            try:
+                z = np.linalg.solve(mats, y_t[..., None])[..., 0]
+            except np.linalg.LinAlgError as err:
+                # slogdet's sign is 0 where the LU that solve shares has a zero pivot.
+                bad = todo[np.flatnonzero(np.linalg.slogdet(mats)[0] == 0.0)[0]]
+                raise _draw_error("singular active-set system", y, bad) from err
             # The diagonal is 1 on the free set and M_jj on the complement.
             zs = z * np.diagonal(mats, axis1=1, axis2=2)
             viol = (zs > tol[todo]) != mask
@@ -263,12 +258,14 @@ def orthant_active_set(y, metric):
             viol[single, lowest] = True
             free[todo] = mask ^ viol
         if todo.size:
-            bad = int(todo[0])
-            raise SolverError(
-                f"active-set iteration cap {cap} exceeded at draw {bad}",
-                details={"draw": bad, "y": y[bad].tolist()},
-            )
+            raise _draw_error(f"active-set iteration cap {cap} exceeded", y, todo[0])
     return free, q_res
+
+
+def _draw_error(message, y, draw):
+    """:class:`SolverError` naming ``draw`` and its row of ``y``."""
+    draw = int(draw)
+    return SolverError(f"{message} at draw {draw}", details={"draw": draw, "y": y[draw].tolist()})
 
 
 def halfspace_residual(y, metric):
@@ -305,15 +302,6 @@ def batch_fuit_max_t(means, covs, n):
     return np.max(np.sqrt(n) * means / np.sqrt(diag), axis=1)
 
 
-def _prior_factors(rng, scale, df, reps):
-    """``chol(scale)`` and the lower-triangular Bartlett factor ``Q``.
-
-    ``Q`` is a negative-stride view; see :func:`sample_invwishart_chol`.
-    """
-    bart = _bartlett(rng, df - np.arange(scale.shape[0]), reps)
-    return np.linalg.cholesky(scale), np.swapaxes(bart, 1, 2)[:, ::-1, ::-1]
-
-
 def sample_invwishart_chol(rng, scale, df, reps):
     """Lower-triangular factors ``G`` of inverse-Wishart draws ``G G'``.
 
@@ -321,28 +309,21 @@ def sample_invwishart_chol(rng, scale, df, reps):
     Wishart(I, df)``, the factor ``Q = P A' P`` is lower-triangular and
     ``Q' Q = P A A' P`` is ``Wishart(I, df)`` too.  So ``G = chol(scale)
     Q^{-1}`` gives ``G G' ~ InvWishart(scale, df)``, proper for ``df > p -
-    1``.  ``Q^{-1}`` comes from :func:`forward_solve` on the identity: no
-    inverse is formed, and the zeros above the diagonal are exact.
-    Returns the (reps, p, p) stack of ``G``.
+    1``.  ``Q`` is a negative-stride view, and ``Q^{-1}`` comes from
+    :func:`forward_solve` on the identity: no inverse is formed, and the
+    zeros above the diagonal are exact.  Returns the (reps, p, p) stack of
+    ``G``.
     """
-    chol_scale, q = _prior_factors(rng, scale, df, reps)
-    return chol_scale @ forward_solve(q, np.eye(scale.shape[0]), lead=0)
+    p = scale.shape[0]
+    q = np.swapaxes(_bartlett(rng, df - np.arange(p), reps), 1, 2)[:, ::-1, ::-1]
+    return np.linalg.cholesky(scale) @ forward_solve(q, np.eye(p))
 
 
 def sample_compound_null(rng, scale, df, n, reps):
     """Means and scatter factors of the compound null of the Bayes calibration.
 
-    Draws ``G`` as :func:`sample_invwishart_chol` does, then ``(means, c)``
-    as :func:`sample_mean_chol` does with ``chol_sigma = G``, on the same
-    stream.  ``G [z, B] = chol(scale) Q^{-1} [z, B]`` for the data normal
-    ``z`` and Bartlett factor ``B`` comes from one forward substitution
-    with ``p + 1`` right-hand columns, so ``c = G B`` has exact zeros above
-    the diagonal.  Returns arrays of shapes (reps, p) and (reps, p, p).
+    Draws ``G`` by :func:`sample_invwishart_chol`, then ``(means, c)`` by
+    :func:`sample_mean_chol` with ``chol_sigma = G``, on the same stream.
+    Returns arrays of shapes (reps, p) and (reps, p, p).
     """
-    chol_scale, q = _prior_factors(rng, scale, df, reps)
-    p = scale.shape[0]
-    rhs = np.empty((reps, p, p + 1))
-    rhs[..., 0] = rng.standard_normal((reps, p))
-    rhs[..., 1:] = _bartlett(rng, n - 1 - np.arange(p), reps)
-    w = chol_scale @ forward_solve(q, rhs, lead=1)
-    return w[..., 0] / np.sqrt(n), w[..., 1:]
+    return sample_mean_chol(rng, None, sample_invwishart_chol(rng, scale, df, reps), n, reps)

@@ -30,8 +30,10 @@ SUP_SIGMA = "sup_sigma"
 BAYES_WEIGHTED = "bayes_weighted"
 EXACT_HALFSPACE = "exact_halfspace"
 
-# Default Monte-Carlo sample count for weight estimation.
+# Default Monte-Carlo sample counts for weight estimation: of a library call,
+# and of a run (the CLI's ``--mc-samples`` and a power-lab test plan's).
 DEFAULT_MC_SAMPLES = 1_000_000
+RUN_MC_SAMPLES = 200_000
 
 # Tail inversion stops, as ``scipy.optimize.brentq(xtol=1e-12)`` does with its
 # default ``rtol``, once the bracket is narrower than ``_XTOL + _RTOL * c``.

@@ -194,7 +194,7 @@ def _resolve_common(args):
     args.workers = _resolve_int(args.workers, "--workers", "CONETEST_WORKERS", 1, 1)
     if hasattr(args, "mc_samples"):
         args.mc_samples = _resolve_int(
-            args.mc_samples, "--mc-samples", "CONETEST_MC_SAMPLES", 200_000, 1
+            args.mc_samples, "--mc-samples", "CONETEST_MC_SAMPLES", calibrate.RUN_MC_SAMPLES, 1
         )
     if args.out is None:
         args.out = os.environ.get("CONETEST_OUT")
@@ -497,7 +497,7 @@ def _parse_tests(nodes, path):
                 family=family,
                 calibration=calibration,
                 prior=prior,
-                weight_samples=_expect(node, "weight_samples", int, sub, 200_000),
+                weight_samples=_expect(node, "weight_samples", int, sub, calibrate.RUN_MC_SAMPLES),
             )
         )
     return tuple(plans)

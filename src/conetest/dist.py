@@ -12,7 +12,7 @@ certified when two consecutive rules of a bounded node ladder agree.
 import functools
 
 import numpy as np
-from scipy.special import betainc, roots_jacobi, stdtr, stdtrit
+from scipy.special import betainc, stdtr, stdtrit
 
 from .exceptions import QuadratureError
 
@@ -61,11 +61,21 @@ def _mixing_rule(nodes, p_minus_a, n_minus_p_plus_a):
     The Beta((p-a)/2, (n-p+a)/2) density in ``s`` becomes, in ``r`` on
     (0, 1), ``(1-r)**e (1+r)**e r**(n-p+a-1)`` with ``e = (p-a)/2 - 1``: a
     Jacobi weight times the smooth factor ``(1+r)**e``, normalized here.
+    The Gauss-Jacobi rule of exponents ``(e, b)``, ``b = n-p+a-1``, solves
+    the Golub-Welsch eigenproblem of the Jacobi matrix: nodes are its
+    eigenvalues, weights the squared first components of its eigenvectors.
+    Unlike ``scipy.special.roots_jacobi``, whose weights carry the factor
+    ``2**(e+b+1) B(e+1, b+1)``, nothing overflows at large ``n``.
     """
-    e = p_minus_a / 2.0 - 1.0
-    x, w = roots_jacobi(nodes, e, n_minus_p_plus_a - 1.0)
+    e, b = p_minus_a / 2.0 - 1.0, n_minus_p_plus_a - 1.0
+    k = np.arange(nodes)
+    s = 2.0 * k + e + b  # e + b > 0, so row 0 takes the general formula
+    diag = (b - e) * (b + e) / (s * (s + 2.0))
+    k, s = k[1:], s[1:]
+    off = np.sqrt(4.0 * k * (k + e) * (k + b) * (k + e + b) / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, -1))  # eigh reads the lower triangle
     r = 0.5 * (1.0 + x)
-    w = w * (1.0 + r) ** e
+    w = vec[0] ** 2 * (1.0 + r) ** e
     return r * r, w / w.sum()
 
 

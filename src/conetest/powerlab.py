@@ -95,7 +95,7 @@ class TestPlan:
     family: str
     calibration: str = "sup"
     prior: Optional[calibrate.PriorSpec] = None
-    weight_samples: int = 200_000
+    weight_samples: int = calibrate.RUN_MC_SAMPLES
 
     def __post_init__(self):
         if self.family not in stats.FAMILIES:
@@ -176,10 +176,9 @@ class PowerTable:
     metadata: dict = field(default_factory=dict)
 
 
-def random_correlation_matrix(rng, p, df=None):
-    """Random correlation matrix from a normalized Wishart draw."""
-    df = df if df is not None else p + 2
-    g = rng.standard_normal((df, p))
+def random_correlation_matrix(rng, p):
+    """Random correlation matrix from a normalized Wishart draw with ``p + 2`` df."""
+    g = rng.standard_normal((p + 2, p))
     w = g.T @ g
     d = 1.0 / np.sqrt(np.diag(w))
     return w * np.outer(d, d)

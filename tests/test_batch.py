@@ -306,17 +306,6 @@ class TestForwardSolve:
         assert np.allclose(q @ got, b, rtol=0, atol=1e-12 * np.abs(b).max())
         assert np.array_equal(forward_solve(np.ascontiguousarray(q), b), got)
 
-    @pytest.mark.parametrize("lead", [0, 1, 3])
-    def test_lead_skips_only_zeros(self, lead):
-        # After its first ``lead`` columns the right side is lower-triangular,
-        # so the trimmed rows must give the full solve bit for bit.
-        rng = substream(60, lead)
-        q = np.swapaxes(_bartlett(rng, 12.0 - np.arange(8), 30), 1, 2)[:, ::-1, ::-1]
-        x = np.concatenate(
-            [rng.standard_normal((30, 8, lead)), _bartlett(rng, 20.0 - np.arange(8), 30)], axis=2
-        )
-        assert np.array_equal(forward_solve(q, x, lead=lead), forward_solve(q, x))
-
 
 class TestCompoundNull:
     """``sample_compound_null`` against the inverse-based draw on the same substream."""

@@ -113,6 +113,22 @@ class TestCmdTest:
         assert expect < 1e-10
         assert result["p_value"]["bonferroni"] == pytest.approx(expect, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("cone, calibration", [("orthant", "sup"), ("halfspace", "exact")])
+    def test_uit_at_large_n(self, cone, calibration, tmp_path, capsys):
+        n, p = 1100, 3
+        path, out = tmp_path / "data.csv", tmp_path / "report.json"
+        write_csv(path, np.random.default_rng(11).standard_normal((n, p)) + 0.05)
+        argv = ["test", "--data", str(path), "--family", "uit", "--cone", cone,
+                "--calibration", calibration, "--out", str(out)]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        result = json.loads(out.read_text())["result"]
+        [p_value] = result["p_value"].values()
+        value = result["calibration_scale_value"]
+        assert 0.0 < p_value < 1.0
+        assert p_value == pytest.approx(calibrate.null_tail(stats.UIT_HALFSPACE, value, n, p))
+        assert result["reject"] == (value >= result["critical_value"]["value"])
+
     def test_all_negative_orthant_accepts(self, tmp_path, rng):
         data = rng.standard_normal((15, 2)) - 4.0
         path = tmp_path / "neg.csv"
@@ -566,7 +582,9 @@ class TestCmdCalibrate:
         result = json.loads(out.read_text())["result"]
         assert result["achieved_alpha"] == pytest.approx(0.05, abs=1e-6)
 
-    @pytest.mark.parametrize("n, p", [(200, 2), (250, 3), (400, 2), (1000, 4)])
+    # From n - p + k - 1 of about 1033 on, scipy.special.roots_jacobi's
+    # weights overflow; n = 1100 checks that the quadrature does not use them.
+    @pytest.mark.parametrize("n, p", [(200, 2), (250, 3), (400, 2), (1000, 4), (1100, 3)])
     @pytest.mark.parametrize("cone", ["orthant", "halfspace"])
     def test_uit_large_n(self, cone, n, p, tmp_path):
         out = tmp_path / "c.json"
@@ -582,7 +600,7 @@ class TestCmdCalibrate:
             # orthant; its critical value solves the halfspace equation.
             assert achieved is None
             achieved = calibrate.null_tail(stats.UIT_HALFSPACE, result["critical_value"], n, p)
-        assert abs(achieved - 0.05) <= 1e-9
+        assert achieved == pytest.approx(0.05, rel=1e-9, abs=0.0)
 
     def test_bayes_emits_weights_with_errors(self, tmp_path):
         out = tmp_path / "c.json"

@@ -274,17 +274,21 @@ class TestOnePoolPerExperiment:
         # underflows to 0, so a drawn covariance is singular.
         cfg = small_config(n=3, seed=8)
         prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
-        pattern = r"singular draw: .* \(seed 8, stream key \[4, 999\], chunk 0\)"
+        pattern = r"singular active-set system at draw \d+ \(seed 8, stream key \[4, 999\], chunk 0"
         with pytest.raises(SolverError, match=pattern) as err:
             similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
         d = err.value.details
         assert (d["seed"], d["stream_key"], d["chunk"]) == (8, [4, 999], 0)
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
-        # The key replays the singular chunk.
+        # The key replays the singular chunk, which raises at the named draw.
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
         means, c = sample_compound_null(rng, prior.scale, prior.df, cfg.n, cfg.replications)
-        with pytest.raises(np.linalg.LinAlgError):
-            orthant_active_set(np.sqrt(cfg.n) * means, factor_cov(c, cfg.n))
+        y, covs = np.sqrt(cfg.n) * means, factor_cov(c, cfg.n)
+        with pytest.raises(SolverError) as replay:
+            orthant_active_set(y, covs)
+        assert (replay.value.details["draw"], replay.value.details["y"]) == (d["draw"], d["y"])
+        assert d["y"] == y[d["draw"]].tolist()
+        assert isinstance(replay.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestDomination:
