@@ -223,13 +223,6 @@ def _internal_family(family, cone):
     raise UsageError(f"unknown family {family!r}")
 
 
-def _load_prior(args, p, inputs):
-    scale = read_csv_matrix(args.prior_scale, "prior scale", inputs)
-    if scale.shape != (p, p):
-        raise DataError(f"prior scale has shape {scale.shape}, expected ({p}, {p})")
-    return calibrate.PriorSpec.inverse_wishart(scale, args.prior_df)
-
-
 def _refuse_unread(args, flags, needed):
     """Usage error for an input-file flag given where it would not be read."""
     for flag in flags:
@@ -255,6 +248,53 @@ def _calibrated_family(args, cone, prior_flags):
     return family
 
 
+def _calibrated(args, family, n, p, inputs, body):
+    """Critical value and weights of ``family`` at ``(n, p)`` under ``--calibration``.
+
+    ``bayes`` takes its prior scale from ``--prior-scale`` (the identity
+    without one) and writes the weights it estimates to ``body["weights"]``.
+    """
+    prior = None
+    if args.calibration == "bayes":
+        scale = np.eye(p)
+        if args.prior_scale is not None:
+            scale = read_csv_matrix(args.prior_scale, "prior scale", inputs)
+            if scale.shape != (p, p):
+                raise DataError(f"prior scale has shape {scale.shape}, expected ({p}, {p})")
+        prior = calibrate.PriorSpec.inverse_wishart(scale, args.prior_df)
+    cv, weights = calibrate._calibration(
+        family, args.calibration, args.alpha, n, p, prior, args.mc_samples,
+        args.seed, args.workers,
+    )
+    if weights is not None:
+        body["weights"] = {
+            "values": weights.weights.tolist(),
+            "std_errors": weights.std_errors.tolist(),
+            "mc_samples": weights.mc_samples,
+        }
+    return cv, weights
+
+
+# The resolved-config entries of ``test`` and ``calibrate``, read from their flags.
+_SHARED_CONFIG = (
+    "command", "cone", "family", "alpha", "calibration", "seed", "mc_samples", "prior_df"
+)
+
+
+def _report(args, inputs, family, n, p, body, *own_config):
+    """Emit the report of ``test`` or ``calibrate``; returns exit code 0.
+
+    The resolved config holds the flags both commands share and those named
+    in ``own_config``; the result is the ``config/family/alpha/n/p`` head
+    followed by ``body``.
+    """
+    resolved = {key: getattr(args, key) for key in _SHARED_CONFIG + own_config}
+    result = {"config": resolved, "family": family, "alpha": args.alpha, "n": n, "p": p, **body}
+    manifest = build_manifest(args.command, inputs, args.seed, resolved)
+    emit_report({"manifest": manifest, "result": result}, args.out)
+    return 0
+
+
 def cmd_test(args):
     _check_alpha(args.alpha)
     # A polyhedral problem is reduced to an orthant model below.
@@ -264,9 +304,8 @@ def cmd_test(args):
         _refuse_unread(args, ("--b-matrix", "--b1-matrix"), "--cone polyhedral")
     elif args.b_matrix is None:
         raise UsageError("polyhedral cone requires --b-matrix")
-    inputs = []
+    inputs, body = [], {}
     data = read_csv_matrix(args.data, "data", inputs)
-    reduction_info = None
     if args.cone == "polyhedral":
         b2 = read_csv_matrix(args.b_matrix, "constraint matrix", inputs)
         if args.b1_matrix is not None:
@@ -282,7 +321,7 @@ def cmd_test(args):
             )
         # Square full-rank constraints: one more linear map lands on the orthant.
         data = np.asarray(reduced.data) @ induced.T
-        reduction_info = {
+        body["reduction"] = {
             "b1_shape": list(b1.shape),
             "b2_shape": list(b2.shape),
             "induced_constraints": induced.tolist(),
@@ -291,31 +330,10 @@ def cmd_test(args):
     s = sample.summarize(data)
     if s.n <= s.p:
         raise DataError(f"need n > p, got n={s.n}, p={s.p}")
-
-    resolved = {
-        "command": "test",
-        "cone": args.cone,
-        "family": args.family,
-        "alpha": args.alpha,
-        "calibration": args.calibration,
-        "seed": args.seed,
-        "mc_samples": args.mc_samples,
-        "prior_df": args.prior_df,
-    }
-
-    result = {
-        "config": resolved,
-        "n": s.n,
-        "p": s.p,
-        "family": family,
-        "alpha": args.alpha,
-    }
-    if reduction_info:
-        result["reduction"] = reduction_info
     if family == stats.FUIT:
         rep = stats.fuit(s, args.alpha)
         tail = student_t_cdf(-float(np.max(rep.t_values)), s.n - 1)
-        result.update(
+        body.update(
             {
                 "t_values": rep.t_values.tolist(),
                 "alpha_star": rep.alpha_star,
@@ -326,32 +344,18 @@ def cmd_test(args):
                 "calibration": "bonferroni",
             }
         )
-        manifest = build_manifest("test", inputs, args.seed, resolved)
-        emit_report({"manifest": manifest, "result": result}, args.out)
-        return 0
+        return _report(args, inputs, family, s.n, s.p, body)
 
-    outcome = {
-        stats.T2: stats.hotelling_t2,
-        stats.LRT_ORTHANT: stats.lrt_orthant,
-        stats.UIT_ORTHANT: stats.uit_orthant,
-        stats.LRT_HALFSPACE: stats.lrt_halfspace,
-        stats.UIT_HALFSPACE: stats.uit_halfspace,
-    }[family](s)
+    outcome = stats.outcome(s, family)
     value = stats.calibration_scale(outcome)
-    prior = _load_prior(args, s.p, inputs) if args.calibration == "bayes" else None
-    cv, weights = calibrate._calibration(
-        family, args.calibration, args.alpha, s.n, s.p, prior, args.mc_samples,
-        args.seed, args.workers,
-    )
+    cv, weights = _calibrated(args, family, s.n, s.p, inputs, body)
     p_mode = calibrate.CALIBRATIONS[args.calibration].p_value_mode
     pv = calibrate.p_value(outcome, p_mode, weights=weights)
-    result.update(
+    body.update(
         {
             "statistic": outcome.statistic,
             "calibration_scale_value": value,
-            "active_subset": list(outcome.active_subset.a)
-            if outcome.active_subset
-            else None,
+            "active_subset": list(outcome.active_subset.a) if outcome.active_subset else None,
             "critical_value": {
                 "value": cv.value,
                 "alpha": cv.alpha,
@@ -362,15 +366,7 @@ def cmd_test(args):
             "calibration": args.calibration,
         }
     )
-    if weights is not None:
-        result["weights"] = {
-            "values": weights.weights.tolist(),
-            "std_errors": weights.std_errors.tolist(),
-            "mc_samples": weights.mc_samples,
-        }
-    manifest = build_manifest("test", inputs, args.seed, resolved)
-    emit_report({"manifest": manifest, "result": result}, args.out)
-    return 0
+    return _report(args, inputs, family, s.n, s.p, body)
 
 
 # ---------------------------------------------------------------------------
@@ -384,55 +380,20 @@ def cmd_calibrate(args):
     if args.n <= args.p:
         raise UsageError(f"need n > p, got n={args.n}, p={args.p}")
     family = _calibrated_family(args, args.cone, ("--prior-df",))
-    inputs = []
-    resolved = {
-        "command": "calibrate",
-        "family": args.family,
-        "cone": args.cone,
-        "alpha": args.alpha,
-        "n": args.n,
-        "p": args.p,
-        "calibration": args.calibration,
-        "seed": args.seed,
-        "mc_samples": args.mc_samples,
-        "prior_df": args.prior_df,
-    }
-    result = {
-        "config": resolved,
-        "family": family,
-        "alpha": args.alpha,
-        "n": args.n,
-        "p": args.p,
-    }
-    prior = None
-    if args.calibration == "bayes":
-        if args.prior_scale is not None:
-            prior = _load_prior(args, args.p, inputs)
-        else:
-            prior = calibrate.PriorSpec.inverse_wishart(np.eye(args.p), args.prior_df)
-    cv, weights = calibrate._calibration(
-        family, args.calibration, args.alpha, args.n, args.p, prior, args.mc_samples,
-        args.seed, args.workers,
-    )
-    result["calibration"] = cv.calibration
+    inputs, body = [], {}
+    cv, weights = _calibrated(args, family, args.n, args.p, inputs, body)
+    body["calibration"] = cv.calibration
     if weights is not None:
-        result["weights"] = {
-            "values": weights.weights.tolist(),
-            "std_errors": weights.std_errors.tolist(),
-            "mc_samples": weights.mc_samples,
-            "seed": args.seed,
-        }
+        body["weights"]["seed"] = args.seed
     if family == stats.FUIT:
-        result.update({"threshold": cv.value, "alpha_star": args.alpha / args.p})
+        body.update({"threshold": cv.value, "alpha_star": args.alpha / args.p})
     else:
         unweighted_orthant = family in stats.ORTHANT_FAMILIES and weights is None
-        result["critical_value"] = cv.value
-        result["achieved_alpha"] = None if unweighted_orthant else calibrate.null_tail(
+        body["critical_value"] = cv.value
+        body["achieved_alpha"] = None if unweighted_orthant else calibrate.null_tail(
             family, cv.value, args.n, args.p, weights=weights
         )
-    manifest = build_manifest("calibrate", inputs, args.seed, resolved)
-    emit_report({"manifest": manifest, "result": result}, args.out)
-    return 0
+    return _report(args, inputs, family, args.n, args.p, body, "n", "p")
 
 
 # ---------------------------------------------------------------------------

@@ -109,11 +109,13 @@ def hotelling_t2(s):
     )
 
 
-def _cone_outcome(s, cone, family, shrink):
+def _cone_outcome(s, family):
+    """The orthant or last-coordinate halfspace outcome of ``family``."""
+    _require_testable(s)
+    cone = Orthant(s.p) if family in ORTHANT_FAMILIES else CoordinateHalfspace(s.p, s.p - 1)
     proj = project(np.sqrt(s.n) * np.asarray(s.mean), np.asarray(s.cov), cone)
-    q_proj = proj.sq_norm_projection
-    q_res = proj.sq_norm_residual
-    stat = q_proj / (1.0 + q_res) if shrink else q_proj
+    q_proj, q_res = proj.sq_norm_projection, proj.sq_norm_residual
+    stat = q_proj / (1.0 + q_res) if family in LRT_FAMILIES else q_proj
     return TestOutcome(
         statistic=float(stat),
         family=family,
@@ -125,32 +127,33 @@ def _cone_outcome(s, cone, family, shrink):
     )
 
 
+def outcome(s, family):
+    """The outcome of ``family`` on the summary ``s``, for every family but FUIT."""
+    if family == T2:
+        return hotelling_t2(s)
+    if family not in ORTHANT_FAMILIES + HALFSPACE_FAMILIES:
+        raise ValueError(f"no test outcome for family {family!r}")
+    return _cone_outcome(s, family)
+
+
 def uit_orthant(s):
     """Squared projection norm onto the positive orthant."""
-    _require_testable(s)
-    return _cone_outcome(s, Orthant(s.p), UIT_ORTHANT, shrink=False)
+    return _cone_outcome(s, UIT_ORTHANT)
 
 
 def lrt_orthant(s):
     """Orthant projection norm shrunk by one plus the squared residual norm."""
-    _require_testable(s)
-    return _cone_outcome(s, Orthant(s.p), LRT_ORTHANT, shrink=True)
+    return _cone_outcome(s, LRT_ORTHANT)
 
 
 def uit_halfspace(s):
     """Squared projection norm onto the last-coordinate halfspace."""
-    _require_testable(s)
-    return _cone_outcome(
-        s, CoordinateHalfspace(s.p, s.p - 1), UIT_HALFSPACE, shrink=False
-    )
+    return _cone_outcome(s, UIT_HALFSPACE)
 
 
 def lrt_halfspace(s):
     """Halfspace projection norm shrunk by one plus the squared residual norm."""
-    _require_testable(s)
-    return _cone_outcome(
-        s, CoordinateHalfspace(s.p, s.p - 1), LRT_HALFSPACE, shrink=True
-    )
+    return _cone_outcome(s, LRT_HALFSPACE)
 
 
 def fuit(s, alpha):
