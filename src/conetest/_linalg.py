@@ -33,8 +33,7 @@ def check_symmetric(m, name="matrix", rtol=SYMMETRY_RTOL):
     m = as_float_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DataError(f"{name} must be square, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.T).max() > rtol * scale:
+    if np.abs(m - m.T).max() > rtol * float(np.abs(m).max()):
         raise MetricError(f"{name} is not symmetric within tolerance {rtol}")
     return 0.5 * (m + m.T)
 
@@ -56,7 +55,7 @@ def is_positive_definite(m, rtol=1e-12):
         return False
     if evals.size == 0:
         return True
-    return bool(evals[0] > rtol * max(1.0, float(evals[-1])))
+    return bool(evals[0] > rtol * float(evals[-1]))
 
 
 def condition_exceeds_cap(m, cap=CONDITION_CAP):

@@ -35,8 +35,10 @@ EXACT_HALFSPACE = "exact_halfspace"
 DEFAULT_MC_SAMPLES = 1_000_000
 RUN_MC_SAMPLES = 200_000
 
-# Tail inversion stops, as ``scipy.optimize.brentq(xtol=1e-12)`` does with its
-# default ``rtol``, once the bracket is narrower than ``_XTOL + _RTOL * c``.
+# Tail inversion stops once the bracket is narrower than
+# ``_XTOL * min(c, 1) + _RTOL * c``: ``scipy.optimize.brentq(xtol=1e-12)``'s
+# rule with its default ``rtol`` for ``c >= 1``, and relative below, where
+# critical values at large n are O(1/n) or smaller.
 _XTOL = 1e-12
 _RTOL = 4.0 * np.finfo(float).eps
 # Bracketing gives up after this many steps; one step moves log c by at most
@@ -66,10 +68,6 @@ class MixtureWeights:
             raise DataError(f"weights sum to {w.sum():.6f}, not 1")
         object.__setattr__(self, "weights", read_only(w))
         object.__setattr__(self, "std_errors", read_only(se))
-
-    @property
-    def p(self):
-        return self.weights.shape[0] - 1
 
 
 @dataclass(frozen=True)
@@ -311,8 +309,9 @@ def _invert_tail(tail, alpha, n, p):
     steps have not halved its width in ``log c``.  Every new point lies at
     least half the tolerance past the estimate or inside the bracket, so an
     estimate within tolerance ends the search at the next evaluation, which
-    is when the bracket is narrower than ``1e-12 + 4 * eps * c``
-    (``scipy.optimize.brentq``'s rule at ``xtol=1e-12``).
+    is when the bracket is narrower than ``1e-12 * min(c, 1) + 4 * eps * c``:
+    ``scipy.optimize.brentq``'s rule at ``xtol=1e-12`` for ``c >= 1``, and a
+    relative one below, so that a small critical value keeps its digits.
     """
     if not 0.0 < alpha < 1.0:
         raise CalibrationError(f"alpha must be in (0, 1), got {alpha}")
@@ -322,7 +321,7 @@ def _invert_tail(tail, alpha, n, p):
         return math.log(t / alpha) if t > 0.0 else -math.inf
 
     def tol(c):
-        return _XTOL + _RTOL * c
+        return _XTOL * min(c, 1.0) + _RTOL * c
 
     c, slope = _ratio_seed(p, n - p, alpha)
     f = log_ratio(c)

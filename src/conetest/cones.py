@@ -89,10 +89,6 @@ class Polyhedral(_Cone):
     def p(self):
         return self.constraints.shape[1]
 
-    @property
-    def m(self):
-        return self.constraints.shape[0]
-
 
 ConeSpec = Union[Orthant, CoordinateHalfspace, Polyhedral]
 
@@ -104,7 +100,7 @@ def _require_full_row_rank(b, message):
     value ``{sv}``.
     """
     sv = np.linalg.svd(b, compute_uv=False)
-    if b.shape[0] > b.shape[1] or sv[-1] <= RANK_RTOL * max(1.0, sv[0]):
+    if b.shape[0] > b.shape[1] or sv[-1] <= RANK_RTOL * sv[0]:
         raise ReductionError(message.format(m=b.shape[0], sv=sv[-1]))
 
 

@@ -147,6 +147,8 @@ def summarize(data):
         raise DataError(f"non-finite entry at row {bad[0]}, column {bad[1]}")
     mean = x.mean(axis=0)
     centered = x - mean
+    # A constant column has no variance; its rounded mean would leave it some.
+    centered[:, np.ptp(x, axis=0) == 0.0] = 0.0
     cov = centered.T @ centered / (n - 1)
     cov = 0.5 * (cov + cov.T)
     return SampleSummary(

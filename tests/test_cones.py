@@ -105,6 +105,15 @@ class TestOrthantProjection:
         with pytest.raises(MetricError):
             project([1.0, 1.0], np.array([[1.0, 2.0], [2.0, 1.0]]), Orthant(2))
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e8])
+    def test_metric_checks_are_free_of_units(self, scale):
+        m = scale * np.array([[1.0, 0.3], [0.3, 1.0]])
+        assert project([1.0, -1.0], m, Orthant(2)).sq_norm_projection > 0.0
+        with pytest.raises(MetricError, match="symmetric"):
+            project([1.0, 1.0], scale * np.array([[1.0, 0.3], [0.3 + 1e-6, 1.0]]), Orthant(2))
+        with pytest.raises(MetricError, match="positive definite"):
+            project([1.0, 1.0], scale * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), Orthant(2))
+
 
 def nnls_orthant(y, m):
     """``(support, q_proj, q_res)`` from ``scipy.optimize.nnls`` on the whitened problem.
@@ -414,6 +423,13 @@ class TestPolyhedralProjection:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ReductionError):
             Polyhedral(np.array([[1.0, 1.0], [2.0, 2.0]]))
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e12])
+    def test_rank_test_is_free_of_units(self, scale):
+        b = scale * np.array([[1.0, 0.5], [0.0, 1.0]])
+        assert np.array_equal(Polyhedral(b).constraints, b)
+        with pytest.raises(ReductionError):
+            Polyhedral(scale * np.array([[1.0, 1.0], [2.0, 2.0]]))
 
 
 class TestReduceModel:

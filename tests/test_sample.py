@@ -43,6 +43,16 @@ class TestSummarize:
         s = summarize(np.tile([1.0, -2.0, 3.0], (6, 1)))
         assert np.allclose(s.cov, 0.0)
 
+    @pytest.mark.parametrize("constant", [0.1, 0.3, 0.5, 1.0 / 3.0])
+    def test_constant_column_has_exactly_zero_variance(self, rng, constant):
+        # 30 copies of 0.1 average to a rounded mean; centring on it would
+        # leave the column a variance of about 1e-33.
+        data = rng.standard_normal((30, 3))
+        data[:, 1] = constant
+        s = summarize(data)
+        assert not s.cov[1].any() and not s.cov[:, 1].any()
+        assert not s.positive_definite
+
     def test_matches_two_pass_oracle(self, rng):
         data = rng.standard_normal((20, 3))
         s = summarize(data)

@@ -120,6 +120,16 @@ class TestScaleInvariance:
             for fn in (hotelling_t2, lrt_orthant, uit_orthant):
                 assert fn(s1).statistic == pytest.approx(fn(s2).statistic, rel=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1e-150, 1e150])
+    def test_overall_rescaling(self, rng, scale):
+        # No tolerance may have a floor in the data's units.
+        data = rng.standard_normal((30, 3)) + 0.3
+        s1 = summarize(data)
+        s2 = summarize(data * scale)
+        assert s2.positive_definite
+        for fn in (hotelling_t2, lrt_orthant, uit_orthant, lrt_halfspace, uit_halfspace):
+            assert fn(s2).statistic == pytest.approx(fn(s1).statistic, rel=1e-12)
+
 
 class TestFuit:
     def test_univariate_reduces_to_t_test(self, rng):
