@@ -180,12 +180,16 @@ def batch_t2(means, covs, n):
     return n * forward_sq_norm(means, np.linalg.cholesky(covs))
 
 
-def orthant_active_set(y, metric):
+def orthant_active_set(y, metric, candidates=None):
     """Active-set solve of the orthant projection of each row of ``y``.
 
     ``y`` has shape (reps, p) and ``metric`` is one (p, p) positive definite
-    matrix or a (reps, p, p) stack.  Each draw starts from its sign pattern
-    ``y > 0``, solved on entry if all positive.  Each step solves ``B z = y``
+    matrix or a (reps, p, p) stack.  ``candidates``, a boolean mask over the
+    rows, restricts the solve to the rows it holds; every other row keeps
+    its sign pattern and gets ``q_res = 0``.  Rows keep their indices, so a
+    :class:`SolverError` names the row of ``y`` whatever the mask.  Each
+    draw starts from its sign pattern ``y > 0``, solved on entry if all
+    positive.  Each step solves ``B z = y``
     for every pending draw at once, where ``B`` has the metric's columns on
     the complement ``c`` and the identity's on the free set ``a``: then
     ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``, the adjusted mean.
@@ -224,7 +228,8 @@ def orthant_active_set(y, metric):
     q_res = np.zeros(reps)
     tol = ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
-    pending = np.flatnonzero(~free.all(axis=1))
+    unsolved = ~free.all(axis=1)
+    pending = np.flatnonzero(unsolved if candidates is None else unsolved & candidates)
     for start in range(0, pending.size, ACTIVE_SET_BLOCK):
         todo = pending[start:start + ACTIVE_SET_BLOCK]
         fewest = np.full(todo.size, p + 1.0)

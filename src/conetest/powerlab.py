@@ -206,7 +206,7 @@ def _resolve_critical(plan, cfg):
     return cv.value
 
 
-def _batch_values(means, c, n, families):
+def _batch_values(means, c, n, families, floor=-np.inf):
     """Calibration-scale statistic values per draw for each of ``families``.
 
     ``c`` is a lower-triangular scatter factor, ``(n-1) S = c c'``: one
@@ -214,6 +214,16 @@ def _batch_values(means, c, n, families):
     once and is split by the residual of each cone that ``families`` needs;
     T2 is the halfspace split's sum.  ``S`` is multiplied out once, for the
     orthant metric, the halfspace residual and FUIT.
+
+    ``floor`` is the smallest threshold the caller compares orthant values
+    with.  An orthant value never exceeds ``T2 / (n-1)``, as a projection
+    is never longer than its vector (Silvapulle & Sen 2005, ch. 3), so only
+    draws with ``T2 / (n-1) >= floor * (1 - 1e-9)`` are classified.  Every
+    other draw gets ``q_res = 0``, hence the orthant value ``T2 / (n-1)``:
+    an upper bound that lies below ``floor``, so each comparison with a
+    threshold at or above ``floor`` comes out as for the solved value.  The
+    margin covers a solved ``q_res`` that rounds below 0.  The default
+    classifies every draw.
     """
     values = {}
     covs = factor_cov(c, n)
@@ -221,7 +231,10 @@ def _batch_values(means, c, n, families):
         y = np.sqrt(n) * means
         t2 = n * (n - 1) * forward_sq_norm(means, c)
     for group, residual in (
-        (stats.ORTHANT_FAMILIES, lambda: orthant_active_set(y, covs)[1]),
+        (
+            stats.ORTHANT_FAMILIES,
+            lambda: orthant_active_set(y, covs, t2 / (n - 1) >= floor * (1.0 - 1e-9))[1],
+        ),
         (stats.HALFSPACE_FAMILIES + (T2,), lambda: halfspace_residual(y, covs)),
     ):
         wanted = families.intersection(group)
@@ -268,9 +281,13 @@ def simulate_power(cfg):
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
     criticals = {plan.label: _resolve_critical(plan, cfg) for plan in cfg.tests}
     families = {plan.family for plan in cfg.tests}
+    floor = min(
+        (criticals[plan.label] for plan in cfg.tests if plan.family in stats.ORTHANT_FAMILIES),
+        default=-np.inf,
+    )
 
     def count(means, c):
-        values = _batch_values(means, c, cfg.n, families)
+        values = _batch_values(means, c, cfg.n, families, floor)
         return [np.sum(values[plan.family] >= criticals[plan.label]) for plan in cfg.tests]
 
     rows = []
@@ -348,11 +365,12 @@ def domination_experiment(cfg, pairs=("UIT", "LRT")):
             fam_o, cfg.alpha, cfg.n, cfg.p
         ).value
     families = {family for name in pairs for family in _PAIRS[name]}
+    floor = min(criticals.values())
 
     def count(means, c):
         """Per pair: orthant rejections, halfspace rejections, halfspace-only
         rejections and orthant-only rejections (implication violations)."""
-        values = _batch_values(means, c, cfg.n, families)
+        values = _batch_values(means, c, cfg.n, families, floor)
         out = []
         for name in pairs:
             fam_o, fam_h = _PAIRS[name]
@@ -429,7 +447,7 @@ def _member_means(family, c, n, p, chol, rng, count):
     got = 0
     for scale in (0.6, 1.2, 2.5, 5.0):
         means = (rng.standard_normal((count, p)) @ chol.T) * (scale / np.sqrt(n))
-        values = _batch_values(means, np.sqrt(n - 1) * chol, n, {family})[family]
+        values = _batch_values(means, np.sqrt(n - 1) * chol, n, {family}, c)[family]
         keep = values <= c
         pool.append(means[keep])
         got += int(keep.sum())
@@ -448,7 +466,7 @@ def _search_lrt_witness(c, n, seed):
     c_unit = np.sqrt(n - 1) * np.eye(2)  # (n-1) S = c c' with S = I
 
     def lrt(x):
-        return float(_batch_values(x[None, :], c_unit, n, {LRT_ORTHANT})[LRT_ORTHANT][0])
+        return float(_batch_values(x[None, :], c_unit, n, {LRT_ORTHANT}, c)[LRT_ORTHANT][0])
 
     rng = substream(seed, (_STREAM_CONVEXITY, 10_001))
     attempts = 0
@@ -527,7 +545,7 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
         i = rng.integers(0, m, size=block)
         j = rng.integers(0, m, size=block)
         mid = 0.5 * (means[i] + means[j])
-        values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family})[family]
+        values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family}, c)[family]
         bad = values > c * (1.0 + 1e-9)
         violations += int(bad.sum())
         if bad.any() and worst is None:
@@ -578,7 +596,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     critical = _resolve_critical(plan, cfg)
 
     def count(means, c):
-        return np.sum(_batch_values(means, c, cfg.n, {family})[family] >= critical)
+        return np.sum(_batch_values(means, c, cfg.n, {family}, critical)[family] >= critical)
 
     def from_prior(rng, reps):
         return sample_compound_null(rng, prior.scale, prior.df, cfg.n, reps)

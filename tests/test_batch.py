@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from conetest import SolverError, _batch
 from conetest._batch import (
     _bartlett,
     batch_t2,
@@ -359,3 +360,39 @@ def test_memory_does_not_grow_with_n():
     # Traced peaks: 0.53 MB at both n here; the data-tensor sampler's are
     # 3.2 MB at n = 20 and 288 MB at n = 2000.
     assert _peak_bytes(2000) < 1.5 * _peak_bytes(20)
+
+
+class TestCandidateMask:
+    """``orthant_active_set`` with a row mask solves only the rows it holds."""
+
+    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
+    def test_masked_rows_match_the_full_solve(self, per_draw):
+        rng = np.random.default_rng(5)
+        p, reps = 4, 400
+        y = rng.standard_normal((reps, p))
+        if per_draw:
+            metric = np.stack([np.eye(p) + 0.5 * random_correlation(rng, p) for _ in range(reps)])
+        else:
+            metric = random_correlation(rng, p)
+        candidates = rng.random(reps) < 0.3
+        free, q_res = orthant_active_set(y, metric)
+        free_m, q_res_m = orthant_active_set(y, metric, candidates)
+        assert np.array_equal(free_m[candidates], free[candidates])
+        assert np.array_equal(q_res_m[candidates], q_res[candidates])
+        assert np.array_equal(free_m[~candidates], y[~candidates] > 0.0)
+        assert not q_res_m[~candidates].any()
+        every = orthant_active_set(y, metric, np.ones(reps, dtype=bool))
+        assert np.array_equal(every[0], free) and np.array_equal(every[1], q_res)
+
+    def test_error_names_the_row_of_y(self, monkeypatch):
+        # Rows 1 and 3 need a second step, which a one-step cap forbids;
+        # with row 1 masked out the error names row 3, not a masked position.
+        monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
+        metric = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        y = np.array([[1.0, 1.0], [0.5, -1.0], [-1.0, -1.0], [0.4, -1.0]])
+        with pytest.raises(SolverError, match="draw 1"):
+            orthant_active_set(y, metric)
+        with pytest.raises(SolverError, match="draw 3") as err:
+            orthant_active_set(y, metric, np.array([True, False, True, True]))
+        assert err.value.details == {"draw": 3, "y": [0.4, -1.0]}

@@ -17,6 +17,7 @@ from conetest import (
 )
 from conetest._batch import (
     factor_cov,
+    forward_sq_norm,
     orthant_active_set,
     run_chunks,
     sample_compound_null,
@@ -271,8 +272,10 @@ class TestOnePoolPerExperiment:
 
     def test_singular_draw_names_replay_key(self):
         # Near an improper prior a chi-square factor of the compound null
-        # underflows to 0, so a drawn covariance is singular.
-        cfg = small_config(n=3, seed=8)
+        # underflows to 0, so a drawn covariance is singular.  Its T2 bound
+        # is 0.65; alpha 0.6 puts the critical value (0.27) below it, so the
+        # draw is classified.
+        cfg = small_config(n=3, seed=8, alpha=0.6)
         prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
         pattern = r"singular active-set system at draw \d+ \(seed 8, stream key \[4, 999\], chunk 0"
         with pytest.raises(SolverError, match=pattern) as err:
@@ -289,6 +292,16 @@ class TestOnePoolPerExperiment:
         assert (replay.value.details["draw"], replay.value.details["y"]) == (d["draw"], d["y"])
         assert d["y"] == y[d["draw"]].tolist()
         assert isinstance(replay.value.__cause__, np.linalg.LinAlgError)
+
+    def test_singular_draw_that_cannot_reject_is_not_classified(self):
+        # The singular draw above, at alpha 0.05: the critical value (214)
+        # lies above its T2 bound, so the draw is screened out and the
+        # probe completes.
+        cfg = small_config(n=3, seed=8)
+        prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
+        rep = similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
+        assert rep.critical > 1.0
+        assert [row["sigma_id"] for row in rep.rows] == ["sigma0", "prior_draws"]
 
 
 class TestDomination:
@@ -376,6 +389,172 @@ class TestSimilarity:
         agg = rep.rows[-1]
         assert agg["sigma_id"] == "prior_draws"
         assert abs(agg["rate"] - 0.05) <= 3.5 * max(agg["std_error"], 1e-4)
+
+
+def unscreened(monkeypatch):
+    """Make every ``_batch_values`` call classify each pending draw."""
+    screened = powerlab._batch_values
+
+    def every_draw(means, c, n, families, floor=-np.inf):
+        return screened(means, c, n, families, -np.inf)
+
+    monkeypatch.setattr(powerlab, "_batch_values", every_draw)
+
+
+def classified_spy(monkeypatch):
+    """Record, per kernel call, the rows it classifies and the rows it is given."""
+    calls = []
+
+    def spy(y, metric, candidates=None):
+        pending = ~(y > 0.0).all(axis=1)
+        if candidates is not None:
+            pending &= candidates
+        calls.append((int(pending.sum()), len(y)))
+        return orthant_active_set(y, metric, candidates)
+
+    monkeypatch.setattr(powerlab, "orthant_active_set", spy)
+    return calls
+
+
+class TestT2Screen:
+    """Only draws whose T2 bound reaches the smallest orthant threshold are classified."""
+
+    PLANS = (
+        TestPlan(stats.UIT_ORTHANT), TestPlan(stats.LRT_ORTHANT),
+        TestPlan(stats.UIT_HALFSPACE, "exact"), TestPlan(stats.LRT_HALFSPACE, "exact"),
+        TestPlan(stats.T2), TestPlan(stats.FUIT),
+    )
+
+    @staticmethod
+    def reports(workers):
+        prior = PriorSpec.inverse_wishart(np.eye(3), 7.0)
+        cfg = small_config(
+            p=3,
+            n=20,
+            replications=3000,
+            seed=19,
+            sigma_source=SigmaSource.random_correlation(2),
+            theta_grid=(np.zeros(3), np.array([0.3, 0.0, 0.2])),
+            tests=TestT2Screen.PLANS,
+            workers=workers,
+        )
+        sigmas = [m for _, m in resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)]
+        return [
+            dataclasses.asdict(rep)
+            for rep in (
+                simulate_power(cfg),
+                domination_experiment(cfg),
+                similarity_probe(stats.UIT_ORTHANT, "sup", sigmas, cfg),
+                similarity_probe(stats.LRT_ORTHANT, "bayes", sigmas, cfg, prior=prior),
+                convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=4000, seed=3, n=15, p=3),
+                convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=5, n=15, p=2),
+            )
+        ]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_screen_changes_no_count(self, monkeypatch, workers):
+        # Chunks of 1000 draws, so two workers share every cell.
+        monkeypatch.setattr(powerlab, "SIM_CHUNK", 1000)
+        calls = classified_spy(monkeypatch)
+        screened = self.reports(workers)
+        classified = sum(k for k, _ in calls)
+        unscreened(monkeypatch)
+        calls.clear()
+        assert self.reports(workers) == screened
+        assert classified < 0.5 * sum(k for k, _ in calls)
+
+    @pytest.mark.parametrize("family", stats.ORTHANT_FAMILIES)
+    def test_bound_at_the_floor(self, family):
+        # Floors within 1e-12 relative of a draw's bound, and of the bound
+        # over the screen's margin.  Rows with a last coordinate just below
+        # 0 have an orthant value within about 1e-12 of their bound.
+        n, p = 12, 3
+        rng = substream(23, 0)
+        c = np.sqrt(n - 1) * np.linalg.cholesky(random_correlation_matrix(rng, p))
+        means = rng.standard_normal((40, p))
+        means[:20, :2] = np.abs(means[:20, :2])
+        means[:20, 2] = -np.abs(means[:20, 2]) * 1e-6
+        bound = n * forward_sq_norm(means, c)
+        every = powerlab._batch_values(means, c, n, {family})[family]
+        for k in range(0, 40, 3):
+            for shift in (1.0, 1.0 - 1e-9):
+                for rel in (-1e-12, 0.0, 1e-12):
+                    floor = bound[k] * (1.0 + rel) / shift
+                    values = powerlab._batch_values(means, c, n, {family}, floor)[family]
+                    for threshold in (floor, np.nextafter(floor, np.inf), floor * (1 + 1e-12)):
+                        assert np.array_equal(values >= threshold, every >= threshold)
+                        assert np.array_equal(values <= threshold, every <= threshold)
+
+    def test_null_cell_classifies_few_draws(self, monkeypatch):
+        # The theta = 0 cell of the benchmark's power config.
+        calls = classified_spy(monkeypatch)
+        cfg = small_config(
+            p=3,
+            n=120,
+            replications=20000,
+            seed=61,
+            sigma_source=SigmaSource.random_correlation(2),
+            theta_grid=(np.zeros(3),),
+            tests=self.PLANS,
+        )
+        simulate_power(cfg)
+        assert len(calls) == 2
+        for classified, rows in calls:
+            assert rows == 20000 and classified < 0.1 * rows
+
+    def test_capped_draw_names_its_row_and_replays(self, monkeypatch):
+        # A one-step cap fails every classified draw that needs a second
+        # step; draws screened out before it keep their indices.
+        monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
+        monkeypatch.setattr(powerlab, "SIM_CHUNK", 500)
+        sigma = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        cfg = small_config(replications=1000, seed=78, sigma_source=SigmaSource.fixed(sigma))
+        with pytest.raises(SolverError, match=r"seed 78, stream key \[2, 0, 0\], chunk 0") as err:
+            simulate_power(cfg)
+        d = err.value.details
+        rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
+        chol = np.linalg.cholesky(sigma)
+        means, c = sample_mean_chol(rng, np.zeros(2), chol, cfg.n, 500)
+        assert (np.sqrt(cfg.n) * means[d["draw"]]).tolist() == d["y"]
+        critical = powerlab._resolve_critical(cfg.tests[0], cfg)
+        bound = cfg.n * forward_sq_norm(means, c)
+        assert bound[d["draw"]] >= critical
+        pending = ~(means > 0.0).all(axis=1)
+        assert np.any(pending[:d["draw"]] & (bound[:d["draw"]] < critical))
+        with pytest.raises(SolverError, match=f"draw {d['draw']}"):
+            orthant_active_set(np.sqrt(cfg.n) * means, factor_cov(c, cfg.n), bound >= critical)
+
+
+class TestT2Oracle:
+    """T2 rejection rates against the noncentral F law of Hotelling's T2."""
+
+    def test_rates_within_3_se_of_noncentral_f(self):
+        from scipy.special import ncfdtr
+
+        p, n, reps = 3, 30, 20000
+        sigmas = [np.eye(p), np.array([[1.0, 0.6, -0.2], [0.6, 1.0, 0.3], [-0.2, 0.3, 1.0]])]
+        thetas = (np.zeros(p), np.array([0.2, 0.1, 0.0]), np.array([0.3, 0.3, 0.4]))
+        cfg = small_config(
+            p=p,
+            n=n,
+            replications=reps,
+            seed=41,
+            sigma_source=SigmaSource.sequence(sigmas),
+            theta_grid=thetas,
+            tests=(TestPlan(stats.T2),),
+        )
+        table = simulate_power(cfg)
+        c = table.metadata["critical_values"]["T2/sup"]
+        assert len(table.rows) == 6
+        for row in table.rows:
+            sigma = sigmas[int(row.sigma_id[len("sigma"):])]
+            theta = np.asarray(row.theta)
+            nc = n * theta @ np.linalg.solve(sigma, theta)
+            # T2 / (n-1) >= c  <=>  F = T2 (n-p) / (p (n-1)) >= c (n-p) / p.
+            rate = 1.0 - ncfdtr(p, n - p, nc, c * (n - p) / p)
+            se = np.sqrt(rate * (1.0 - rate) / reps)
+            assert abs(row.rejection_rate - rate) <= 3.0 * se
 
 
 class TestBatchMatchesScalar:
