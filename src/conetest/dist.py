@@ -12,7 +12,7 @@ certified when two consecutive rules of a bounded node ladder agree.
 import functools
 
 import numpy as np
-from scipy.special import betainc, stdtr, stdtrit
+from scipy.special import betainc, betaincc, stdtr, stdtrit
 
 from .exceptions import QuadratureError
 
@@ -49,8 +49,11 @@ def g_ratio_tail(a, b, u):
         return 1.0 if u <= 0.0 else 0.0
     if u <= 0.0:
         return 1.0
-    # 1/(1+r) ~ Beta(b/2, a/2); unlike u/(1+u), 1/(1+u) keeps its relative
-    # precision at large u, where the tail is small.
+    # r/(1+r) ~ Beta(a/2, b/2).  Below u = 1 the tail is the complement at
+    # u/(1+u), which keeps its relative precision where 1/(1+u) rounds;
+    # above, 1/(1+r) ~ Beta(b/2, a/2) at 1/(1+u) keeps it at large u.
+    if u < 1.0:
+        return float(betaincc(a / 2.0, b / 2.0, u / (1.0 + u)))
     return float(betainc(b / 2.0, a / 2.0, 1.0 / (1.0 + u)))
 
 

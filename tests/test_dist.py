@@ -124,6 +124,16 @@ class TestRatioTailLargeArgument:
             expect = 2.0 / np.pi * np.arctan(u**-0.5)
             assert g_ratio_tail(1, 1, u) == pytest.approx(expect, rel=1e-13, abs=0.0)
 
+    @pytest.mark.parametrize("b", [1001, 99999, 999999])
+    def test_small_argument_at_large_denominator_df(self, b):
+        # 1/(1+u) rounds at small u; the tail there is the complement at
+        # u/(1+u).  u = 6.3e-10 is about the n = 1e6, p = 1 LRT critical
+        # value at alpha 0.49.  With b u / 2 <= 1/2 the closed form itself
+        # is good to a few ulp.
+        for u in [6.3e-10, 1e-8, *np.logspace(-14.0, -np.log10(b), 9)]:
+            expect = np.exp(-b / 2.0 * np.log1p(u))
+            assert g_ratio_tail(2, b, u) == pytest.approx(expect, rel=1e-14, abs=0.0)
+
     def test_convolution_tail_closed_form(self):
         # n - p = 2, a = 2, p = 4: the branch tail is 1/(1 + w) and
         # s = t/(1+t) ~ Beta(1, 2), so the tail is the integral over y in
