@@ -79,10 +79,11 @@ def _count_cells(seed, cells, total, chunk, workers, count):
     reps)`` on the substream ``key + (j,)`` of ``seed`` and passes the tuple
     it returns to ``count``, which returns an integer or an array of integers.
     Every (cell, chunk) task goes to one :func:`run_chunks` call, so the
-    cells share one pool; the sums do not depend on ``workers``.  A
-    :class:`SolverError` names its replay key (:func:`keyed_chunk`).
-    Private, so wrappers installed on this module's public functions (as by
-    ``bench/tracer.py``) see that call as made from the caller's layer.
+    cells share one pool; the sums do not depend on ``workers``.  A cell of
+    no draws has no chunks and counts 0.  A :class:`SolverError` names its
+    replay key (:func:`keyed_chunk`).  Private, so wrappers installed on
+    this module's public functions (as by ``bench/tracer.py``) see that call
+    as made from the caller's layer.
     """
     sizes = chunk_sizes(total, chunk)
     tasks = [(key, draw, j) for key, draw in cells for j in range(len(sizes))]
@@ -93,7 +94,7 @@ def _count_cells(seed, cells, total, chunk, workers, count):
 
     counts = run_chunks(worker, len(tasks), workers)
     per_cell = len(sizes)
-    return [np.sum(counts[i:i + per_cell], axis=0) for i in range(0, len(tasks), per_cell)]
+    return [np.sum(counts[i * per_cell:(i + 1) * per_cell], axis=0) for i in range(len(cells))]
 
 
 def _bartlett(rng, dfs, reps):

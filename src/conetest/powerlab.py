@@ -19,6 +19,7 @@ import numpy as np
 from . import calibrate, stats
 from ._batch import (
     _count_cells,
+    chunk_sizes,
     batch_fuit_max_t,
     factor_cov,
     forward_sq_norm,
@@ -254,12 +255,36 @@ def _rate(count, replications):
     return rate, float(np.sqrt(rate * (1.0 - rate) / replications))
 
 
+def _rejections(masks):
+    """Rejections of each mask."""
+    return [mask.sum() for mask in masks]
+
+
 def _fixed_draw(theta, chol, n):
     """``draw(rng, reps)`` of a cell with a fixed covariance factor ``chol``."""
     return lambda rng, reps: sample_mean_chol(rng, theta, chol, n, reps)
 
 
-def _grid_counts(cfg, sigmas, count):
+def _count_rejections(cfg, tests, cells, tally):
+    """Summed counts of each ``(key, draw)`` of ``cells`` over its chunks.
+
+    ``tests`` holds ``(family, critical value)`` pairs; the orthant kernel
+    skips draws whose T2 bound lies below the smallest orthant value.
+    ``tally`` maps a chunk's rejection masks, in test order, to its counts.
+    """
+    families = {family for family, _ in tests}
+    floor = min(
+        (cv for family, cv in tests if family in stats.ORTHANT_FAMILIES), default=-np.inf
+    )
+
+    def count(means, c):
+        values = _batch_values(means, c, cfg.n, families, floor)
+        return tally([values[family] >= cv for family, cv in tests])
+
+    return _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
+
+
+def _grid_counts(cfg, sigmas, tests, tally):
     """``(sigma_id, theta, counts)`` for each (sigma, theta) cell of ``cfg``, in order."""
     labels, cells = [], []
     for is_, (sigma_id, sigma) in enumerate(sigmas):
@@ -267,7 +292,7 @@ def _grid_counts(cfg, sigmas, count):
         for it, theta in enumerate(cfg.theta_grid):
             labels.append((sigma_id, tuple(float(v) for v in theta)))
             cells.append(((_STREAM_POWER, is_, it), _fixed_draw(theta, chol, cfg.n)))
-    counts = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
+    counts = _count_rejections(cfg, tests, cells, tally)
     return [label + (total,) for label, total in zip(labels, counts)]
 
 
@@ -280,18 +305,9 @@ def simulate_power(cfg):
     """
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
     criticals = {plan.label: _resolve_critical(plan, cfg) for plan in cfg.tests}
-    families = {plan.family for plan in cfg.tests}
-    floor = min(
-        (criticals[plan.label] for plan in cfg.tests if plan.family in stats.ORTHANT_FAMILIES),
-        default=-np.inf,
-    )
-
-    def count(means, c):
-        values = _batch_values(means, c, cfg.n, families, floor)
-        return [np.sum(values[plan.family] >= criticals[plan.label]) for plan in cfg.tests]
-
+    tests = [(plan.family, criticals[plan.label]) for plan in cfg.tests]
     rows = []
-    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, count):
+    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, tests, _rejections):
         for plan, total in zip(cfg.tests, counts):
             rate, se = _rate(total, cfg.replications)
             rows.append(
@@ -345,7 +361,16 @@ _PAIRS = {
 }
 
 
-def domination_experiment(cfg, pairs=("UIT", "LRT")):
+def _pair_counts(masks):
+    """Per (orthant, halfspace) mask pair: rejections of each, halfspace-only
+    rejections and orthant-only rejections (implication violations)."""
+    return [
+        [rej_o.sum(), rej_h.sum(), np.sum(rej_h & ~rej_o), np.sum(rej_o & ~rej_h)]
+        for rej_o, rej_h in zip(masks[::2], masks[1::2])
+    ]
+
+
+def domination_experiment(cfg):
     """Paired-draw comparison of orthant tests against halfspace tests.
 
     Both members of each pair use the same supremum-calibrated critical
@@ -358,32 +383,14 @@ def domination_experiment(cfg, pairs=("UIT", "LRT")):
         if np.any(np.asarray(theta) < 0.0):
             raise DataError("domination grid must lie in the positive orthant")
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
-    criticals = {}
-    for name in pairs:
-        fam_o, fam_h = _PAIRS[name]
-        criticals[name] = calibrate.sup_critical_value(
-            fam_o, cfg.alpha, cfg.n, cfg.p
-        ).value
-    families = {family for name in pairs for family in _PAIRS[name]}
-    floor = min(criticals.values())
-
-    def count(means, c):
-        """Per pair: orthant rejections, halfspace rejections, halfspace-only
-        rejections and orthant-only rejections (implication violations)."""
-        values = _batch_values(means, c, cfg.n, families, floor)
-        out = []
-        for name in pairs:
-            fam_o, fam_h = _PAIRS[name]
-            rej_o = values[fam_o] >= criticals[name]
-            rej_h = values[fam_h] >= criticals[name]
-            out.append([rej_o.sum(), rej_h.sum(), np.sum(rej_h & ~rej_o), np.sum(rej_o & ~rej_h)])
-        return out
-
+    # Both members of a pair take the orthant member's supremum value.
+    criticals = {name: _resolve_critical(TestPlan(pair[0]), cfg) for name, pair in _PAIRS.items()}
+    tests = [(family, criticals[name]) for name, pair in _PAIRS.items() for family in pair]
     reps = cfg.replications
     rows = []
     flagged = []
-    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, count):
-        for name, pair_counts in zip(pairs, counts):
+    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, tests, _pair_counts):
+        for name, pair_counts in zip(_PAIRS, counts):
             no, nh, gain, viol = (int(v) for v in pair_counts)
             if viol:
                 raise ConeTestError(
@@ -437,8 +444,16 @@ class ConvexityReport:
 UIT_ORTHANT_ACCEPTANCE = "UIT_orthant_acceptance"
 UIT_HALFSPACE_ACCEPTANCE = "UIT_halfspace_acceptance"
 LRT_ORTHANT_ACCEPTANCE = "LRT_orthant_acceptance"
+_REGION_FAMILIES = {
+    UIT_ORTHANT_ACCEPTANCE: UIT_ORTHANT,
+    UIT_HALFSPACE_ACCEPTANCE: UIT_HALFSPACE,
+    LRT_ORTHANT_ACCEPTANCE: LRT_ORTHANT,
+}
 
 _WITNESS_CAP = 1_000_000
+
+# Midpoint pairs per drawn covariance of the union-intersection probe.
+_CONVEXITY_BLOCK = 10_000
 
 
 def _member_means(family, c, n, p, chol, rng, count):
@@ -508,68 +523,54 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
     union-intersection regions must show zero violations.  The
     likelihood-ratio probe runs at ``p = 2`` with a fixed diagonal
     covariance and must *find* a witness pair whose midpoint falls outside;
-    the witness is returned in the report.
+    the witness is returned in the report.  A union-intersection report
+    counts its violations and carries no witness.
     """
+    if region not in _REGION_FAMILIES:
+        raise DataError(f"unknown region {region!r}")
+    if region == LRT_ORTHANT_ACCEPTANCE and p != 2:
+        raise DataError("the likelihood-ratio witness search runs at p = 2")
+    if trials < 0:
+        raise DataError(f"trials must be >= 0, got {trials}")
+    family = _REGION_FAMILIES[region]
+    c = calibrate.sup_critical_value(family, alpha, n, p).value
+    metadata = {"n": n, "p": p, "alpha": alpha, "critical": c, "seed": seed}
     if region == LRT_ORTHANT_ACCEPTANCE:
-        if p != 2:
-            raise DataError("the likelihood-ratio witness search runs at p = 2")
-        c = calibrate.sup_critical_value(LRT_ORTHANT, alpha, n, p).value
         witness, attempts = _search_lrt_witness(c, n, seed)
         return ConvexityReport(
-            region=region,
-            pairs_tested=0,
-            violations=0,
-            witness=witness,
-            attempts=attempts,
-            metadata={"n": n, "p": p, "alpha": alpha, "critical": c, "seed": seed},
+            region, pairs_tested=0, violations=0, witness=witness, attempts=attempts, metadata=metadata
         )
-    if region not in (UIT_ORTHANT_ACCEPTANCE, UIT_HALFSPACE_ACCEPTANCE):
-        raise DataError(f"unknown region {region!r}")
-    family = UIT_ORTHANT if region == UIT_ORTHANT_ACCEPTANCE else UIT_HALFSPACE
-    c = calibrate.sup_critical_value(family, alpha, n, p).value
-    violations = 0
-    tested = 0
-    block_pairs = 10_000
-    worst = None
-    covariances = 0
-    while tested < trials:
-        rng = substream(seed, (_STREAM_CONVEXITY, covariances))
+    violations, metadata["covariances_probed"] = _midpoint_violations(family, c, trials, seed, n, p)
+    return ConvexityReport(
+        region, pairs_tested=trials, violations=violations, witness=None, attempts=0, metadata=metadata
+    )
+
+
+def _midpoint_violations(family, c, trials, seed, n, p):
+    """Midpoints outside the acceptance slice of ``family``, and the covariances drawn.
+
+    One Monte-Carlo cell on stream key ``(3,)``: block ``j`` of
+    ``_CONVEXITY_BLOCK`` pairs draws a covariance, its members and its pairs.
+    """
+
+    def draw(rng, pairs):
         cov = random_correlation_matrix(rng, p) * rng.uniform(0.3, 3.0)
         chol = np.linalg.cholesky(cov)
-        covariances += 1
         means = _member_means(family, c, n, p, chol, rng, 20_000)
         m = means.shape[0]
         if m < 2:
-            continue
-        block = min(trials - tested, block_pairs)
-        i = rng.integers(0, m, size=block)
-        j = rng.integers(0, m, size=block)
-        mid = 0.5 * (means[i] + means[j])
+            raise ConeTestError(f"{m} member means accepted under a drawn covariance; need 2")
+        i = rng.integers(0, m, size=pairs)
+        j = rng.integers(0, m, size=pairs)
+        return 0.5 * (means[i] + means[j]), chol
+
+    def count(mid, chol):
         values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family}, c)[family]
-        bad = values > c * (1.0 + 1e-9)
-        violations += int(bad.sum())
-        if bad.any() and worst is None:
-            k = int(np.flatnonzero(bad)[0])
-            worst = {
-                "midpoint_statistic": float(values[k]),
-                "critical": float(c),
-            }
-        tested += block
-    return ConvexityReport(
-        region=region,
-        pairs_tested=tested,
-        violations=violations,
-        witness=worst,
-        attempts=0,
-        metadata={
-            "n": n,
-            "p": p,
-            "alpha": alpha,
-            "critical": float(c),
-            "covariances_probed": covariances,
-            "seed": seed,
-        },
-    )
+        return np.sum(values > c * (1.0 + 1e-9))
+
+    cells = [((_STREAM_CONVEXITY,), draw)]
+    (violations,) = _count_cells(seed, cells, trials, _CONVEXITY_BLOCK, 1, count)
+    return int(violations), len(chunk_sizes(trials, _CONVEXITY_BLOCK))
 
 
 @dataclass
@@ -595,9 +596,6 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     plan = TestPlan(family, calibration, prior=prior)
     critical = _resolve_critical(plan, cfg)
 
-    def count(means, c):
-        return np.sum(_batch_values(means, c, cfg.n, {family}, critical)[family] >= critical)
-
     def from_prior(rng, reps):
         return sample_compound_null(rng, prior.scale, prior.df, cfg.n, reps)
 
@@ -610,9 +608,9 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     if calibration == "bayes":
         labels.append("prior_draws")
         cells.append(((_STREAM_SIMILARITY, 999), from_prior))
-    totals = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
+    totals = _count_rejections(cfg, [(family, critical)], cells, _rejections)
     rows = []
-    for sigma_id, total in zip(labels, totals):
+    for sigma_id, (total,) in zip(labels, totals):
         rate, se = _rate(total, cfg.replications)
         rows.append({"sigma_id": sigma_id, "rate": rate, "std_error": se})
     return SimilarityReport(

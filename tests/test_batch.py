@@ -396,3 +396,9 @@ class TestCandidateMask:
         with pytest.raises(SolverError, match="draw 3") as err:
             orthant_active_set(y, metric, np.array([True, False, True, True]))
         assert err.value.details == {"draw": 3, "y": [0.4, -1.0]}
+
+
+def test_cell_of_no_draws_counts_zero():
+    # No chunks, so neither draw nor count is called.
+    counts = _batch._count_cells(1, [((0,), None), ((1,), None)], 0, 100, 2, None)
+    assert [float(c) for c in counts] == [0.0, 0.0]

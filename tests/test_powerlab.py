@@ -6,6 +6,7 @@ import pytest
 
 from conetest import (
     CalibrationError,
+    ConeTestError,
     DataError,
     Orthant,
     PriorSpec,
@@ -304,6 +305,74 @@ class TestOnePoolPerExperiment:
         assert [row["sigma_id"] for row in rep.rows] == ["sigma0", "prior_draws"]
 
 
+class TestOneCountingPath:
+    """Every experiment counts through one ``_count_cells`` call."""
+
+    @staticmethod
+    def spy(monkeypatch, module, name):
+        calls = []
+        real = getattr(module, name)
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, record)
+        return calls
+
+    def test_each_experiment_makes_one_count_call(self, monkeypatch):
+        calls = self.spy(monkeypatch, powerlab, "_count_cells")
+        prior = PriorSpec.inverse_wishart(np.eye(2), 6.0)
+        cfg = small_config(
+            replications=500,
+            sigma_source=SigmaSource.random_correlation(2),
+            theta_grid=(np.zeros(2), np.array([0.3, 0.1])),
+            tests=(TestPlan(stats.UIT_ORTHANT), TestPlan(stats.T2), TestPlan(stats.FUIT)),
+        )
+        for run in (
+            lambda: simulate_power(cfg),
+            lambda: domination_experiment(cfg),
+            lambda: similarity_probe(stats.LRT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior),
+            lambda: convexity_probe(UIT_HALFSPACE_ACCEPTANCE, trials=100, seed=1, n=15, p=2),
+        ):
+            calls.clear()
+            run()
+            assert len(calls) == 1
+
+    def test_domination_calibrates_each_pair_once(self, monkeypatch):
+        from conetest import calibrate
+
+        calibrations = self.spy(monkeypatch, calibrate, "_calibration")
+        solves = self.spy(monkeypatch, calibrate, "sup_critical_value")
+        rep = domination_experiment(small_config(replications=200))
+        assert [args[:2] for args in calibrations] == [
+            (stats.UIT_ORTHANT, "sup"), (stats.LRT_ORTHANT, "sup"),
+        ]
+        assert len(solves) == 2
+        assert list(rep.metadata["critical_values"]) == ["UIT", "LRT"]
+        assert [row.pair for row in rep.rows] == ["UIT", "LRT"]
+
+    @pytest.mark.parametrize("trials", [0, 1, 9999, 10000, 10001, 25000])
+    def test_one_covariance_per_block(self, trials):
+        rep = convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=trials, seed=4, n=12, p=2)
+        assert rep.pairs_tested == trials
+        assert rep.metadata["covariances_probed"] == -(-trials // 10000)
+        assert rep.violations == 0 and rep.witness is None
+
+    def test_negative_trials_rejected(self):
+        with pytest.raises(DataError, match="trials"):
+            convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=-1, seed=4, n=12, p=2)
+
+    def test_unknown_region_rejected(self):
+        with pytest.raises(DataError, match="unknown region"):
+            convexity_probe("T2_acceptance", trials=10, seed=4, n=12, p=2)
+
+    def test_too_few_members_is_an_error(self, monkeypatch):
+        monkeypatch.setattr(powerlab, "_member_means", lambda *args: np.zeros((1, 2)))
+        with pytest.raises(ConeTestError, match="1 member means"):
+            convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=10, seed=4, n=12, p=2)
+
+
 class TestDomination:
     def test_paired_inequality_holds(self):
         cfg = small_config(
@@ -318,7 +387,7 @@ class TestDomination:
 
     def test_size_rows_show_conservativeness(self):
         cfg = small_config(replications=30000, theta_grid=(np.zeros(2),))
-        rep = domination_experiment(cfg, pairs=("UIT",))
+        rep = domination_experiment(cfg)
         row = rep.rows[0]
         assert abs(row.power_halfspace - 0.05) <= 3.5 * max(
             np.sqrt(0.05 * 0.95 / cfg.replications), 1e-4
