@@ -457,17 +457,16 @@ _CONVEXITY_BLOCK = 10_000
 
 
 def _member_means(family, c, n, p, chol, rng, count):
-    """Means inside the acceptance slice for a fixed covariance factor ``chol``."""
+    """Means inside the acceptance slice for a fixed covariance factor ``chol``.
+
+    ``count`` draws at each of four scales, the accepted ones of all four
+    kept, so the pool reaches from deep inside the slice to its boundary.
+    """
     pool = []
-    got = 0
     for scale in (0.6, 1.2, 2.5, 5.0):
         means = (rng.standard_normal((count, p)) @ chol.T) * (scale / np.sqrt(n))
         values = _batch_values(means, np.sqrt(n - 1) * chol, n, {family}, c)[family]
-        keep = values <= c
-        pool.append(means[keep])
-        got += int(keep.sum())
-        if got >= count:
-            break
+        pool.append(means[values <= c])
     return np.concatenate(pool, axis=0)
 
 

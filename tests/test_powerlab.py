@@ -12,6 +12,7 @@ from conetest import (
     PriorSpec,
     SolverError,
     _batch,
+    calibrate,
     powerlab,
     project,
     stats,
@@ -340,8 +341,6 @@ class TestOneCountingPath:
             assert len(calls) == 1
 
     def test_domination_calibrates_each_pair_once(self, monkeypatch):
-        from conetest import calibrate
-
         calibrations = self.spy(monkeypatch, calibrate, "_calibration")
         solves = self.spy(monkeypatch, calibrate, "sup_critical_value")
         rep = domination_experiment(small_config(replications=200))
@@ -422,6 +421,38 @@ class TestConvexity:
     def test_lrt_witness_requires_p2(self):
         with pytest.raises(DataError):
             convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=5, n=15, p=3)
+
+
+class TestMidpointPool:
+    """The member pool reaches the boundary, so the midpoints can see a violation."""
+
+    def test_lrt_orthant_midpoints_leave_the_region(self):
+        # The likelihood-ratio region is not convex even slice-wise.
+        n, p = 15, 2
+        c = calibrate.sup_critical_value(stats.LRT_ORTHANT, 0.05, n, p).value
+        violations, covariances = powerlab._midpoint_violations(
+            stats.LRT_ORTHANT, c, 100_000, 808, n, p
+        )
+        assert covariances == 10 and violations > 0
+
+    @pytest.mark.parametrize("n, p", [(15, 3), (8, 5)])
+    @pytest.mark.parametrize("family", stats.UIT_FAMILIES)
+    def test_uit_members_reach_the_boundary(self, monkeypatch, family, n, p):
+        pools = []
+        member_means = powerlab._member_means
+
+        def spy(family, c, n, p, chol, rng, count):
+            pool = member_means(family, c, n, p, chol, rng, count)
+            pools.append((pool, chol))
+            return pool
+
+        monkeypatch.setattr(powerlab, "_member_means", spy)
+        c = calibrate.sup_critical_value(family, 0.05, n, p).value
+        violations, covariances = powerlab._midpoint_violations(family, c, 30_000, 808, n, p)
+        assert violations == 0 and covariances == len(pools) == 3
+        for pool, chol in pools:
+            values = powerlab._batch_values(pool, np.sqrt(n - 1) * chol, n, {family})[family]
+            assert values.max() <= c and values.max() >= 0.99 * c
 
 
 class TestSimilarity:
