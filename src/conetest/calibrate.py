@@ -35,6 +35,9 @@ EXACT_HALFSPACE = "exact_halfspace"
 DEFAULT_MC_SAMPLES = 1_000_000
 RUN_MC_SAMPLES = 200_000
 
+# Largest n and p taken from an input: above it, n - p is not exact in floating point.
+MAX_SIZE = 2 ** 53
+
 # Tail inversion stops once the bracket is narrower than
 # ``_XTOL * min(c, 1) + _RTOL * c``: ``scipy.optimize.brentq(xtol=1e-12)``'s
 # rule with its default ``rtol`` for ``c >= 1``, and relative below, where
@@ -94,9 +97,10 @@ class PriorSpec:
                 raise DataError("inverse_wishart prior needs a scale matrix and df")
             scale = check_positive_definite(self.scale, "prior scale")
             p = scale.shape[0]
-            if not float(self.df) > p - 1:
+            if not p - 1 < float(self.df) < np.inf:
                 raise DataError(
-                    f"inverse_wishart df must exceed p - 1 = {p - 1} for a proper prior"
+                    f"inverse_wishart df must be finite and exceed p - 1 = {p - 1} "
+                    "for a proper prior"
                 )
             object.__setattr__(self, "scale", read_only(scale))
             object.__setattr__(self, "df", float(self.df))

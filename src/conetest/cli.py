@@ -377,6 +377,8 @@ def cmd_calibrate(args):
     _check_alpha(args.alpha)
     if args.p < 1:
         raise UsageError(f"need p >= 1, got p={args.p}")
+    if max(args.n, args.p) > calibrate.MAX_SIZE:
+        raise UsageError("--n and --p must be at most 2**53, where n - p is exact in floating point")
     if args.n <= args.p:
         raise UsageError(f"need n > p, got n={args.n}, p={args.p}")
     family = _calibrated_family(args, args.cone, ("--prior-df",))
@@ -409,6 +411,14 @@ def _expect(cfg, key, types, path, default=None):
     if isinstance(val, bool) or not isinstance(val, types):
         raise DataError(f"config field {path}{key} has wrong type {type(val).__name__}")
     return val
+
+
+def _real(cfg, key, path):
+    """The number ``cfg[key]`` as a float; an integer past the float range is a DataError."""
+    try:
+        return float(_expect(cfg, key, (int, float), path))
+    except OverflowError:
+        raise DataError(f"config field {path}{key} is too large for a float") from None
 
 
 def _numbers(val, field):
@@ -445,13 +455,13 @@ def _parse_tests(nodes, path):
         family = _expect(node, "family", str, sub)
         if family not in stats.FAMILIES:
             raise DataError(f"config field {sub}family: unknown family {family!r}")
-        calibration = node.get("calibration", "sup")
+        calibration = _expect(node, "calibration", str, sub, "sup")
         prior = None
         if calibration == "bayes":
             pnode = _expect(node, "prior", dict, sub)
             prior = calibrate.PriorSpec.inverse_wishart(
                 _numbers(_expect(pnode, "scale", list, sub + "prior."), f"{sub}prior.scale"),
-                float(_expect(pnode, "df", (int, float), sub + "prior.")),
+                _real(pnode, "df", sub + "prior."),
             )
         plans.append(
             powerlab.TestPlan(
@@ -468,11 +478,14 @@ def load_experiment_config(path, workers=1, inputs=None):
     """Parse a simulation config file; ``inputs`` is as for :func:`_read_input`."""
     text = _read_input(path, "config", inputs)
 
-    def non_finite(name):  # json.loads accepts NaN and +-Infinity; JSON has no such values
-        raise DataError(f"config {path} holds the non-finite constant {name}")
+    def finite(literal):  # json.loads accepts NaN, +-Infinity and 1e400; JSON has no such values
+        value = float(literal)
+        if not np.isfinite(value):
+            raise DataError(f"config {path} holds the non-finite constant {literal}")
+        return value
 
     try:
-        raw = json.loads(text, parse_constant=non_finite)
+        raw = json.loads(text, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
@@ -486,7 +499,7 @@ def load_experiment_config(path, workers=1, inputs=None):
     cfg = powerlab.ExperimentConfig(
         p=p,
         n=int(_expect(raw, "n", int, "")),
-        alpha=float(_expect(raw, "alpha", (int, float), "")),
+        alpha=_real(raw, "alpha", ""),
         replications=int(_expect(raw, "replications", int, "")),
         seed=raw["seed"],
         sigma_source=_parse_sigma(_expect(raw, "sigma", dict, ""), "sigma."),

@@ -127,6 +127,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.p < 1:
+            raise DataError(f"need p >= 1, got p={self.p}")
+        if self.n > calibrate.MAX_SIZE:
+            raise DataError("n must be at most 2**53, where n - p is exact in floating point")
         if self.n <= self.p:
             raise DataError(f"need n > p, got n={self.n}, p={self.p}")
         if not 0.0 < self.alpha < 1.0:

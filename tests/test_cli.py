@@ -785,6 +785,20 @@ class TestCmdSimulate:
         path.write_text(json.dumps(cfg))
         assert main(["simulate", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"p": 0, "sigma": {"kind": "random_correlation"}, "theta_grid": [[]]}, "need p >= 1"),
+            ({"n": 10**400}, "n must be at most 2**53"),
+            ({"n": 2**53 + 2}, "n must be at most 2**53"),
+        ],
+        ids=["p-zero", "n-401-digits", "n-past-2-53"],
+    )
+    def test_size_out_of_range_is_data_error(self, tmp_path, capsys, overrides, message):
+        cfg = self.write_config(tmp_path, **overrides)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("seed", [-3, "abc", 1.5, True])
     def test_bad_seed_is_data_error(self, tmp_path, seed, capsys):
         cfg = self.write_config(tmp_path, seed=seed)
@@ -826,6 +840,15 @@ class TestCmdSimulate:
                 {"tests": [{"family": "UIT_orthant", "calibration": "bayes",
                             "prior": {"scale": [[1.0, 0.0], [0.0, "x"]], "df": 6}}]},
                 "tests[0].prior.scale",
+            ),
+            ({"tests": [{"family": "UIT_orthant", "calibration": ["sup"]}]}, "tests[0].calibration"),
+            ({"tests": [{"family": "UIT_orthant", "calibration": {"sup": 1}}]}, "tests[0].calibration"),
+            # Integers past the float range.
+            ({"alpha": 10**400}, "alpha"),
+            (
+                {"tests": [{"family": "UIT_orthant", "calibration": "bayes",
+                            "prior": {"scale": [[1.0, 0.0], [0.0, 1.0]], "df": 10**400}}]},
+                "tests[0].prior.df",
             ),
         ],
     )
@@ -880,11 +903,21 @@ class TestCmdSimulate:
             ({"theta_grid": [[0.0, float("-inf")]]}, "-Infinity"),
             ({"alpha": float("nan")}, "NaN"),
             ({"sigma": {"kind": "fixed", "matrix": [[1.0, float("nan")], [0.0, 1.0]]}}, "NaN"),
+            # The string "1e400" is written as the literal 1e400, which parses to inf.
+            ({"theta_grid": [["1e400", 0.5]]}, "1e400"),
+            (
+                {"tests": [{"family": "UIT_orthant", "calibration": "bayes",
+                            "prior": {"scale": [[1.0, 0.0], [0.0, 1.0]], "df": "1e400"}}]},
+                "1e400",
+            ),
+            ({"comment": "1e400"}, "1e400"),
         ],
-        ids=["theta-inf", "theta-minus-inf", "alpha-nan", "sigma-nan"],
+        ids=["theta-inf", "theta-minus-inf", "alpha-nan", "sigma-nan", "theta-overflow",
+             "prior-df-overflow", "unread-overflow"],
     )
     def test_non_finite_constant_is_data_error(self, tmp_path, capsys, overrides, constant):
         cfg = self.write_config(tmp_path, **overrides)
+        cfg.write_text(cfg.read_text().replace('"1e400"', "1e400"))
         assert constant in cfg.read_text()
         assert main(["simulate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err

@@ -100,6 +100,25 @@ def test_calibrate_shapes():
         assert abs(attained_level(result) - alpha) <= LEVEL_RTOL * alpha, argv
 
 
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["--family", "uit", "--calibration", "bayes", "--prior-df", "inf", "--seed", "1",
+          "--n", "30", "--p", "3"], 3, "df must be finite"),
+        (["--family", "uit", "--n", "9" * 401, "--p", "3"], 2, "at most 2**53"),
+        (["--family", "fuit", "--n", "9" * 401, "--p", "3"], 2, "at most 2**53"),
+        (["--family", "t2", "--n", "9" * 402, "--p", "9" * 401], 2, "at most 2**53"),
+        (["--family", "uit", "--n", str(2**53 + 2), "--p", "3"], 2, "at most 2**53"),
+    ],
+    ids=["prior-df-inf", "n-401-digits", "fuit-n-401-digits", "p-401-digits",
+         "n-past-2-53"],
+)
+def test_calibrate_refused_inputs(argv, code, message):
+    # Each is refused before any draw or tail evaluation.
+    got, failure = run(["calibrate", "--alpha", "0.05"] + argv)
+    assert got == code and message in failure, (argv, failure)
+
+
 def write_csv(path, matrix):
     np.savetxt(path, matrix, delimiter=",", fmt="%.17g")
     return str(path)
