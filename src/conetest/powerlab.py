@@ -19,8 +19,8 @@ import numpy as np
 from . import calibrate, stats
 from ._batch import (
     _count_cells,
-    chunk_sizes,
     batch_fuit_max_t,
+    chunk_sizes,
     factor_cov,
     forward_sq_norm,
     halfspace_residual,
