@@ -129,7 +129,10 @@ def sample_mean_chol(rng, theta, chol_sigma, n, reps):
     """
     p = chol_sigma.shape[-1]
     z = rng.standard_normal((reps, p))
-    means = (chol_sigma @ z[..., None])[..., 0] / np.sqrt(n)
+    if chol_sigma.ndim == 2:
+        means = z @ chol_sigma.T / np.sqrt(n)  # one gemm, not a stack of (p, 1) products
+    else:
+        means = (chol_sigma @ z[..., None])[..., 0] / np.sqrt(n)
     if theta is not None:
         means = means + theta
     return means, chol_sigma @ _bartlett(rng, n - 1 - np.arange(p), reps)
@@ -142,6 +145,11 @@ def factor_cov(c, n):
     strided view is several times slower and serializes across threads.
     """
     return c @ np.ascontiguousarray(np.swapaxes(c, -1, -2)) / (n - 1)
+
+
+def factor_variances(c, n):
+    """Diagonal of ``S = c c' / (n - 1)``: the squared row norms of ``c`` over ``n - 1``."""
+    return np.einsum("...ij,...ij->...i", c, c) / (n - 1)
 
 
 def sample_mean_cov(rng, theta, chol_sigma, n, reps):
@@ -181,16 +189,12 @@ def batch_t2(means, covs, n):
     return n * forward_sq_norm(means, np.linalg.cholesky(covs))
 
 
-def orthant_active_set(y, metric, candidates=None):
+def orthant_active_set(y, metric):
     """Active-set solve of the orthant projection of each row of ``y``.
 
     ``y`` has shape (reps, p) and ``metric`` is one (p, p) positive definite
-    matrix or a (reps, p, p) stack.  ``candidates``, a boolean mask over the
-    rows, restricts the solve to the rows it holds; every other row keeps
-    its sign pattern and gets ``q_res = 0``.  Rows keep their indices, so a
-    :class:`SolverError` names the row of ``y`` whatever the mask.  Each
-    draw starts from its sign pattern ``y > 0``, solved on entry if all
-    positive.  Each step solves ``B z = y``
+    matrix or a (reps, p, p) stack.  Each draw starts from its sign pattern
+    ``y > 0``, solved on entry if all positive.  Each step solves ``B z = y``
     for every pending draw at once, where ``B`` has the metric's columns on
     the complement ``c`` and the identity's on the free set ``a``: then
     ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``, the adjusted mean.
@@ -229,8 +233,7 @@ def orthant_active_set(y, metric, candidates=None):
     q_res = np.zeros(reps)
     tol = ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
-    unsolved = ~free.all(axis=1)
-    pending = np.flatnonzero(unsolved if candidates is None else unsolved & candidates)
+    pending = np.flatnonzero(~free.all(axis=1))
     for start in range(0, pending.size, ACTIVE_SET_BLOCK):
         todo = pending[start:start + ACTIVE_SET_BLOCK]
         fewest = np.full(todo.size, p + 1.0)
@@ -274,9 +277,12 @@ def _draw_error(message, y, draw):
     return SolverError(f"{message} at draw {draw}", details={"draw": draw, "y": y[draw].tolist()})
 
 
-def halfspace_residual(y, metric):
-    """Squared residual norm of each row of ``y`` off the halfspace ``x_p >= 0``."""
-    return np.where(y[:, -1] > 0.0, 0.0, y[:, -1] ** 2 / metric[..., -1, -1])
+def halfspace_residual(y, variances):
+    """Squared residual norm of each row of ``y`` off the halfspace ``x_p >= 0``.
+
+    ``variances`` is the metric's diagonal: (p,) or (reps, p).
+    """
+    return np.where(y[:, -1] > 0.0, 0.0, y[:, -1] ** 2 / variances[..., -1])
 
 
 def projection_norm(t2, q_res):
@@ -298,14 +304,25 @@ def batch_orthant(means, covs, n):
 
 def batch_halfspace(means, covs, n):
     """Halfspace projection decomposition per draw: ``(q_proj, q_res)``."""
-    q_res = halfspace_residual(np.sqrt(n) * means, covs)
+    q_res = halfspace_residual(np.sqrt(n) * means, np.diagonal(covs, axis1=-2, axis2=-1))
     return projection_norm(batch_t2(means, covs, n), q_res), q_res
 
 
-def batch_fuit_max_t(means, covs, n):
-    """Largest coordinatewise one-sided t statistic per draw."""
-    diag = np.diagonal(covs, axis1=-2, axis2=-1)
-    return np.max(np.sqrt(n) * means / np.sqrt(diag), axis=1)
+def batch_fuit_max_t(means, variances, n):
+    """Largest coordinatewise one-sided t statistic per draw.
+
+    ``variances`` is the diagonal of ``S``: (p,) or (reps, p).
+    """
+    return row_max(np.sqrt(n) * means / np.sqrt(variances))
+
+
+def row_max(a):
+    """Largest entry of each row of a (reps, p) array.
+
+    Reduces a transposed copy over its long axis: ``a.max(axis=1)`` is many
+    times slower on rows of a few entries.
+    """
+    return np.ascontiguousarray(a.T).max(axis=0)
 
 
 def sample_invwishart_chol(rng, scale, df, reps):

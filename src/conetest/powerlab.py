@@ -22,16 +22,18 @@ from ._batch import (
     batch_fuit_max_t,
     chunk_sizes,
     factor_cov,
+    factor_variances,
     forward_sq_norm,
     halfspace_residual,
     orthant_active_set,
     projection_norm,
+    row_max,
     sample_compound_null,
     sample_mean_chol,
     substream,
 )
 from ._linalg import check_positive_definite
-from .exceptions import ConeTestError, DataError
+from .exceptions import ConeTestError, DataError, SolverError
 from .stats import (
     FUIT,
     LRT_HALFSPACE,
@@ -211,46 +213,96 @@ def _resolve_critical(plan, cfg):
     return cv.value
 
 
-def _batch_values(means, c, n, families, floor=-np.inf):
+def _batch_values(means, c, n, families, low=-np.inf, high=np.inf):
     """Calibration-scale statistic values per draw for each of ``families``.
 
     ``c`` is a lower-triangular scatter factor, ``(n-1) S = c c'``: one
     (p, p) matrix or a (reps, p, p) stack.  Each draw's T2 comes from ``c``
     once and is split by the residual of each cone that ``families`` needs;
-    T2 is the halfspace split's sum.  ``S`` is multiplied out once, for the
-    orthant metric, the halfspace residual and FUIT.
+    T2 is the halfspace split's sum.  The halfspace residual and FUIT read
+    only the variances ``diag(S)``, the squared row norms of ``c``.
 
-    ``floor`` is the smallest threshold the caller compares orthant values
-    with.  An orthant value never exceeds ``T2 / (n-1)``, as a projection
-    is never longer than its vector (Silvapulle & Sen 2005, ch. 3), so only
-    draws with ``T2 / (n-1) >= floor * (1 - 1e-9)`` are classified.  Every
-    other draw gets ``q_res = 0``, hence the orthant value ``T2 / (n-1)``:
-    an upper bound that lies below ``floor``, so each comparison with a
-    threshold at or above ``floor`` comes out as for the solved value.  The
-    margin covers a solved ``q_res`` that rounds below 0.  The default
-    classifies every draw.
+    ``low`` and ``high`` are the smallest and the largest threshold the
+    caller compares orthant values with.  Only draws whose orthant residual
+    can change such a comparison are classified
+    (:func:`_orthant_residual`); the defaults classify every draw.
     """
     values = {}
-    covs = factor_cov(c, n)
+    s = factor_variances(c, n)
     if families - {FUIT}:
         y = np.sqrt(n) * means
         t2 = n * (n - 1) * forward_sq_norm(means, c)
     for group, residual in (
         (
             stats.ORTHANT_FAMILIES,
-            lambda: orthant_active_set(y, covs, t2 / (n - 1) >= floor * (1.0 - 1e-9))[1],
+            lambda wanted: _orthant_residual(y, c, n, t2, s, wanted, low, high),
         ),
-        (stats.HALFSPACE_FAMILIES + (T2,), lambda: halfspace_residual(y, covs)),
+        (stats.HALFSPACE_FAMILIES + (T2,), lambda wanted: halfspace_residual(y, s)),
     ):
         wanted = families.intersection(group)
         if wanted:
-            q_res = residual()
+            q_res = residual(wanted)
             q_proj = projection_norm(t2, q_res)
             for family in wanted:
                 values[family] = stats.calibration_value(family, q_proj, q_res, n)
     if FUIT in families:
-        values[FUIT] = batch_fuit_max_t(means, covs, n)
+        values[FUIT] = batch_fuit_max_t(means, s, n)
     return values
+
+
+# Relative margin on the orthant value of the bracket's decisions.
+_BRACKET_RTOL = 1e-9
+
+
+def _orthant_residual(y, c, n, t2, s, families, low, high):
+    """Orthant residual per draw, solved only where a bracket leaves it open.
+
+    With ``y = sqrt(n) xbar``, the exact residual ``q_res`` lies between two
+    closed forms.  The orthant lies inside each halfspace ``t_j >= 0``
+    (Perlman 1969), so ``q_res >= r_lo = max_j min(y_j, 0)^2 / s_j``, the
+    largest halfspace residual; ``max(y, 0)`` lies in the orthant and the
+    projection is its nearest point (Silvapulle & Sen 2005, ch. 3), so
+    ``q_res <= r_hi = (n-1) |c^{-1} min(y, 0)|^2``, the squared metric
+    distance to it.  At fixed T2 every orthant value of ``families`` falls
+    as ``q_res`` grows.  A draw whose values at ``r_lo`` all lie below
+    ``low * (1 - 1e-9)`` cannot reject and keeps ``r_lo``; one whose values
+    at ``r_hi`` all exceed ``high * (1 + 1e-9)`` must reject and keeps
+    ``r_hi``.  Either value compares with every threshold in ``[low,
+    high]`` as the solved one does.  Only the other draws go to
+    :func:`orthant_active_set`, and ``S`` is multiplied out for them alone.
+    A draw with no ``y_j < 0`` lies in the orthant: ``q_res = r_lo = 0``.
+
+    The margins bound how far the solved value may stray from the exact
+    one.  The kernel accepts a sign pattern once its conditions hold to
+    within ``ACTIVE_SET_RTOL = 1e-10`` of ``|y|``; a slack that small
+    enters the residual squared, near ``1e-20 |y|^2``.  What remains is the
+    rounding of the solve and of T2, a few ulps of T2 times the condition
+    number of ``S``.  For a draw near a threshold, whose value is a fixed
+    share of T2, 1e-9 leaves room for condition numbers up to about 1e6.
+
+    A :class:`SolverError` names the draw by its row of ``y``, so the
+    replay key still holds.
+    """
+    def value(pick, t2, q_res):
+        q_proj = projection_norm(t2, q_res)
+        return pick([stats.calibration_value(f, q_proj, q_res, n) for f in families], axis=0)
+
+    def factor(rows):
+        return c if c.ndim == 2 else c[rows]
+
+    q_res = row_max(np.minimum(y, 0.0) ** 2 / s)
+    rows = np.flatnonzero((q_res > 0.0) & (value(np.max, t2, q_res) >= low * (1.0 - _BRACKET_RTOL)))
+    q_res[rows] = (n - 1) * forward_sq_norm(np.minimum(y[rows], 0.0), factor(rows))
+    upper = value(np.min, t2[rows], q_res[rows])
+    rows = rows[~(upper > high * (1.0 + _BRACKET_RTOL))]
+    try:
+        q_res[rows] = orthant_active_set(y[rows], factor_cov(factor(rows), n))[1]
+    except SolverError as err:
+        draw = err.details["draw"]
+        err.details["draw"] = int(rows[draw])
+        err.args = (err.args[0].replace(f"at draw {draw}", f"at draw {rows[draw]}"),)
+        raise
+    return q_res
 
 
 def _rate(count, replications):
@@ -273,16 +325,16 @@ def _count_rejections(cfg, tests, cells, tally):
     """Summed counts of each ``(key, draw)`` of ``cells`` over its chunks.
 
     ``tests`` holds ``(family, critical value)`` pairs; the orthant kernel
-    skips draws whose T2 bound lies below the smallest orthant value.
-    ``tally`` maps a chunk's rejection masks, in test order, to its counts.
+    skips draws that the residual bracket decides against the smallest and
+    the largest orthant critical value.  ``tally`` maps a chunk's rejection
+    masks, in test order, to its counts.
     """
     families = {family for family, _ in tests}
-    floor = min(
-        (cv for family, cv in tests if family in stats.ORTHANT_FAMILIES), default=-np.inf
-    )
+    orthant = [cv for family, cv in tests if family in stats.ORTHANT_FAMILIES]
+    low, high = min(orthant, default=-np.inf), max(orthant, default=np.inf)
 
     def count(means, c):
-        values = _batch_values(means, c, cfg.n, families, floor)
+        values = _batch_values(means, c, cfg.n, families, low, high)
         return tally([values[family] >= cv for family, cv in tests])
 
     return _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
@@ -469,7 +521,7 @@ def _member_means(family, c, n, p, chol, rng, count):
     pool = []
     for scale in (0.6, 1.2, 2.5, 5.0):
         means = (rng.standard_normal((count, p)) @ chol.T) * (scale / np.sqrt(n))
-        values = _batch_values(means, np.sqrt(n - 1) * chol, n, {family}, c)[family]
+        values = _batch_values(means, np.sqrt(n - 1) * chol, n, {family}, c, c)[family]
         pool.append(means[values <= c])
     return np.concatenate(pool, axis=0)
 
@@ -568,8 +620,9 @@ def _midpoint_violations(family, c, trials, seed, n, p):
         return 0.5 * (means[i] + means[j]), chol
 
     def count(mid, chol):
-        values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family}, c)[family]
-        return np.sum(values > c * (1.0 + 1e-9))
+        threshold = c * (1.0 + 1e-9)
+        values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family}, threshold, threshold)
+        return np.sum(values[family] > threshold)
 
     cells = [((_STREAM_CONVEXITY,), draw)]
     (violations,) = _count_cells(seed, cells, trials, _CONVEXITY_BLOCK, 1, count)

@@ -363,7 +363,7 @@ def test_memory_does_not_grow_with_n():
 
 
 class TestCandidateMask:
-    """``orthant_active_set`` with a row mask solves only the rows it holds."""
+    """``orthant_active_set`` on the rows a mask selects matches the full solve there."""
 
     @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
     def test_masked_rows_match_the_full_solve(self, per_draw):
@@ -376,26 +376,24 @@ class TestCandidateMask:
             metric = random_correlation(rng, p)
         candidates = rng.random(reps) < 0.3
         free, q_res = orthant_active_set(y, metric)
-        free_m, q_res_m = orthant_active_set(y, metric, candidates)
-        assert np.array_equal(free_m[candidates], free[candidates])
-        assert np.array_equal(q_res_m[candidates], q_res[candidates])
-        assert np.array_equal(free_m[~candidates], y[~candidates] > 0.0)
-        assert not q_res_m[~candidates].any()
-        every = orthant_active_set(y, metric, np.ones(reps, dtype=bool))
-        assert np.array_equal(every[0], free) and np.array_equal(every[1], q_res)
+        free_m, q_res_m = orthant_active_set(y[candidates], metric[candidates] if per_draw else metric)
+        assert np.array_equal(free_m, free[candidates])
+        assert np.array_equal(q_res_m, q_res[candidates])
+        none = orthant_active_set(y[:0], metric[:0] if per_draw else metric)
+        assert none[0].shape == (0, p) and none[1].shape == (0,)
 
     def test_error_names_the_row_of_y(self, monkeypatch):
         # Rows 1 and 3 need a second step, which a one-step cap forbids;
-        # with row 1 masked out the error names row 3, not a masked position.
+        # without row 1 the error names row 3's position in the rows given.
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
         metric = np.array([[1.0, -0.9], [-0.9, 1.0]])
         y = np.array([[1.0, 1.0], [0.5, -1.0], [-1.0, -1.0], [0.4, -1.0]])
         with pytest.raises(SolverError, match="draw 1"):
             orthant_active_set(y, metric)
-        with pytest.raises(SolverError, match="draw 3") as err:
-            orthant_active_set(y, metric, np.array([True, False, True, True]))
-        assert err.value.details == {"draw": 3, "y": [0.4, -1.0]}
+        with pytest.raises(SolverError, match="draw 2") as err:
+            orthant_active_set(y[[0, 2, 3]], metric)
+        assert err.value.details == {"draw": 2, "y": [0.4, -1.0]}
 
 
 def test_cell_of_no_draws_counts_zero():

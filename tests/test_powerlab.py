@@ -19,8 +19,10 @@ from conetest import (
 )
 from conetest._batch import (
     factor_cov,
+    factor_variances,
     forward_sq_norm,
     orthant_active_set,
+    projection_norm,
     run_chunks,
     sample_compound_null,
     sample_mean_chol,
@@ -274,9 +276,10 @@ class TestOnePoolPerExperiment:
 
     def test_singular_draw_names_replay_key(self):
         # Near an improper prior a chi-square factor of the compound null
-        # underflows to 0, so a drawn covariance is singular.  Its T2 bound
-        # is 0.65; alpha 0.6 puts the critical value (0.27) below it, so the
-        # draw is classified.
+        # underflows to 0, so a drawn covariance is singular.  Its UIT value
+        # lies between 0 and 0.65, the ends of its residual bracket; alpha
+        # 0.6 puts the critical value (0.27) between them, so the draw is
+        # classified.
         cfg = small_config(n=3, seed=8, alpha=0.6)
         prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
         pattern = r"singular active-set system at draw \d+ \(seed 8, stream key \[4, 999\], chunk 0"
@@ -297,8 +300,8 @@ class TestOnePoolPerExperiment:
 
     def test_singular_draw_that_cannot_reject_is_not_classified(self):
         # The singular draw above, at alpha 0.05: the critical value (214)
-        # lies above its T2 bound, so the draw is screened out and the
-        # probe completes.
+        # lies above both ends of its bracket, so the draw is decided
+        # without the kernel and the probe completes.
         cfg = small_config(n=3, seed=8)
         prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
         rep = similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
@@ -493,31 +496,47 @@ class TestSimilarity:
 
 def unscreened(monkeypatch):
     """Make every ``_batch_values`` call classify each pending draw."""
-    screened = powerlab._batch_values
+    bracketed = powerlab._batch_values
 
-    def every_draw(means, c, n, families, floor=-np.inf):
-        return screened(means, c, n, families, -np.inf)
+    def every_draw(means, c, n, families, low=-np.inf, high=np.inf):
+        return bracketed(means, c, n, families)
 
     monkeypatch.setattr(powerlab, "_batch_values", every_draw)
 
 
 def classified_spy(monkeypatch):
-    """Record, per kernel call, the rows it classifies and the rows it is given."""
+    """Record the number of rows each kernel call is given."""
     calls = []
 
-    def spy(y, metric, candidates=None):
-        pending = ~(y > 0.0).all(axis=1)
-        if candidates is not None:
-            pending &= candidates
-        calls.append((int(pending.sum()), len(y)))
-        return orthant_active_set(y, metric, candidates)
+    def spy(y, metric):
+        calls.append(len(y))
+        return orthant_active_set(y, metric)
 
     monkeypatch.setattr(powerlab, "orthant_active_set", spy)
     return calls
 
 
+def bracket(means, c, n):
+    """``(t2, r_lo, r_hi)`` per draw, with ``np.linalg.solve`` on the factor ``c``.
+
+    ``r_lo`` is the largest coordinate-halfspace residual and ``r_hi`` the
+    squared metric distance of ``y = sqrt(n) xbar`` to ``max(y, 0)``.
+    """
+    def sq_norm(x):
+        w = np.linalg.solve(c, x[..., None])[..., 0]
+        return n * (n - 1) * np.sum(w * w, axis=-1)
+
+    s = np.sum(c * c, axis=-1) / (n - 1)
+    r_lo = np.max(np.minimum(np.sqrt(n) * means, 0.0) ** 2 / s, axis=-1)
+    return sq_norm(means), r_lo, sq_norm(np.minimum(means, 0.0))
+
+
+def orthant_value(family, t2, q_res, n):
+    return stats.calibration_value(family, projection_norm(t2, q_res), q_res, n)
+
+
 class TestT2Screen:
-    """Only draws whose T2 bound reaches the smallest orthant threshold are classified."""
+    """Only draws whose residual bracket straddles an orthant threshold are classified."""
 
     PLANS = (
         TestPlan(stats.UIT_ORTHANT), TestPlan(stats.LRT_ORTHANT),
@@ -556,37 +575,44 @@ class TestT2Screen:
         # Chunks of 1000 draws, so two workers share every cell.
         monkeypatch.setattr(powerlab, "SIM_CHUNK", 1000)
         calls = classified_spy(monkeypatch)
-        screened = self.reports(workers)
-        classified = sum(k for k, _ in calls)
+        bracketed = self.reports(workers)
+        classified = sum(calls)
         unscreened(monkeypatch)
         calls.clear()
-        assert self.reports(workers) == screened
-        assert classified < 0.5 * sum(k for k, _ in calls)
+        assert self.reports(workers) == bracketed
+        assert classified < 0.2 * sum(calls)
 
     @pytest.mark.parametrize("family", stats.ORTHANT_FAMILIES)
     def test_bound_at_the_floor(self, family):
-        # Floors within 1e-12 relative of a draw's bound, and of the bound
-        # over the screen's margin.  Rows with a last coordinate just below
-        # 0 have an orthant value within about 1e-12 of their bound.
+        # Thresholds within 1e-12 relative of a draw's value at either end of
+        # its bracket, and of that value over the bracket's margin.  Rows
+        # with one coordinate just below 0 have an orthant value within
+        # rounding of their value at r_lo; under a diagonal S every row has
+        # it at r_hi as well.
         n, p = 12, 3
         rng = substream(23, 0)
-        c = np.sqrt(n - 1) * np.linalg.cholesky(random_correlation_matrix(rng, p))
         means = rng.standard_normal((40, p))
         means[:20, :2] = np.abs(means[:20, :2])
         means[:20, 2] = -np.abs(means[:20, 2]) * 1e-6
-        bound = n * forward_sq_norm(means, c)
-        every = powerlab._batch_values(means, c, n, {family})[family]
-        for k in range(0, 40, 3):
-            for shift in (1.0, 1.0 - 1e-9):
-                for rel in (-1e-12, 0.0, 1e-12):
-                    floor = bound[k] * (1.0 + rel) / shift
-                    values = powerlab._batch_values(means, c, n, {family}, floor)[family]
-                    for threshold in (floor, np.nextafter(floor, np.inf), floor * (1 + 1e-12)):
-                        assert np.array_equal(values >= threshold, every >= threshold)
-                        assert np.array_equal(values <= threshold, every <= threshold)
+        corr = np.linalg.cholesky(random_correlation_matrix(rng, p))
+        for c in (np.sqrt(n - 1) * corr, np.diag([0.5, 1.0, 2.0])):
+            t2, r_lo, r_hi = bracket(means, c, n)
+            every = powerlab._batch_values(means, c, n, {family})[family]
+            for end, margin, side in ((r_lo, -1e-9, 1.0), (r_hi, 1e-9, -1.0)):
+                bound = orthant_value(family, t2, end, n)
+                for k in range(0, 40, 3):
+                    for shift in (1.0, 1.0 + margin):
+                        for rel in (-1e-12, 0.0, 1e-12):
+                            t = bound[k] * (1.0 + rel) / shift
+                            thresholds = (t, np.nextafter(t, side * np.inf), t * (1 + side * 1e-12))
+                            low, high = min(thresholds), max(thresholds)
+                            values = powerlab._batch_values(means, c, n, {family}, low, high)[family]
+                            for threshold in thresholds:
+                                assert np.array_equal(values >= threshold, every >= threshold)
+                                assert np.array_equal(values <= threshold, every <= threshold)
 
-    def test_null_cell_classifies_few_draws(self, monkeypatch):
-        # The theta = 0 cell of the benchmark's power config.
+    def test_every_cell_classifies_few_draws(self, monkeypatch):
+        # The cells of the benchmark's power config, one chunk each.
         calls = classified_spy(monkeypatch)
         cfg = small_config(
             p=3,
@@ -594,17 +620,17 @@ class TestT2Screen:
             replications=20000,
             seed=61,
             sigma_source=SigmaSource.random_correlation(2),
-            theta_grid=(np.zeros(3),),
+            theta_grid=(np.zeros(3), np.full(3, 0.1), np.array([0.25, 0.0, 0.1])),
             tests=self.PLANS,
         )
         simulate_power(cfg)
-        assert len(calls) == 2
-        for classified, rows in calls:
-            assert rows == 20000 and classified < 0.1 * rows
+        assert len(calls) == 6
+        assert max(calls) < 0.05 * cfg.replications
 
     def test_capped_draw_names_its_row_and_replays(self, monkeypatch):
         # A one-step cap fails every classified draw that needs a second
-        # step; draws screened out before it keep their indices.
+        # step.  The kernel is given only the draws the bracket leaves open,
+        # and the error names the failed draw by its row of the chunk.
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
         monkeypatch.setattr(powerlab, "SIM_CHUNK", 500)
@@ -614,16 +640,70 @@ class TestT2Screen:
             simulate_power(cfg)
         d = err.value.details
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
-        chol = np.linalg.cholesky(sigma)
-        means, c = sample_mean_chol(rng, np.zeros(2), chol, cfg.n, 500)
-        assert (np.sqrt(cfg.n) * means[d["draw"]]).tolist() == d["y"]
+        means, c = sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500)
+        y = np.sqrt(cfg.n) * means
+        assert y[d["draw"]].tolist() == d["y"]
         critical = powerlab._resolve_critical(cfg.tests[0], cfg)
-        bound = cfg.n * forward_sq_norm(means, c)
-        assert bound[d["draw"]] >= critical
-        pending = ~(means > 0.0).all(axis=1)
-        assert np.any(pending[:d["draw"]] & (bound[:d["draw"]] < critical))
-        with pytest.raises(SolverError, match=f"draw {d['draw']}"):
-            orthant_active_set(np.sqrt(cfg.n) * means, factor_cov(c, cfg.n), bound >= critical)
+        t2, r_lo, r_hi = bracket(means, c, cfg.n)
+        pending = r_lo > 0.0
+        open_ = (
+            pending
+            & (orthant_value(stats.UIT_ORTHANT, t2, r_lo, cfg.n) >= critical)
+            & (orthant_value(stats.UIT_ORTHANT, t2, r_hi, cfg.n) <= critical)
+        )
+        # Pending draws before it were decided, so its row of the kernel's
+        # input is not its row of the chunk.
+        assert open_[d["draw"]] and np.any(pending[:d["draw"]] & ~open_[:d["draw"]])
+        rows = np.flatnonzero(open_)
+        with pytest.raises(SolverError) as replay:
+            orthant_active_set(y[rows], factor_cov(c[rows], cfg.n))
+        assert rows[replay.value.details["draw"]] == d["draw"]
+
+
+class TestResidualBracket:
+    """``r_lo <= q_res <= r_hi`` against the enumeration and NNLS oracles."""
+
+    @staticmethod
+    def ends(means, c, n):
+        """The power lab's ``(r_lo, r_hi)``: every draw decided at one end."""
+        y, s = np.sqrt(n) * means, factor_variances(c, n)
+        t2 = n * (n - 1) * forward_sq_norm(means, c)
+        return tuple(
+            powerlab._orthant_residual(y, c, n, t2, s, {stats.UIT_ORTHANT}, b, b)
+            for b in (np.inf, -np.inf)
+        )
+
+    @pytest.mark.parametrize("near_singular", [False, True])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    def test_bracket_holds_the_residual(self, p, near_singular):
+        from test_cones import nnls_orthant
+
+        from conftest import kkt_enumeration_projection
+
+        n, reps = 30, 40
+        rng = substream(29, (p, int(near_singular)))
+        cov = random_correlation_matrix(rng, p)
+        if near_singular:
+            cov = np.full((p, p), 0.99999) + 1e-5 * np.eye(p)
+        c = np.sqrt(n - 1) * np.linalg.cholesky(cov)
+        means = rng.standard_normal((reps, p)) @ c.T / np.sqrt(n - 1)
+        # Rows with a single negative coordinate.
+        means[: reps // 2] = np.abs(means[: reps // 2])
+        means[np.arange(reps // 2), np.arange(reps // 2) % p] *= -1.0
+        r_lo, r_hi = self.ends(means, c, n)
+        t2, want_lo, want_hi = bracket(means, c, n)
+        tol = 1e-12 + 4.0 * np.finfo(float).eps * np.linalg.cond(cov)
+        assert np.allclose(r_lo, want_lo, rtol=tol, atol=0.0)
+        assert np.allclose(r_hi, want_hi, rtol=tol, atol=0.0)
+        for i, y in enumerate(np.sqrt(n) * means):
+            slack = tol * t2[i]
+            for q_res in (kkt_enumeration_projection(y, cov)[1], nnls_orthant(y, cov)[2]):
+                assert r_lo[i] - slack <= q_res <= r_hi[i] + slack
+        # The bracket is tight: r_lo at a single negative coordinate of a
+        # diagonal S, where it meets r_hi.
+        diag = np.sqrt(n - 1) * np.diag(np.linspace(0.5, 2.0, p))
+        r_lo, r_hi = self.ends(means[: reps // 2], diag, n)
+        assert np.allclose(r_lo, r_hi, rtol=1e-13, atol=0.0)
 
 
 class TestT2Oracle:
@@ -655,6 +735,123 @@ class TestT2Oracle:
             rate = 1.0 - ncfdtr(p, n - p, nc, c * (n - p) / p)
             se = np.sqrt(rate * (1.0 - rate) / reps)
             assert abs(row.rejection_rate - rate) <= 3.0 * se
+
+
+def halfspace_power(family, c, n, theta, sigma):
+    """Exact rejection rate of a halfspace family at calibration-scale value ``c``.
+
+    With ``y = sqrt(n) xbar`` and ``W = (n-1) S``, put ``t = y_p / sqrt(W_pp)``:
+    ``sqrt(n-1) t`` is noncentral t with ``n - 1`` df and noncentrality
+    ``delta = sqrt(n) theta_p / sqrt(sigma_pp)``.  Regressing the other
+    coordinates on coordinate p (Anderson 2003, ch. 5), given ``t``,
+    ``T2 / (n-1) = t^2 + (1 + t^2) F`` with ``F ~ chi2_{p-1}(lam / (1 + t^2))
+    / chi2_{n-p}`` and ``lam = n theta_1.p' Sigma_11.p^{-1} theta_1.p``,
+    ``theta_1.p = theta_1 - Sigma_1p theta_p / sigma_pp``.  The halfspace
+    residual is ``(n-1) t^2`` for ``t <= 0`` and 0 otherwise, so for ``t > 0``
+    both families reject iff ``F >= (c - t^2) / (1 + t^2)``, and for ``t <= 0``
+    UIT rejects iff ``F >= c / (1 + t^2)`` and LRT iff ``F >= c``.  The
+    integrand steps at ``t^2 = c``, where the integral is split.
+    """
+    from scipy import integrate, special
+    from scipy import stats as scipy_stats
+
+    p, df = len(theta), n - 1
+    delta = np.sqrt(n) * theta[-1] / np.sqrt(sigma[-1, -1])
+    beta = sigma[:-1, -1] / sigma[-1, -1]
+    rest = theta[:-1] - beta * theta[-1]
+    lam = n * rest @ np.linalg.solve(sigma[:-1, :-1] - np.outer(beta, sigma[-1, :-1]), rest)
+
+    def f_tail(bound, t):
+        """``P(F >= bound)`` given ``t``."""
+        if bound <= 0.0:
+            return 1.0
+        if p == 1:
+            return 0.0
+        x = bound * (n - p) / (p - 1)
+        return 1.0 - special.ncfdtr(p - 1, n - p, lam / (1.0 + t * t), x)
+
+    def below(u):
+        t = u / np.sqrt(df)
+        bound = c / (1.0 + t * t) if family == stats.UIT_HALFSPACE else c
+        return density(u) * f_tail(bound, t)
+
+    def above(u):
+        t = u / np.sqrt(df)
+        return density(u) * f_tail((c - t * t) / (1.0 + t * t), t)
+
+    density = scipy_stats.nct(df, delta).pdf
+    split = np.sqrt(df * c)
+    rate = 1.0 - special.nctdtr(df, delta, split)
+    rate += integrate.quad(below, -np.inf, 0.0, epsabs=1e-12)[0]
+    rate += integrate.quad(above, 0.0, split, epsabs=1e-12)[0]
+    return rate
+
+
+class TestHalfspaceOracle:
+    """Halfspace rejection rates against their two-noncentrality law.
+
+    The law depends on (theta, Sigma) only through ``delta`` and ``lam``
+    (:func:`halfspace_power`); at theta = 0 it is alpha for every Sigma.
+    """
+
+    N, REPS = 30, 40000
+    SIGMAS = {
+        1: [np.eye(1), np.array([[4.0]])],
+        3: [
+            np.array([[1.0, 0.75, 0.21], [0.75, 2.25, -0.21], [0.21, -0.21, 0.49]]),
+            np.array([[1.0, 0.99, 0.2], [0.99, 1.0, 0.2], [0.2, 0.2, 1.0]]),
+        ],
+    }
+    THETAS = {
+        1: ([0.0], [0.3], [0.6]),
+        3: ([0.0, 0.0, 0.0], [-0.1, -0.1, 0.15], [0.1, 0.12, 0.3], [0.3, 0.2, 0.1]),
+    }
+
+    def config(self, p, seed, orthant_only=False):
+        thetas = [np.array(t) for t in self.THETAS[p] if not orthant_only or min(t) >= 0.0]
+        return small_config(
+            p=p,
+            n=self.N,
+            replications=self.REPS,
+            seed=seed,
+            sigma_source=SigmaSource.sequence(self.SIGMAS[p]),
+            theta_grid=tuple(thetas),
+            tests=(TestPlan(stats.UIT_HALFSPACE), TestPlan(stats.LRT_HALFSPACE)),
+        )
+
+    def assert_within_3_se(self, p, rate, family, c, theta, sigma_id):
+        sigma = self.SIGMAS[p][int(sigma_id[len("sigma"):])]
+        exact = halfspace_power(family, c, self.N, np.asarray(theta), sigma)
+        se = np.sqrt(exact * (1.0 - exact) / self.REPS)
+        assert abs(rate - exact) <= 3.0 * se, (family, theta, sigma_id, rate, exact)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_null_rate_is_alpha_for_every_sigma(self, p):
+        for family in stats.HALFSPACE_FAMILIES:
+            c = calibrate.sup_critical_value(family, 0.05, self.N, p).value
+            for sigma in self.SIGMAS[p]:
+                assert halfspace_power(family, c, self.N, np.zeros(p), sigma) == pytest.approx(
+                    0.05, abs=1e-9
+                )
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_simulated_rates(self, p):
+        table = simulate_power(self.config(p, seed=43))
+        critical = table.metadata["critical_values"]
+        assert len(table.rows) == 2 * len(self.SIGMAS[p]) * len(self.THETAS[p])
+        for row in table.rows:
+            c = critical[f"{row.family}/{row.calibration}"]
+            self.assert_within_3_se(p, row.rejection_rate, row.family, c, row.theta, row.sigma_id)
+
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_domination_halfspace_column(self, p):
+        report = domination_experiment(self.config(p, seed=47, orthant_only=True))
+        family = {"UIT": stats.UIT_HALFSPACE, "LRT": stats.LRT_HALFSPACE}
+        for row in report.rows:
+            c = report.metadata["critical_values"][row.pair]
+            self.assert_within_3_se(
+                p, row.power_halfspace, family[row.pair], c, row.theta, row.sigma_id
+            )
 
 
 class TestBatchMatchesScalar:
@@ -720,19 +917,26 @@ class TestBatchMatchesScalar:
 
         calls = []
 
-        def spy(*args):
-            calls.append(1)
-            return _batch.forward_sq_norm(*args)
+        def spy(x, c):
+            calls.append(x.copy())
+            return _batch.forward_sq_norm(x, c)
 
         monkeypatch.setattr(powerlab, "forward_sq_norm", spy)
         rng = np.random.default_rng(3)
         means, c = rng.standard_normal((30, 3)), np.linalg.cholesky(np.eye(3) + 0.2)
+        pending = np.sqrt(12) * means[~(means > 0.0).all(axis=1)]
         every = sorted(self.SCALAR) + [stats.FUIT]
         for k in range(1, len(every) + 1):
             for families in combinations(every, k):
                 calls.clear()
                 _batch_values(means, c, 12, set(families))
-                assert len(calls) == (families != (stats.FUIT,))
+                # T2 once over every draw; the orthant bracket's upper end
+                # once over the draws its lower end leaves open.
+                want = [means] if families != (stats.FUIT,) else []
+                if set(families) & set(stats.ORTHANT_FAMILIES):
+                    want.append(np.minimum(pending, 0.0))
+                assert len(calls) == len(want)
+                assert all(np.array_equal(x, w) for x, w in zip(calls, want))
 
         def forbidden(*args):
             raise AssertionError("weight estimators need no T2")
