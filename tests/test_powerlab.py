@@ -676,9 +676,8 @@ class TestResidualBracket:
     @pytest.mark.parametrize("near_singular", [False, True])
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
     def test_bracket_holds_the_residual(self, p, near_singular):
-        from test_cones import nnls_orthant
-
         from conftest import kkt_enumeration_projection
+        from test_cones import nnls_orthant
 
         n, reps = 30, 40
         rng = substream(29, (p, int(near_singular)))
@@ -699,8 +698,8 @@ class TestResidualBracket:
             slack = tol * t2[i]
             for q_res in (kkt_enumeration_projection(y, cov)[1], nnls_orthant(y, cov)[2]):
                 assert r_lo[i] - slack <= q_res <= r_hi[i] + slack
-        # The bracket is tight: r_lo at a single negative coordinate of a
-        # diagonal S, where it meets r_hi.
+        # Under a diagonal S a row with one negative coordinate has
+        # r_lo = q_res = r_hi.
         diag = np.sqrt(n - 1) * np.diag(np.linspace(0.5, 2.0, p))
         r_lo, r_hi = self.ends(means[: reps // 2], diag, n)
         assert np.allclose(r_lo, r_hi, rtol=1e-13, atol=0.0)
