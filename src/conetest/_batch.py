@@ -98,20 +98,72 @@ def _count_cells(seed, cells, total, chunk, workers, count):
 
 
 def _bartlett(rng, dfs, reps):
-    """(reps, p, p) stack of lower-triangular Bartlett factors.
+    """(reps, p(p+1)/2) row-major lower entries of Bartlett factors ``A``.
 
     Each ``A`` has ``sqrt(chi2_{dfs[i]})`` in diagonal entry ``i`` and
     independent N(0, 1) entries below the diagonal.  With ``dfs = df -
     arange(p)``, ``A A' ~ Wishart(I, df)`` (Smith & Hocking 1972, AS 53).
+    Row ``i`` of ``A`` is entries ``i(i+1)/2`` to ``(i+1)(i+2)/2``, the order
+    of ``np.tril_indices``; :func:`tril_stack` lays them out as a stack.
     """
     p = len(dfs)
-    bart = np.zeros((reps, p, p))
+    entries = np.empty((reps, p * (p + 1) // 2))
     # Row-major below the diagonal: row i takes normals i(i-1)/2 to i(i+1)/2.
     normals = rng.standard_normal((reps, p * (p - 1) // 2))
     for i in range(p):
-        bart[:, i, :i] = normals[:, i * (i - 1) // 2:i * (i + 1) // 2]
-        bart[:, i, i] = np.sqrt(rng.chisquare(dfs[i], size=reps))
-    return bart
+        start = i * (i + 1) // 2
+        entries[:, start:start + i] = normals[:, start - i:start]
+        entries[:, start + i] = np.sqrt(rng.chisquare(dfs[i], size=reps))
+    return entries
+
+
+def tril_stack(entries, p):
+    """(reps, p, p) lower-triangular stack of row-major lower ``entries``."""
+    rows, cols = np.tril_indices(p)
+    stack = np.zeros((len(entries), p, p))
+    stack[:, rows, cols] = entries
+    return stack
+
+
+def factor_map(chol):
+    """(p(p+1)/2, p*p) map of Bartlett entries to the flat factor ``chol @ A``.
+
+    Entry ``k`` of ``A`` sits at ``(r, j)`` of ``np.tril_indices``, and
+    ``(chol A)_ij`` sums ``chol_ir A_rj``, so row ``k`` holds column ``r`` of
+    ``chol`` at the flat positions ``(i, j)``.  A lower-triangular ``chol``
+    leaves every column above the diagonal zero, so ``entries @ map`` has
+    exact zeros there, and one gemm replaces a stack of (p, p) products.
+    """
+    p = chol.shape[0]
+    rows, cols = np.tril_indices(p)
+    fmap = np.zeros((len(rows), p, p))
+    fmap[np.arange(len(rows)), :, cols] = chol[:, rows].T
+    return fmap.reshape(len(rows), p * p)
+
+
+def standard_draw(rng, p, n, reps):
+    """Standard normals ``z`` (reps, p) and the Bartlett entries of ``Wishart(I, n-1)``.
+
+    ``z`` is drawn first, then :func:`_bartlett`, on the one stream ``rng``.
+    """
+    return rng.standard_normal((reps, p)), _bartlett(rng, n - 1 - np.arange(p), reps)
+
+
+def scaled_draw(z, a, chol_sigma, n):
+    """Means ``L z / sqrt(n)`` and scatter factors ``c = L A`` of a standard draw.
+
+    ``chol_sigma`` is ``L``: one (p, p) factor, which takes one gemm for the
+    means and one for ``c`` (:func:`factor_map`), or a (reps, p, p) stack of
+    per-draw factors.
+    """
+    p = chol_sigma.shape[-1]
+    if chol_sigma.ndim == 2:
+        means = z @ chol_sigma.T  # one gemm, not a stack of (p, 1) products
+        c = (a @ factor_map(chol_sigma)).reshape(-1, p, p)
+    else:
+        means = (chol_sigma @ z[..., None])[..., 0]
+        c = chol_sigma @ tril_stack(a, p)
+    return means / np.sqrt(n), c
 
 
 def sample_mean_chol(rng, theta, chol_sigma, n, reps):
@@ -125,17 +177,14 @@ def sample_mean_chol(rng, theta, chol_sigma, n, reps):
     ``chol_sigma`` is a factor ``L`` with ``L L' = Sigma``: a single (p, p)
     matrix or a (reps, p, p) stack of per-draw factors.  Returns ``(means,
     c)`` of shapes (reps, p) and (reps, p, p); ``c`` is lower-triangular
-    whenever ``chol_sigma`` is.
+    whenever ``chol_sigma`` is.  :func:`standard_draw` then
+    :func:`scaled_draw`, so one standard draw can serve several ``L``.
     """
-    p = chol_sigma.shape[-1]
-    z = rng.standard_normal((reps, p))
-    if chol_sigma.ndim == 2:
-        means = z @ chol_sigma.T / np.sqrt(n)  # one gemm, not a stack of (p, 1) products
-    else:
-        means = (chol_sigma @ z[..., None])[..., 0] / np.sqrt(n)
+    z, a = standard_draw(rng, chol_sigma.shape[-1], n, reps)
+    means, c = scaled_draw(z, a, chol_sigma, n)
     if theta is not None:
         means = means + theta
-    return means, chol_sigma @ _bartlett(rng, n - 1 - np.arange(p), reps)
+    return means, c
 
 
 def factor_cov(c, n):
@@ -338,7 +387,7 @@ def sample_invwishart_chol(rng, scale, df, reps):
     ``G``.
     """
     p = scale.shape[0]
-    q = np.swapaxes(_bartlett(rng, df - np.arange(p), reps), 1, 2)[:, ::-1, ::-1]
+    q = np.swapaxes(tril_stack(_bartlett(rng, df - np.arange(p), reps), p), 1, 2)[:, ::-1, ::-1]
     return np.linalg.cholesky(scale) @ forward_solve(q, np.eye(p))
 
 

@@ -180,6 +180,17 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     return _fixed_metric_weights(corr, mc_samples, seed, 10, workers)
 
 
+def check_draw_count(count, name):
+    """``count`` as an int, or a :class:`DataError` unless ``1 <= count <= MAX_SIZE``.
+
+    Refused before any draw: a larger count would not fit the chunk tasks.
+    """
+    count = int(count)
+    if not 1 <= count <= MAX_SIZE:
+        raise DataError(f"{name} must be at least 1 and at most 2**53")
+    return count
+
+
 def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
     """Monte-Carlo size frequencies of ``N(0, corr)`` in the fixed metric ``corr``, as weights.
 
@@ -187,9 +198,7 @@ def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
     """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
-    mc_samples = int(mc_samples)
-    if mc_samples < 1:
-        raise DataError("mc_samples must be positive")
+    mc_samples = check_draw_count(mc_samples, "mc_samples")
     p = corr.shape[0]
     chol = np.linalg.cholesky(corr)
 

@@ -29,7 +29,8 @@ from ._batch import (
     projection_norm,
     row_max,
     sample_compound_null,
-    sample_mean_chol,
+    scaled_draw,
+    standard_draw,
     substream,
 )
 from ._linalg import check_positive_definite
@@ -43,11 +44,14 @@ from .stats import (
     UIT_ORTHANT,
 )
 
-# Draws per Monte-Carlo chunk; the chunking fixes the random streams.
-SIM_CHUNK = 20000
+# Draws per Monte-Carlo chunk; the chunking fixes the random streams.  Work
+# is parallel over chunks, so a run of at most SIM_CHUNK draws uses one worker.
+SIM_CHUNK = 10000
 
 # Leading substream indices per consumer, so stream keys never collide (the
 # calibration module's fixed-metric weights use 10 for chi-bar, 11 for Bayes).
+# The power grid draws chunk j on (2, j) for every (sigma, theta) cell; the
+# similarity cells use (4, i, j), the prior cell (4, 999, j).
 _STREAM_POWER = 2
 _STREAM_CONVEXITY = 3
 _STREAM_SIMILARITY = 4
@@ -106,6 +110,7 @@ class TestPlan:
         if self.calibration not in calibrate.CALIBRATIONS:
             raise DataError(f"unknown calibration {self.calibration!r}")
         calibrate.check_calibration(self.family, self.calibration)
+        calibrate.check_draw_count(self.weight_samples, "weight_samples")
         if self.calibration == "bayes" and self.prior is None:
             raise DataError("bayes calibration requires a prior")
 
@@ -137,8 +142,7 @@ class ExperimentConfig:
             raise DataError(f"need n > p, got n={self.n}, p={self.p}")
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.replications < 1:
-            raise DataError("replications must be >= 1")
+        calibrate.check_draw_count(self.replications, "replications")
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
@@ -316,48 +320,81 @@ def _rejections(masks):
     return [mask.sum() for mask in masks]
 
 
-def _fixed_draw(theta, chol, n):
-    """``draw(rng, reps)`` of a cell with a fixed covariance factor ``chol``."""
-    return lambda rng, reps: sample_mean_chol(rng, theta, chol, n, reps)
+def _grid_draw(n, p, sigmas, thetas):
+    """``draw(rng, reps)`` of one standard draw viewed at every (sigma, theta) cell.
+
+    ``sigmas`` holds ``(sigma_id, chol)`` pairs.  Each chunk draws ``(z, A)``
+    once (:func:`standard_draw`); the views, sigma-major, give each cell
+    ``xbar = theta + L z / sqrt(n)`` and ``c = L A`` for the factor ``L`` of
+    its sigma, so every cell sees the same random numbers.  ``c`` and the
+    means of ``L z`` are formed once per sigma, when its views are reached.
+    """
+    def views(rng, reps):
+        z, a = standard_draw(rng, p, n, reps)
+        for sigma_id, chol in sigmas:
+            means, c = scaled_draw(z, a, chol, n)
+            for theta in thetas:
+                yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta, c
+
+    return lambda rng, reps: (views(rng, reps),)
 
 
 def _count_rejections(cfg, tests, cells, tally):
-    """Summed counts of each ``(key, draw)`` of ``cells`` over its chunks.
+    """Summed counts of every view of each ``(key, draw)`` of ``cells``, in order.
 
-    ``tests`` holds ``(family, critical value)`` pairs; the orthant kernel
-    skips draws that the residual bracket decides against the smallest and
-    the largest orthant critical value.  ``tally`` maps a chunk's rejection
-    masks, in test order, to its counts.
+    ``draw(rng, reps)`` returns a 1-tuple holding a chunk's views, ``(cell,
+    means, c)`` triples with ``cell`` naming the view; all views of a chunk
+    are scored on its one draw.  ``tests`` holds ``(family, critical value)``
+    pairs; the orthant kernel skips draws that the residual bracket decides
+    against the smallest and the largest orthant critical value.  ``tally``
+    maps a view's rejection masks, in test order, to its counts.  A
+    :class:`SolverError` names its view's ``cell`` beside the replay key.
     """
     families = {family for family, _ in tests}
     orthant = [cv for family, cv in tests if family in stats.ORTHANT_FAMILIES]
     low, high = min(orthant, default=-np.inf), max(orthant, default=np.inf)
 
-    def count(means, c):
-        values = _batch_values(means, c, cfg.n, families, low, high)
-        return tally([values[family] >= cv for family, cv in tests])
+    def count(views):
+        counts = []
+        for cell, means, c in views:
+            try:
+                values = _batch_values(means, c, cfg.n, families, low, high)
+            except SolverError as err:
+                err.details["cell"] = cell
+                named = ", ".join(f"{k} {v}" for k, v in cell.items())
+                err.args = (f"{err.args[0]} in cell ({named})",)
+                raise
+            counts.append(tally([values[family] >= cv for family, cv in tests]))
+        return np.array(counts)
 
-    return _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
+    totals = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
+    return [view for total in totals for view in total]
 
 
 def _grid_counts(cfg, sigmas, tests, tally):
-    """``(sigma_id, theta, counts)`` for each (sigma, theta) cell of ``cfg``, in order."""
-    labels, cells = [], []
-    for is_, (sigma_id, sigma) in enumerate(sigmas):
-        chol = np.linalg.cholesky(sigma)
-        for it, theta in enumerate(cfg.theta_grid):
-            labels.append((sigma_id, tuple(float(v) for v in theta)))
-            cells.append(((_STREAM_POWER, is_, it), _fixed_draw(theta, chol, cfg.n)))
-    counts = _count_rejections(cfg, tests, cells, tally)
+    """``(sigma_id, theta, counts)`` for each (sigma, theta) cell of ``cfg``, in order.
+
+    One Monte-Carlo cell on stream key ``(2,)``: chunk ``j`` draws once on
+    ``(2, j)`` and scores that draw at every cell (:func:`_grid_draw`).
+    """
+    chols = [(sigma_id, np.linalg.cholesky(sigma)) for sigma_id, sigma in sigmas]
+    draw = _grid_draw(cfg.n, cfg.p, chols, cfg.theta_grid)
+    counts = _count_rejections(cfg, tests, [((_STREAM_POWER,), draw)], tally)
+    labels = [
+        (sigma_id, tuple(float(v) for v in theta))
+        for sigma_id, _ in sigmas
+        for theta in cfg.theta_grid
+    ]
     return [label + (total,) for label, total in zip(labels, counts)]
 
 
 def simulate_power(cfg):
     """Rejection rates for every (theta, sigma, test plan) cell.
 
-    All test plans are evaluated on the same draws within a cell, so
-    cross-family comparisons are paired.  Deterministic given
-    ``(cfg, seed)`` and independent of ``workers``.
+    Each chunk of draws is drawn once and scored at every (sigma, theta)
+    cell and by every test plan (common random numbers), so comparisons
+    across families, covariances and means are all paired.  Deterministic
+    given ``(cfg, seed)`` and independent of ``workers``.
     """
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
     criticals = {plan.label: _resolve_critical(plan, cfg) for plan in cfg.tests}
@@ -430,8 +467,9 @@ def domination_experiment(cfg):
     """Paired-draw comparison of orthant tests against halfspace tests.
 
     Both members of each pair use the same supremum-calibrated critical
-    value, and the same simulated draws feed both statistics (common random
-    numbers).  For the union-intersection pair, a per-draw implication
+    value.  Each chunk of draws is drawn once and feeds both statistics of
+    every pair at every (sigma, theta) cell (common random numbers).  For
+    the union-intersection pair, a per-draw implication
     (orthant rejection implies halfspace rejection) is asserted; it holds
     pointwise because the halfspace statistic dominates.
     """
@@ -653,14 +691,17 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     critical = _resolve_critical(plan, cfg)
 
     def from_prior(rng, reps):
-        return sample_compound_null(rng, prior.scale, prior.df, cfg.n, reps)
+        means, c = sample_compound_null(rng, prior.scale, prior.df, cfg.n, reps)
+        return ([({"sigma_id": "prior_draws"}, means, c)],)
 
-    # Row labels and (stream key, draw) cells; the prior cell uses stream cell 999.
+    # Row labels and (stream key, draw) cells of one view each; the prior
+    # cell uses stream cell 999.
     labels, cells = [], []
     for i, sigma in enumerate(sigma_list or ()):
         chol = np.linalg.cholesky(check_positive_definite(sigma, f"sigma[{i}]"))
         labels.append(f"sigma{i}")
-        cells.append(((_STREAM_SIMILARITY, i), _fixed_draw(None, chol, cfg.n)))
+        draw = _grid_draw(cfg.n, cfg.p, [(labels[-1], chol)], [np.zeros(cfg.p)])
+        cells.append(((_STREAM_SIMILARITY, i), draw))
     if calibration == "bayes":
         labels.append("prior_draws")
         cells.append(((_STREAM_SIMILARITY, 999), from_prior))

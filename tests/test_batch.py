@@ -20,6 +20,7 @@ from conetest._batch import (
     _bartlett,
     batch_t2,
     factor_cov,
+    factor_map,
     forward_solve,
     forward_sq_norm,
     orthant_active_set,
@@ -27,7 +28,10 @@ from conetest._batch import (
     sample_invwishart_chol,
     sample_mean_chol,
     sample_mean_cov,
+    scaled_draw,
+    standard_draw,
     substream,
+    tril_stack,
 )
 
 from conftest import random_correlation
@@ -233,7 +237,7 @@ def inverse_invwishart_chol(rng, scale, df, reps):
     """
     p = scale.shape[0]
     chol_inv_scale = np.linalg.cholesky(np.linalg.inv(scale)[::-1, ::-1])
-    c = chol_inv_scale @ _bartlett(rng, df - np.arange(p), reps)
+    c = chol_inv_scale @ tril_stack(_bartlett(rng, df - np.arange(p), reps), p)
     return np.tril(np.swapaxes(np.linalg.inv(c), 1, 2)[:, ::-1, ::-1])
 
 
@@ -246,9 +250,9 @@ def extended_compound_null(rng, scale, df, n, reps):
     """``chol(scale) Q^{-1} [z, B]`` of ``sample_compound_null`` in long double, same draws."""
     ld = np.longdouble
     p = scale.shape[0]
-    q = np.swapaxes(_bartlett(rng, df - np.arange(p), reps), 1, 2)[:, ::-1, ::-1].astype(ld)
+    q = np.swapaxes(tril_stack(_bartlett(rng, df - np.arange(p), reps), p), 1, 2)[:, ::-1, ::-1].astype(ld)
     z = rng.standard_normal((reps, p)).astype(ld)
-    rhs = np.concatenate([z[..., None], _bartlett(rng, n - 1 - np.arange(p), reps)], axis=2)
+    rhs = np.concatenate([z[..., None], tril_stack(_bartlett(rng, n - 1 - np.arange(p), reps), p)], axis=2)
     w = np.zeros(rhs.shape, dtype=ld)
     for i in range(p):
         dot = np.sum(q[:, i, :i, None] * w[:, :i, :], axis=1)
@@ -300,8 +304,8 @@ class TestForwardSolve:
         # The prior's Q is a negative-stride view; a lower-triangular right
         # side keeps exact zeros above the diagonal.
         rng = substream(57, 0)
-        q = np.swapaxes(_bartlett(rng, 9.0 - np.arange(6), 30), 1, 2)[:, ::-1, ::-1]
-        b = _bartlett(rng, 20.0 - np.arange(6), 30)
+        q = np.swapaxes(tril_stack(_bartlett(rng, 9.0 - np.arange(6), 30), 6), 1, 2)[:, ::-1, ::-1]
+        b = tril_stack(_bartlett(rng, 20.0 - np.arange(6), 30), 6)
         got = forward_solve(q, b)
         assert np.all(np.triu(got, 1) == 0.0)
         assert np.allclose(q @ got, b, rtol=0, atol=1e-12 * np.abs(b).max())
@@ -345,6 +349,31 @@ class TestCompoundNull:
         rtol = 1e-13 + 4.0 * np.finfo(float).eps * np.sqrt(cond)
         assert block_error(draw, [a.astype(float) for a in exact], n) <= rtol
         assert same_masks(draw, inverse_compound_null(substream(59, p), scale, df, n, reps), n)
+
+
+class TestFactorMap:
+    """``entries @ factor_map(L)`` is the flat ``L A`` of the stacked Bartlett factors."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 12])
+    def test_matches_stacked_product(self, p):
+        rng = substream(60, p)
+        chol = np.linalg.cholesky(conditioned_cov(np.random.default_rng([60, p]), p, 1e3))
+        entries = _bartlett(rng, 30.0 - np.arange(p), 200)
+        stack = tril_stack(entries, p)
+        rows, cols = np.tril_indices(p)
+        assert np.array_equal(stack[:, rows, cols], entries)
+        got = (entries @ factor_map(chol)).reshape(-1, p, p)
+        want = chol @ stack
+        assert np.all(np.triu(got, 1) == 0.0)
+        scale = np.abs(want).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(got - want) <= 4 * p * np.finfo(float).eps * scale)
+
+    def test_sampler_is_the_standard_draw_scaled(self):
+        chol = np.linalg.cholesky(conditioned_cov(np.random.default_rng(61), P, 10.0))
+        z, a = standard_draw(substream(62, 0), P, N, 50)
+        means, c = scaled_draw(z, a, chol, N)
+        want = sample_mean_chol(substream(62, 0), None, chol, N, 50)
+        assert np.array_equal(means, want[0]) and np.array_equal(c, want[1])
 
 
 def _peak_bytes(n):

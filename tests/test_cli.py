@@ -2,13 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import stdtr
 from scipy.stats import t as scipy_t
 
-from conetest import calibrate, cli, stats
+from conetest import _batch, calibrate, cli, stats
 from conetest.cli import main, read_csv_matrix
 from conetest.exceptions import DataError
 
@@ -252,6 +253,23 @@ class TestEnvironmentDefaults:
         argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2"]
         assert main(argv) == 2
         assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("count", [2**53 + 1, 10**400], ids=["2-53-plus-1", "401-digits"])
+    @pytest.mark.parametrize("source", ["flag", "variable"])
+    def test_draw_count_past_2_53_is_data_error(self, source, count, monkeypatch, capsys):
+        # Refused before any draw: the chunk list of such a count would not fit.
+        def forbidden(*args):
+            raise AssertionError("no Monte-Carlo chunk may run")
+
+        monkeypatch.setattr(_batch, "run_chunks", forbidden)
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
+                "--calibration", "bayes", "--prior-df", "6", "--seed", "3"]
+        if source == "flag":
+            argv += ["--mc-samples", str(count)]
+        else:
+            monkeypatch.setenv("CONETEST_MC_SAMPLES", str(count))
+        assert main(argv) == 3
+        assert "mc_samples must be at least 1 and at most 2**53" in capsys.readouterr().err
 
     def test_negative_seed_is_usage_error(self, monkeypatch, capsys):
         argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
@@ -791,13 +809,42 @@ class TestCmdSimulate:
             ({"p": 0, "sigma": {"kind": "random_correlation"}, "theta_grid": [[]]}, "need p >= 1"),
             ({"n": 10**400}, "n must be at most 2**53"),
             ({"n": 2**53 + 2}, "n must be at most 2**53"),
+            ({"replications": 10**400}, "replications must be at least 1 and at most 2**53"),
+            ({"replications": 2**53 + 1}, "replications must be at least 1 and at most 2**53"),
+            ({"replications": 0}, "replications must be at least 1 and at most 2**53"),
+            (
+                {"tests": [{"family": "UIT_orthant", "weight_samples": 10**400}]},
+                "weight_samples must be at least 1 and at most 2**53",
+            ),
+            (
+                {"tests": [{"family": "UIT_orthant", "calibration": "bayes", "weight_samples": 2**53 + 1,
+                            "prior": {"scale": [[1.0, 0.0], [0.0, 1.0]], "df": 6}}]},
+                "weight_samples must be at least 1 and at most 2**53",
+            ),
         ],
-        ids=["p-zero", "n-401-digits", "n-past-2-53"],
+        ids=["p-zero", "n-401-digits", "n-past-2-53", "replications-401-digits",
+             "replications-past-2-53", "replications-zero", "weight-samples-401-digits",
+             "weight-samples-past-2-53"],
     )
-    def test_size_out_of_range_is_data_error(self, tmp_path, capsys, overrides, message):
+    def test_size_out_of_range_is_data_error(self, tmp_path, capsys, monkeypatch, overrides, message):
+        def forbidden(*args):
+            raise AssertionError("no Monte-Carlo chunk may run")
+
+        monkeypatch.setattr(_batch, "run_chunks", forbidden)
         cfg = self.write_config(tmp_path, **overrides)
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
+
+    def test_domination_demo_is_the_same_at_every_worker_count(self, tmp_path):
+        # Parallelism is over chunks; the demo's 20000 draws are two of them.
+        config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "domination.json"
+        reports = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"domination_{workers}.json"
+            assert main(["simulate", "--config", str(config), "--workers", str(workers), "--out", str(out)]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0])["result"]["flagged"] == []
 
     @pytest.mark.parametrize("seed", [-3, "abc", 1.5, True])
     def test_bad_seed_is_data_error(self, tmp_path, seed, capsys):

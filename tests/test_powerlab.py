@@ -26,6 +26,8 @@ from conetest._batch import (
     run_chunks,
     sample_compound_null,
     sample_mean_chol,
+    scaled_draw,
+    standard_draw,
     substream,
 )
 from conetest.powerlab import (
@@ -146,10 +148,11 @@ class TestSimulatePower:
     def test_stream_keys_pinned(self):
         """Exact rejection counts of tiny runs, as first recorded.
 
-        The counts fix every stream key (power grid, similarity cells, the
-        prior cell) and the chunking: 20 003 draws are two chunks, the
-        second of three draws.  A deliberate change of the random streams
-        updates these numbers and says so in the change log.
+        The counts fix every stream key (the power grid's one draw per
+        chunk, similarity cells, the prior cell) and the chunking: 20 003
+        draws are three chunks, the last of three draws.  A deliberate
+        change of the random streams updates these numbers and says so in
+        the change log.
         """
         cfg = small_config(
             n=10,
@@ -168,21 +171,20 @@ class TestSimulatePower:
 
         power = simulate_power(cfg)
         assert counts(r.rejection_rate for r in power.rows) == [
-            1278, 1963, 4233, 4441, 1596, 2080, 4105, 4245,
+            1343, 2028, 4249, 4419, 1581, 2062, 4188, 4330,
         ]
+        # The grid's draws are common to both experiments: each cell's
+        # orthant and halfspace counts repeat the power table's.
         dom = domination_experiment(cfg)
         assert counts(r.power_orthant for r in dom.rows) == [
-            1278, 1247, 4233, 4322, 1596, 1563, 4105, 4191,
+            1343, 1320, 4249, 4313, 1581, 1560, 4188, 4269,
         ]
         assert counts(r.power_halfspace for r in dom.rows) == [
-            1947, 1963, 4336, 4441, 2081, 2080, 4157, 4245,
+            2029, 2028, 4333, 4419, 2056, 2062, 4239, 4330,
         ]
         prior = PriorSpec.inverse_wishart(np.eye(2), 5.0)
         sim = similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
-        # The Bayes weights come from the fixed-metric draw at the prior
-        # scale, so the critical value and both rates moved; the streams of
-        # the two cells did not.
-        assert counts(r["rate"] for r in sim.rows) == [1999, 2074]
+        assert counts(r["rate"] for r in sim.rows) == [2009, 2044]
 
     def test_null_halfspace_rate_near_alpha(self):
         cfg = small_config(
@@ -220,11 +222,65 @@ class TestSimulatePower:
         assert d["rows"][0]["family"] == stats.UIT_ORTHANT
         assert d["metadata"]["seed"] == 123
 
+    def test_null_t2_count_is_shared_by_every_sigma(self):
+        # At theta = 0, T2 = n |A^{-1} z|^2 whatever sigma is: the cells of
+        # one draw must count the same T2 rejections, across chunks too.
+        sigmas = [
+            np.eye(3),
+            np.array([[1.0, 0.99, 0.2], [0.99, 1.0, 0.2], [0.2, 0.2, 1.0]]),
+            np.diag([0.01, 1.0, 100.0]),
+        ]
+        cfg = small_config(
+            p=3,
+            replications=12_000,
+            seed=13,
+            sigma_source=SigmaSource.sequence(sigmas),
+            theta_grid=(np.zeros(3), np.full(3, 0.3)),
+            tests=(TestPlan(stats.T2), TestPlan(stats.UIT_ORTHANT)),
+        )
+        null = {}
+        for r in simulate_power(cfg).rows:
+            if not any(r.theta):
+                null.setdefault(r.family, []).append(r.rejection_rate)
+        t2 = null[stats.T2]
+        assert t2[0] == t2[1] == t2[2] and 0.0 < t2[0] < 0.2
+        # The orthant statistic ignores coordinate scales but not correlation.
+        uit = null[stats.UIT_ORTHANT]
+        assert uit[0] == uit[2] != uit[1]
+
+    @pytest.mark.parametrize("experiment", [simulate_power, domination_experiment])
+    def test_grid_edit_leaves_other_rows_identical(self, experiment):
+        # Every cell is scored on the chunk's one draw, so adding a sigma or
+        # a theta anywhere in the grid changes no other row.
+        sigmas = [np.eye(2), np.array([[1.0, 0.5], [0.5, 1.0]]), np.array([[2.0, -0.3], [-0.3, 0.5]])]
+        thetas = [np.zeros(2), np.array([0.2, 0.1]), np.array([0.5, 0.4])]
+        tests = (TestPlan(stats.UIT_ORTHANT), TestPlan(stats.LRT_HALFSPACE, "exact"), TestPlan(stats.FUIT))
+
+        def rows(sigma_ids, theta_ids):
+            cfg = small_config(
+                replications=12_000,
+                seed=9,
+                sigma_source=SigmaSource.sequence([sigmas[i] for i in sigma_ids]),
+                theta_grid=tuple(thetas[i] for i in theta_ids),
+                tests=tests,
+            )
+            out = {}
+            for row in experiment(cfg).rows:
+                d = dataclasses.asdict(row)
+                d["sigma_id"] = sigma_ids[int(d["sigma_id"][len("sigma"):])]
+                out[d["sigma_id"], d["theta"], d.get("family", d.get("pair"))] = json.dumps(d)
+            return out
+
+        small = rows([0, 2], [0, 2])
+        for grown in (rows([0, 1, 2], [0, 2]), rows([0, 2], [1, 0, 2]), rows([1, 2, 0], [2, 1, 0])):
+            assert len(grown) > len(small)
+            assert {k: grown[k] for k in small} == small
+
 
 class TestOnePoolPerExperiment:
     def test_single_chunk_cells_share_one_pool(self, monkeypatch):
-        # Shaped like demos/configs/domination.json: five cells of one chunk
-        # each, all submitted to one pool.
+        # Shaped like demos/configs/domination.json: five cells of two
+        # chunks, one pool task per chunk, each scoring all five cells.
         calls = []
 
         def spy(worker, n_chunks, workers=1):
@@ -232,6 +288,7 @@ class TestOnePoolPerExperiment:
             return run_chunks(worker, n_chunks, workers)
 
         monkeypatch.setattr(_batch, "run_chunks", spy)
+        monkeypatch.setattr(powerlab, "SIM_CHUNK", 1500)
         sigma = np.array([[1.0, 0.35], [0.35, 1.0]])
         thetas = ([0.0, 0.0], [0.2, 0.2], [0.5, 0.1], [0.4, 0.4], [0.9, 0.0])
 
@@ -248,31 +305,38 @@ class TestOnePoolPerExperiment:
 
         one, two, three = (report(w) for w in (1, 2, 3))
         assert one == two == three
-        assert calls == [5, 5, 5]
+        assert calls == [2, 2, 2]
 
     def test_solver_error_names_replay_key(self, monkeypatch):
-        # A one-step cap fails every draw that needs a second step.  The far
-        # theta of the first cell leaves no draw pending, so the first failed
-        # chunk in task order is chunk 0 of the second cell.
+        # A one-step cap fails every draw that needs a second step.  Chunk 0
+        # is the first failed chunk in task order, and its views run
+        # sigma-major.  The far theta leaves no draw pending, and under
+        # sigma0 = I no draw needs a second step, so the first failed view is
+        # sigma1's cell at theta = 0.
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
         monkeypatch.setattr(powerlab, "SIM_CHUNK", 500)
-        sigma = np.array([[1.0, -0.9], [-0.9, 1.0]])
+        sigmas = [np.eye(2), np.array([[1.0, -0.9], [-0.9, 1.0]])]
         cfg = small_config(
             replications=1500,
             seed=77,
-            sigma_source=SigmaSource.fixed(sigma),
+            sigma_source=SigmaSource.sequence(sigmas),
             theta_grid=(np.array([5.0, 5.0]), np.zeros(2)),
             workers=2,
         )
-        with pytest.raises(SolverError, match=r"seed 77, stream key \[2, 0, 1\], chunk 0") as err:
+        simulate_power(dataclasses.replace(cfg, sigma_source=SigmaSource.fixed(sigmas[0])))
+        cell = r"in cell \(sigma_id sigma1, theta \[0.0, 0.0\]\)"
+        with pytest.raises(SolverError, match=cell + r" \(seed 77, stream key \[2\], chunk 0\)") as err:
             simulate_power(cfg)
         d = err.value.details
-        assert (d["seed"], d["stream_key"], d["chunk"]) == (77, [2, 0, 1], 0)
-        # The key replays the draw.
+        assert (d["seed"], d["stream_key"], d["chunk"]) == (77, [2], 0)
+        assert d["cell"] == {"sigma_id": "sigma1", "theta": [0.0, 0.0]}
+        # The key replays the chunk's one draw; the cell picks its view.
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
-        means, _ = sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500)
-        assert (np.sqrt(cfg.n) * means[d["draw"]]).tolist() == d["y"]
+        z, a = standard_draw(rng, cfg.p, cfg.n, 500)
+        means, _ = scaled_draw(z, a, np.linalg.cholesky(sigmas[1]), cfg.n)
+        y = np.sqrt(cfg.n) * (means + np.array(d["cell"]["theta"]))
+        assert y[d["draw"]].tolist() == d["y"]
 
     def test_singular_draw_names_replay_key(self):
         # Near an improper prior a chi-square factor of the compound null
@@ -282,11 +346,15 @@ class TestOnePoolPerExperiment:
         # classified.
         cfg = small_config(n=3, seed=8, alpha=0.6)
         prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
-        pattern = r"singular active-set system at draw \d+ \(seed 8, stream key \[4, 999\], chunk 0"
+        pattern = (
+            r"singular active-set system at draw \d+ in cell \(sigma_id prior_draws\) "
+            r"\(seed 8, stream key \[4, 999\], chunk 0"
+        )
         with pytest.raises(SolverError, match=pattern) as err:
             similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
         d = err.value.details
         assert (d["seed"], d["stream_key"], d["chunk"]) == (8, [4, 999], 0)
+        assert d["cell"] == {"sigma_id": "prior_draws"}
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
         # The key replays the singular chunk, which raises at the named draw.
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
@@ -612,7 +680,8 @@ class TestT2Screen:
                                 assert np.array_equal(values <= threshold, every <= threshold)
 
     def test_every_cell_classifies_few_draws(self, monkeypatch):
-        # The cells of the benchmark's power config, one chunk each.
+        # The cells of the benchmark's power config, two chunks of draws
+        # each scored at all six cells.
         calls = classified_spy(monkeypatch)
         cfg = small_config(
             p=3,
@@ -624,8 +693,8 @@ class TestT2Screen:
             tests=self.PLANS,
         )
         simulate_power(cfg)
-        assert len(calls) == 6
-        assert max(calls) < 0.05 * cfg.replications
+        assert len(calls) == 6 * 2
+        assert max(calls) < 0.05 * powerlab.SIM_CHUNK
 
     def test_capped_draw_names_its_row_and_replays(self, monkeypatch):
         # A one-step cap fails every classified draw that needs a second
@@ -636,9 +705,10 @@ class TestT2Screen:
         monkeypatch.setattr(powerlab, "SIM_CHUNK", 500)
         sigma = np.array([[1.0, -0.9], [-0.9, 1.0]])
         cfg = small_config(replications=1000, seed=78, sigma_source=SigmaSource.fixed(sigma))
-        with pytest.raises(SolverError, match=r"seed 78, stream key \[2, 0, 0\], chunk 0") as err:
+        with pytest.raises(SolverError, match=r"seed 78, stream key \[2\], chunk 0") as err:
             simulate_power(cfg)
         d = err.value.details
+        assert d["cell"] == {"sigma_id": "sigma0", "theta": [0.0, 0.0]}
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
         means, c = sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500)
         y = np.sqrt(cfg.n) * means
