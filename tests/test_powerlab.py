@@ -223,8 +223,9 @@ class TestSimulatePower:
         assert d["metadata"]["seed"] == 123
 
     def test_null_t2_count_is_shared_by_every_sigma(self):
-        # At theta = 0, T2 = n |A^{-1} z|^2 whatever sigma is: the cells of
-        # one draw must count the same T2 rejections, across chunks too.
+        # At theta = 0, T2 = n (n-1) |c^{-1} xbar|^2 = (n-1) |A^{-1} z|^2
+        # whatever sigma is: the cells of one draw must count the same T2
+        # rejections, across chunks too.
         sigmas = [
             np.eye(3),
             np.array([[1.0, 0.99, 0.2], [0.99, 1.0, 0.2], [0.2, 0.2, 1.0]]),
