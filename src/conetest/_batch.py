@@ -66,31 +66,30 @@ def keyed_chunk(seed, key, chunk, task):
     try:
         return task(substream(seed, key + (chunk,)))
     except SolverError as err:
-        err.details.update(seed=int(seed), stream_key=list(key), chunk=int(chunk))
-        err.args = (f"{err.args[0]} (seed {seed}, stream key {list(key)}, chunk {chunk})",)
+        err.add_context(seed=int(seed), stream_key=list(key), chunk=int(chunk))
         raise
 
 
-def _count_cells(seed, cells, total, chunk, workers, count):
+def _count_cells(seed, cells, total, chunk, workers):
     """Summed per-chunk counts of each Monte-Carlo cell, in the order of ``cells``.
 
-    ``cells`` holds ``(key, draw)`` pairs.  A cell's ``total`` draws are
-    split into fixed chunks of ``chunk``; chunk ``j`` calls ``draw(rng,
-    reps)`` on the substream ``key + (j,)`` of ``seed`` and passes the tuple
-    it returns to ``count``, which returns an integer or an array of integers.
-    Every (cell, chunk) task goes to one :func:`run_chunks` call, so the
-    cells share one pool; the sums do not depend on ``workers``.  A cell of
-    no draws has no chunks and counts 0.  A :class:`SolverError` names its
-    replay key (:func:`keyed_chunk`).  Private, so wrappers installed on
-    this module's public functions (as by ``bench/tracer.py``) see that call
-    as made from the caller's layer.
+    ``cells`` holds ``(key, count)`` pairs.  A cell's ``total`` draws are
+    split into fixed chunks of ``chunk``; chunk ``j`` calls ``count(rng,
+    reps)`` on the substream ``key + (j,)`` of ``seed``, which draws and
+    returns an integer or an array of integers.  Every (cell, chunk) task
+    goes to one :func:`run_chunks` call, so the cells share one pool; the
+    sums do not depend on ``workers``.  A cell of no draws has no chunks and
+    counts 0.  A :class:`SolverError` names its replay key
+    (:func:`keyed_chunk`).  Private, so wrappers installed on this module's
+    public functions (as by ``bench/tracer.py``) see that call as made from
+    the caller's layer.
     """
     sizes = chunk_sizes(total, chunk)
-    tasks = [(key, draw, j) for key, draw in cells for j in range(len(sizes))]
+    tasks = [(key, count, j) for key, count in cells for j in range(len(sizes))]
 
     def worker(t):
-        key, draw, j = tasks[t]
-        return keyed_chunk(seed, key, j, lambda rng: count(*draw(rng, sizes[j])))
+        key, count, j = tasks[t]
+        return keyed_chunk(seed, key, j, lambda rng: count(rng, sizes[j]))
 
     counts = run_chunks(worker, len(tasks), workers)
     per_cell = len(sizes)

@@ -183,7 +183,11 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
 def check_draw_count(count, name):
     """``count`` as an int, or a :class:`DataError` unless ``1 <= count <= MAX_SIZE``.
 
-    Refused before any draw: a larger count would not fit the chunk tasks.
+    Refused before any draw.  Up to ``2**53`` every count and the rate
+    ``count / replications`` are exact in floating point; past it,
+    ``chunk_sizes`` would overflow or build a list too long to hold.  Counts
+    far below the cap can still build a chunk list that does not fit in
+    memory, one entry per chunk.
     """
     count = int(count)
     if not 1 <= count <= MAX_SIZE:
@@ -202,13 +206,11 @@ def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
     p = corr.shape[0]
     chol = np.linalg.cholesky(corr)
 
-    def draw(rng, reps):
-        return (rng.standard_normal((reps, p)) @ chol.T,)
-
-    def count(y):
+    def count(rng, reps):
+        y = rng.standard_normal((reps, p)) @ chol.T
         return np.bincount(orthant_active_set(y, corr)[0].sum(axis=1), minlength=p + 1)
 
-    [counts] = _count_cells(seed, [((stream,), draw)], mc_samples, DEFAULT_CHUNK, workers, count)
+    [counts] = _count_cells(seed, [((stream,), count)], mc_samples, DEFAULT_CHUNK, workers)
     w = counts / mc_samples
     se = np.sqrt(w * (1.0 - w) / mc_samples)
     return MixtureWeights(weights=w, std_errors=se, method=MONTE_CARLO, mc_samples=mc_samples)

@@ -39,6 +39,16 @@ class SolverError(ConeTestError):
         super().__init__(message)
         self.details = details or {}
 
+    def add_context(self, **context):
+        """Record ``context`` in ``details`` and name it in the message.
+
+        The message gains ``(name value, ...)``, underscores in the names
+        read as spaces.
+        """
+        self.details.update(context)
+        named = ", ".join(f"{name.replace('_', ' ')} {value}" for name, value in context.items())
+        self.args = (f"{self.args[0]} ({named})",)
+
 
 class ReductionError(ConeTestError):
     """A hypothesis-reduction matrix is rank deficient or otherwise invalid."""

@@ -29,6 +29,7 @@ from ._batch import (
     projection_norm,
     row_max,
     sample_compound_null,
+    sample_mean_chol,
     scaled_draw,
     standard_draw,
     substream,
@@ -320,54 +321,60 @@ def _rejections(masks):
     return [mask.sum() for mask in masks]
 
 
-def _grid_draw(n, p, sigmas, thetas):
-    """``draw(rng, reps)`` of one standard draw viewed at every (sigma, theta) cell.
+def _grid_views(n, p, sigmas, thetas):
+    """``views(rng, reps)`` of one standard draw at every (sigma, theta) cell.
 
     ``sigmas`` holds ``(sigma_id, chol)`` pairs.  Each chunk draws ``(z, A)``
     once (:func:`standard_draw`); the views, sigma-major, give each cell
     ``xbar = theta + L z / sqrt(n)`` and ``c = L A`` for the factor ``L`` of
     its sigma, so every cell sees the same random numbers.  ``c`` and the
     means of ``L z`` are formed once per sigma, when its views are reached.
+    The draw is let go once the last sigma's are formed, so the views of
+    one sigma hold no more while they are scored than a draw of their own.
     """
     def views(rng, reps):
-        z, a = standard_draw(rng, p, n, reps)
-        for sigma_id, chol in sigmas:
-            means, c = scaled_draw(z, a, chol, n)
+        draw = standard_draw(rng, p, n, reps)
+        for i, (sigma_id, chol) in enumerate(sigmas, 1):
+            means, c = scaled_draw(*draw, chol, n)
+            if i == len(sigmas):
+                del draw
             for theta in thetas:
                 yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta, c
 
-    return lambda rng, reps: (views(rng, reps),)
+    return views
 
 
 def _count_rejections(cfg, tests, cells, tally):
-    """Summed counts of every view of each ``(key, draw)`` of ``cells``, in order.
+    """Summed counts of every view of each ``(key, views)`` of ``cells``, in order.
 
-    ``draw(rng, reps)`` returns a 1-tuple holding a chunk's views, ``(cell,
-    means, c)`` triples with ``cell`` naming the view; all views of a chunk
-    are scored on its one draw.  ``tests`` holds ``(family, critical value)``
-    pairs; the orthant kernel skips draws that the residual bracket decides
-    against the smallest and the largest orthant critical value.  ``tally``
-    maps a view's rejection masks, in test order, to its counts.  A
-    :class:`SolverError` names its view's ``cell`` beside the replay key.
+    ``views(rng, reps)`` draws a chunk and yields its views, ``(cell,
+    means, c)`` triples with ``cell`` a dict naming the view; all views of
+    a chunk are scored on its one draw.  ``tests`` holds ``(family, critical
+    value)`` pairs; the orthant kernel skips draws that the residual bracket
+    decides against the smallest and the largest orthant critical value.
+    ``tally`` maps a view's rejection masks, in test order, to its counts.
+    A :class:`SolverError` names its view's ``cell`` beside the replay key.
     """
     families = {family for family, _ in tests}
     orthant = [cv for family, cv in tests if family in stats.ORTHANT_FAMILIES]
     low, high = min(orthant, default=-np.inf), max(orthant, default=np.inf)
 
-    def count(views):
-        counts = []
-        for cell, means, c in views:
-            try:
-                values = _batch_values(means, c, cfg.n, families, low, high)
-            except SolverError as err:
-                err.details["cell"] = cell
-                named = ", ".join(f"{k} {v}" for k, v in cell.items())
-                err.args = (f"{err.args[0]} in cell ({named})",)
-                raise
-            counts.append(tally([values[family] >= cv for family, cv in tests]))
-        return np.array(counts)
+    def counter(views):
+        def count(rng, reps):
+            counts = []
+            for cell, means, c in views(rng, reps):
+                try:
+                    values = _batch_values(means, c, cfg.n, families, low, high)
+                except SolverError as err:
+                    err.add_context(**cell)
+                    raise
+                counts.append(tally([values[family] >= cv for family, cv in tests]))
+            return np.array(counts)
 
-    totals = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers, count)
+        return count
+
+    cells = [(key, counter(views)) for key, views in cells]
+    totals = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers)
     return [view for total in totals for view in total]
 
 
@@ -375,11 +382,11 @@ def _grid_counts(cfg, sigmas, tests, tally):
     """``(sigma_id, theta, counts)`` for each (sigma, theta) cell of ``cfg``, in order.
 
     One Monte-Carlo cell on stream key ``(2,)``: chunk ``j`` draws once on
-    ``(2, j)`` and scores that draw at every cell (:func:`_grid_draw`).
+    ``(2, j)`` and scores that draw at every cell (:func:`_grid_views`).
     """
     chols = [(sigma_id, np.linalg.cholesky(sigma)) for sigma_id, sigma in sigmas]
-    draw = _grid_draw(cfg.n, cfg.p, chols, cfg.theta_grid)
-    counts = _count_rejections(cfg, tests, [((_STREAM_POWER,), draw)], tally)
+    views = _grid_views(cfg.n, cfg.p, chols, cfg.theta_grid)
+    counts = _count_rejections(cfg, tests, [((_STREAM_POWER,), views)], tally)
     labels = [
         (sigma_id, tuple(float(v) for v in theta))
         for sigma_id, _ in sigmas
@@ -646,7 +653,7 @@ def _midpoint_violations(family, c, trials, seed, n, p):
     ``_CONVEXITY_BLOCK`` pairs draws a covariance, its members and its pairs.
     """
 
-    def draw(rng, pairs):
+    def count(rng, pairs):
         cov = random_correlation_matrix(rng, p) * rng.uniform(0.3, 3.0)
         chol = np.linalg.cholesky(cov)
         means = _member_means(family, c, n, p, chol, rng, 20_000)
@@ -655,15 +662,13 @@ def _midpoint_violations(family, c, trials, seed, n, p):
             raise ConeTestError(f"{m} member means accepted under a drawn covariance; need 2")
         i = rng.integers(0, m, size=pairs)
         j = rng.integers(0, m, size=pairs)
-        return 0.5 * (means[i] + means[j]), chol
-
-    def count(mid, chol):
+        mid = 0.5 * (means[i] + means[j])
         threshold = c * (1.0 + 1e-9)
         values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family}, threshold, threshold)
         return np.sum(values[family] > threshold)
 
-    cells = [((_STREAM_CONVEXITY,), draw)]
-    (violations,) = _count_cells(seed, cells, trials, _CONVEXITY_BLOCK, 1, count)
+    cells = [((_STREAM_CONVEXITY,), count)]
+    (violations,) = _count_cells(seed, cells, trials, _CONVEXITY_BLOCK, 1)
     return int(violations), len(chunk_sizes(trials, _CONVEXITY_BLOCK))
 
 
@@ -690,21 +695,21 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     plan = TestPlan(family, calibration, prior=prior)
     critical = _resolve_critical(plan, cfg)
 
-    def from_prior(rng, reps):
-        means, c = sample_compound_null(rng, prior.scale, prior.df, cfg.n, reps)
-        return ([({"sigma_id": "prior_draws"}, means, c)],)
+    def one_view(sigma_id, sample, *args):
+        """Views of a cell of its own: the draw ``sample(rng, *args, n, reps)``."""
+        return lambda rng, reps: [({"sigma_id": sigma_id}, *sample(rng, *args, cfg.n, reps))]
 
-    # Row labels and (stream key, draw) cells of one view each; the prior
-    # cell uses stream cell 999.
+    # Row labels and (stream key, views) cells of one view each, drawn at
+    # theta = 0; the prior cell uses stream cell 999.
     labels, cells = [], []
     for i, sigma in enumerate(sigma_list or ()):
         chol = np.linalg.cholesky(check_positive_definite(sigma, f"sigma[{i}]"))
         labels.append(f"sigma{i}")
-        draw = _grid_draw(cfg.n, cfg.p, [(labels[-1], chol)], [np.zeros(cfg.p)])
-        cells.append(((_STREAM_SIMILARITY, i), draw))
+        cells.append(((_STREAM_SIMILARITY, i), one_view(labels[-1], sample_mean_chol, None, chol)))
     if calibration == "bayes":
         labels.append("prior_draws")
-        cells.append(((_STREAM_SIMILARITY, 999), from_prior))
+        views = one_view(labels[-1], sample_compound_null, prior.scale, prior.df)
+        cells.append(((_STREAM_SIMILARITY, 999), views))
     totals = _count_rejections(cfg, [(family, critical)], cells, _rejections)
     rows = []
     for sigma_id, (total,) in zip(labels, totals):

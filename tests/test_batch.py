@@ -426,6 +426,6 @@ class TestCandidateMask:
 
 
 def test_cell_of_no_draws_counts_zero():
-    # No chunks, so neither draw nor count is called.
-    counts = _batch._count_cells(1, [((0,), None), ((1,), None)], 0, 100, 2, None)
+    # No chunks, so no count is called.
+    counts = _batch._count_cells(1, [((0,), None), ((1,), None)], 0, 100, 2)
     assert [float(c) for c in counts] == [0.0, 0.0]

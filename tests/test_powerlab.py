@@ -326,17 +326,17 @@ class TestOnePoolPerExperiment:
             workers=2,
         )
         simulate_power(dataclasses.replace(cfg, sigma_source=SigmaSource.fixed(sigmas[0])))
-        cell = r"in cell \(sigma_id sigma1, theta \[0.0, 0.0\]\)"
+        cell = r"\(sigma id sigma1, theta \[0.0, 0.0\]\)"
         with pytest.raises(SolverError, match=cell + r" \(seed 77, stream key \[2\], chunk 0\)") as err:
             simulate_power(cfg)
         d = err.value.details
         assert (d["seed"], d["stream_key"], d["chunk"]) == (77, [2], 0)
-        assert d["cell"] == {"sigma_id": "sigma1", "theta": [0.0, 0.0]}
+        assert (d["sigma_id"], d["theta"]) == ("sigma1", [0.0, 0.0])
         # The key replays the chunk's one draw; the cell picks its view.
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
         z, a = standard_draw(rng, cfg.p, cfg.n, 500)
         means, _ = scaled_draw(z, a, np.linalg.cholesky(sigmas[1]), cfg.n)
-        y = np.sqrt(cfg.n) * (means + np.array(d["cell"]["theta"]))
+        y = np.sqrt(cfg.n) * (means + np.array(d["theta"]))
         assert y[d["draw"]].tolist() == d["y"]
 
     def test_singular_draw_names_replay_key(self):
@@ -348,14 +348,14 @@ class TestOnePoolPerExperiment:
         cfg = small_config(n=3, seed=8, alpha=0.6)
         prior = PriorSpec.inverse_wishart(np.eye(2), 1.5)
         pattern = (
-            r"singular active-set system at draw \d+ in cell \(sigma_id prior_draws\) "
+            r"singular active-set system at draw \d+ \(sigma id prior_draws\) "
             r"\(seed 8, stream key \[4, 999\], chunk 0"
         )
         with pytest.raises(SolverError, match=pattern) as err:
             similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
         d = err.value.details
         assert (d["seed"], d["stream_key"], d["chunk"]) == (8, [4, 999], 0)
-        assert d["cell"] == {"sigma_id": "prior_draws"}
+        assert d["sigma_id"] == "prior_draws" and "theta" not in d
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
         # The key replays the singular chunk, which raises at the named draw.
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
@@ -709,7 +709,7 @@ class TestT2Screen:
         with pytest.raises(SolverError, match=r"seed 78, stream key \[2\], chunk 0") as err:
             simulate_power(cfg)
         d = err.value.details
-        assert d["cell"] == {"sigma_id": "sigma0", "theta": [0.0, 0.0]}
+        assert (d["sigma_id"], d["theta"]) == ("sigma0", [0.0, 0.0])
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
         means, c = sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500)
         y = np.sqrt(cfg.n) * means
