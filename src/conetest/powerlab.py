@@ -329,8 +329,9 @@ def _grid_views(n, p, sigmas, thetas):
     ``xbar = theta + L z / sqrt(n)`` and ``c = L A`` for the factor ``L`` of
     its sigma, so every cell sees the same random numbers.  ``c`` and the
     means of ``L z`` are formed once per sigma, when its views are reached.
-    The draw is let go once the last sigma's are formed, so the views of
-    one sigma hold no more while they are scored than a draw of their own.
+    The draw is let go once the last sigma's are formed, so a grid of one
+    sigma holds no more while it is scored than :func:`sample_mean_chol`'s
+    draw would.
     """
     def views(rng, reps):
         draw = standard_draw(rng, p, n, reps)
