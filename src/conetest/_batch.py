@@ -130,8 +130,8 @@ def factor_map(chol):
     Entry ``k`` of ``A`` sits at ``(r, j)`` of ``np.tril_indices``, and
     ``(chol A)_ij`` sums ``chol_ir A_rj``, so row ``k`` holds column ``r`` of
     ``chol`` at the flat positions ``(i, j)``.  A lower-triangular ``chol``
-    leaves every column above the diagonal zero, so ``entries @ map`` has
-    exact zeros there, and one gemm replaces a stack of (p, p) products.
+    leaves every column above the diagonal zero, so ``map.T @ entries.T``
+    has exact zeros there, and one gemm replaces a stack of (p, p) products.
     """
     p = chol.shape[0]
     rows, cols = np.tril_indices(p)
@@ -149,24 +149,26 @@ def standard_draw(rng, p, n, reps):
 
 
 def scaled_draw(z, a, chol_sigma, n):
-    """Means ``L z / sqrt(n)`` and scatter factors ``c = L A`` of a standard draw.
+    """Component-major means ``L z / sqrt(n)`` and scatter factors ``c = L A`` of a standard draw.
 
-    ``chol_sigma`` is ``L``: one (p, p) factor, which takes one gemm for the
-    means and one for ``c`` (:func:`factor_map`), or a (reps, p, p) stack of
-    per-draw factors.
+    Returns means of shape (p, reps) and ``c`` of shape (p, p, reps), so
+    each coordinate is one contiguous vector over the draws.  ``chol_sigma``
+    is ``L``: one (p, p) factor, which takes one gemm for the means and one
+    for ``c`` (:func:`factor_map`), or a (reps, p, p) stack of per-draw
+    factors, whose stacked products are transposed.
     """
     p = chol_sigma.shape[-1]
     if chol_sigma.ndim == 2:
-        means = z @ chol_sigma.T  # one gemm, not a stack of (p, 1) products
-        c = (a @ factor_map(chol_sigma)).reshape(-1, p, p)
+        means = chol_sigma @ z.T
+        c = (factor_map(chol_sigma).T @ a.T).reshape(p, p, -1)
     else:
-        means = (chol_sigma @ z[..., None])[..., 0]
-        c = chol_sigma @ tril_stack(a, p)
+        means = np.ascontiguousarray((chol_sigma @ z[..., None])[..., 0].T)
+        c = np.ascontiguousarray(np.moveaxis(chol_sigma @ tril_stack(a, p), 0, -1))
     return means / np.sqrt(n), c
 
 
 def sample_mean_chol(rng, theta, chol_sigma, n, reps):
-    """Means and scatter factors of ``reps`` normal samples of size ``n``.
+    """Component-major means and scatter factors of ``reps`` normal samples of size ``n``.
 
     The pair is drawn from its sampling law, not from data: ``xbar ~
     N(theta, Sigma / n)`` independent of ``(n-1) S ~ Wishart(Sigma, n-1)``
@@ -175,19 +177,24 @@ def sample_mean_chol(rng, theta, chol_sigma, n, reps):
 
     ``chol_sigma`` is a factor ``L`` with ``L L' = Sigma``: a single (p, p)
     matrix or a (reps, p, p) stack of per-draw factors.  Returns ``(means,
-    c)`` of shapes (reps, p) and (reps, p, p); ``c`` is lower-triangular
+    c)`` of shapes (p, reps) and (p, p, reps); ``c`` is lower-triangular
     whenever ``chol_sigma`` is.  :func:`standard_draw` then
     :func:`scaled_draw`, so one standard draw can serve several ``L``.
     """
     z, a = standard_draw(rng, chol_sigma.shape[-1], n, reps)
     means, c = scaled_draw(z, a, chol_sigma, n)
     if theta is not None:
-        means = means + theta
+        means = means + np.asarray(theta)[:, None]
     return means, c
 
 
+def factor_major(mats):
+    """(p, p, reps) view of a (reps, p, p) stack; a (p, p) matrix becomes (p, p, 1)."""
+    return mats[..., None] if mats.ndim == 2 else np.moveaxis(mats, 0, -1)
+
+
 def factor_cov(c, n):
-    """Unbiased covariance ``S = c c' / (n - 1)`` of one factor or a stack.
+    """Unbiased covariance ``S = c c' / (n - 1)`` of one factor or a row-major stack.
 
     The transpose is copied to a contiguous array first: matmul on the
     strided view is several times slower and serializes across threads.
@@ -196,45 +203,59 @@ def factor_cov(c, n):
 
 
 def factor_variances(c, n):
-    """Diagonal of ``S = c c' / (n - 1)``: the squared row norms of ``c`` over ``n - 1``."""
-    return np.einsum("...ij,...ij->...i", c, c) / (n - 1)
+    """Diagonal of ``S = c c' / (n - 1)``, (p, reps), for component-major factors ``c``.
+
+    ``c`` has shape (p, p, reps), or (p, p, 1) for one factor shared by
+    every draw; the variances are its squared row norms over ``n - 1``.
+    """
+    return np.square(c).sum(axis=1) / (n - 1)
 
 
 def sample_mean_cov(rng, theta, chol_sigma, n, reps):
-    """:func:`sample_mean_chol` with the factors multiplied out into ``S``."""
+    """Row-major :func:`sample_mean_chol`, the factors multiplied out into ``S``.
+
+    Returns means of shape (reps, p) and covariances of shape (reps, p, p).
+    """
     means, c = sample_mean_chol(rng, theta, chol_sigma, n, reps)
-    return means, factor_cov(c, n)
+    return np.ascontiguousarray(means.T), factor_cov(np.ascontiguousarray(np.moveaxis(c, -1, 0)), n)
 
 
 def forward_solve(c, x):
-    """``c^{-1} x`` for a lower-triangular ``c``, by forward substitution.
+    """``c^{-1} x`` for component-major lower-triangular factors ``c``, by forward substitution.
 
-    ``c`` is one (p, p) factor or a (reps, p, p) stack, and may be any
-    strided view; ``x`` is a (p, k) or (reps, p, k) block of right-hand
-    sides.  Row ``i`` of the solution is one vectorized step over the rows
-    before it (none at row 0), with no LAPACK call, so it scales across
-    threads.  A lower-triangular ``x`` gives exact zeros above the diagonal.
+    ``c`` has shape (p, p, ...) with entry ``(i, j)`` of every factor in
+    ``c[i, j]``, and may be any strided view; ``x`` has shape (p, ...).
+    Their trailing axes broadcast, so a (p, p, 1) factor serves every
+    right-hand side.  Row ``i`` of the solution is ``(x_i - sum_{j<i} c_ij
+    w_j) / c_ii``: elementwise ufuncs over the trailing axes, with no LAPACK
+    call.  Zeros in ``x`` above the diagonal of a lower-triangular right
+    side stay exact zeros.
     """
-    w = np.empty(np.broadcast_shapes(c.shape[:-2], x.shape[:-2]) + x.shape[-2:])
-    for i in range(x.shape[-2]):
-        dot = np.einsum("...j,...jk->...k", c[..., i, :i], w[..., :i, :])
-        w[..., i, :] = (x[..., i, :] - dot) / c[..., i, i, None]
+    w = np.empty(x.shape[:1] + np.broadcast_shapes(c.shape[2:], x.shape[1:]))
+    for i in range(x.shape[0]):
+        dot = 0.0
+        for j in range(i):
+            dot = dot + c[i, j] * w[j]
+        w[i] = (x[i] - dot) / c[i, i]
     return w
 
 
 def forward_sq_norm(x, c):
-    """``||c^{-1} x||^2`` per row of ``x`` for a lower-triangular ``c``.
+    """``||c^{-1} x||^2`` per draw of component-major ``x`` (p, reps) and ``c`` (p, p, reps).
 
     The one-column case of :func:`forward_solve`.  With ``(n-1) S = c c'``,
     the T2 statistic ``n xbar' S^{-1} xbar`` is ``n (n-1) forward_sq_norm(xbar, c)``.
     """
-    w = forward_solve(c, x[..., None])[..., 0]
-    return np.einsum("ri,ri->r", w, w)
+    return np.square(forward_solve(c, x)).sum(axis=0)
 
 
 def batch_t2(means, covs, n):
-    """``n xbar' S^{-1} xbar`` per draw, through the Cholesky factor of ``S``."""
-    return n * forward_sq_norm(means, np.linalg.cholesky(covs))
+    """``n xbar' S^{-1} xbar`` per draw of row-major ``means`` (reps, p) and ``covs``.
+
+    ``covs`` is one (p, p) matrix or a (reps, p, p) stack; T2 comes
+    through the Cholesky factor of ``S``.
+    """
+    return n * forward_sq_norm(means.T, factor_major(np.linalg.cholesky(covs)))
 
 
 def orthant_active_set(y, metric):
@@ -326,11 +347,12 @@ def _draw_error(message, y, draw):
 
 
 def halfspace_residual(y, variances):
-    """Squared residual norm of each row of ``y`` off the halfspace ``x_p >= 0``.
+    """Squared residual norm of each draw of ``y`` off the halfspace ``x_p >= 0``.
 
-    ``variances`` is the metric's diagonal: (p,) or (reps, p).
+    Component-major: ``y`` has shape (p, reps) and ``variances``, the
+    metric's diagonal, (p, reps) or (p, 1).
     """
-    return np.where(y[:, -1] > 0.0, 0.0, y[:, -1] ** 2 / variances[..., -1])
+    return np.where(y[-1] > 0.0, 0.0, y[-1] ** 2 / variances[-1])
 
 
 def projection_norm(t2, q_res):
@@ -343,34 +365,18 @@ def batch_orthant(means, covs, n):
 
     Returns ``(sizes, q_proj, q_res)`` where ``sizes`` is the active-subset
     cardinality, ``q_proj`` the squared projection norm of ``sqrt(n) xbar``
-    and ``q_res`` the squared residual norm.  ``covs`` is one (p, p) matrix
-    or a (reps, p, p) stack.
+    and ``q_res`` the squared residual norm.  ``means`` is row-major (reps,
+    p), and ``covs`` one (p, p) matrix or a (reps, p, p) stack.
     """
     free, q_res = orthant_active_set(np.sqrt(n) * means, covs)
     return free.sum(axis=1), projection_norm(batch_t2(means, covs, n), q_res), q_res
 
 
 def batch_halfspace(means, covs, n):
-    """Halfspace projection decomposition per draw: ``(q_proj, q_res)``."""
-    q_res = halfspace_residual(np.sqrt(n) * means, np.diagonal(covs, axis1=-2, axis2=-1))
+    """Halfspace projection decomposition per draw of row-major ``means``: ``(q_proj, q_res)``."""
+    variances = np.diagonal(covs, axis1=-2, axis2=-1).T
+    q_res = halfspace_residual(np.sqrt(n) * means.T, variances)
     return projection_norm(batch_t2(means, covs, n), q_res), q_res
-
-
-def batch_fuit_max_t(means, variances, n):
-    """Largest coordinatewise one-sided t statistic per draw.
-
-    ``variances`` is the diagonal of ``S``: (p,) or (reps, p).
-    """
-    return row_max(np.sqrt(n) * means / np.sqrt(variances))
-
-
-def row_max(a):
-    """Largest entry of each row of a (reps, p) array.
-
-    Reduces a transposed copy over its long axis: ``a.max(axis=1)`` is many
-    times slower on rows of a few entries.
-    """
-    return np.ascontiguousarray(a.T).max(axis=0)
 
 
 def sample_invwishart_chol(rng, scale, df, reps):
@@ -381,13 +387,14 @@ def sample_invwishart_chol(rng, scale, df, reps):
     ``Q' Q = P A A' P`` is ``Wishart(I, df)`` too.  So ``G = chol(scale)
     Q^{-1}`` gives ``G G' ~ InvWishart(scale, df)``, proper for ``df > p -
     1``.  ``Q`` is a negative-stride view, and ``Q^{-1}`` comes from
-    :func:`forward_solve` on the identity: no inverse is formed, and the
-    zeros above the diagonal are exact.  Returns the (reps, p, p) stack of
-    ``G``.
+    :func:`forward_solve` on the identity, through the component-major
+    view of ``Q``: no inverse is formed, and the zeros above the diagonal
+    are exact.  Returns the row-major (reps, p, p) stack of ``G``.
     """
     p = scale.shape[0]
     q = np.swapaxes(tril_stack(_bartlett(rng, df - np.arange(p), reps), p), 1, 2)[:, ::-1, ::-1]
-    return np.linalg.cholesky(scale) @ forward_solve(q, np.eye(p))
+    q_inv = forward_solve(factor_major(q), np.eye(p)[..., None])
+    return np.linalg.cholesky(scale) @ np.ascontiguousarray(np.moveaxis(q_inv, -1, 0))
 
 
 def sample_compound_null(rng, scale, df, n, reps):
@@ -395,6 +402,6 @@ def sample_compound_null(rng, scale, df, n, reps):
 
     Draws ``G`` by :func:`sample_invwishart_chol`, then ``(means, c)`` by
     :func:`sample_mean_chol` with ``chol_sigma = G``, on the same stream.
-    Returns arrays of shapes (reps, p) and (reps, p, p).
+    Returns component-major arrays of shapes (p, reps) and (p, p, reps).
     """
     return sample_mean_chol(rng, None, sample_invwishart_chol(rng, scale, df, reps), n, reps)

@@ -132,37 +132,40 @@ def _read_input(path, what, inputs=None):
 def read_csv_matrix(path, name="data", inputs=None):
     """Read a numeric CSV matrix; a non-numeric first row is a header.
 
-    ``inputs`` is as for :func:`_read_input`."""
+    Blank rows are skipped.  An error names the physical line on which the
+    offending row starts, so blank lines and quoted fields that span lines
+    count.  ``inputs`` is as for :func:`_read_input`."""
     text = _read_input(path, f"{name} file", inputs)
     # newline="" leaves line ends to the reader, as the csv module asks, so
     # quoted fields keep their line breaks.
-    rows = list(csv.reader(io.StringIO(text, newline="")))
-    rows = [r for r in rows if any(field.strip() for field in r)]
-    if not rows:
-        raise DataError(f"{name} file {path} is empty")
-    start = 0
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        start = 1
-        if len(rows) < 2:
-            raise DataError(f"{name} file {path} has a header but no data rows")
-    width = len(rows[start])
-    out = []
-    for i, row in enumerate(rows[start:], start=start + 1):
-        if len(row) != width:
+    reader = csv.reader(io.StringIO(text, newline=""))
+    out, width, header, end = [], None, False, 0
+    for row in reader:
+        start, end = end + 1, reader.line_num
+        if not any(map(str.strip, row)):
+            continue
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
             raise DataError(
-                f"{name} file {path}, line {i}: expected {width} fields, got {len(row)}"
+                f"{name} file {path}, line {start}: expected {width} fields, got {len(row)}"
             )
-        parsed = []
-        for j, val in enumerate(row, start=1):
-            try:
-                parsed.append(float(val))
-            except ValueError:
-                raise DataError(
-                    f"{name} file {path}, line {i}, column {j}: not a number: {val!r}"
-                )
-        out.append(parsed)
+        try:
+            out.append([float(v) for v in row])
+        except ValueError:
+            if not (out or header):
+                header, width = True, None
+                continue
+            for j, val in enumerate(row, start=1):
+                try:
+                    float(val)
+                except ValueError:
+                    raise DataError(
+                        f"{name} file {path}, line {start}, column {j}: not a number: {val!r}"
+                    ) from None
+    if not out:
+        what = "has a header but no data rows" if header else "is empty"
+        raise DataError(f"{name} file {path} {what}")
     return np.asarray(out, dtype=float)
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from . import calibrate, stats
 from ._batch import (
     _count_cells,
-    batch_fuit_max_t,
     chunk_sizes,
     factor_cov,
     factor_variances,
@@ -27,7 +26,6 @@ from ._batch import (
     halfspace_residual,
     orthant_active_set,
     projection_norm,
-    row_max,
     sample_compound_null,
     sample_mean_chol,
     scaled_draw,
@@ -221,11 +219,13 @@ def _resolve_critical(plan, cfg):
 def _batch_values(means, c, n, families, low=-np.inf, high=np.inf):
     """Calibration-scale statistic values per draw for each of ``families``.
 
-    ``c`` is a lower-triangular scatter factor, ``(n-1) S = c c'``: one
-    (p, p) matrix or a (reps, p, p) stack.  Each draw's T2 comes from ``c``
-    once and is split by the residual of each cone that ``families`` needs;
-    T2 is the halfspace split's sum.  The halfspace residual and FUIT read
-    only the variances ``diag(S)``, the squared row norms of ``c``.
+    Component-major: ``means`` has shape (p, reps), and ``c`` is the
+    lower-triangular scatter factor, ``(n-1) S = c c'``, as a (p, p, reps)
+    stack or one (p, p, 1) factor shared by every draw.  Each draw's T2
+    comes from ``c`` once and is split by the residual of each cone that
+    ``families`` needs; T2 is the halfspace split's sum.  The halfspace
+    residual and FUIT read only the variances ``diag(S)``, the squared row
+    norms of ``c``.
 
     ``low`` and ``high`` are the smallest and the largest threshold the
     caller compares orthant values with.  Only draws whose orthant residual
@@ -234,8 +234,8 @@ def _batch_values(means, c, n, families, low=-np.inf, high=np.inf):
     """
     values = {}
     s = factor_variances(c, n)
+    y = np.sqrt(n) * means
     if families - {FUIT}:
-        y = np.sqrt(n) * means
         t2 = n * (n - 1) * forward_sq_norm(means, c)
     for group, residual in (
         (
@@ -251,7 +251,8 @@ def _batch_values(means, c, n, families, low=-np.inf, high=np.inf):
             for family in wanted:
                 values[family] = stats.calibration_value(family, q_proj, q_res, n)
     if FUIT in families:
-        values[FUIT] = batch_fuit_max_t(means, s, n)
+        # The largest coordinatewise one-sided t statistic.
+        values[FUIT] = (y / np.sqrt(s)).max(axis=0)
     return values
 
 
@@ -274,8 +275,9 @@ def _orthant_residual(y, c, n, t2, s, families, low, high):
     at ``r_hi`` all exceed ``high * (1 + 1e-9)`` must reject and keeps
     ``r_hi``.  Either value compares with every threshold in ``[low,
     high]`` as the solved one does.  Only the other draws go to
-    :func:`orthant_active_set`, and ``S`` is multiplied out for them alone.
-    A draw with no ``y_j < 0`` lies in the orthant: ``q_res = r_lo = 0``.
+    :func:`orthant_active_set`, row-major, and ``S`` is multiplied out for
+    them alone.  A draw with no ``y_j < 0`` lies in the orthant: ``q_res =
+    r_lo = 0``.
 
     The margins bound how far the solved value may stray from the exact
     one.  The kernel accepts a sign pattern once its conditions hold to
@@ -285,23 +287,24 @@ def _orthant_residual(y, c, n, t2, s, families, low, high):
     number of ``S``.  For a draw near a threshold, whose value is a fixed
     share of T2, 1e-9 leaves room for condition numbers up to about 1e6.
 
-    A :class:`SolverError` names the draw by its row of ``y``, so the
+    A :class:`SolverError` names the draw by its index in ``y``, so the
     replay key still holds.
     """
     def value(pick, t2, q_res):
         q_proj = projection_norm(t2, q_res)
         return pick([stats.calibration_value(f, q_proj, q_res, n) for f in families], axis=0)
 
-    def factor(rows):
-        return c if c.ndim == 2 else c[rows]
-
-    q_res = row_max(np.minimum(y, 0.0) ** 2 / s)
+    shared = c.shape[-1] == 1
+    q_res = (np.minimum(y, 0.0) ** 2 / s).max(axis=0)
     rows = np.flatnonzero((q_res > 0.0) & (value(np.max, t2, q_res) >= low * (1.0 - _BRACKET_RTOL)))
-    q_res[rows] = (n - 1) * forward_sq_norm(np.minimum(y[rows], 0.0), factor(rows))
+    q_res[rows] = (n - 1) * forward_sq_norm(
+        np.minimum(y[:, rows], 0.0), c if shared else c[..., rows]
+    )
     upper = value(np.min, t2[rows], q_res[rows])
     rows = rows[~(upper > high * (1.0 + _BRACKET_RTOL))]
+    metric = factor_cov(c[..., 0] if shared else np.moveaxis(c, -1, 0)[rows], n)
     try:
-        q_res[rows] = orthant_active_set(y[rows], factor_cov(factor(rows), n))[1]
+        q_res[rows] = orthant_active_set(np.ascontiguousarray(y[:, rows].T), metric)[1]
     except SolverError as err:
         draw = err.details["draw"]
         err.details["draw"] = int(rows[draw])
@@ -340,7 +343,7 @@ def _grid_views(n, p, sigmas, thetas):
             if i == len(sigmas):
                 del draw
             for theta in thetas:
-                yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta, c
+                yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta[:, None], c
 
     return views
 
@@ -349,8 +352,9 @@ def _count_rejections(cfg, tests, cells, tally):
     """Summed counts of every view of each ``(key, views)`` of ``cells``, in order.
 
     ``views(rng, reps)`` draws a chunk and yields its views, ``(cell,
-    means, c)`` triples with ``cell`` a dict naming the view; all views of
-    a chunk are scored on its one draw.  ``tests`` holds ``(family, critical
+    means, c)`` triples with ``cell`` a dict naming the view and the draw
+    component-major (:func:`_batch_values`); all views of a chunk are
+    scored on its one draw.  ``tests`` holds ``(family, critical
     value)`` pairs; the orthant kernel skips draws that the residual bracket
     decides against the smallest and the largest orthant critical value.
     ``tally`` maps a view's rejection masks, in test order, to its counts.
@@ -559,17 +563,17 @@ _CONVEXITY_BLOCK = 10_000
 
 
 def _member_means(family, c, n, p, chol, rng, count):
-    """Means inside the acceptance slice for a fixed covariance factor ``chol``.
+    """Means inside the acceptance slice for a fixed covariance factor ``chol``, (p, members).
 
     ``count`` draws at each of four scales, the accepted ones of all four
     kept, so the pool reaches from deep inside the slice to its boundary.
     """
     pool = []
     for scale in (0.6, 1.2, 2.5, 5.0):
-        means = (rng.standard_normal((count, p)) @ chol.T) * (scale / np.sqrt(n))
-        values = _batch_values(means, np.sqrt(n - 1) * chol, n, {family}, c, c)[family]
-        pool.append(means[values <= c])
-    return np.concatenate(pool, axis=0)
+        means = (chol @ rng.standard_normal((count, p)).T) * (scale / np.sqrt(n))
+        values = _batch_values(means, np.sqrt(n - 1) * chol[..., None], n, {family}, c, c)[family]
+        pool.append(means[:, values <= c])
+    return np.concatenate(pool, axis=1)
 
 
 def _search_lrt_witness(c, n, seed):
@@ -579,10 +583,10 @@ def _search_lrt_witness(c, n, seed):
     deep member of a single-coordinate branch; the acceptance set flares
     outward along the branch boundary, so midpoints overshoot.
     """
-    c_unit = np.sqrt(n - 1) * np.eye(2)  # (n-1) S = c c' with S = I
+    c_unit = np.sqrt(n - 1) * np.eye(2)[..., None]  # (n-1) S = c c' with S = I
 
     def lrt(x):
-        return float(_batch_values(x[None, :], c_unit, n, {LRT_ORTHANT}, c)[LRT_ORTHANT][0])
+        return float(_batch_values(x[:, None], c_unit, n, {LRT_ORTHANT}, c)[LRT_ORTHANT][0])
 
     rng = substream(seed, (_STREAM_CONVEXITY, 10_001))
     attempts = 0
@@ -658,14 +662,15 @@ def _midpoint_violations(family, c, trials, seed, n, p):
         cov = random_correlation_matrix(rng, p) * rng.uniform(0.3, 3.0)
         chol = np.linalg.cholesky(cov)
         means = _member_means(family, c, n, p, chol, rng, 20_000)
-        m = means.shape[0]
+        m = means.shape[1]
         if m < 2:
             raise ConeTestError(f"{m} member means accepted under a drawn covariance; need 2")
         i = rng.integers(0, m, size=pairs)
         j = rng.integers(0, m, size=pairs)
-        mid = 0.5 * (means[i] + means[j])
+        mid = 0.5 * (means[:, i] + means[:, j])
         threshold = c * (1.0 + 1e-9)
-        values = _batch_values(mid, np.sqrt(n - 1) * chol, n, {family}, threshold, threshold)
+        factor = np.sqrt(n - 1) * chol[..., None]
+        values = _batch_values(mid, factor, n, {family}, threshold, threshold)
         return np.sum(values[family] > threshold)
 
     cells = [((_STREAM_CONVEXITY,), count)]

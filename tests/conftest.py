@@ -1,4 +1,4 @@
-"""Shared helpers: random positive definite matrices and brute-force oracles."""
+"""Shared helpers: random positive definite matrices, brute-force oracles and draw layouts."""
 
 from itertools import combinations
 
@@ -22,6 +22,12 @@ def random_correlation(rng, p):
     m = random_pd_matrix(rng, p)
     d = 1.0 / np.sqrt(np.diag(m))
     return m * np.outer(d, d)
+
+
+def row_major(draw):
+    """Row-major ``(means, c)``, (reps, p) and (reps, p, p), of a component-major draw."""
+    means, c = draw
+    return np.ascontiguousarray(means.T), np.ascontiguousarray(np.moveaxis(c, -1, 0))
 
 
 def two_pass_mean_cov(data):

@@ -20,6 +20,7 @@ from conetest._batch import (
     _bartlett,
     batch_t2,
     factor_cov,
+    factor_major,
     factor_map,
     forward_solve,
     forward_sq_norm,
@@ -34,7 +35,7 @@ from conetest._batch import (
     tril_stack,
 )
 
-from conftest import random_correlation
+from conftest import random_correlation, row_major
 
 # Shapes of the law checks: small n - 1 makes a Bartlett degree-of-freedom
 # slip of one a visible fraction of every diagonal entry.
@@ -208,7 +209,7 @@ class TestFactorT2:
             covs = conditioned_cov(rng, p, cond)
         c = np.sqrt(n - 1) * np.linalg.cholesky(covs)
         means = rng.standard_normal((reps, p))
-        got = n * (n - 1) * forward_sq_norm(means, c)
+        got = n * (n - 1) * forward_sq_norm(means.T, factor_major(c))
         want = n * np.einsum("ri,ri->r", means, np.linalg.solve(covs, means[..., None])[..., 0])
         # A relative error of eps * cond is the conditioning limit of any
         # float64 T2, np.linalg.solve's included: against a long-double
@@ -221,7 +222,7 @@ class TestFactorT2:
         chol = np.linalg.cholesky(sigma)
         factors = sample_invwishart_chol(substream(52, 0), sigma, P + 4.0, 50)
         for chol_sigma in (chol, factors):
-            means, c = sample_mean_chol(substream(53, 0), None, chol_sigma, N, 50)
+            means, c = row_major(sample_mean_chol(substream(53, 0), None, chol_sigma, N, 50))
             assert np.all(np.triu(c, 1) == 0.0)
             _, covs = sample_mean_cov(substream(53, 0), None, chol_sigma, N, 50)
             assert np.array_equal(covs, factor_cov(c, N))
@@ -242,8 +243,8 @@ def inverse_invwishart_chol(rng, scale, df, reps):
 
 
 def inverse_compound_null(rng, scale, df, n, reps):
-    """The compound-null draw that ``sample_compound_null`` replaced."""
-    return sample_mean_chol(rng, None, inverse_invwishart_chol(rng, scale, df, reps), n, reps)
+    """The compound-null draw that ``sample_compound_null`` replaced, row-major."""
+    return row_major(sample_mean_chol(rng, None, inverse_invwishart_chol(rng, scale, df, reps), n, reps))
 
 
 def extended_compound_null(rng, scale, df, n, reps):
@@ -297,7 +298,7 @@ class TestForwardSolve:
         c = np.linalg.cholesky(covs)
         x = rng.standard_normal((reps, p, k))
         want = np.linalg.solve(np.broadcast_to(c, (reps, p, p)), x)
-        got = forward_solve(c, x)
+        got = np.moveaxis(forward_solve(factor_major(c), np.moveaxis(x, 0, -1)), -1, 0)
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10 * np.abs(want).max())
 
     def test_reversed_transpose_view_and_triangular_rhs(self):
@@ -306,10 +307,11 @@ class TestForwardSolve:
         rng = substream(57, 0)
         q = np.swapaxes(tril_stack(_bartlett(rng, 9.0 - np.arange(6), 30), 6), 1, 2)[:, ::-1, ::-1]
         b = tril_stack(_bartlett(rng, 20.0 - np.arange(6), 30), 6)
-        got = forward_solve(q, b)
+        got = np.moveaxis(forward_solve(factor_major(q), factor_major(b)), -1, 0)
         assert np.all(np.triu(got, 1) == 0.0)
         assert np.allclose(q @ got, b, rtol=0, atol=1e-12 * np.abs(b).max())
-        assert np.array_equal(forward_solve(np.ascontiguousarray(q), b), got)
+        contiguous = np.ascontiguousarray(factor_major(q))
+        assert np.array_equal(np.moveaxis(forward_solve(contiguous, factor_major(b)), -1, 0), got)
 
 
 class TestCompoundNull:
@@ -320,7 +322,7 @@ class TestCompoundNull:
     def test_matches_inverse_reference(self, p, cond):
         n, reps, df = 2 * p + 10, 2000, p + 4.0
         scale = scaled_correlation(np.random.default_rng([54, p, int(np.log10(cond))]), p, cond)
-        draw = sample_compound_null(substream(55, p), scale, df, n, reps)
+        draw = row_major(sample_compound_null(substream(55, p), scale, df, n, reps))
         ref = inverse_compound_null(substream(55, p), scale, df, n, reps)
         assert draw[0].shape == (reps, p) and draw[1].shape == (reps, p, p)
         assert block_error(draw, ref, n) <= 1e-13
@@ -344,7 +346,7 @@ class TestCompoundNull:
         # condition number sqrt(cond), which sets the bound.
         n, reps, df = 2 * p + 10, 500, p + 4.0
         scale = conditioned_cov(np.random.default_rng([58, p, int(np.log10(cond))]), p, cond)
-        draw = sample_compound_null(substream(59, p), scale, df, n, reps)
+        draw = row_major(sample_compound_null(substream(59, p), scale, df, n, reps))
         exact = extended_compound_null(substream(59, p), scale, df, n, reps)
         rtol = 1e-13 + 4.0 * np.finfo(float).eps * np.sqrt(cond)
         assert block_error(draw, [a.astype(float) for a in exact], n) <= rtol
@@ -352,7 +354,7 @@ class TestCompoundNull:
 
 
 class TestFactorMap:
-    """``entries @ factor_map(L)`` is the flat ``L A`` of the stacked Bartlett factors."""
+    """``factor_map(L).T @ entries.T`` is the component-major ``L A`` of the stacked Bartlett factors."""
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 8, 12])
     def test_matches_stacked_product(self, p):
@@ -362,7 +364,7 @@ class TestFactorMap:
         stack = tril_stack(entries, p)
         rows, cols = np.tril_indices(p)
         assert np.array_equal(stack[:, rows, cols], entries)
-        got = (entries @ factor_map(chol)).reshape(-1, p, p)
+        got = np.moveaxis((factor_map(chol).T @ entries.T).reshape(p, p, -1), -1, 0)
         want = chol @ stack
         assert np.all(np.triu(got, 1) == 0.0)
         scale = np.abs(want).max(axis=(1, 2))[:, None, None]

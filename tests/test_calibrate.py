@@ -34,7 +34,7 @@ from conetest._batch import (
 )
 from conetest.calibrate import CLOSED_FORM, MONTE_CARLO
 
-from conftest import random_correlation, random_pd_matrix
+from conftest import random_correlation, random_pd_matrix, row_major
 from test_sample import make_summary
 
 
@@ -375,7 +375,7 @@ def compound_null_counts(n, prior, mc_samples, seed):
     counts = np.zeros(p + 1, dtype=int)
     for chunk, reps in enumerate(chunk_sizes(mc_samples, DEFAULT_CHUNK)):
         rng = substream(seed, (11, chunk))
-        means, c = sample_compound_null(rng, prior.scale, prior.df, n, reps)
+        means, c = row_major(sample_compound_null(rng, prior.scale, prior.df, n, reps))
         free, _ = orthant_active_set(np.sqrt(n) * means, factor_cov(c, n))
         counts += np.bincount(free.sum(axis=1), minlength=p + 1)
     return counts

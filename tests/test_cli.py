@@ -63,6 +63,19 @@ class TestReadCsv:
         with pytest.raises(DataError, match="line 2"):
             read_csv_matrix(path)
 
+    def test_bad_cell_after_blank_line_reports_physical_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,x2\n1,2\n\n3,abc\n")
+        with pytest.raises(DataError, match="line 4, column 2: not a number: 'abc'"):
+            read_csv_matrix(path)
+
+    def test_ragged_row_after_quoted_line_break_reports_physical_line(self, tmp_path):
+        # The header's quoted field spans lines 1-2 and line 4 is blank.
+        path = tmp_path / "d.csv"
+        path.write_text('"x\n1",x2\n1,2\n\n3\n')
+        with pytest.raises(DataError, match="line 5: expected 2 fields, got 1"):
+            read_csv_matrix(path)
+
 
 class TestCmdTest:
     def test_univariate_halfspace_matches_t_test(self, dataset, tmp_path):

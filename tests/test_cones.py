@@ -25,7 +25,7 @@ from conetest._batch import (
 )
 from conetest.sample import qualifying_subsets
 
-from conftest import kkt_enumeration_projection, random_pd_matrix
+from conftest import kkt_enumeration_projection, random_pd_matrix, row_major
 
 
 class TestOrthantProjection:
@@ -165,7 +165,7 @@ def least_index_reference(y, metric):
 
 def bayes_draws(p, reps, seed):
     """Scaled means and covariances of the Bayes compound null at n = 60, prior df p + 4."""
-    means, c = sample_compound_null(substream(seed, p), np.eye(p), p + 4.0, 60, reps)
+    means, c = row_major(sample_compound_null(substream(seed, p), np.eye(p), p + 4.0, 60, reps))
     return np.sqrt(60) * means, factor_cov(c, 60)
 
 

@@ -45,6 +45,8 @@ from conetest.powerlab import (
     simulate_power,
 )
 
+from conftest import row_major
+
 
 def small_config(**overrides):
     base = dict(
@@ -336,8 +338,8 @@ class TestOnePoolPerExperiment:
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
         z, a = standard_draw(rng, cfg.p, cfg.n, 500)
         means, _ = scaled_draw(z, a, np.linalg.cholesky(sigmas[1]), cfg.n)
-        y = np.sqrt(cfg.n) * (means + np.array(d["theta"]))
-        assert y[d["draw"]].tolist() == d["y"]
+        y = np.sqrt(cfg.n) * (means + np.array(d["theta"])[:, None])
+        assert y[:, d["draw"]].tolist() == d["y"]
 
     def test_singular_draw_names_replay_key(self):
         # Near an improper prior a chi-square factor of the compound null
@@ -359,7 +361,7 @@ class TestOnePoolPerExperiment:
         assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
         # The key replays the singular chunk, which raises at the named draw.
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
-        means, c = sample_compound_null(rng, prior.scale, prior.df, cfg.n, cfg.replications)
+        means, c = row_major(sample_compound_null(rng, prior.scale, prior.df, cfg.n, cfg.replications))
         y, covs = np.sqrt(cfg.n) * means, factor_cov(c, cfg.n)
         with pytest.raises(SolverError) as replay:
             orthant_active_set(y, covs)
@@ -439,7 +441,7 @@ class TestOneCountingPath:
             convexity_probe("T2_acceptance", trials=10, seed=4, n=12, p=2)
 
     def test_too_few_members_is_an_error(self, monkeypatch):
-        monkeypatch.setattr(powerlab, "_member_means", lambda *args: np.zeros((1, 2)))
+        monkeypatch.setattr(powerlab, "_member_means", lambda *args: np.zeros((2, 1)))
         with pytest.raises(ConeTestError, match="1 member means"):
             convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=10, seed=4, n=12, p=2)
 
@@ -523,7 +525,7 @@ class TestMidpointPool:
         violations, covariances = powerlab._midpoint_violations(family, c, 30_000, 808, n, p)
         assert violations == 0 and covariances == len(pools) == 3
         for pool, chol in pools:
-            values = powerlab._batch_values(pool, np.sqrt(n - 1) * chol, n, {family})[family]
+            values = powerlab._batch_values(pool, np.sqrt(n - 1) * chol[..., None], n, {family})[family]
             assert values.max() <= c and values.max() >= 0.99 * c
 
 
@@ -666,7 +668,7 @@ class TestT2Screen:
         corr = np.linalg.cholesky(random_correlation_matrix(rng, p))
         for c in (np.sqrt(n - 1) * corr, np.diag([0.5, 1.0, 2.0])):
             t2, r_lo, r_hi = bracket(means, c, n)
-            every = powerlab._batch_values(means, c, n, {family})[family]
+            every = powerlab._batch_values(means.T, c[..., None], n, {family})[family]
             for end, margin, side in ((r_lo, -1e-9, 1.0), (r_hi, 1e-9, -1.0)):
                 bound = orthant_value(family, t2, end, n)
                 for k in range(0, 40, 3):
@@ -675,7 +677,7 @@ class TestT2Screen:
                             t = bound[k] * (1.0 + rel) / shift
                             thresholds = (t, np.nextafter(t, side * np.inf), t * (1 + side * 1e-12))
                             low, high = min(thresholds), max(thresholds)
-                            values = powerlab._batch_values(means, c, n, {family}, low, high)[family]
+                            values = powerlab._batch_values(means.T, c[..., None], n, {family}, low, high)[family]
                             for threshold in thresholds:
                                 assert np.array_equal(values >= threshold, every >= threshold)
                                 assert np.array_equal(values <= threshold, every <= threshold)
@@ -711,7 +713,7 @@ class TestT2Screen:
         d = err.value.details
         assert (d["sigma_id"], d["theta"]) == ("sigma0", [0.0, 0.0])
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
-        means, c = sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500)
+        means, c = row_major(sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500))
         y = np.sqrt(cfg.n) * means
         assert y[d["draw"]].tolist() == d["y"]
         critical = powerlab._resolve_critical(cfg.tests[0], cfg)
@@ -736,7 +738,8 @@ class TestResidualBracket:
 
     @staticmethod
     def ends(means, c, n):
-        """The power lab's ``(r_lo, r_hi)``: every draw decided at one end."""
+        """The power lab's ``(r_lo, r_hi)`` of row-major ``means``: every draw decided at one end."""
+        means, c = means.T, c[..., None]
         y, s = np.sqrt(n) * means, factor_variances(c, n)
         t2 = n * (n - 1) * forward_sq_norm(means, c)
         return tuple(
@@ -774,6 +777,37 @@ class TestResidualBracket:
         diag = np.sqrt(n - 1) * np.diag(np.linspace(0.5, 2.0, p))
         r_lo, r_hi = self.ends(means[: reps // 2], diag, n)
         assert np.allclose(r_lo, r_hi, rtol=1e-13, atol=0.0)
+
+
+class TestComponentMajorKernels:
+    """Variances, T2 and ``r_hi`` of (p, reps) draws against per-draw row-major oracles."""
+
+    @pytest.mark.parametrize("shared", [True, False], ids=["fixed", "per_draw"])
+    @pytest.mark.parametrize("rho", [0.0, 0.9, 0.99])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 8])
+    def test_match_per_draw_solve(self, p, rho, shared):
+        n, reps = 30, 200
+        chol = np.linalg.cholesky((1.0 - rho) * np.eye(p) + rho)
+        means, c = sample_mean_chol(substream(37, (p, int(100 * rho))), None, chol, n, reps)
+        if shared:
+            c = np.sqrt(n - 1) * chol[..., None]  # the convexity probe's one factor
+        rows = np.broadcast_to(np.moveaxis(c, -1, 0), (reps, p, p))
+        s = np.broadcast_to(factor_variances(c, n), (p, reps))
+        want_s = np.diagonal(rows @ np.swapaxes(rows, 1, 2), axis1=1, axis2=2).T / (n - 1)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(s - want_s) <= 2 * p * eps * want_s)
+        want_t2, _, want_hi = bracket(means.T, rows, n)
+        t2 = n * (n - 1) * forward_sq_norm(means, c)
+        # The triangular solve and LU on the same factor each err by a few
+        # ulps times its condition number.
+        rtol = 4 * p * eps * np.linalg.cond(rows)
+        assert np.all(np.abs(t2 - want_t2) <= rtol * want_t2)
+        # Every draw with a negative coordinate keeps the bracket's upper end.
+        r_hi = powerlab._orthant_residual(
+            np.sqrt(n) * means, c, n, t2, s, {stats.UIT_ORTHANT}, -np.inf, -np.inf
+        )
+        assert np.any(r_hi > 0.0) and np.all((r_hi > 0.0) == (means < 0.0).any(axis=0))
+        assert np.all(np.abs(r_hi - want_hi) <= rtol * want_hi)
 
 
 class TestT2Oracle:
@@ -946,15 +980,16 @@ class TestBatchMatchesScalar:
         rng = substream(17, (p, int(per_draw_cov)))
         chol = np.linalg.cholesky(random_correlation_matrix(rng, p))
         theta = np.linspace(-0.3, 0.5, p)
-        means, c = sample_mean_chol(rng, theta, chol, n, reps)
+        draw = sample_mean_chol(rng, theta, chol, n, reps)
         if not per_draw_cov:
-            c = c[0]
+            draw = draw[0], draw[1][..., :1]
+        means, c = row_major(draw)
         covs = factor_cov(c, n)
         families = set(self.SCALAR) | {stats.FUIT}
-        values = _batch_values(means, c, n, families)
+        values = _batch_values(*draw, n, families)
         assert set(values) == families
         for i in range(reps):
-            s = make_summary(means[i], covs[i] if per_draw_cov else covs, n=n)
+            s = make_summary(means[i], covs[i] if per_draw_cov else covs[0], n=n)
             # Every statistic of a draw is at most its T2 value.  An empty
             # active set gives q_proj = t2 - q_res, a rounding residual of
             # about 1e-17 in place of 0, so errors are taken relative to T2.
@@ -993,8 +1028,8 @@ class TestBatchMatchesScalar:
 
         monkeypatch.setattr(powerlab, "forward_sq_norm", spy)
         rng = np.random.default_rng(3)
-        means, c = rng.standard_normal((30, 3)), np.linalg.cholesky(np.eye(3) + 0.2)
-        pending = np.sqrt(12) * means[~(means > 0.0).all(axis=1)]
+        means, c = rng.standard_normal((3, 30)), np.linalg.cholesky(np.eye(3) + 0.2)[..., None]
+        pending = np.sqrt(12) * means[:, ~(means > 0.0).all(axis=0)]
         every = sorted(self.SCALAR) + [stats.FUIT]
         for k in range(1, len(every) + 1):
             for families in combinations(every, k):
