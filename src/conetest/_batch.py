@@ -5,6 +5,14 @@ across many draws at once.  Randomness comes from counter-based Philox
 substreams keyed by ``(seed, stream index)``, so a computation split into
 fixed-size chunks gives identical results regardless of how many workers
 process the chunks.
+
+The power lab's samplers (``sample_mean_chol``, ``sample_compound_null``)
+and statistic kernels hold draws component-major: means as (p, reps) and
+scatter factors as (p, p, reps), so each coordinate is one contiguous
+vector over the draws and a kernel is a few elementwise ufuncs over p
+rows.  The orthant classifier, ``sample_mean_cov``,
+``sample_invwishart_chol`` and the ``batch_*`` wrappers are row-major:
+(reps, p) and (reps, p, p).
 """
 
 from concurrent.futures import ThreadPoolExecutor
