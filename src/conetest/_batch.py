@@ -6,11 +6,13 @@ substreams keyed by ``(seed, stream index)``, so a computation split into
 fixed-size chunks gives identical results regardless of how many workers
 process the chunks.
 
-The power lab's samplers (``sample_mean_chol``, ``sample_compound_null``)
-and statistic kernels hold draws component-major: means as (p, reps) and
-scatter factors as (p, p, reps), so each coordinate is one contiguous
-vector over the draws and a kernel is a few elementwise ufuncs over p
-rows.  The orthant classifier, ``sample_mean_cov``,
+The power lab's sampler (``standard_draw``, then ``scaled_draw`` by one
+covariance factor or by per-draw factors such as the prior draws of
+``sample_invwishart_chol``) and statistic kernels hold draws
+component-major: means as (p, reps) and scatter factors as (p, p, reps),
+so each coordinate is one contiguous vector over the draws and a kernel
+is a few elementwise ufuncs over p rows.  The orthant classifier,
+``sample_mean_cov``,
 ``sample_invwishart_chol`` and the ``batch_*`` wrappers are row-major:
 (reps, p) and (reps, p, p).
 """
@@ -78,30 +80,25 @@ def keyed_chunk(seed, key, chunk, task):
         raise
 
 
-def _count_cells(seed, cells, total, chunk, workers):
-    """Summed per-chunk counts of each Monte-Carlo cell, in the order of ``cells``.
+def _count_cells(seed, key, count, total, chunk, workers):
+    """Summed per-chunk counts of the Monte-Carlo cell on stream key ``key``.
 
-    ``cells`` holds ``(key, count)`` pairs.  A cell's ``total`` draws are
-    split into fixed chunks of ``chunk``; chunk ``j`` calls ``count(rng,
-    reps)`` on the substream ``key + (j,)`` of ``seed``, which draws and
-    returns an integer or an array of integers.  Every (cell, chunk) task
-    goes to one :func:`run_chunks` call, so the cells share one pool; the
-    sums do not depend on ``workers``.  A cell of no draws has no chunks and
+    The cell's ``total`` draws are split into fixed chunks of ``chunk``;
+    chunk ``j`` calls ``count(rng, reps)`` on the substream ``key + (j,)``
+    of ``seed``, which draws and returns an integer or an array of
+    integers.  The chunks go to one :func:`run_chunks` pool, and the sum
+    does not depend on ``workers``.  A cell of no draws has no chunks and
     counts 0.  A :class:`SolverError` names its replay key
     (:func:`keyed_chunk`).  Private, so wrappers installed on this module's
     public functions (as by ``bench/tracer.py``) see that call as made from
     the caller's layer.
     """
     sizes = chunk_sizes(total, chunk)
-    tasks = [(key, count, j) for key, count in cells for j in range(len(sizes))]
 
-    def worker(t):
-        key, count, j = tasks[t]
+    def worker(j):
         return keyed_chunk(seed, key, j, lambda rng: count(rng, sizes[j]))
 
-    counts = run_chunks(worker, len(tasks), workers)
-    per_cell = len(sizes)
-    return [np.sum(counts[i * per_cell:(i + 1) * per_cell], axis=0) for i in range(len(cells))]
+    return np.sum(run_chunks(worker, len(sizes), workers), axis=0)
 
 
 def _bartlett(rng, dfs, reps):
@@ -403,13 +400,3 @@ def sample_invwishart_chol(rng, scale, df, reps):
     q = np.swapaxes(tril_stack(_bartlett(rng, df - np.arange(p), reps), p), 1, 2)[:, ::-1, ::-1]
     q_inv = forward_solve(factor_major(q), np.eye(p)[..., None])
     return np.linalg.cholesky(scale) @ np.ascontiguousarray(np.moveaxis(q_inv, -1, 0))
-
-
-def sample_compound_null(rng, scale, df, n, reps):
-    """Means and scatter factors of the compound null of the Bayes calibration.
-
-    Draws ``G`` by :func:`sample_invwishart_chol`, then ``(means, c)`` by
-    :func:`sample_mean_chol` with ``chol_sigma = G``, on the same stream.
-    Returns component-major arrays of shapes (p, reps) and (p, p, reps).
-    """
-    return sample_mean_chol(rng, None, sample_invwishart_chol(rng, scale, df, reps), n, reps)

@@ -198,7 +198,7 @@ def check_draw_count(count, name):
 def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
     """Monte-Carlo size frequencies of ``N(0, corr)`` in the fixed metric ``corr``, as weights.
 
-    One cell of ``_count_cells`` in chunks of ``DEFAULT_CHUNK`` on the substreams ``(stream, i)``.
+    One ``_count_cells`` cell in chunks of ``DEFAULT_CHUNK`` on the substreams ``(stream, i)``.
     """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
@@ -210,7 +210,7 @@ def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
         y = rng.standard_normal((reps, p)) @ chol.T
         return np.bincount(orthant_active_set(y, corr)[0].sum(axis=1), minlength=p + 1)
 
-    [counts] = _count_cells(seed, [((stream,), count)], mc_samples, DEFAULT_CHUNK, workers)
+    counts = _count_cells(seed, (stream,), count, mc_samples, DEFAULT_CHUNK, workers)
     w = counts / mc_samples
     se = np.sqrt(w * (1.0 - w) / mc_samples)
     return MixtureWeights(weights=w, std_errors=se, method=MONTE_CARLO, mc_samples=mc_samples)

@@ -19,15 +19,13 @@ import numpy as np
 from . import calibrate, stats
 from ._batch import (
     _count_cells,
-    chunk_sizes,
     factor_cov,
     factor_variances,
     forward_sq_norm,
     halfspace_residual,
     orthant_active_set,
     projection_norm,
-    sample_compound_null,
-    sample_mean_chol,
+    sample_invwishart_chol,
     scaled_draw,
     standard_draw,
     substream,
@@ -49,8 +47,8 @@ SIM_CHUNK = 10000
 
 # Leading substream indices per consumer, so stream keys never collide (the
 # calibration module's fixed-metric weights use 10 for chi-bar, 11 for Bayes).
-# The power grid draws chunk j on (2, j) for every (sigma, theta) cell; the
-# similarity cells use (4, i, j), the prior cell (4, 999, j).
+# The power grid draws chunk j on (2, j) for every (sigma, theta) cell, and
+# the similarity probe on (4, j) for every covariance and the prior draws.
 _STREAM_POWER = 2
 _STREAM_CONVEXITY = 3
 _STREAM_SIMILARITY = 4
@@ -324,23 +322,29 @@ def _rejections(masks):
     return [mask.sum() for mask in masks]
 
 
-def _grid_views(n, p, sigmas, thetas):
+def _grid_views(n, p, sigmas, thetas, prior=None):
     """``views(rng, reps)`` of one standard draw at every (sigma, theta) cell.
 
     ``sigmas`` holds ``(sigma_id, chol)`` pairs.  Each chunk draws ``(z, A)``
     once (:func:`standard_draw`); the views, sigma-major, give each cell
     ``xbar = theta + L z / sqrt(n)`` and ``c = L A`` for the factor ``L`` of
-    its sigma, so every cell sees the same random numbers.  ``c`` and the
-    means of ``L z`` are formed once per sigma, when its views are reached.
-    The draw is let go once the last sigma's are formed, so a grid of one
-    sigma holds no more while it is scored than :func:`sample_mean_chol`'s
-    draw would.
+    its sigma, so every cell sees the same random numbers.  With an
+    inverse-Wishart ``prior``, the chunk then draws per-draw prior factors
+    ``G`` (:func:`sample_invwishart_chol`), scored last as the sigma
+    ``prior_draws`` with ``L = G``: the compound null of the Bayes
+    calibration.  ``c`` and the means of ``L z`` are formed once per sigma,
+    when its views are reached.  The draw is let go once the last sigma's
+    are formed, so a grid of one sigma holds no more while it is scored than
+    :func:`sample_mean_chol`'s draw would.
     """
     def views(rng, reps):
         draw = standard_draw(rng, p, n, reps)
-        for i, (sigma_id, chol) in enumerate(sigmas, 1):
+        factors = list(sigmas)
+        if prior is not None:
+            factors.append(("prior_draws", sample_invwishart_chol(rng, prior.scale, prior.df, reps)))
+        for i, (sigma_id, chol) in enumerate(factors, 1):
             means, c = scaled_draw(*draw, chol, n)
-            if i == len(sigmas):
+            if i == len(factors):
                 del draw
             for theta in thetas:
                 yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta[:, None], c
@@ -348,56 +352,41 @@ def _grid_views(n, p, sigmas, thetas):
     return views
 
 
-def _count_rejections(cfg, tests, cells, tally):
-    """Summed counts of every view of each ``(key, views)`` of ``cells``, in order.
+def _grid_counts(cfg, key, sigmas, thetas, tests, tally, prior=None):
+    """``(sigma_id, theta, counts)`` for each (sigma, theta) cell, in order.
 
-    ``views(rng, reps)`` draws a chunk and yields its views, ``(cell,
-    means, c)`` triples with ``cell`` a dict naming the view and the draw
-    component-major (:func:`_batch_values`); all views of a chunk are
-    scored on its one draw.  ``tests`` holds ``(family, critical
-    value)`` pairs; the orthant kernel skips draws that the residual bracket
-    decides against the smallest and the largest orthant critical value.
-    ``tally`` maps a view's rejection masks, in test order, to its counts.
-    A :class:`SolverError` names its view's ``cell`` beside the replay key.
+    One Monte-Carlo cell on stream key ``key``: chunk ``j`` draws once on
+    ``key + (j,)`` and scores that draw at every (sigma, theta) view
+    (:func:`_grid_views`, which adds the sigma ``prior_draws`` after
+    ``sigmas`` when a ``prior`` is given).  ``sigmas`` holds ``(sigma_id,
+    matrix)`` pairs.  ``tests`` holds ``(family, critical value)`` pairs;
+    each family is computed once per view, and the orthant kernel skips
+    draws that the residual bracket decides against the smallest and the
+    largest orthant critical value.  ``tally`` maps a view's rejection
+    masks, in test order, to its counts.  A :class:`SolverError` names its
+    view beside the replay key.
     """
     families = {family for family, _ in tests}
     orthant = [cv for family, cv in tests if family in stats.ORTHANT_FAMILIES]
     low, high = min(orthant, default=-np.inf), max(orthant, default=np.inf)
-
-    def counter(views):
-        def count(rng, reps):
-            counts = []
-            for cell, means, c in views(rng, reps):
-                try:
-                    values = _batch_values(means, c, cfg.n, families, low, high)
-                except SolverError as err:
-                    err.add_context(**cell)
-                    raise
-                counts.append(tally([values[family] >= cv for family, cv in tests]))
-            return np.array(counts)
-
-        return count
-
-    cells = [(key, counter(views)) for key, views in cells]
-    totals = _count_cells(cfg.seed, cells, cfg.replications, SIM_CHUNK, cfg.workers)
-    return [view for total in totals for view in total]
-
-
-def _grid_counts(cfg, sigmas, tests, tally):
-    """``(sigma_id, theta, counts)`` for each (sigma, theta) cell of ``cfg``, in order.
-
-    One Monte-Carlo cell on stream key ``(2,)``: chunk ``j`` draws once on
-    ``(2, j)`` and scores that draw at every cell (:func:`_grid_views`).
-    """
     chols = [(sigma_id, np.linalg.cholesky(sigma)) for sigma_id, sigma in sigmas]
-    views = _grid_views(cfg.n, cfg.p, chols, cfg.theta_grid)
-    counts = _count_rejections(cfg, tests, [((_STREAM_POWER,), views)], tally)
-    labels = [
-        (sigma_id, tuple(float(v) for v in theta))
-        for sigma_id, _ in sigmas
-        for theta in cfg.theta_grid
-    ]
-    return [label + (total,) for label, total in zip(labels, counts)]
+    views = _grid_views(cfg.n, cfg.p, chols, thetas, prior)
+
+    def count(rng, reps):
+        counts = []
+        for cell, means, c in views(rng, reps):
+            try:
+                values = _batch_values(means, c, cfg.n, families, low, high)
+            except SolverError as err:
+                err.add_context(**cell)
+                raise
+            counts.append(tally([values[family] >= cv for family, cv in tests]))
+        return np.array(counts)
+
+    totals = _count_cells(cfg.seed, key, count, cfg.replications, SIM_CHUNK, cfg.workers)
+    sigma_ids = [sigma_id for sigma_id, _ in sigmas] + (["prior_draws"] if prior is not None else [])
+    labels = [(sigma_id, tuple(float(v) for v in theta)) for sigma_id in sigma_ids for theta in thetas]
+    return [label + (total,) for label, total in zip(labels, totals)]
 
 
 def simulate_power(cfg):
@@ -412,7 +401,8 @@ def simulate_power(cfg):
     criticals = {plan.label: _resolve_critical(plan, cfg) for plan in cfg.tests}
     tests = [(plan.family, criticals[plan.label]) for plan in cfg.tests]
     rows = []
-    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, tests, _rejections):
+    grid = _grid_counts(cfg, (_STREAM_POWER,), sigmas, cfg.theta_grid, tests, _rejections)
+    for sigma_id, theta, counts in grid:
         for plan, total in zip(cfg.tests, counts):
             rate, se = _rate(total, cfg.replications)
             rows.append(
@@ -495,7 +485,8 @@ def domination_experiment(cfg):
     reps = cfg.replications
     rows = []
     flagged = []
-    for sigma_id, theta, counts in _grid_counts(cfg, sigmas, tests, _pair_counts):
+    grid = _grid_counts(cfg, (_STREAM_POWER,), sigmas, cfg.theta_grid, tests, _pair_counts)
+    for sigma_id, theta, counts in grid:
         for name, pair_counts in zip(_PAIRS, counts):
             no, nh, gain, viol = (int(v) for v in pair_counts)
             if viol:
@@ -673,9 +664,8 @@ def _midpoint_violations(family, c, trials, seed, n, p):
         values = _batch_values(mid, factor, n, {family}, threshold, threshold)
         return np.sum(values[family] > threshold)
 
-    cells = [((_STREAM_CONVEXITY,), count)]
-    (violations,) = _count_cells(seed, cells, trials, _CONVEXITY_BLOCK, 1)
-    return int(violations), len(chunk_sizes(trials, _CONVEXITY_BLOCK))
+    violations = _count_cells(seed, (_STREAM_CONVEXITY,), count, trials, _CONVEXITY_BLOCK, 1)
+    return int(violations), -(-trials // _CONVEXITY_BLOCK)
 
 
 @dataclass
@@ -697,28 +687,24 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     compound null (covariance drawn from the prior) and reports its rate,
     which matches the level: the Bayes weights, drawn at the prior scale,
     are the size probabilities of that null.
+
+    One Monte-Carlo cell on stream key ``(4,)``: every chunk is drawn once
+    and scored under each covariance and then the prior draws
+    (:func:`_grid_views`), so the rows are paired and adding a covariance
+    leaves the other rows unchanged.
     """
     plan = TestPlan(family, calibration, prior=prior)
     critical = _resolve_critical(plan, cfg)
-
-    def one_view(sigma_id, sample, *args):
-        """Views of a cell of its own: the draw ``sample(rng, *args, n, reps)``."""
-        return lambda rng, reps: [({"sigma_id": sigma_id}, *sample(rng, *args, cfg.n, reps))]
-
-    # Row labels and (stream key, views) cells of one view each, drawn at
-    # theta = 0; the prior cell uses stream cell 999.
-    labels, cells = [], []
-    for i, sigma in enumerate(sigma_list or ()):
-        chol = np.linalg.cholesky(check_positive_definite(sigma, f"sigma[{i}]"))
-        labels.append(f"sigma{i}")
-        cells.append(((_STREAM_SIMILARITY, i), one_view(labels[-1], sample_mean_chol, None, chol)))
-    if calibration == "bayes":
-        labels.append("prior_draws")
-        views = one_view(labels[-1], sample_compound_null, prior.scale, prior.df)
-        cells.append(((_STREAM_SIMILARITY, 999), views))
-    totals = _count_rejections(cfg, [(family, critical)], cells, _rejections)
+    sigmas = [
+        (f"sigma{i}", check_positive_definite(sigma, f"sigma[{i}]"))
+        for i, sigma in enumerate(sigma_list or ())
+    ]
+    grid = _grid_counts(
+        cfg, (_STREAM_SIMILARITY,), sigmas, (np.zeros(cfg.p),), [(family, critical)], _rejections,
+        prior if calibration == "bayes" else None,
+    )
     rows = []
-    for sigma_id, (total,) in zip(labels, totals):
+    for sigma_id, _, (total,) in grid:
         rate, se = _rate(total, cfg.replications)
         rows.append({"sigma_id": sigma_id, "rate": rate, "std_error": se})
     return SimilarityReport(

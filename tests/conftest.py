@@ -5,6 +5,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conetest._batch import sample_invwishart_chol, scaled_draw, standard_draw
+
 
 @pytest.fixture
 def rng():
@@ -28,6 +30,17 @@ def row_major(draw):
     """Row-major ``(means, c)``, (reps, p) and (reps, p, p), of a component-major draw."""
     means, c = draw
     return np.ascontiguousarray(means.T), np.ascontiguousarray(np.moveaxis(c, -1, 0))
+
+
+def compound_null(rng, scale, df, n, reps):
+    """Component-major means and scatter factors of the Bayes compound null.
+
+    Drawn in the order of the power lab's ``prior_draws`` view: the chunk's
+    standard draw ``(z, A)``, then the prior factors ``G`` with ``G G' ~
+    InvWishart(scale, df)``, scored as ``xbar = G z / sqrt(n)`` and ``c = G A``.
+    """
+    z, a = standard_draw(rng, scale.shape[0], n, reps)
+    return scaled_draw(z, a, sample_invwishart_chol(rng, scale, df, reps), n)
 
 
 def two_pass_mean_cov(data):

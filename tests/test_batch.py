@@ -25,7 +25,6 @@ from conetest._batch import (
     forward_solve,
     forward_sq_norm,
     orthant_active_set,
-    sample_compound_null,
     sample_invwishart_chol,
     sample_mean_chol,
     sample_mean_cov,
@@ -35,7 +34,7 @@ from conetest._batch import (
     tril_stack,
 )
 
-from conftest import random_correlation, row_major
+from conftest import compound_null, random_correlation, row_major
 
 # Shapes of the law checks: small n - 1 makes a Bartlett degree-of-freedom
 # slip of one a visible fraction of every diagonal entry.
@@ -243,17 +242,18 @@ def inverse_invwishart_chol(rng, scale, df, reps):
 
 
 def inverse_compound_null(rng, scale, df, n, reps):
-    """The compound-null draw that ``sample_compound_null`` replaced, row-major."""
-    return row_major(sample_mean_chol(rng, None, inverse_invwishart_chol(rng, scale, df, reps), n, reps))
+    """The compound-null draw by the inverse-based factors, same draws as ``compound_null``, row-major."""
+    z, a = standard_draw(rng, scale.shape[0], n, reps)
+    return row_major(scaled_draw(z, a, inverse_invwishart_chol(rng, scale, df, reps), n))
 
 
 def extended_compound_null(rng, scale, df, n, reps):
-    """``chol(scale) Q^{-1} [z, B]`` of ``sample_compound_null`` in long double, same draws."""
+    """``chol(scale) Q^{-1} [z, B]`` of ``compound_null`` in long double, same draws."""
     ld = np.longdouble
     p = scale.shape[0]
-    q = np.swapaxes(tril_stack(_bartlett(rng, df - np.arange(p), reps), p), 1, 2)[:, ::-1, ::-1].astype(ld)
     z = rng.standard_normal((reps, p)).astype(ld)
     rhs = np.concatenate([z[..., None], tril_stack(_bartlett(rng, n - 1 - np.arange(p), reps), p)], axis=2)
+    q = np.swapaxes(tril_stack(_bartlett(rng, df - np.arange(p), reps), p), 1, 2)[:, ::-1, ::-1].astype(ld)
     w = np.zeros(rhs.shape, dtype=ld)
     for i in range(p):
         dot = np.sum(q[:, i, :i, None] * w[:, :i, :], axis=1)
@@ -315,14 +315,14 @@ class TestForwardSolve:
 
 
 class TestCompoundNull:
-    """``sample_compound_null`` against the inverse-based draw on the same substream."""
+    """The compound-null draw (``conftest.compound_null``) against the inverse-based draw on the same substream."""
 
     @pytest.mark.parametrize("cond", [1.0, 1e3, 1e6])
     @pytest.mark.parametrize("p", range(1, 13))
     def test_matches_inverse_reference(self, p, cond):
         n, reps, df = 2 * p + 10, 2000, p + 4.0
         scale = scaled_correlation(np.random.default_rng([54, p, int(np.log10(cond))]), p, cond)
-        draw = row_major(sample_compound_null(substream(55, p), scale, df, n, reps))
+        draw = row_major(compound_null(substream(55, p), scale, df, n, reps))
         ref = inverse_compound_null(substream(55, p), scale, df, n, reps)
         assert draw[0].shape == (reps, p) and draw[1].shape == (reps, p, p)
         assert block_error(draw, ref, n) <= 1e-13
@@ -346,7 +346,7 @@ class TestCompoundNull:
         # condition number sqrt(cond), which sets the bound.
         n, reps, df = 2 * p + 10, 500, p + 4.0
         scale = conditioned_cov(np.random.default_rng([58, p, int(np.log10(cond))]), p, cond)
-        draw = row_major(sample_compound_null(substream(59, p), scale, df, n, reps))
+        draw = row_major(compound_null(substream(59, p), scale, df, n, reps))
         exact = extended_compound_null(substream(59, p), scale, df, n, reps)
         rtol = 1e-13 + 4.0 * np.finfo(float).eps * np.sqrt(cond)
         assert block_error(draw, [a.astype(float) for a in exact], n) <= rtol
@@ -429,5 +429,4 @@ class TestCandidateMask:
 
 def test_cell_of_no_draws_counts_zero():
     # No chunks, so no count is called.
-    counts = _batch._count_cells(1, [((0,), None), ((1,), None)], 0, 100, 2)
-    assert [float(c) for c in counts] == [0.0, 0.0]
+    assert float(_batch._count_cells(1, (0,), None, 0, 100, 2)) == 0.0

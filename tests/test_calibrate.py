@@ -28,13 +28,12 @@ from conetest._batch import (
     chunk_sizes,
     factor_cov,
     orthant_active_set,
-    sample_compound_null,
     sample_mean_cov,
     substream,
 )
 from conetest.calibrate import CLOSED_FORM, MONTE_CARLO
 
-from conftest import random_correlation, random_pd_matrix, row_major
+from conftest import compound_null, random_correlation, random_pd_matrix, row_major
 from test_sample import make_summary
 
 
@@ -368,14 +367,15 @@ def compound_null_counts(n, prior, mc_samples, seed):
 
     The covariance is drawn from the prior, then the mean and scatter of
     ``n`` null-normal rows given it, and each draw is classified in its own
-    sample covariance.  This was the Bayes weight estimator, on the same
-    substreams ``(11, chunk)``, before it drew at the prior scale.
+    sample covariance.  This was the Bayes weight estimator before it drew
+    at the prior scale; it draws on the same substreams ``(11, chunk)``, in
+    the order of the power lab's prior view (``conftest.compound_null``).
     """
     p = prior.scale.shape[0]
     counts = np.zeros(p + 1, dtype=int)
     for chunk, reps in enumerate(chunk_sizes(mc_samples, DEFAULT_CHUNK)):
         rng = substream(seed, (11, chunk))
-        means, c = row_major(sample_compound_null(rng, prior.scale, prior.df, n, reps))
+        means, c = row_major(compound_null(rng, prior.scale, prior.df, n, reps))
         free, _ = orthant_active_set(np.sqrt(n) * means, factor_cov(c, n))
         counts += np.bincount(free.sum(axis=1), minlength=p + 1)
     return counts

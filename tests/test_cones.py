@@ -20,12 +20,11 @@ from conetest._batch import (
     batch_orthant,
     factor_cov,
     orthant_active_set,
-    sample_compound_null,
     substream,
 )
 from conetest.sample import qualifying_subsets
 
-from conftest import kkt_enumeration_projection, random_pd_matrix, row_major
+from conftest import compound_null, kkt_enumeration_projection, random_pd_matrix, row_major
 
 
 class TestOrthantProjection:
@@ -165,7 +164,7 @@ def least_index_reference(y, metric):
 
 def bayes_draws(p, reps, seed):
     """Scaled means and covariances of the Bayes compound null at n = 60, prior df p + 4."""
-    means, c = row_major(sample_compound_null(substream(seed, p), np.eye(p), p + 4.0, 60, reps))
+    means, c = row_major(compound_null(substream(seed, p), np.eye(p), p + 4.0, 60, reps))
     return np.sqrt(60) * means, factor_cov(c, 60)
 
 
