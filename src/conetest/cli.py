@@ -15,6 +15,7 @@ takes its seed from its config only.
 """
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -94,10 +95,20 @@ def build_manifest(command, inputs, seed, resolved_config):
     }
 
 
+@contextlib.contextmanager
+def _output(path, what, **kwargs):
+    """``path`` open for writing; an ``OSError`` is a :class:`DataError` naming it."""
+    try:
+        with open(path, "w", encoding="utf-8", **kwargs) as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"cannot write {what} {path}: {exc}") from exc
+
+
 def emit_report(report, out_path):
     text = json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with _output(out_path, "report") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -529,7 +540,7 @@ def cmd_simulate(args):
     body["config"] = raw
     emit_report({"manifest": manifest, "result": body}, args.out)
     if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as fh:
+        with _output(args.csv, "CSV file", newline="") as fh:
             writer = csv.writer(fh)
             if rows:
                 keys = sorted(rows[0])

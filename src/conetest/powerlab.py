@@ -199,9 +199,9 @@ def resolve_sigmas(source, p, seed):
     else:
         rng = substream(seed, (12, 0))
         mats = [random_correlation_matrix(rng, p) for _ in range(source.count)]
-    for m in mats:
+    for i, m in enumerate(mats):
         if m.shape != (p, p):
-            raise DataError(f"sigma has shape {m.shape}, expected ({p}, {p})")
+            raise DataError(f"sigma[{i}] has shape {m.shape}, expected ({p}, {p})")
     return [(f"sigma{i}", m) for i, m in enumerate(mats)]
 
 
@@ -626,8 +626,10 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
         raise DataError(f"unknown region {region!r}")
     if region == LRT_ORTHANT_ACCEPTANCE and p != 2:
         raise DataError("the likelihood-ratio witness search runs at p = 2")
-    if trials < 0:
-        raise DataError(f"trials must be >= 0, got {trials}")
+    integer = isinstance(trials, (int, np.integer)) and not isinstance(trials, bool)
+    if not (integer and 0 <= trials <= calibrate.MAX_SIZE):
+        raise DataError("trials must be an integer from 0 to 2**53")
+    trials = int(trials)
     family = _REGION_FAMILIES[region]
     c = calibrate.sup_critical_value(family, alpha, n, p).value
     metadata = {"n": n, "p": p, "alpha": alpha, "critical": c, "seed": seed}
@@ -686,7 +688,9 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     level.  With ``calibration="bayes"`` the probe also simulates the
     compound null (covariance drawn from the prior) and reports its rate,
     which matches the level: the Bayes weights, drawn at the prior scale,
-    are the size probabilities of that null.
+    are the size probabilities of that null.  Each covariance must be a
+    ``(p, p)`` positive definite matrix, checked as :func:`resolve_sigmas`
+    does; the list may be empty only with ``bayes``.
 
     One Monte-Carlo cell on stream key ``(4,)``: every chunk is drawn once
     and scored under each covariance and then the prior draws
@@ -695,10 +699,9 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     """
     plan = TestPlan(family, calibration, prior=prior)
     critical = _resolve_critical(plan, cfg)
-    sigmas = [
-        (f"sigma{i}", check_positive_definite(sigma, f"sigma[{i}]"))
-        for i, sigma in enumerate(sigma_list or ())
-    ]
+    if not sigma_list and calibration != "bayes":
+        raise DataError("similarity_probe needs a covariance, or a prior with bayes calibration")
+    sigmas = resolve_sigmas(SigmaSource.sequence(sigma_list), cfg.p, cfg.seed) if sigma_list else []
     grid = _grid_counts(
         cfg, (_STREAM_SIMILARITY,), sigmas, (np.zeros(cfg.p),), [(family, critical)], _rejections,
         prior if calibration == "bayes" else None,

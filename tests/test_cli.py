@@ -557,6 +557,24 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "requires --prior-scale and --prior-df" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("env", [False, True], ids=["flag", "CONETEST_OUT"])
+    def test_unwritable_report_is_3(self, tmp_path, monkeypatch, capsys, env):
+        out = tmp_path / "missing" / "r.json"
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "30", "--p", "3"]
+        if env:
+            monkeypatch.setenv("CONETEST_OUT", str(out))
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == 3
+        assert f"cannot write report {out}" in capsys.readouterr().err
+
+    def test_unwritable_csv_is_3(self, tmp_path, capsys):
+        cfg = TestCmdSimulate.write_config(tmp_path)
+        csv_out = tmp_path / "missing" / "sim.csv"
+        argv = ["simulate", "--config", str(cfg), "--out", str(tmp_path / "sim.json"), "--csv", str(csv_out)]
+        assert main(argv) == 3
+        assert f"cannot write CSV file {csv_out}" in capsys.readouterr().err
+
     def test_dimension_error_is_3(self, tmp_path, rng):
         # n <= p: 3 rows, 4 columns.
         path = tmp_path / "wide.csv"

@@ -447,6 +447,17 @@ class TestOneCountingPath:
         with pytest.raises(DataError, match="trials"):
             convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=-1, seed=4, n=12, p=2)
 
+    @pytest.mark.parametrize("trials", [10**400, 2**53 + 1, True, 2.5, "3", None])
+    def test_trials_must_be_an_integer_up_to_2_53(self, trials):
+        # Refused before any draw: no OverflowError from the chunk sizes,
+        # no bool counted as one pair, no TypeError from a float.
+        with pytest.raises(DataError, match=r"trials must be an integer from 0 to 2\*\*53"):
+            convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=trials, seed=4, n=12, p=2)
+
+    def test_numpy_integer_trials_accepted(self):
+        rep = convexity_probe(UIT_HALFSPACE_ACCEPTANCE, trials=np.int64(10001), seed=4, n=12, p=2)
+        assert type(rep.pairs_tested) is int and rep.metadata["covariances_probed"] == 2
+
     def test_unknown_region_rejected(self):
         with pytest.raises(DataError, match="unknown region"):
             convexity_probe("T2_acceptance", trials=10, seed=4, n=12, p=2)
@@ -593,6 +604,16 @@ class TestSimilarity:
         one, grown = rows([high]), rows([high, low])
         assert grown[0] == one[0] and grown[-1] == one[-1] != grown[1]
         assert rows([])[0] == one[-1]
+
+    def test_no_covariance_needs_bayes(self):
+        with pytest.raises(DataError, match="needs a covariance"):
+            similarity_probe(stats.UIT_HALFSPACE, "sup", [], small_config())
+
+    @pytest.mark.parametrize("sigma", [np.eye(3), 2.0 * np.eye(1)], ids=["p3", "p1"])
+    def test_sigma_of_wrong_dimension_rejected(self, sigma):
+        cfg = small_config(replications=2000)
+        with pytest.raises(DataError, match=r"sigma\[1\] has shape"):
+            similarity_probe(stats.UIT_ORTHANT, "sup", [np.eye(2), sigma], cfg)
 
 
 def unscreened(monkeypatch):
