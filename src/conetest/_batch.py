@@ -12,9 +12,8 @@ covariance factor or by per-draw factors such as the prior draws of
 component-major: means as (p, reps) and scatter factors as (p, p, reps),
 so each coordinate is one contiguous vector over the draws and a kernel
 is a few elementwise ufuncs over p rows.  The orthant classifier,
-``sample_mean_cov``,
-``sample_invwishart_chol`` and the ``batch_*`` wrappers are row-major:
-(reps, p) and (reps, p, p).
+``sample_mean_cov``, ``sample_invwishart_chol`` and the ``batch_*``
+wrappers are row-major: (reps, p) and (reps, p, p).
 """
 
 from concurrent.futures import ThreadPoolExecutor

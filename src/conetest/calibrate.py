@@ -198,7 +198,7 @@ def check_draw_count(count, name):
 def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
     """Monte-Carlo size frequencies of ``N(0, corr)`` in the fixed metric ``corr``, as weights.
 
-    One ``_count_cells`` cell in chunks of ``DEFAULT_CHUNK`` on the substreams ``(stream, i)``.
+    One cell of ``_count_cells`` in chunks of ``DEFAULT_CHUNK`` on the substreams ``(stream, i)``.
     """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
