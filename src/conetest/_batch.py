@@ -22,7 +22,21 @@ import numpy as np
 
 from .exceptions import SolverError
 
-DEFAULT_CHUNK = 16384
+# Draws per Monte-Carlo chunk; the chunking fixes the random streams.  Work
+# is parallel over chunks, so a run of at most CHUNK draws uses one worker.
+CHUNK = 10000
+# Chunks handed to one run_chunks call; memory is O(ROUND) whatever the count.
+ROUND = 64
+
+# Stream key of each Monte-Carlo consumer.  Chunk j of a cell draws on its
+# key + (j,); the last two draw on one substream each.  The witness key is
+# chunk 10 001 of the convexity cell; the two never run in one probe.
+POWER_KEY = (2,)  # the power grid: simulate_power, domination_experiment
+CONVEXITY_KEY = (3,)  # the union-intersection convexity probe
+LRT_WITNESS_KEY = (3, 10_001)  # the likelihood-ratio witness search
+SIMILARITY_KEY = (4,)  # similarity_probe
+WEIGHTS_KEY = (10,)  # Monte-Carlo chi-bar and Bayes weights
+CORRELATIONS_KEY = (12, 0)  # random_correlation sigma sources
 
 # Active-set steps allowed per draw: max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN).
 ITER_CAP_PER_DIM = 10
@@ -49,14 +63,6 @@ def substream(seed, key):
     return np.random.Generator(np.random.Philox(seq))
 
 
-def chunk_sizes(total, chunk):
-    """Fixed partition of ``total`` draws into chunks (worker independent)."""
-    out = [chunk] * (total // chunk)
-    if total % chunk:
-        out.append(total % chunk)
-    return out
-
-
 def run_chunks(worker, n_chunks, workers=1):
     """Evaluate ``worker(i)`` for each chunk index, preserving chunk order."""
     if workers <= 1 or n_chunks <= 1:
@@ -65,39 +71,36 @@ def run_chunks(worker, n_chunks, workers=1):
         return list(pool.map(worker, range(n_chunks)))
 
 
-def keyed_chunk(seed, key, chunk, task):
-    """``task(rng)`` on the substream ``key + (chunk,)`` of ``seed``.
-
-    A :class:`SolverError` raised by ``task`` leaves with its replay key:
-    ``details`` gains ``seed``, ``stream_key`` and ``chunk`` beside the
-    solver's ``draw`` index within the chunk, and the message names them.
-    """
-    try:
-        return task(substream(seed, key + (chunk,)))
-    except SolverError as err:
-        err.add_context(seed=int(seed), stream_key=list(key), chunk=int(chunk))
-        raise
-
-
-def _count_cells(seed, key, count, total, chunk, workers):
+def _count_cells(seed, key, count, total, workers):
     """Summed per-chunk counts of the Monte-Carlo cell on stream key ``key``.
 
-    The cell's ``total`` draws are split into fixed chunks of ``chunk``;
+    The cell's ``total`` draws are split into fixed chunks of ``CHUNK``;
     chunk ``j`` calls ``count(rng, reps)`` on the substream ``key + (j,)``
     of ``seed``, which draws and returns an integer or an array of
-    integers.  The chunks go to one :func:`run_chunks` pool, and the sum
+    integers.  The chunks go to :func:`run_chunks` in rounds of ``ROUND``,
+    in chunk order, so memory does not grow with ``total`` and the sum
     does not depend on ``workers``.  A cell of no draws has no chunks and
-    counts 0.  A :class:`SolverError` names its replay key
-    (:func:`keyed_chunk`).  Private, so wrappers installed on this module's
-    public functions (as by ``bench/tracer.py``) see that call as made from
-    the caller's layer.
+    counts 0.  A :class:`SolverError` raised by ``count`` leaves with its
+    replay key: ``details`` gains ``seed``, ``stream_key`` and ``chunk``
+    beside the solver's ``draw`` index within the chunk, and the message
+    names them.  Private, so wrappers installed on this module's public
+    functions (as by ``bench/tracer.py``) see that call as made from the
+    caller's layer.
     """
-    sizes = chunk_sizes(total, chunk)
+    n_chunks = -(-total // CHUNK)
 
     def worker(j):
-        return keyed_chunk(seed, key, j, lambda rng: count(rng, sizes[j]))
+        try:
+            return count(substream(seed, key + (j,)), min(CHUNK, total - j * CHUNK))
+        except SolverError as err:
+            err.add_context(seed=int(seed), stream_key=list(key), chunk=j)
+            raise
 
-    return np.sum(run_chunks(worker, len(sizes), workers), axis=0)
+    counts = 0
+    for start in range(0, n_chunks, ROUND):
+        chunks = run_chunks(lambda i: worker(start + i), min(ROUND, n_chunks - start), workers)
+        counts = counts + np.sum(chunks, axis=0)
+    return counts
 
 
 def _bartlett(rng, dfs, reps):

@@ -29,19 +29,20 @@ def as_float_matrix(x, name="x"):
     return x
 
 
-def check_symmetric(m, name="matrix", rtol=SYMMETRY_RTOL):
+def check_symmetric(m, name="matrix", rtol=SYMMETRY_RTOL, error=MetricError):
     m = as_float_matrix(m, name)
     if m.shape[0] != m.shape[1]:
         raise DataError(f"{name} must be square, got shape {m.shape}")
     if np.abs(m - m.T).max() > rtol * float(np.abs(m).max()):
-        raise MetricError(f"{name} is not symmetric within tolerance {rtol}")
+        raise error(f"{name} is not symmetric within tolerance {rtol}")
     return 0.5 * (m + m.T)
 
 
-def check_positive_definite(m, name="matrix"):
-    m = check_symmetric(m, name)
+def check_positive_definite(m, name="matrix", error=MetricError):
+    """Symmetrized ``m``, else ``error`` (``DataError`` for a user's matrix)."""
+    m = check_symmetric(m, name, error=error)
     if not is_positive_definite(m):
-        raise MetricError(f"{name} is not positive definite")
+        raise error(f"{name} is not positive definite")
     return m
 
 

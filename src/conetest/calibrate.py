@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import betainccinv, betaincinv, betaln
 
 from . import stats
-from ._batch import DEFAULT_CHUNK, _count_cells, orthant_active_set
+from ._batch import WEIGHTS_KEY, _count_cells, orthant_active_set
 from ._linalg import check_positive_definite, read_only
 from .dist import g_ratio_tail, g_star_tail, student_t_upper_quantile
 from .exceptions import CalibrationError, DataError, MetricError
@@ -95,7 +95,7 @@ class PriorSpec:
         if self.kind == "inverse_wishart":
             if self.scale is None or self.df is None:
                 raise DataError("inverse_wishart prior needs a scale matrix and df")
-            scale = check_positive_definite(self.scale, "prior scale")
+            scale = check_positive_definite(self.scale, "prior scale", error=DataError)
             p = scale.shape[0]
             if not p - 1 < float(self.df) < np.inf:
                 raise DataError(
@@ -153,7 +153,10 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
 
     ``weights[k]`` is the probability that the active subset has cardinality
     ``k`` for a centered normal vector with covariance ``sigma``; it depends
-    on ``sigma`` only through its correlation matrix.
+    on ``sigma`` only through its correlation matrix ``R``.  Monte-Carlo
+    weights are the size frequencies of ``y ~ N(0, R)`` classified in the
+    metric ``R``, one cell of ``_count_cells`` on stream key ``WEIGHTS_KEY``,
+    with their standard errors.
 
     Parameters
     ----------
@@ -177,43 +180,30 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     if method in ("auto", CLOSED_FORM) and p <= 3:
         w = _closed_form_weights(corr)
         return MixtureWeights(weights=w, std_errors=np.zeros(p + 1), method=CLOSED_FORM, mc_samples=0)
-    return _fixed_metric_weights(corr, mc_samples, seed, 10, workers)
-
-
-def check_draw_count(count, name):
-    """``count`` as an int, or a :class:`DataError` unless ``1 <= count <= MAX_SIZE``.
-
-    Refused before any draw.  Up to ``2**53`` every count and the rate
-    ``count / replications`` are exact in floating point; past it,
-    ``chunk_sizes`` would overflow or build a list too long to hold.  Counts
-    far below the cap can still build a chunk list that does not fit in
-    memory, one entry per chunk.
-    """
-    count = int(count)
-    if not 1 <= count <= MAX_SIZE:
-        raise DataError(f"{name} must be at least 1 and at most 2**53")
-    return count
-
-
-def _fixed_metric_weights(corr, mc_samples, seed, stream, workers):
-    """Monte-Carlo size frequencies of ``N(0, corr)`` in the fixed metric ``corr``, as weights.
-
-    One cell of ``_count_cells`` in chunks of ``DEFAULT_CHUNK`` on the substreams ``(stream, i)``.
-    """
     if seed is None:
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
     mc_samples = check_draw_count(mc_samples, "mc_samples")
-    p = corr.shape[0]
     chol = np.linalg.cholesky(corr)
 
     def count(rng, reps):
         y = rng.standard_normal((reps, p)) @ chol.T
         return np.bincount(orthant_active_set(y, corr)[0].sum(axis=1), minlength=p + 1)
 
-    counts = _count_cells(seed, (stream,), count, mc_samples, DEFAULT_CHUNK, workers)
-    w = counts / mc_samples
+    w = _count_cells(seed, WEIGHTS_KEY, count, mc_samples, workers) / mc_samples
     se = np.sqrt(w * (1.0 - w) / mc_samples)
     return MixtureWeights(weights=w, std_errors=se, method=MONTE_CARLO, mc_samples=mc_samples)
+
+
+def check_draw_count(count, name):
+    """``count`` as an int, or a :class:`DataError` unless ``1 <= count <= MAX_SIZE``.
+
+    Refused before any draw.  Up to ``2**53`` every count and the rate
+    ``count / replications`` are exact in floating point.
+    """
+    count = int(count)
+    if not 1 <= count <= MAX_SIZE:
+        raise DataError(f"{name} must be at least 1 and at most 2**53")
+    return count
 
 
 # Each family's null tail is a mixture of branch tails over the
@@ -450,9 +440,8 @@ def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, work
     law are the chi-bar weights of the prior scale, ``b1(k) = w(p, k;
     scale)``, whatever ``n > p`` and ``df > p - 1`` are (Kudo 1963 with the
     block independence of the Wishart law; see the README), so they do not
-    depend on ``n`` or on ``df``.  They are estimated as the Monte-Carlo
-    size frequencies of ``N(0, corr(scale))`` classified in that fixed
-    metric, on the substreams ``(11, i)``, with their standard errors.
+    depend on ``n`` or on ``df``.  They are :func:`chi_bar_weights`'
+    Monte-Carlo estimate at the prior scale, with its standard errors.
     """
     n, p = int(n), int(p)
     if n <= p:
@@ -461,7 +450,9 @@ def bayes_weights_b1(n, p, prior, mc_samples=DEFAULT_MC_SAMPLES, seed=None, work
         raise CalibrationError("weight estimation requires a proper inverse-Wishart prior")
     if prior.scale.shape[0] != p:
         raise DataError("prior scale dimension disagrees with p")
-    return _fixed_metric_weights(_correlation_from(prior.scale), mc_samples, seed, 11, workers)
+    return chi_bar_weights(
+        prior.scale, method=MONTE_CARLO, mc_samples=mc_samples, seed=seed, workers=workers
+    )
 
 
 def bayes_critical_value(family, alpha, n, p, weights):

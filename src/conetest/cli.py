@@ -542,11 +542,10 @@ def cmd_simulate(args):
     if args.csv:
         with _output(args.csv, "CSV file", newline="") as fh:
             writer = csv.writer(fh)
-            if rows:
-                keys = sorted(rows[0])
-                writer.writerow(keys)
-                for row in rows:
-                    writer.writerow([row[k] for k in keys])
+            keys = sorted(rows[0])
+            writer.writerow(keys)
+            for row in rows:
+                writer.writerow([row[k] for k in keys])
     if args.out:
         print(f"{experiment}: {len(rows)} rows -> {args.out}")
     return 0

@@ -18,6 +18,12 @@ import numpy as np
 
 from . import calibrate, stats
 from ._batch import (
+    CHUNK,
+    CONVEXITY_KEY,
+    CORRELATIONS_KEY,
+    LRT_WITNESS_KEY,
+    POWER_KEY,
+    SIMILARITY_KEY,
     _count_cells,
     factor_cov,
     factor_variances,
@@ -41,18 +47,6 @@ from .stats import (
     UIT_ORTHANT,
 )
 
-# Draws per Monte-Carlo chunk; the chunking fixes the random streams.  Work
-# is parallel over chunks, so a run of at most SIM_CHUNK draws uses one worker.
-SIM_CHUNK = 10000
-
-# Leading substream indices per consumer, so stream keys never collide (the
-# calibration module's fixed-metric weights use 10 for chi-bar, 11 for Bayes).
-# The power grid draws chunk j on (2, j) for every (sigma, theta) cell, and
-# the similarity probe on (4, j) for every covariance and the prior draws.
-_STREAM_POWER = 2
-_STREAM_CONVEXITY = 3
-_STREAM_SIMILARITY = 4
-
 
 @dataclass(frozen=True)
 class SigmaSource:
@@ -67,7 +61,7 @@ class SigmaSource:
             if not self.matrices:
                 raise DataError("sequence sigma source needs at least one matrix")
             mats = tuple(
-                check_positive_definite(m, f"sigma[{i}]")
+                check_positive_definite(m, f"sigma[{i}]", error=DataError)
                 for i, m in enumerate(self.matrices)
             )
             object.__setattr__(self, "matrices", mats)
@@ -144,6 +138,8 @@ class ExperimentConfig:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise DataError(f"seed must be a nonnegative integer, got {seed!r}")
         thetas = tuple(np.asarray(t, dtype=float) for t in self.theta_grid)
+        if not thetas:
+            raise DataError("theta_grid must hold at least one theta")
         for t in thetas:
             if t.shape != (self.p,):
                 raise DataError(f"theta {t} has wrong dimension")
@@ -197,7 +193,7 @@ def resolve_sigmas(source, p, seed):
     if source.kind == "sequence":
         mats = [np.asarray(m) for m in source.matrices]
     else:
-        rng = substream(seed, (12, 0))
+        rng = substream(seed, CORRELATIONS_KEY)
         mats = [random_correlation_matrix(rng, p) for _ in range(source.count)]
     for i, m in enumerate(mats):
         if m.shape != (p, p):
@@ -383,7 +379,7 @@ def _grid_counts(cfg, key, sigmas, thetas, tests, tally, prior=None):
             counts.append(tally([values[family] >= cv for family, cv in tests]))
         return np.array(counts)
 
-    totals = _count_cells(cfg.seed, key, count, cfg.replications, SIM_CHUNK, cfg.workers)
+    totals = _count_cells(cfg.seed, key, count, cfg.replications, cfg.workers)
     sigma_ids = [sigma_id for sigma_id, _ in sigmas] + (["prior_draws"] if prior is not None else [])
     labels = [(sigma_id, tuple(float(v) for v in theta)) for sigma_id in sigma_ids for theta in thetas]
     return [label + (total,) for label, total in zip(labels, totals)]
@@ -401,7 +397,7 @@ def simulate_power(cfg):
     criticals = {plan.label: _resolve_critical(plan, cfg) for plan in cfg.tests}
     tests = [(plan.family, criticals[plan.label]) for plan in cfg.tests]
     rows = []
-    grid = _grid_counts(cfg, (_STREAM_POWER,), sigmas, cfg.theta_grid, tests, _rejections)
+    grid = _grid_counts(cfg, POWER_KEY, sigmas, cfg.theta_grid, tests, _rejections)
     for sigma_id, theta, counts in grid:
         for plan, total in zip(cfg.tests, counts):
             rate, se = _rate(total, cfg.replications)
@@ -485,7 +481,7 @@ def domination_experiment(cfg):
     reps = cfg.replications
     rows = []
     flagged = []
-    grid = _grid_counts(cfg, (_STREAM_POWER,), sigmas, cfg.theta_grid, tests, _pair_counts)
+    grid = _grid_counts(cfg, POWER_KEY, sigmas, cfg.theta_grid, tests, _pair_counts)
     for sigma_id, theta, counts in grid:
         for name, pair_counts in zip(_PAIRS, counts):
             no, nh, gain, viol = (int(v) for v in pair_counts)
@@ -549,9 +545,6 @@ _REGION_FAMILIES = {
 
 _WITNESS_CAP = 1_000_000
 
-# Midpoint pairs per drawn covariance of the union-intersection probe.
-_CONVEXITY_BLOCK = 10_000
-
 
 def _member_means(family, c, n, p, chol, rng, count):
     """Means inside the acceptance slice for a fixed covariance factor ``chol``, (p, members).
@@ -579,7 +572,7 @@ def _search_lrt_witness(c, n, seed):
     def lrt(x):
         return float(_batch_values(x[:, None], c_unit, n, {LRT_ORTHANT}, c)[LRT_ORTHANT][0])
 
-    rng = substream(seed, (_STREAM_CONVEXITY, 10_001))
+    rng = substream(seed, LRT_WITNESS_KEY)
     attempts = 0
     while attempts < _WITNESS_CAP:
         attempts += 1
@@ -647,8 +640,8 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
 def _midpoint_violations(family, c, trials, seed, n, p):
     """Midpoints outside the acceptance slice of ``family``, and the covariances drawn.
 
-    One Monte-Carlo cell on stream key ``(3,)``: block ``j`` of
-    ``_CONVEXITY_BLOCK`` pairs draws a covariance, its members and its pairs.
+    One Monte-Carlo cell on stream key ``CONVEXITY_KEY``: chunk ``j`` of
+    ``CHUNK`` pairs draws a covariance, its members and its pairs.
     """
 
     def count(rng, pairs):
@@ -666,8 +659,8 @@ def _midpoint_violations(family, c, trials, seed, n, p):
         values = _batch_values(mid, factor, n, {family}, threshold, threshold)
         return np.sum(values[family] > threshold)
 
-    violations = _count_cells(seed, (_STREAM_CONVEXITY,), count, trials, _CONVEXITY_BLOCK, 1)
-    return int(violations), -(-trials // _CONVEXITY_BLOCK)
+    violations = _count_cells(seed, CONVEXITY_KEY, count, trials, 1)
+    return int(violations), -(-trials // CHUNK)
 
 
 @dataclass
@@ -692,8 +685,8 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     ``(p, p)`` positive definite matrix, checked as :func:`resolve_sigmas`
     does; the list may be empty only with ``bayes``.
 
-    One Monte-Carlo cell on stream key ``(4,)``: every chunk is drawn once
-    and scored under each covariance and then the prior draws
+    One Monte-Carlo cell on stream key ``SIMILARITY_KEY``: every chunk is
+    drawn once and scored under each covariance and then the prior draws
     (:func:`_grid_views`), so the rows are paired and adding a covariance
     leaves the other rows unchanged.
     """
@@ -703,7 +696,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
         raise DataError("similarity_probe needs a covariance, or a prior with bayes calibration")
     sigmas = resolve_sigmas(SigmaSource.sequence(sigma_list), cfg.p, cfg.seed) if sigma_list else []
     grid = _grid_counts(
-        cfg, (_STREAM_SIMILARITY,), sigmas, (np.zeros(cfg.p),), [(family, critical)], _rejections,
+        cfg, SIMILARITY_KEY, sigmas, (np.zeros(cfg.p),), [(family, critical)], _rejections,
         prior if calibration == "bayes" else None,
     )
     rows = []

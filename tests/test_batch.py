@@ -429,4 +429,4 @@ class TestCandidateMask:
 
 def test_cell_of_no_draws_counts_zero():
     # No chunks, so no count is called.
-    assert float(_batch._count_cells(1, (0,), None, 0, 100, 2)) == 0.0
+    assert float(_batch._count_cells(1, (0,), None, 0, 2)) == 0.0

@@ -24,8 +24,6 @@ from conetest import (
 )
 from conetest import calibrate, stats
 from conetest._batch import (
-    DEFAULT_CHUNK,
-    chunk_sizes,
     factor_cov,
     orthant_active_set,
     sample_mean_cov,
@@ -334,15 +332,15 @@ class TestBayesWeights:
     @pytest.mark.parametrize(
         "p, n, seed, counts",
         [
-            (3, 20, 1101, [795, 4925, 9170, 5110]),
-            (8, 60, 1102, [0, 19, 170, 801, 2556, 5091, 6107, 4100, 1156]),
-            (12, 60, 1103, [0, 0, 4, 13, 86, 378, 1200, 2743, 4430, 5226, 3852, 1730, 338]),
+            (3, 20, 1101, [808, 4801, 9217, 5174]),
+            (8, 60, 1102, [1, 12, 143, 748, 2579, 5182, 6132, 4041, 1162]),
+            (12, 60, 1103, [0, 0, 1, 18, 74, 415, 1211, 2693, 4469, 5224, 3879, 1694, 322]),
         ],
     )
     def test_stream_pinned(self, p, n, seed, counts):
-        # Size counts of 20 000 draws (two chunks) as recorded with the
-        # fixed-metric draw at the prior scale's correlation, which replaced
-        # the compound-null draw.  A deliberate change of the Bayes stream
+        # Size counts of 20 000 draws (two chunks) as recorded once the
+        # Bayes weights became chi_bar_weights' estimate at the prior scale,
+        # on the weights' stream key.  A deliberate change of that stream
         # updates these numbers and says so in the change log.
         d = np.linspace(0.5, 2.0, p)
         scale = 0.6 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p))) * np.outer(d, d)
@@ -362,19 +360,28 @@ class TestBayesWeights:
             PriorSpec.inverse_wishart(np.eye(3), 1.5)
 
 
+# The compound-null oracle's own stream and chunking: the substreams and the
+# 16384-draw chunks of the Bayes estimator it once was, kept apart from the
+# library's Monte-Carlo plan so that it stays independent of it.
+ORACLE_STREAM = 11
+ORACLE_CHUNK = 16384
+
+
 def compound_null_counts(n, prior, mc_samples, seed):
     """Active-subset size counts of the compound inverse-Wishart null.
 
     The covariance is drawn from the prior, then the mean and scatter of
     ``n`` null-normal rows given it, and each draw is classified in its own
     sample covariance.  This was the Bayes weight estimator before it drew
-    at the prior scale; it draws on the same substreams ``(11, chunk)``, in
-    the order of the power lab's prior view (``conftest.compound_null``).
+    at the prior scale; it draws chunk ``j`` on the substream
+    ``(ORACLE_STREAM, j)``, in the order of the power lab's prior view
+    (``conftest.compound_null``).
     """
     p = prior.scale.shape[0]
     counts = np.zeros(p + 1, dtype=int)
-    for chunk, reps in enumerate(chunk_sizes(mc_samples, DEFAULT_CHUNK)):
-        rng = substream(seed, (11, chunk))
+    for chunk, start in enumerate(range(0, mc_samples, ORACLE_CHUNK)):
+        rng = substream(seed, (ORACLE_STREAM, chunk))
+        reps = min(ORACLE_CHUNK, mc_samples - start)
         means, c = row_major(compound_null(rng, prior.scale, prior.df, n, reps))
         free, _ = orthant_active_set(np.sqrt(n) * means, factor_cov(c, n))
         counts += np.bincount(free.sum(axis=1), minlength=p + 1)
@@ -429,19 +436,15 @@ class TestBayesWeightsAtPriorScale:
                 assert np.array_equal(w.weights, ref.weights)
                 assert np.array_equal(w.std_errors, ref.std_errors)
 
-    def test_is_fixed_metric_draw_on_stream_11(self):
-        p, m, seed = 4, 5000, 8
+    def test_is_chi_bar_estimate_at_the_prior_scale(self):
+        p, m, seed = 4, 25_000, 8
         scale = random_pd_matrix(np.random.default_rng(6), p)
-        corr = calibrate._correlation_from(scale)
-        w = bayes_weights_b1(10, p, PriorSpec.inverse_wishart(scale, 6.0), m, seed, workers=2)
-        for workers in (1, 2):
-            fixed = calibrate._fixed_metric_weights(corr, m, seed, 11, workers)
-            assert np.array_equal(w.weights, fixed.weights)
-        # Stream 10 is chi_bar_weights' own estimate of the same law.
         chi_bar = chi_bar_weights(scale, method=MONTE_CARLO, mc_samples=m, seed=seed)
-        fixed = calibrate._fixed_metric_weights(corr, m, seed, 10, 1)
-        assert np.array_equal(fixed.weights, chi_bar.weights)
-        assert not np.array_equal(w.weights, chi_bar.weights)
+        for workers in (1, 2):
+            w = bayes_weights_b1(10, p, PriorSpec.inverse_wishart(scale, 6.0), m, seed, workers=workers)
+            assert np.array_equal(w.weights, chi_bar.weights)
+            assert np.array_equal(w.std_errors, chi_bar.std_errors)
+            assert (w.method, w.mc_samples) == (MONTE_CARLO, m)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_monte_carlo_block_at_every_p(self, p):

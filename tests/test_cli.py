@@ -575,6 +575,38 @@ class TestExitCodes:
         assert main(argv) == 3
         assert f"cannot write CSV file {csv_out}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "matrix", [[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.0, 1.0]]], ids=["indefinite", "asymmetric"]
+    )
+    @pytest.mark.parametrize("source", ["simulate-sigma", "simulate-prior", "test-prior", "calibrate-prior"])
+    def test_matrix_not_positive_definite_is_3(self, tmp_path, rng, monkeypatch, capsys, source, matrix):
+        # A matrix the user supplies is bad input, refused before any draw.
+        def forbidden(*args):
+            raise AssertionError("no Monte-Carlo chunk may run")
+
+        monkeypatch.setattr(_batch, "run_chunks", forbidden)
+        bayes = ["--calibration", "bayes", "--prior-df", "6", "--seed", "1"]
+        scale = tmp_path / "g.csv"
+        write_csv(scale, np.array(matrix))
+        if source == "simulate-sigma":
+            cfg = TestCmdSimulate.write_config(tmp_path, sigma={"kind": "fixed", "matrix": matrix})
+            argv, name = ["simulate", "--config", str(cfg)], "sigma[0]"
+        elif source == "simulate-prior":
+            tests = [{"family": "UIT_orthant", "calibration": "bayes", "prior": {"scale": matrix, "df": 6}}]
+            cfg = TestCmdSimulate.write_config(tmp_path, tests=tests)
+            argv, name = ["simulate", "--config", str(cfg)], "prior scale"
+        elif source == "test-prior":
+            data = tmp_path / "d.csv"
+            write_csv(data, rng.standard_normal((12, 2)) + 0.5)
+            argv = ["test", "--data", str(data), "--family", "uit", "--prior-scale", str(scale)] + bayes
+            name = "prior scale"
+        else:
+            argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
+                    "--prior-scale", str(scale)] + bayes
+            name = "prior scale"
+        assert main(argv) == 3
+        assert f"data error: {name} is not" in capsys.readouterr().err
+
     def test_dimension_error_is_3(self, tmp_path, rng):
         # n <= p: 3 rows, 4 columns.
         path = tmp_path / "wide.csv"
@@ -865,6 +897,17 @@ class TestCmdSimulate:
         cfg = self.write_config(tmp_path, **overrides)
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("experiment", ["power", "domination"])
+    def test_empty_theta_grid_is_data_error(self, tmp_path, capsys, monkeypatch, experiment):
+        # Refused before any draw, not a run that reports zero rows.
+        def forbidden(*args):
+            raise AssertionError("no Monte-Carlo chunk may run")
+
+        monkeypatch.setattr(_batch, "run_chunks", forbidden)
+        cfg = self.write_config(tmp_path, experiment=experiment, theta_grid=[])
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert "theta_grid must hold at least one theta" in capsys.readouterr().err
 
     def test_domination_demo_is_the_same_at_every_worker_count(self, tmp_path):
         # Parallelism is over chunks; the demo's 20000 draws are two of them.

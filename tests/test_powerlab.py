@@ -128,7 +128,7 @@ class TestConfigValidation:
 class TestSimulatePower:
     def test_deterministic_across_workers(self, monkeypatch):
         # Small chunks so every cell spans several chunks and the pool runs.
-        monkeypatch.setattr(powerlab, "SIM_CHUNK", 1500)
+        monkeypatch.setattr(_batch, "CHUNK", 1500)
         prior = PriorSpec.inverse_wishart(np.eye(2), 6.0)
         theta_grid = (np.zeros(2), np.array([0.3, 0.1]))
         high = np.array([[1.0, 0.8], [0.8, 1.0]])
@@ -152,9 +152,10 @@ class TestSimulatePower:
         The counts fix every stream key (the power grid's one draw per
         chunk, and the similarity probe's, scored under each covariance and
         then the prior draws) and the chunking: 20 003 draws are three
-        chunks, the last of three draws.  A deliberate
-        change of the random streams updates these numbers and says so in
-        the change log.
+        chunks, the last of three draws.  The similarity probe's Bayes
+        critical value comes from Monte-Carlo weights, so its counts fix the
+        weights' stream too.  A deliberate change of the random streams
+        updates these numbers and says so in the change log.
         """
         cfg = small_config(
             n=10,
@@ -186,7 +187,7 @@ class TestSimulatePower:
         ]
         prior = PriorSpec.inverse_wishart(np.eye(2), 5.0)
         sim = similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)
-        assert counts(r["rate"] for r in sim.rows) == [2024, 1997]
+        assert counts(r["rate"] for r in sim.rows) == [2020, 1992]
 
     def test_null_halfspace_rate_near_alpha(self):
         cfg = small_config(
@@ -291,7 +292,7 @@ class TestOnePoolPerExperiment:
             return run_chunks(worker, n_chunks, workers)
 
         monkeypatch.setattr(_batch, "run_chunks", spy)
-        monkeypatch.setattr(powerlab, "SIM_CHUNK", 1500)
+        monkeypatch.setattr(_batch, "CHUNK", 1500)
         sigma = np.array([[1.0, 0.35], [0.35, 1.0]])
         thetas = ([0.0, 0.0], [0.2, 0.2], [0.5, 0.1], [0.4, 0.4], [0.9, 0.0])
 
@@ -318,7 +319,7 @@ class TestOnePoolPerExperiment:
         # sigma1's cell at theta = 0.
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
-        monkeypatch.setattr(powerlab, "SIM_CHUNK", 500)
+        monkeypatch.setattr(_batch, "CHUNK", 500)
         sigmas = [np.eye(2), np.array([[1.0, -0.9], [-0.9, 1.0]])]
         cfg = small_config(
             replications=1500,
@@ -466,6 +467,75 @@ class TestOneCountingPath:
         monkeypatch.setattr(powerlab, "_member_means", lambda *args: np.zeros((2, 1)))
         with pytest.raises(ConeTestError, match="1 member means"):
             convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=10, seed=4, n=12, p=2)
+
+
+class TestBoundedRounds:
+    """``_count_cells`` hands chunks to ``run_chunks`` in rounds of ``ROUND``."""
+
+    @staticmethod
+    def reports(workers):
+        prior = PriorSpec.inverse_wishart(np.array([[1.0, 0.4], [0.4, 2.0]]), 5.0)
+        scale = np.eye(4) + 0.3
+        cfg = small_config(
+            replications=25_000,
+            sigma_source=SigmaSource.random_correlation(2),
+            theta_grid=(np.zeros(2), np.array([0.3, 0.1])),
+            workers=workers,
+        )
+        return [
+            dataclasses.asdict(simulate_power(cfg)),
+            dataclasses.asdict(domination_experiment(cfg)),
+            dataclasses.asdict(similarity_probe(stats.UIT_ORTHANT, "bayes", [np.eye(2)], cfg, prior=prior)),
+            dataclasses.asdict(convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=25_000, seed=3, n=15, p=2)),
+            calibrate.chi_bar_weights(scale, "monte_carlo", mc_samples=25_000, seed=4, workers=workers),
+            calibrate.bayes_weights_b1(
+                9, 4, PriorSpec.inverse_wishart(scale, 6.0), mc_samples=25_000, seed=5, workers=workers
+            ),
+        ]
+
+    def test_rounds_change_no_result(self, monkeypatch):
+        # 25 000 draws are three chunks: one round, or two rounds of at most two.
+        one_round = [self.reports(workers) for workers in (1, 2, 3)]
+        calls = []
+
+        def spy(worker, n_chunks, workers=1):
+            calls.append(n_chunks)
+            return run_chunks(worker, n_chunks, workers)
+
+        monkeypatch.setattr(_batch, "run_chunks", spy)
+        monkeypatch.setattr(_batch, "ROUND", 2)
+        for workers, reference in zip((1, 2, 3), one_round):
+            calls.clear()
+            rounds = self.reports(workers)
+            assert rounds[:4] == reference[:4]
+            for got, want in zip(rounds[4:], reference[4:]):
+                assert np.array_equal(got.weights, want.weights)
+            # The similarity probe first estimates its Bayes weights, a cell
+            # of 200 000 draws (20 chunks), then counts on its grid.
+            assert calls == [2, 1] * 2 + [2] * 10 + [2, 1] * 4
+
+    @pytest.mark.parametrize("experiment", ["power", "convexity", "weights"])
+    def test_first_call_holds_one_round(self, monkeypatch, experiment):
+        # 10**9 draws are 10**5 chunks; the spy stops the run at the first
+        # call, before any chunk is drawn.
+        class Stop(Exception):
+            pass
+
+        calls = []
+
+        def spy(worker, n_chunks, workers=1):
+            calls.append(n_chunks)
+            raise Stop
+
+        monkeypatch.setattr(_batch, "run_chunks", spy)
+        with pytest.raises(Stop):
+            if experiment == "power":
+                simulate_power(small_config(replications=10**9, workers=2))
+            elif experiment == "convexity":
+                convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=10**9, seed=3, n=15, p=2)
+            else:
+                calibrate.chi_bar_weights(np.eye(4), "monte_carlo", mc_samples=10**9, seed=1)
+        assert calls == [_batch.ROUND]
 
 
 class TestDomination:
@@ -695,7 +765,7 @@ class TestT2Screen:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_screen_changes_no_count(self, monkeypatch, workers):
         # Chunks of 1000 draws, so two workers share every cell.
-        monkeypatch.setattr(powerlab, "SIM_CHUNK", 1000)
+        monkeypatch.setattr(_batch, "CHUNK", 1000)
         calls = classified_spy(monkeypatch)
         bracketed = self.reports(workers)
         classified = sum(calls)
@@ -748,7 +818,7 @@ class TestT2Screen:
         )
         simulate_power(cfg)
         assert len(calls) == 6 * 2
-        assert max(calls) < 0.05 * powerlab.SIM_CHUNK
+        assert max(calls) < 0.05 * _batch.CHUNK
 
     def test_capped_draw_names_its_row_and_replays(self, monkeypatch):
         # A one-step cap fails every classified draw that needs a second
@@ -756,7 +826,7 @@ class TestT2Screen:
         # and the error names the failed draw by its row of the chunk.
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
-        monkeypatch.setattr(powerlab, "SIM_CHUNK", 500)
+        monkeypatch.setattr(_batch, "CHUNK", 500)
         sigma = np.array([[1.0, -0.9], [-0.9, 1.0]])
         cfg = small_config(replications=1000, seed=78, sigma_source=SigmaSource.fixed(sigma))
         with pytest.raises(SolverError, match=r"seed 78, stream key \[2\], chunk 0") as err:
