@@ -21,7 +21,7 @@ from . import stats
 from ._batch import WEIGHTS_KEY, _count_cells, orthant_active_set
 from ._linalg import check_positive_definite, read_only
 from .dist import g_ratio_tail, g_star_tail, student_t_upper_quantile
-from .exceptions import CalibrationError, DataError, MetricError
+from .exceptions import CalibrationError, DataError, MetricError, SolverError
 
 CLOSED_FORM = "closed_form"
 MONTE_CARLO = "monte_carlo"
@@ -148,6 +148,49 @@ def _closed_form_weights(corr):
     return w
 
 
+def _blocks(corr):
+    """Connected components of the exact nonzero pattern of a correlation, as index arrays.
+
+    Indices ``i`` and ``j`` share a block when a chain of nonzero entries
+    links them; any nonzero value links, however small.  Blocks come in the
+    order of their smallest index, each sorted.
+    """
+    linked = corr != 0.0
+    seen = np.zeros(len(corr), dtype=bool)
+    blocks = []
+    for i in range(len(corr)):
+        if seen[i]:
+            continue
+        block = linked[i]
+        while True:
+            grown = linked[block].any(axis=0)
+            if np.array_equal(grown, block):
+                break
+            block = grown
+        seen |= block
+        blocks.append(np.flatnonzero(block))
+    return blocks
+
+
+def _active_sizes(y, corr, blocks):
+    """Active-set size of each row of ``y`` in the metric ``corr``, summed over ``blocks``.
+
+    Singletons count by sign; each larger block is classified by
+    ``orthant_active_set`` on its columns.  A ``SolverError`` from a block
+    keeps its draw index and names the draw's full row of ``y``.
+    """
+    sizes = np.count_nonzero(y[:, [b[0] for b in blocks if b.size == 1]] > 0.0, axis=1)
+    for b in blocks:
+        if b.size == 1:
+            continue
+        try:
+            sizes += orthant_active_set(y[:, b], corr[np.ix_(b, b)])[0].sum(axis=1)
+        except SolverError as err:
+            err.details["y"] = y[err.details["draw"]].tolist()
+            raise
+    return sizes
+
+
 def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=None, workers=1):
     """Mixture weights of the orthant statistics' null distribution.
 
@@ -157,6 +200,22 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     weights are the size frequencies of ``y ~ N(0, R)`` classified in the
     metric ``R``, one cell of ``_count_cells`` on stream key ``WEIGHTS_KEY``,
     with their standard errors.
+
+    The projection onto the orthant separates across the blocks of ``R``,
+    the connected components of its exact nonzero pattern (:func:`_blocks`),
+    so a draw's active-set size is the sum of its blocks' sizes.  A
+    singleton index is free exactly when ``y_j > 0``, and all singletons are
+    counted by one sign comparison; each block of two or more indices goes
+    through ``orthant_active_set`` on its columns of ``y`` in its own
+    metric.  A dense ``R`` is one block.  The draws, the stream and the
+    standard errors are those of the whole-matrix classification, and so
+    are the sizes but for ties: the kernel's sign tolerance,
+    ``ACTIVE_SET_RTOL`` times the norm of the row it is given, moves a free
+    index with ``0 < y_j <= 1e-10 |y|`` to the complement in a row with a
+    nonpositive coordinate, where the sign rule counts it free, and in a
+    block it scales with the block's part of the row.  That happens with
+    probability about 1e-10 per coordinate.  A ``SolverError`` in a block
+    names the draw's full row of ``y``.
 
     Parameters
     ----------
@@ -184,10 +243,11 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
     mc_samples = check_draw_count(mc_samples, "mc_samples")
     chol = np.linalg.cholesky(corr)
+    blocks = _blocks(corr)
 
     def count(rng, reps):
         y = rng.standard_normal((reps, p)) @ chol.T
-        return np.bincount(orthant_active_set(y, corr)[0].sum(axis=1), minlength=p + 1)
+        return np.bincount(_active_sizes(y, corr, blocks), minlength=p + 1)
 
     w = _count_cells(seed, WEIGHTS_KEY, count, mc_samples, workers) / mc_samples
     se = np.sqrt(w * (1.0 - w) / mc_samples)

@@ -205,6 +205,136 @@ class TestChiBarWeights:
         assert y[d["draw"]].tolist() == d["y"]
 
 
+def block_diagonal(rng, sizes):
+    """Random correlation with diagonal blocks of ``sizes``, its indices permuted.
+
+    Returns the matrix and its blocks as sorted index arrays.
+    """
+    p = sum(sizes)
+    perm = rng.permutation(p)
+    corr = np.zeros((p, p))
+    blocks, start = [], 0
+    for size in sizes:
+        idx = perm[start:start + size]
+        corr[np.ix_(idx, idx)] = random_correlation(rng, size)
+        blocks.append(np.sort(idx))
+        start += size
+    return corr, sorted(blocks, key=lambda b: b[0])
+
+
+def interleaved_p5():
+    """Blocks {1, 3} (correlation 0.6) and {0, 2, 4} (-0.4, 0.3, 0.5) of one p = 5 matrix."""
+    two = corr2(0.6)
+    three = np.array([[1.0, -0.4, 0.3], [-0.4, 1.0, 0.5], [0.3, 0.5, 1.0]])
+    corr = np.zeros((5, 5))
+    corr[np.ix_([1, 3], [1, 3])] = two
+    corr[np.ix_([0, 2, 4], [0, 2, 4])] = three
+    return corr, two, three
+
+
+class TestWeightBlocks:
+    """Monte-Carlo weights classify a block-diagonal correlation block by block."""
+
+    @staticmethod
+    def blocks(corr):
+        return [b.tolist() for b in calibrate._blocks(corr)]
+
+    def test_permuted_pattern(self):
+        corr, blocks = block_diagonal(np.random.default_rng(1), [3, 2, 1, 2])
+        assert self.blocks(corr) == [b.tolist() for b in blocks]
+
+    def test_chain_links_through_a_middle_index(self):
+        corr = np.eye(4)
+        corr[0, 1] = corr[1, 0] = corr[1, 2] = corr[2, 1] = 0.4
+        assert corr[0, 2] == 0.0
+        assert self.blocks(corr) == [[0, 1, 2], [3]]
+        # A path 0 - 4 - 2 - 5 - 1 - 3 takes several steps to grow from 0.
+        path = [0, 4, 2, 5, 1, 3]
+        corr = np.eye(7)
+        for i, j in zip(path, path[1:]):
+            corr[i, j] = corr[j, i] = 0.3
+        assert self.blocks(corr) == [sorted(path), [6]]
+
+    def test_singletons(self):
+        assert self.blocks(np.eye(4)) == [[0], [1], [2], [3]]
+
+    def test_dense_is_one_block(self):
+        assert self.blocks(equicorrelated(5, 0.3)) == [[0, 1, 2, 3, 4]]
+
+    def test_tiny_entry_stays_linked(self):
+        corr = np.eye(3)
+        corr[0, 2] = corr[2, 0] = 1e-300
+        assert self.blocks(corr) == [[0, 2], [1]]
+        assert self.blocks(calibrate._correlation_from(corr)) == [[0, 2], [1]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_sizes_match_the_whole_matrix(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(6):
+            sizes = list(rng.integers(1, 5, size=rng.integers(2, 6)))
+            corr, _ = block_diagonal(rng, sizes)
+            y = rng.standard_normal((2000, corr.shape[0])) @ np.linalg.cholesky(corr).T
+            got = calibrate._active_sizes(y, corr, calibrate._blocks(corr))
+            assert np.array_equal(got, orthant_active_set(y, corr)[0].sum(axis=1))
+
+    @pytest.mark.parametrize("sizes", [[1, 1, 1, 1], [2, 1, 2], [3, 1, 2], [1, 4, 1]])
+    def test_sizes_match_enumeration(self, sizes):
+        from conetest.sample import qualifying_subsets
+
+        rng = np.random.default_rng(len(sizes) + sum(sizes))
+        corr, _ = block_diagonal(rng, sizes)
+        y = rng.standard_normal((150, corr.shape[0])) @ np.linalg.cholesky(corr).T
+        got = calibrate._active_sizes(y, corr, calibrate._blocks(corr))
+        for row, size in zip(y, got):
+            (subset,) = qualifying_subsets(row, corr)
+            assert len(subset) == size
+
+    @pytest.mark.parametrize("p", [4, 8, 12])
+    def test_identity_is_binomial(self, p):
+        m = 200_000
+        w = chi_bar_weights(np.eye(p), method=MONTE_CARLO, mc_samples=m, seed=40 + p)
+        exact = np.array([math.comb(p, k) for k in range(p + 1)]) / 2.0**p
+        assert np.all(np.abs(w.weights - exact) <= 3 * np.sqrt(exact * (1.0 - exact) / m))
+
+    def test_interleaved_blocks_convolve(self):
+        corr, two, three = interleaved_p5()
+        assert self.blocks(corr) == [[0, 2, 4], [1, 3]]
+        exact = np.convolve(calibrate._closed_form_weights(two), calibrate._closed_form_weights(three))
+        m = 200_000
+        w = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=m, seed=51)
+        assert np.all(np.abs(w.weights - exact) <= 3 * np.sqrt(exact * (1.0 - exact) / m))
+
+    def test_worker_count_does_not_change_result(self):
+        corr, _ = block_diagonal(np.random.default_rng(9), [2, 1, 3, 1])
+        w1 = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=60_000, seed=3, workers=1)
+        w2 = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=60_000, seed=3, workers=2)
+        assert np.array_equal(w1.weights, w2.weights)
+        assert np.array_equal(w1.std_errors, w2.std_errors)
+
+    def test_solver_error_in_a_block_names_the_full_row(self, monkeypatch):
+        from conetest import SolverError, _batch
+
+        corr, _, _ = interleaved_p5()
+        calls = []
+
+        def failing(y, metric):
+            # The three-index block fails at draw 7 of its second chunk.
+            calls.append(y.shape[1])
+            if calls.count(3) == 2:
+                raise _batch._draw_error("forced failure", y, 7)
+            return orthant_active_set(y, metric)
+
+        monkeypatch.setattr(calibrate, "orthant_active_set", failing)
+        with pytest.raises(SolverError, match=r"seed 6, stream key \[10\], chunk 1") as err:
+            chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=25_000, seed=6)
+        d = err.value.details
+        assert (d["seed"], d["stream_key"], d["chunk"], d["draw"]) == (6, [10], 1, 7)
+        # The key replays the draw, and the error names its whole row.
+        rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
+        y = rng.standard_normal((10_000, 5)) @ np.linalg.cholesky(corr).T
+        assert d["y"] == y[7].tolist()
+
+
 class TestNullTail:
     def test_statistic_zero_includes_atom(self):
         assert null_tail(stats.UIT_HALFSPACE, 0.0, 20, 3) == 1.0
