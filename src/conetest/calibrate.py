@@ -209,13 +209,11 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     through ``orthant_active_set`` on its columns of ``y`` in its own
     metric.  A dense ``R`` is one block.  The draws, the stream and the
     standard errors are those of the whole-matrix classification, and so
-    are the sizes but for ties: the kernel's sign tolerance,
-    ``ACTIVE_SET_RTOL`` times the norm of the row it is given, moves a free
-    index with ``0 < y_j <= 1e-10 |y|`` to the complement in a row with a
-    nonpositive coordinate, where the sign rule counts it free, and in a
-    block it scales with the block's part of the row.  That happens with
-    probability about 1e-10 per coordinate.  A ``SolverError`` in a block
-    names the draw's full row of ``y``.
+    are the sizes but for one tie case.  In a row with a nonpositive
+    coordinate the kernel moves a free index with ``0 < y_j <=
+    ACTIVE_SET_RTOL |y|`` (1e-10 of the row's norm, or of the block's part
+    of it) to the complement, while the sign rule counts it free.  That has
+    probability about 1e-10 per coordinate.
 
     Parameters
     ----------

