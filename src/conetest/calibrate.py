@@ -148,47 +148,23 @@ def _closed_form_weights(corr):
     return w
 
 
-def _blocks(corr):
-    """Connected components of the exact nonzero pattern of a correlation, as index arrays.
+def _active_sizes(y, corr, single):
+    """Active-set size of each row of ``y`` in the metric ``corr``.
 
-    Indices ``i`` and ``j`` share a block when a chain of nonzero entries
-    links them; any nonzero value links, however small.  Blocks come in the
-    order of their smallest index, each sorted.
+    An index flagged in ``single`` has no nonzero off-diagonal entry and is
+    free exactly when ``y_j > 0``; the other indices are classified together
+    by ``orthant_active_set`` on their columns.  A ``SolverError`` keeps its
+    draw index and names the draw's full row of ``y``.
     """
-    linked = corr != 0.0
-    seen = np.zeros(len(corr), dtype=bool)
-    blocks = []
-    for i in range(len(corr)):
-        if seen[i]:
-            continue
-        block = linked[i]
-        while True:
-            grown = linked[block].any(axis=0)
-            if np.array_equal(grown, block):
-                break
-            block = grown
-        seen |= block
-        blocks.append(np.flatnonzero(block))
-    return blocks
-
-
-def _active_sizes(y, corr, blocks):
-    """Active-set size of each row of ``y`` in the metric ``corr``, summed over ``blocks``.
-
-    Singletons count by sign; each larger block is classified by
-    ``orthant_active_set`` on its columns.  A ``SolverError`` from a block
-    keeps its draw index and names the draw's full row of ``y``.
-    """
-    sizes = np.count_nonzero(y[:, [b[0] for b in blocks if b.size == 1]] > 0.0, axis=1)
-    for b in blocks:
-        if b.size == 1:
-            continue
-        try:
-            sizes += orthant_active_set(y[:, b], corr[np.ix_(b, b)])[0].sum(axis=1)
-        except SolverError as err:
-            err.details["y"] = y[err.details["draw"]].tolist()
-            raise
-    return sizes
+    sizes = np.count_nonzero(y[:, single] > 0.0, axis=1)
+    if single.all():
+        return sizes
+    rest = ~single
+    try:
+        return sizes + orthant_active_set(y[:, rest], corr[np.ix_(rest, rest)])[0].sum(axis=1)
+    except SolverError as err:
+        err.details["y"] = y[err.details["draw"]].tolist()
+        raise
 
 
 def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=None, workers=1):
@@ -202,18 +178,17 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     with their standard errors.
 
     The projection onto the orthant separates across the blocks of ``R``,
-    the connected components of its exact nonzero pattern (:func:`_blocks`),
-    so a draw's active-set size is the sum of its blocks' sizes.  A
-    singleton index is free exactly when ``y_j > 0``, and all singletons are
-    counted by one sign comparison; each block of two or more indices goes
-    through ``orthant_active_set`` on its columns of ``y`` in its own
-    metric.  A dense ``R`` is one block.  The draws, the stream and the
-    standard errors are those of the whole-matrix classification, and so
-    are the sizes but for one tie case.  In a row with a nonpositive
-    coordinate the kernel moves a free index with ``0 < y_j <=
-    ACTIVE_SET_RTOL |y|`` (1e-10 of the row's norm, or of the block's part
-    of it) to the complement, while the sign rule counts it free.  That has
-    probability about 1e-10 per coordinate.
+    so an index with no nonzero off-diagonal entry in ``R`` (a singleton;
+    no tolerance, any nonzero value links) is free exactly when
+    ``y_j > 0``.  All singletons are counted by one sign comparison, and
+    the other indices go through one ``orthant_active_set`` call on their
+    columns of ``y`` in their own metric; a dense ``R`` is one such call.
+    The draws, the stream and the standard errors are those of the
+    whole-matrix classification, and so are the sizes but for one tie case.
+    In a row with a nonpositive coordinate the kernel moves a free index
+    with ``0 < y_j <= ACTIVE_SET_RTOL |y|`` (1e-10 of the row's norm, or of
+    its non-singleton part) to the complement, while the sign rule counts it
+    free.  That has probability about 1e-10 per coordinate.
 
     Parameters
     ----------
@@ -241,11 +216,11 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
         raise CalibrationError("Monte-Carlo weight estimation requires a seed")
     mc_samples = check_draw_count(mc_samples, "mc_samples")
     chol = np.linalg.cholesky(corr)
-    blocks = _blocks(corr)
+    single = np.count_nonzero(corr, axis=1) == 1
 
     def count(rng, reps):
         y = rng.standard_normal((reps, p)) @ chol.T
-        return np.bincount(_active_sizes(y, corr, blocks), minlength=p + 1)
+        return np.bincount(_active_sizes(y, corr, single), minlength=p + 1)
 
     w = _count_cells(seed, WEIGHTS_KEY, count, mc_samples, workers) / mc_samples
     se = np.sqrt(w * (1.0 - w) / mc_samples)

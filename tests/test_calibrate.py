@@ -132,7 +132,7 @@ class TestChiBarWeights:
 
     def test_worker_count_does_not_change_result(self, rng):
         dense = random_correlation(rng, 4)
-        blocks, _ = block_diagonal(np.random.default_rng(9), [2, 1, 3, 1])
+        blocks = block_diagonal(np.random.default_rng(9), [2, 1, 3, 1])
         for sigma in (dense, blocks):
             w1 = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=1)
             for workers in (2, 4):
@@ -209,20 +209,16 @@ class TestChiBarWeights:
 
 
 def block_diagonal(rng, sizes):
-    """Random correlation with diagonal blocks of ``sizes``, its indices permuted.
-
-    Returns the matrix and its blocks as sorted index arrays.
-    """
+    """Random correlation with diagonal blocks of ``sizes``, its indices permuted."""
     p = sum(sizes)
     perm = rng.permutation(p)
     corr = np.zeros((p, p))
-    blocks, start = [], 0
+    start = 0
     for size in sizes:
         idx = perm[start:start + size]
         corr[np.ix_(idx, idx)] = random_correlation(rng, size)
-        blocks.append(np.sort(idx))
         start += size
-    return corr, sorted(blocks, key=lambda b: b[0])
+    return corr
 
 
 def interleaved_p5():
@@ -235,62 +231,51 @@ def interleaved_p5():
     return corr, two, three
 
 
-class TestWeightBlocks:
-    """Monte-Carlo weights classify a block-diagonal correlation block by block."""
+def active_sizes(y, corr):
+    """``calibrate._active_sizes`` with the singletons of ``corr`` flagged."""
+    return calibrate._active_sizes(y, corr, np.count_nonzero(corr, axis=1) == 1)
 
-    @staticmethod
-    def blocks(corr):
-        return [b.tolist() for b in calibrate._blocks(corr)]
 
-    def test_permuted_pattern(self):
-        corr, blocks = block_diagonal(np.random.default_rng(1), [3, 2, 1, 2])
-        assert self.blocks(corr) == [b.tolist() for b in blocks]
-
-    def test_chain_links_through_a_middle_index(self):
-        corr = np.eye(4)
-        corr[0, 1] = corr[1, 0] = corr[1, 2] = corr[2, 1] = 0.4
-        assert corr[0, 2] == 0.0
-        assert self.blocks(corr) == [[0, 1, 2], [3]]
-        # A path 0 - 4 - 2 - 5 - 1 - 3 takes several steps to grow from 0.
-        path = [0, 4, 2, 5, 1, 3]
-        corr = np.eye(7)
-        for i, j in zip(path, path[1:]):
-            corr[i, j] = corr[j, i] = 0.3
-        assert self.blocks(corr) == [sorted(path), [6]]
-
-    def test_singletons(self):
-        assert self.blocks(np.eye(4)) == [[0], [1], [2], [3]]
-
-    def test_dense_is_one_block(self):
-        assert self.blocks(equicorrelated(5, 0.3)) == [[0, 1, 2, 3, 4]]
-
-    def test_tiny_entry_stays_linked(self):
-        corr = np.eye(3)
-        corr[0, 2] = corr[2, 0] = 1e-300
-        assert self.blocks(corr) == [[0, 2], [1]]
-        assert self.blocks(calibrate._correlation_from(corr)) == [[0, 2], [1]]
+class TestSingletonSplit:
+    """Monte-Carlo weights count singleton indices by sign and classify the rest in one call."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_sizes_match_the_whole_matrix(self, seed):
         rng = np.random.default_rng(seed)
         for _ in range(6):
             sizes = list(rng.integers(1, 5, size=rng.integers(2, 6)))
-            corr, _ = block_diagonal(rng, sizes)
+            corr = block_diagonal(rng, sizes)
             y = rng.standard_normal((2000, corr.shape[0])) @ np.linalg.cholesky(corr).T
-            got = calibrate._active_sizes(y, corr, calibrate._blocks(corr))
-            assert np.array_equal(got, orthant_active_set(y, corr)[0].sum(axis=1))
+            assert np.array_equal(active_sizes(y, corr), orthant_active_set(y, corr)[0].sum(axis=1))
 
-    @pytest.mark.parametrize("sizes", [[1, 1, 1, 1], [2, 1, 2], [3, 1, 2], [1, 4, 1]])
+    @pytest.mark.parametrize("sizes", [[1, 1, 1, 1], [2, 1, 2], [3, 1, 2], [1, 4, 1], [5]])
     def test_sizes_match_enumeration(self, sizes):
         from conetest.sample import qualifying_subsets
 
         rng = np.random.default_rng(len(sizes) + sum(sizes))
-        corr, _ = block_diagonal(rng, sizes)
+        corr = block_diagonal(rng, sizes)
         y = rng.standard_normal((150, corr.shape[0])) @ np.linalg.cholesky(corr).T
-        got = calibrate._active_sizes(y, corr, calibrate._blocks(corr))
-        for row, size in zip(y, got):
+        for row, size in zip(y, active_sizes(y, corr)):
             (subset,) = qualifying_subsets(row, corr)
             assert len(subset) == size
+
+    def test_counts_match_the_whole_matrix(self):
+        from conetest import _batch
+
+        # A weak link (0.05) keeps indices 0 and 3 off the sign rule.
+        corr = np.eye(6)
+        corr[0, 3] = corr[3, 0] = 0.05
+        corr[np.ix_([1, 4, 5], [1, 4, 5])] = random_correlation(np.random.default_rng(2), 3)
+        chol = np.linalg.cholesky(corr)
+
+        def count(rng, reps):
+            y = rng.standard_normal((reps, 6)) @ chol.T
+            return np.bincount(orthant_active_set(y, corr)[0].sum(axis=1), minlength=7)
+
+        m = 25_000
+        expected = _batch._count_cells(8, _batch.WEIGHTS_KEY, count, m, 1) / m
+        w = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=m, seed=8)
+        assert np.array_equal(w.weights, expected)
 
     @pytest.mark.parametrize("p", [4, 8, 12])
     def test_identity_is_binomial(self, p):
@@ -301,33 +286,36 @@ class TestWeightBlocks:
 
     def test_interleaved_blocks_convolve(self):
         corr, two, three = interleaved_p5()
-        assert self.blocks(corr) == [[0, 2, 4], [1, 3]]
         exact = np.convolve(calibrate._closed_form_weights(two), calibrate._closed_form_weights(three))
         m = 200_000
         w = chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=m, seed=51)
         assert np.all(np.abs(w.weights - exact) <= 3 * np.sqrt(exact * (1.0 - exact) / m))
 
-    def test_solver_error_in_a_block_names_the_full_row(self, monkeypatch):
+    def test_solver_error_names_the_full_row(self, monkeypatch):
         from conetest import SolverError, _batch
 
-        corr, _, _ = interleaved_p5()
+        # Index 2 is a singleton; the kernel sees the other five columns.
+        corr = np.eye(6)
+        rest = [0, 1, 3, 4, 5]
+        corr[np.ix_(rest, rest)] = interleaved_p5()[0]
         calls = []
 
         def failing(y, metric):
-            # The three-index block fails at draw 7 of its second chunk.
+            # The second chunk's call fails at its draw 7.
             calls.append(y.shape[1])
-            if calls.count(3) == 2:
+            if len(calls) == 2:
                 raise _batch._draw_error("forced failure", y, 7)
             return orthant_active_set(y, metric)
 
         monkeypatch.setattr(calibrate, "orthant_active_set", failing)
         with pytest.raises(SolverError, match=r"seed 6, stream key \[10\], chunk 1") as err:
             chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=25_000, seed=6)
+        assert calls == [5, 5]
         d = err.value.details
         assert (d["seed"], d["stream_key"], d["chunk"], d["draw"]) == (6, [10], 1, 7)
         # The key replays the draw, and the error names its whole row.
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
-        y = rng.standard_normal((10_000, 5)) @ np.linalg.cholesky(corr).T
+        y = rng.standard_normal((10_000, 6)) @ np.linalg.cholesky(corr).T
         assert d["y"] == y[7].tolist()
 
 
