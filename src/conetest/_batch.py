@@ -47,6 +47,8 @@ ACTIVE_SET_BLOCK = 4096
 ACTIVE_SET_RTOL = 1e-10
 # Block pivots a draw may take without lowering its fewest violation count.
 BLOCK_CHANCES = 3
+# Projected Gauss-Seidel sweeps that pick a draw's start on a shared metric.
+WARM_SWEEPS = 2
 
 
 def substream(seed, key):
@@ -269,11 +271,14 @@ def orthant_active_set(y, metric):
     """Active-set solve of the orthant projection of each row of ``y``.
 
     ``y`` has shape (reps, p) and ``metric`` is one (p, p) positive definite
-    matrix or a (reps, p, p) stack.  Each draw starts from its sign pattern
-    ``y > 0``, solved on entry if all positive.  Each step solves ``B z = y``
-    for every pending draw at once, where ``B`` has the metric's columns on
-    the complement ``c`` and the identity's on the free set ``a``: then
-    ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``, the adjusted mean.
+    matrix or a (reps, p, p) stack.  A draw with ``y > 0`` is solved on
+    entry.  Under a stack any other draw starts from its sign pattern; under
+    one shared metric it starts from the pattern that :func:`_warm_start`'s
+    projected Gauss-Seidel sweeps reach (Cryer 1971).  Each step solves
+    ``B z = y`` for every pending draw at once, where ``B`` has the
+    metric's columns on the complement ``c`` and the identity's on the free
+    set ``a``: then ``z_c = M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``,
+    the adjusted mean.
     A free index with ``z <= 0`` or a complement index with ``z > 0``
     violates its sign condition.
 
@@ -295,6 +300,18 @@ def orthant_active_set(y, metric):
     and such an index stays in the complement.  Pending draws go through in
     blocks of ``ACTIVE_SET_BLOCK`` to bound the stacked systems.
 
+    The start only picks the first pattern tried: whatever its start, a
+    draw is accepted by the same solve and sign test, and its ``q_res``
+    comes from that solve.  So the outputs are those of the sign start,
+    unless two patterns both pass the test, which takes a condition within
+    the tolerance of zero (probability about 1e-10 per coordinate); the two
+    starts may then end on different ones.  On a shared metric the sweeps
+    find the final pattern of most draws for a fraction of one solve: at
+    p = 6 and 12 with correlation 0.5, 1.2 and 1.4 solves per pending draw
+    against 2.0 and 2.5 from the sign start.  Under a stack each draw would
+    sweep its own metric; the power lab's stacks, a few hundred p = 3 rows
+    that take about 1.5 solves each from the sign start, gained no time.
+
     Returns ``(free, q_res)``: the free-index mask, on which the adjusted
     mean exceeds that tolerance while the complement multipliers do not,
     and the squared residual norm ``y_c' M_cc^{-1} y_c``.  Raises
@@ -303,13 +320,16 @@ def orthant_active_set(y, metric):
     a block whose system is singular, with the ``LinAlgError`` as its cause.
     """
     reps, p = y.shape
-    metric = np.broadcast_to(np.asarray(metric, dtype=float), (reps, p, p))
-    eye, ones = np.eye(p), np.ones(p)
+    metric = np.asarray(metric, dtype=float)
     free = y > 0.0
+    pending = np.flatnonzero(~free.all(axis=1))
+    if metric.ndim == 2 and pending.size:
+        free[pending] = _warm_start(y[pending], metric)
+    metric = np.broadcast_to(metric, (reps, p, p))
+    eye, ones = np.eye(p), np.ones(p)
     q_res = np.zeros(reps)
     tol = ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
-    pending = np.flatnonzero(~free.all(axis=1))
     for start in range(0, pending.size, ACTIVE_SET_BLOCK):
         todo = pending[start:start + ACTIVE_SET_BLOCK]
         fewest = np.full(todo.size, p + 1.0)
@@ -345,6 +365,30 @@ def orthant_active_set(y, metric):
         if todo.size:
             raise _draw_error(f"active-set iteration cap {cap} exceeded", y, todo[0])
     return free, q_res
+
+
+def _warm_start(y, metric):
+    """Start pattern of each row of ``y`` after ``WARM_SWEEPS`` projected Gauss-Seidel sweeps.
+
+    The orthant projection of ``y`` in the metric ``M`` solves the linear
+    complementarity problem ``w = y + M mu >= 0``, ``mu >= 0``, ``w' mu =
+    0``: ``w`` is the projection and ``mu`` the multipliers.  Starting from
+    ``mu = 0``, each sweep sets ``mu_j <- max(mu_j - w_j / M_jj, 0)`` for
+    ``j = 0, ..., p - 1`` with ``w_j`` at the current ``mu`` (Cryer 1971),
+    for every draw at once: ``mu`` is component-major, (p, reps).  The
+    sweeps run on ``nu = -mu`` with the rows of ``M`` over their diagonal,
+    ``nu_j <- min(y_j / M_jj + (e_j - M_j / M_jj) nu, 0)``: one product, one
+    sum and one clip per index.  Returns ``(mu == 0) & (w > 0)``, (reps,
+    p); with no sweeps that is ``y > 0``.
+    """
+    y = np.ascontiguousarray(y.T)
+    diag = np.diagonal(metric)[:, None]
+    scaled, step = y / diag, np.eye(len(y)) - metric / diag
+    nu = np.zeros_like(y)
+    for _ in range(WARM_SWEEPS):
+        for j in range(len(y)):
+            np.minimum(scaled[j] + step[j] @ nu, 0.0, out=nu[j])
+    return ((nu == 0.0) & (y - metric @ nu > 0.0)).T
 
 
 def _draw_error(message, y, draw):

@@ -188,7 +188,10 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     In a row with a nonpositive coordinate the kernel moves a free index
     with ``0 < y_j <= ACTIVE_SET_RTOL |y|`` (1e-10 of the row's norm, or of
     its non-singleton part) to the complement, while the sign rule counts it
-    free.  That has probability about 1e-10 per coordinate.
+    free.  That has probability about 1e-10 per coordinate.  The kernel's
+    warm start on this shared metric (projected Gauss-Seidel sweeps) moves
+    no size of the sign start either, but for the same class of tie: two
+    sign patterns that both pass its tolerance test.
 
     Parameters
     ----------

@@ -210,7 +210,7 @@ def _resolve_critical(plan, cfg):
     return cv.value
 
 
-def _batch_values(means, c, n, families, low=-np.inf, high=np.inf):
+def _batch_values(means, c, n, families, low=-np.inf, high=np.inf, s=None):
     """Calibration-scale statistic values per draw for each of ``families``.
 
     Component-major: ``means`` has shape (p, reps), and ``c`` is the
@@ -219,7 +219,8 @@ def _batch_values(means, c, n, families, low=-np.inf, high=np.inf):
     comes from ``c`` once and is split by the residual of each cone that
     ``families`` needs; T2 is the halfspace split's sum.  The halfspace
     residual and FUIT read only the variances ``diag(S)``, the squared row
-    norms of ``c``.
+    norms of ``c``; a caller that scores one ``c`` at several means passes
+    them as ``s``, (p, reps) or (p, 1), formed once.
 
     ``low`` and ``high`` are the smallest and the largest threshold the
     caller compares orthant values with.  Only draws whose orthant residual
@@ -227,7 +228,8 @@ def _batch_values(means, c, n, families, low=-np.inf, high=np.inf):
     (:func:`_orthant_residual`); the defaults classify every draw.
     """
     values = {}
-    s = factor_variances(c, n)
+    if s is None:
+        s = factor_variances(c, n)
     y = np.sqrt(n) * means
     if families - {FUIT}:
         t2 = n * (n - 1) * forward_sq_norm(means, c)
@@ -328,8 +330,9 @@ def _grid_views(n, p, sigmas, thetas, prior=None):
     inverse-Wishart ``prior``, the chunk then draws per-draw prior factors
     ``G`` (:func:`sample_invwishart_chol`), scored last as the sigma
     ``prior_draws`` with ``L = G``: the compound null of the Bayes
-    calibration.  ``c`` and the means of ``L z`` are formed once per sigma,
-    when its views are reached.  The draw is let go once the last sigma's
+    calibration.  ``c``, its variances ``diag(S)`` (:func:`factor_variances`)
+    and the means of ``L z`` are formed once per sigma, when its views are
+    reached; a view is ``(cell, xbar, c, variances)``.  The draw is let go once the last sigma's
     are formed, so a grid of one sigma holds no more while it is scored than
     :func:`sample_mean_chol`'s draw would.
     """
@@ -342,8 +345,9 @@ def _grid_views(n, p, sigmas, thetas, prior=None):
             means, c = scaled_draw(*draw, chol, n)
             if i == len(factors):
                 del draw
+            s = factor_variances(c, n)
             for theta in thetas:
-                yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta[:, None], c
+                yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta[:, None], c, s
 
     return views
 
@@ -370,9 +374,9 @@ def _grid_counts(cfg, key, sigmas, thetas, tests, tally, prior=None):
 
     def count(rng, reps):
         counts = []
-        for cell, means, c in views(rng, reps):
+        for cell, means, c, s in views(rng, reps):
             try:
-                values = _batch_values(means, c, cfg.n, families, low, high)
+                values = _batch_values(means, c, cfg.n, families, low, high, s)
             except SolverError as err:
                 err.add_context(**cell)
                 raise

@@ -414,8 +414,10 @@ class TestCandidateMask:
         assert none[0].shape == (0, p) and none[1].shape == (0,)
 
     def test_error_names_the_row_of_y(self, monkeypatch):
-        # Rows 1 and 3 need a second step, which a one-step cap forbids;
-        # without row 1 the error names row 3's position in the rows given.
+        # From their sign patterns rows 1 and 3 need a second step, which a
+        # one-step cap forbids; without row 1 the error names row 3's
+        # position in the rows given.  The warm start would find both patterns.
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
         metric = np.array([[1.0, -0.9], [-0.9, 1.0]])

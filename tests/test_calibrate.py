@@ -194,7 +194,9 @@ class TestChiBarWeights:
     def test_solver_error_names_replay_key(self, monkeypatch):
         from conetest import SolverError, _batch
 
-        # A one-step cap fails the first draw that needs a second step.
+        # A one-step cap fails the first draw that needs a second step from
+        # its sign pattern, with no warm start.
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
         corr = corr2(-0.9)

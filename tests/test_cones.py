@@ -257,6 +257,8 @@ class TestOrthantKernel:
         assert np.flatnonzero(free[0]).tolist() == nnls_orthant(y[0], metric)[0].tolist() == [2, 3]
         ref_free, ref_q_res = least_index_reference(y, metric)
         assert np.array_equal(free, ref_free) and np.array_equal(q_res, ref_q_res)
+        # The cycle starts from the sign pattern {2}; the warm start skips it.
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         monkeypatch.setattr(_batch, "BLOCK_CHANCES", 10**9)
         with pytest.raises(SolverError, match="draw 0"):
             orthant_active_set(y, metric)
@@ -277,7 +279,9 @@ class TestOrthantKernel:
 
     def test_iteration_cap_names_draw(self, monkeypatch):
         # Draw 0 satisfies the sign conditions at its sign pattern; draw 1
-        # needs a second step, which a one-step cap forbids.
+        # needs a second step from its sign pattern, which a one-step cap
+        # forbids.  The warm start would find its pattern.
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
         metric = np.array([[1.0, -0.9], [-0.9, 1.0]])
@@ -290,7 +294,9 @@ class TestOrthantKernel:
 
     def test_stuck_draw_in_later_block_named_by_call_index(self, monkeypatch):
         # Draws 0 and 2 are positive and never pending.  Blocks of two
-        # pending draws are (1, 3) and (4, 5); only draw 5 needs a second step.
+        # pending draws are (1, 3) and (4, 5); only draw 5 needs a second
+        # step from its sign pattern, the start without warm sweeps.
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
         monkeypatch.setattr(_batch, "ACTIVE_SET_BLOCK", 2)
@@ -323,6 +329,93 @@ class TestOrthantKernel:
         free_b, q_res_b = orthant_active_set(y, metric)
         assert np.array_equal(free, free_b)
         assert np.array_equal(q_res, q_res_b)
+
+
+def shared_metrics(rng):
+    """Shared metrics at p = 2-12: equicorrelations from -1/(p-1) to 0.99, near-singular, rescaled by e^±3."""
+    for p in range(2, 13):
+        for rho in (-1.0 / (p - 1) + 1e-3, -0.5 / (p - 1), 0.5, 0.99):
+            yield (1.0 - rho) * np.eye(p) + rho * np.ones((p, p))
+        g = rng.standard_normal((p - 1, p))  # rank p - 1, then a ridge of 1e-6
+        yield g.T @ g + 1e-6 * np.eye(p)
+        d = np.exp(rng.uniform(-3.0, 3.0, p))
+        yield random_pd_matrix(rng, p) * np.outer(d, d)
+
+
+def solved_rows(monkeypatch, y, metric):
+    """Rows of all batched solves of ``orthant_active_set(y, metric)``, and its output."""
+    rows = []
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        rows.append(a.shape[0])
+        return solve(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "solve", counting_solve)
+        out = orthant_active_set(y, metric)
+    return sum(rows), out
+
+
+class TestWarmStart:
+    """Projected Gauss-Seidel sweeps pick the start on a shared metric and change no output."""
+
+    def test_warm_and_cold_starts_agree(self, rng, monkeypatch):
+        for metric in shared_metrics(rng):
+            y = rng.standard_normal((1000, len(metric))) @ np.linalg.cholesky(metric).T
+            free, q_res = orthant_active_set(y, metric)
+            with monkeypatch.context() as m:
+                m.setattr(_batch, "WARM_SWEEPS", 0)
+                cold_free, cold_q_res = orthant_active_set(y, metric)
+            assert np.array_equal(free, cold_free)
+            assert np.array_equal(q_res, cold_q_res)
+
+    @pytest.mark.parametrize("sabotage", ["complement", "all_false"])
+    def test_wrong_start_changes_no_output(self, rng, monkeypatch, sabotage):
+        # The kernel accepts a draw only by its own solve, whatever the start.
+        warm_start = _batch._warm_start
+
+        def wrong_start(y, metric):
+            right = warm_start(y, metric)
+            return ~right if sabotage == "complement" else np.zeros_like(right)
+
+        for p in (2, 5, 9):
+            metric = random_pd_matrix(rng, p)
+            y = rng.standard_normal((1000, p)) @ np.linalg.cholesky(metric).T
+            free, q_res = orthant_active_set(y, metric)
+            monkeypatch.setattr(_batch, "_warm_start", wrong_start)
+            wrong_free, wrong_q_res = orthant_active_set(y, metric)
+            monkeypatch.setattr(_batch, "_warm_start", warm_start)
+            assert np.array_equal(free, wrong_free)
+            assert np.array_equal(q_res, wrong_q_res)
+
+    def test_sweeps_solve_fewer_rows(self, monkeypatch):
+        # About 1.18 against 1.98 rows per pending draw at these draws.
+        p = 6
+        metric = 0.5 * np.eye(p) + 0.5 * np.ones((p, p))
+        y = substream(71, 0).standard_normal((10000, p)) @ np.linalg.cholesky(metric).T
+        warm_rows, warm = solved_rows(monkeypatch, y, metric)
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
+        cold_rows, cold = solved_rows(monkeypatch, y, metric)
+        assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
+        assert warm_rows <= 0.65 * cold_rows
+
+    def test_zero_sweeps_give_the_sign_pattern(self, rng, monkeypatch):
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
+        for metric in shared_metrics(rng):
+            y = rng.standard_normal((200, len(metric)))
+            y[::7, 0] = 0.0
+            assert np.array_equal(_batch._warm_start(y, metric), y > 0.0)
+
+    def test_stack_keeps_the_sign_start(self, rng, monkeypatch):
+        def forbidden(y, metric):
+            raise AssertionError("warm start under a stacked metric")
+
+        monkeypatch.setattr(_batch, "_warm_start", forbidden)
+        y = rng.standard_normal((300, 3))
+        metric = np.stack([random_pd_matrix(rng, 3) for _ in range(300)])
+        free, _ = orthant_active_set(y, metric)
+        assert np.array_equal(free, least_index_reference(y, metric)[0])
 
 
 class TestHalfspaceProjection:

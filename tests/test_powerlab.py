@@ -387,9 +387,10 @@ class TestOnePoolPerExperiment:
         chol = np.linalg.cholesky(np.array([[1.0, 0.5], [0.5, 1.0]]))
         views = powerlab._grid_views(15, 2, [("sigma0", chol)], (np.zeros(2),), prior)
         cells = list(views(substream(3, (4, 1)), 700))
-        assert [cell["sigma_id"] for cell, _, _ in cells] == ["sigma0", "prior_draws"]
+        assert [cell["sigma_id"] for cell, *_ in cells] == ["sigma0", "prior_draws"]
         means, c = compound_null(substream(3, (4, 1)), prior.scale, prior.df, 15, 700)
         assert np.array_equal(cells[1][1], means) and np.array_equal(cells[1][2], c)
+        assert np.array_equal(cells[1][3], factor_variances(c, 15))
 
 
 class TestOneCountingPath:
@@ -690,8 +691,8 @@ def unscreened(monkeypatch):
     """Make every ``_batch_values`` call classify each pending draw."""
     bracketed = powerlab._batch_values
 
-    def every_draw(means, c, n, families, low=-np.inf, high=np.inf):
-        return bracketed(means, c, n, families)
+    def every_draw(means, c, n, families, low=-np.inf, high=np.inf, s=None):
+        return bracketed(means, c, n, families, s=s)
 
     monkeypatch.setattr(powerlab, "_batch_values", every_draw)
 
@@ -1134,6 +1135,25 @@ class TestBatchMatchesScalar:
         cfg = small_config(replications=500, theta_grid=(np.zeros(2),))
         rep = similarity_probe(stats.UIT_ORTHANT, "bayes", [], cfg, prior=prior)
         assert [row["sigma_id"] for row in rep.rows] == ["prior_draws"]
+
+    def test_variances_formed_once_per_sigma(self, monkeypatch):
+        calls = []
+
+        def spy(c, n):
+            calls.append(c.shape)
+            return factor_variances(c, n)
+
+        cfg = small_config(
+            replications=500,
+            sigma_source=SigmaSource.random_correlation(2),
+            theta_grid=(np.zeros(2), np.array([0.3, 0.1]), np.array([0.1, 0.0])),
+            tests=(TestPlan(stats.UIT_ORTHANT), TestPlan(stats.UIT_HALFSPACE, "exact"), TestPlan(stats.FUIT)),
+        )
+        table = simulate_power(cfg)
+        monkeypatch.setattr(powerlab, "factor_variances", spy)
+        # Two sigmas in one chunk of 500 draws, each scored at three thetas.
+        assert simulate_power(cfg) == table
+        assert calls == [(2, 2, 500)] * 2
 
     def test_t2_solved_once_per_chunk(self, monkeypatch):
         from itertools import combinations
