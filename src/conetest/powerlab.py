@@ -332,9 +332,9 @@ def _grid_views(n, p, sigmas, thetas, prior=None):
     ``prior_draws`` with ``L = G``: the compound null of the Bayes
     calibration.  ``c``, its variances ``diag(S)`` (:func:`factor_variances`)
     and the means of ``L z`` are formed once per sigma, when its views are
-    reached; a view is ``(cell, xbar, c, variances)``.  The draw is let go once the last sigma's
-    are formed, so a grid of one sigma holds no more while it is scored than
-    :func:`sample_mean_chol`'s draw would.
+    reached; a view is ``(cell, xbar, c, variances)``.  The draw is let go
+    once the last sigma's are formed, so a grid of one sigma holds no more
+    while it is scored than :func:`sample_mean_chol`'s draw would.
     """
     def views(rng, reps):
         draw = standard_draw(rng, p, n, reps)
