@@ -115,14 +115,16 @@ def _bartlett(rng, dfs, reps):
     of ``np.tril_indices``; :func:`tril_stack` lays them out as a stack.
     """
     p = len(dfs)
-    entries = np.empty((reps, p * (p + 1) // 2))
+    # Filled entry-major and returned transposed, so that the gemm operand
+    # entries.T of scaled_draw is contiguous.
+    entries = np.empty((p * (p + 1) // 2, reps))
     # Row-major below the diagonal: row i takes normals i(i-1)/2 to i(i+1)/2.
     normals = rng.standard_normal((reps, p * (p - 1) // 2))
     for i in range(p):
         start = i * (i + 1) // 2
-        entries[:, start:start + i] = normals[:, start - i:start]
-        entries[:, start + i] = np.sqrt(rng.chisquare(dfs[i], size=reps))
-    return entries
+        entries[start:start + i] = normals[:, start - i:start].T
+        entries[start + i] = np.sqrt(rng.chisquare(dfs[i], size=reps))
+    return entries.T
 
 
 def tril_stack(entries, p):

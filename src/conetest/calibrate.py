@@ -245,17 +245,18 @@ def check_draw_count(count, name):
 # Each family's null tail is a mixture of branch tails over the
 # active-subset dimension k.  The branch tail of dimension k is
 # g_ratio_tail(k, n - p, c) for T2 and the likelihood-ratio families and
-# g_star_tail(n, k, p, c) for the union-intersection families.  Both are
-# looked up as module globals at each call, so wrappers installed on them
-# (as by ``bench/tracer.py``) see every evaluation.
+# g_star_tail(n, k, p, c) for the union-intersection families, which takes
+# all of a mixture's dimensions in one call.  Both are looked up as module
+# globals at each call, so wrappers installed on them (as by
+# ``bench/tracer.py``) see every evaluation.
 
 
 def _ratio_branch(n, p):
-    return lambda k, c: g_ratio_tail(k, n - p, c)
+    return lambda dims, c: [g_ratio_tail(k, n - p, c) for k in dims]
 
 
 def _star_branch(n, p):
-    return lambda k, c: g_star_tail(n, k, p, c)
+    return lambda dims, c: g_star_tail(n, dims, p, c)
 
 
 def _mixture(branch, p, weights):
@@ -263,7 +264,7 @@ def _mixture(branch, p, weights):
     w = np.asarray(weights, dtype=float)
     dims = range(p + 1 - w.shape[0], p + 1)
     atom = float(w[0]) if dims[0] == 0 else 0.0
-    return (lambda c: float(np.dot(w, [branch(k, c) for k in dims]))), atom
+    return (lambda c: float(np.dot(w, branch(dims, c)))), atom
 
 
 # Family -> (branch, weights on the top active dimensions).  With m of the p

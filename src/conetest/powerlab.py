@@ -334,7 +334,9 @@ def _grid_views(n, p, sigmas, thetas, prior=None):
     and the means of ``L z`` are formed once per sigma, when its views are
     reached; a view is ``(cell, xbar, c, variances)``.  The draw is let go
     once the last sigma's are formed, so a grid of one sigma holds no more
-    while it is scored than :func:`sample_mean_chol`'s draw would.
+    while it is scored than :func:`sample_mean_chol`'s draw would.  A
+    sigma's arrays are let go before the next sigma's are formed, provided
+    the consumer drops its last view first (as :func:`_grid_counts` does).
     """
     def views(rng, reps):
         draw = standard_draw(rng, p, n, reps)
@@ -348,6 +350,7 @@ def _grid_views(n, p, sigmas, thetas, prior=None):
             s = factor_variances(c, n)
             for theta in thetas:
                 yield {"sigma_id": sigma_id, "theta": theta.tolist()}, means + theta[:, None], c, s
+            del means, c, s
 
     return views
 
@@ -381,6 +384,8 @@ def _grid_counts(cfg, key, sigmas, thetas, tests, tally, prior=None):
                 err.add_context(**cell)
                 raise
             counts.append(tally([values[family] >= cv for family, cv in tests]))
+            # Not held while the next view's sigma forms its factors.
+            del means, c, s, values
         return np.array(counts)
 
     totals = _count_cells(cfg.seed, key, count, cfg.replications, cfg.workers)

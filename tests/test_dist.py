@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import betaincc, betaln
+from scipy.special import betainc, betaincc, betaln
 from scipy.stats import t as scipy_t
 
 from conetest import (
@@ -44,27 +46,52 @@ def quad_star_tail(n, a, p, u):
     return num / den
 
 
-def quad_star_tail_r(n, a, p, u):
-    """Adaptive-quadrature reference in ``r = sqrt(1 - s)``, split near ``r = u**-0.5``.
+def rel_star_tail(n, a, p, u):
+    """Relative-only adaptive-quadrature reference for ``g_star_tail`` (``epsabs = 0``).
 
-    For large ``u`` the integrand turns over at ``r`` of order ``u**-0.5``;
-    the breakpoints let QUADPACK resolve it where the ``s`` form warns.
+    Below ``r = 2**-0.5`` it integrates in ``r = sqrt(1 - s)``, with
+    breakpoints at ``10**k u**-0.5`` where the integrand turns over for
+    large ``u``; above, in ``s``, where floating point resolves the
+    ``s**((p-a)/2 - 1)`` endpoint that the mass of a large-``n`` law sits
+    at, with breakpoints at ``4**k`` times the mean of ``s``.  The ratio
+    tail takes the split of ``g_ratio_tail``, and the result is divided by
+    the same quadrature of the density, as ``betaln`` loses relative
+    accuracy at large ``n``.  QUADPACK's warning that it cannot certify its
+    own 1e-13 is silenced: on the grid below it comes up only where the
+    tail is near the smallest normal float (n = 100, p = 12, u = 1e7) and at
+    n = 1e6, a = 6, p = 8, u = 1e-3, where the value still agrees with
+    ``g_star_tail`` to 1e-14.
     """
     alpha, beta = (p - a) / 2.0, (n - p + a) / 2.0
+    log_b = betaln(alpha, beta)
 
-    def integrand(r):
-        v = u * r * r
-        log_density = (2.0 * beta - 1.0) * np.log(r) + (alpha - 1.0) * np.log1p(-r * r)
-        return betaincc(a / 2.0, (n - p) / 2.0, v / (1.0 + v)) * 2.0 * np.exp(
-            log_density - betaln(alpha, beta)
-        )
+    def tail(v):
+        if v < 1.0:
+            return betaincc(a / 2.0, (n - p) / 2.0, v / (1.0 + v))
+        return betainc((n - p) / 2.0, a / 2.0, 1.0 / (1.0 + v))
 
-    k = u**-0.5
-    edges = [0.0] + [x for x in (k, 10.0 * k, 100.0 * k) if x < 1.0] + [1.0]
-    return sum(
-        integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=500)[0]
-        for lo, hi in zip(edges, edges[1:])
-    )
+    def density_r(r):
+        return 2.0 * np.exp((2.0 * beta - 1.0) * np.log(r) + (alpha - 1.0) * np.log1p(-r * r) - log_b)
+
+    def density_s(s):
+        return np.exp((alpha - 1.0) * np.log(s) + (beta - 1.0) * np.log1p(-s) - log_b)
+
+    top = 0.5**0.5
+    r_edges = [0.0] + [x for x in u**-0.5 * 10.0 ** np.arange(-1, 8) if x < top] + [top]
+    s_edges = [0.0] + [x for x in alpha / (alpha + beta) * 4.0 ** np.arange(-2, 12) if x < 0.5]
+    s_edges.append(0.5)
+
+    def total(f_r, f_s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", integrate.IntegrationWarning)
+            return sum(
+                integrate.quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
+                for f, edges in ((f_r, r_edges), (f_s, s_edges))
+                for lo, hi in zip(edges, edges[1:])
+            )
+
+    num = total(lambda r: tail(u * r * r) * density_r(r), lambda s: tail(u * (1.0 - s)) * density_s(s))
+    return num / total(density_r, density_s)
 
 
 STAR_GRID = [
@@ -138,7 +165,7 @@ class TestRatioTailLargeArgument:
         # n - p = 2, a = 2, p = 4: the branch tail is 1/(1 + w) and
         # s = t/(1+t) ~ Beta(1, 2), so the tail is the integral over y in
         # (0, 1) of 2y / (1 + u y), i.e. 2/u - 2 log(1 + u) / u**2.
-        for u in np.logspace(0.0, 4.5, 19):
+        for u in np.logspace(0.0, 12.0, 49):
             expect = 2.0 / u - 2.0 * np.log1p(u) / u**2
             assert g_star_tail(6, 2, 4, u) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
@@ -189,22 +216,85 @@ class TestConvolutionTail:
     @pytest.mark.parametrize("p", [9, 12, 20, 40])
     @pytest.mark.parametrize("u", [5e6, 6e7, 1e9])
     def test_large_u_small_df_certified(self, p, u):
-        # n = p + 1, a = 1: the 64- and 128-node rules disagree at some of
-        # these points and the 256-node rule certifies the value.
+        # n = p + 1, a = 1: the integrand turns over near r = u**-0.5, far
+        # below the mass of the Jacobi weight.
         got = g_star_tail(p + 1, 1, p, u)
-        assert abs(got - quad_star_tail_r(p + 1, 1, p, u)) <= dist.QUAD_ABS_TOL
+        assert got == pytest.approx(rel_star_tail(p + 1, 1, p, u), rel=1e-10, abs=0.0)
 
     def test_uncertified_rule_raises(self, monkeypatch):
         monkeypatch.setattr(dist, "GJ_NODES", 1)
         with pytest.raises(QuadratureError) as info:
             g_star_tail(10, 1, 9, 10.0)
-        assert info.value.error_estimate > dist.QUAD_ABS_TOL
+        assert info.value.error_estimate > dist.QUAD_RTOL
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             g_star_tail(5, 2, 5, 0.5)
         with pytest.raises(ValueError):
             g_star_tail(20, 5, 4, 0.5)
+
+
+REL_GRID = [
+    (n, p) for n in (4, 6, 10, 30, 100, 1000, 10**4, 10**6) for p in (2, 3, 5, 8, 12) if p < n
+]
+
+
+class TestRelativeAccuracy:
+    """Relative error against the relative-only reference, far tails included."""
+
+    U = np.logspace(-3.0, 12.0, 16)
+
+    @pytest.mark.parametrize("n, p", REL_GRID)
+    def test_relative_error(self, n, p):
+        # Every branch 0 < a < p, at every u: none raises, and wherever the
+        # tail is at least 1e-280 it is within 1e-10 of the reference.  A
+        # rule certified to 1e-7 absolute reads far tails at large n - p
+        # wrong by orders of magnitude (2e6 times the tail at n = 100,
+        # a = 4, p = 5, u = 10).
+        worst = 0.0
+        for u in self.U:
+            got = g_star_tail(n, range(1, p), p, u)
+            for a, value in zip(range(1, p), got):
+                expect = rel_star_tail(n, a, p, u)
+                if expect >= 1e-280:
+                    worst = max(worst, abs(value - expect) / expect)
+        assert worst <= 1e-10
+
+    @pytest.mark.parametrize(
+        "n, a, p, u, expect",
+        [(100, 4, 5, 10.0, 4.1189651320e-48), (120, 2, 3, 10.0, 3.5842487295e-61)],
+    )
+    def test_far_tail_values(self, n, a, p, u, expect):
+        # High-precision values (mpmath, 40 digits, 40 pieces) to the
+        # digits given.
+        assert g_star_tail(n, a, p, u) == pytest.approx(expect, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("n, p, u", [(30, 3, 0.2), (60, 8, 0.3), (100, 5, 10.0), (11, 8, 1e9)])
+    def test_branch_vector_equals_scalar_calls(self, n, p, u):
+        # The points take the first pair, later rungs and the far-tail
+        # rule; a = 0 and a = p are the closed forms.
+        dims = range(p + 1)
+        got = g_star_tail(n, dims, p, u)
+        assert isinstance(got, np.ndarray)
+        assert np.array_equal(got, [g_star_tail(n, a, p, u) for a in dims])
+        assert np.array_equal(g_star_tail(n, [], p, u), [])
+
+    def test_bench_shapes_certify_at_first_pair(self, monkeypatch):
+        # The benchmark's UIT shapes, at critical values for alpha from
+        # 0.001 to 0.3 and at half and twice them: every branch is
+        # certified by the 16- and 32-node rules.
+        from conetest import calibrate, stats
+
+        rungs = []
+        rule = dist._mixing_rule
+        monkeypatch.setattr(dist, "_mixing_rule", lambda nodes, *a: rungs.append(nodes) or rule(nodes, *a))
+        shapes = [(15, 2), (30, 3), (100, 5), (60, 8), (20, 3), (30, 5), (40, 6), (120, 3)]
+        for n, p in shapes:
+            for alpha in (0.001, 0.01, 0.05, 0.1, 0.3):
+                c = calibrate.sup_critical_value(stats.UIT_ORTHANT, alpha, n, p).value
+                for u in (c / 2.0, c, 2.0 * c):
+                    g_star_tail(n, range(p + 1), p, u)
+        assert set(rungs) == {dist.GJ_NODES, 2 * dist.GJ_NODES}
 
 
 class TestStudentT:

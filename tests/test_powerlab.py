@@ -1155,6 +1155,31 @@ class TestBatchMatchesScalar:
         assert simulate_power(cfg) == table
         assert calls == [(2, 2, 500)] * 2
 
+    def test_previous_sigma_released_before_next_forms(self, monkeypatch):
+        # A sigma's factors and variances are freed before the next sigma's
+        # are formed, so two sigmas' (p, p, reps) arrays never coexist with
+        # the variances' temporary.
+        import weakref
+
+        alive = []
+
+        def spy(*args):
+            assert all(ref() is None for ref in alive)
+            means, c = scaled_draw(*args)
+            alive.append(weakref.ref(c))
+            return means, c
+
+        cfg = small_config(
+            replications=500,
+            sigma_source=SigmaSource.random_correlation(3),
+            theta_grid=(np.zeros(2), np.array([0.3, 0.1])),
+            tests=(TestPlan(stats.UIT_ORTHANT), TestPlan(stats.LRT_ORTHANT), TestPlan(stats.T2)),
+        )
+        table = simulate_power(cfg)
+        monkeypatch.setattr(powerlab, "scaled_draw", spy)
+        assert simulate_power(cfg) == table
+        assert len(alive) == 3
+
     def test_t2_solved_once_per_chunk(self, monkeypatch):
         from itertools import combinations
 
