@@ -20,7 +20,7 @@ from scipy.special import betainccinv, betaincinv, betaln
 from . import stats
 from ._batch import WEIGHTS_KEY, _count_cells, orthant_active_set
 from ._linalg import check_positive_definite, read_only
-from .dist import g_ratio_tail, g_star_tail, student_t_upper_quantile
+from .dist import _first_rung, g_ratio_tail, g_star_tail, student_t_upper_quantile
 from .exceptions import CalibrationError, DataError, MetricError, SolverError
 
 CLOSED_FORM = "closed_form"
@@ -43,11 +43,13 @@ MAX_SIZE = 2 ** 53
 # rule with its default ``rtol`` for ``c >= 1``, and relative below, where
 # critical values at large n are O(1/n) or smaller.
 _XTOL = 1e-12
-_RTOL = 4.0 * np.finfo(float).eps
+_RTOL = 4.0 * float(np.finfo(float).eps)  # a Python float: numpy scalar arithmetic is slower
 # Bracketing gives up after this many steps; one step moves log c by at most
 # ``_MAX_LOG_STEP``.
 _MAX_STEPS = 200
 _MAX_LOG_STEP = 64.0
+# Step in log c of the secant that measures a first-rung tail's slope.
+_SLOPE_STEP = 1e-4
 
 
 @dataclass(frozen=True)
@@ -75,12 +77,17 @@ class MixtureWeights:
 
 @dataclass(frozen=True)
 class CriticalValue:
-    """A critical value on the chi-square-ratio scale."""
+    """A critical value on the chi-square-ratio scale.
+
+    ``achieved_alpha`` is the calibrated null tail at ``value``, as the
+    solver certified it (``None`` for a Bonferroni threshold).
+    """
 
     value: float
     alpha: float
     family: str
     calibration: str
+    achieved_alpha: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -245,26 +252,37 @@ def check_draw_count(count, name):
 # Each family's null tail is a mixture of branch tails over the
 # active-subset dimension k.  The branch tail of dimension k is
 # g_ratio_tail(k, n - p, c) for T2 and the likelihood-ratio families and
-# g_star_tail(n, k, p, c) for the union-intersection families, which takes
+# g_star_tail(n, k, p, c) for the union-intersection families; each takes
 # all of a mixture's dimensions in one call.  Both are looked up as module
 # globals at each call, so wrappers installed on them (as by
 # ``bench/tracer.py``) see every evaluation.
 
 
-def _ratio_branch(n, p):
-    return lambda dims, c: [g_ratio_tail(k, n - p, c) for k in dims]
+def _ratio_branch(n, p, dims):
+    if len(dims) == 1:  # T2: a scalar call costs less than a one-element array
+        k = dims[0]
+        return lambda c: [g_ratio_tail(k, n - p, c)]
+    dims = np.array(dims)
+    return lambda c: g_ratio_tail(dims, n - p, c)
 
 
-def _star_branch(n, p):
-    return lambda dims, c: g_star_tail(n, dims, p, c)
+def _star_branch(n, p, dims):
+    return lambda c: g_star_tail(n, dims, p, c)
 
 
-def _mixture(branch, p, weights):
-    """Tail with mass ``weights[j]`` on k = p - len(weights) + 1 + j, and its mass on k = 0."""
+def _mixture(branch, n, p, weights):
+    """Mixture with mass ``weights[j]`` on k = p - len(weights) + 1 + j.
+
+    Returns its tail, its mass on k = 0, and a function of no arguments
+    that builds the first-rung approximation of a union-intersection tail
+    (``dist._first_rung``; ``None`` for a ratio law).
+    """
     w = np.asarray(weights, dtype=float)
     dims = range(p + 1 - w.shape[0], p + 1)
+    branches = branch(n, p, dims)
     atom = float(w[0]) if dims[0] == 0 else 0.0
-    return (lambda c: float(np.dot(w, branch(dims, c)))), atom
+    rung = (lambda: _first_rung(n, dims, p, w)) if branch is _star_branch else None
+    return (lambda c: float(np.dot(w, branches(c)))), atom, rung
 
 
 # Family -> (branch, weights on the top active dimensions).  With m of the p
@@ -289,7 +307,7 @@ _SUPREMUM_LAWS = {
 
 
 def _null_law(family, n, p, weights):
-    """Null tail ``c -> float`` (for ``c > 0``) of ``family`` and its mass on k = 0."""
+    """:func:`_mixture` of ``family``'s null law: its tail (for ``c > 0``), atom and first rung."""
     n, p = int(n), int(p)
     if n <= p:
         raise DataError(f"need n > p, got n={n}, p={p}")
@@ -302,7 +320,7 @@ def _null_law(family, n, p, weights):
         law = weights.weights
         if len(law) != p + 1:
             raise DataError("weights length does not match p + 1")
-    return _mixture(branch(n, p), p, law)
+    return _mixture(branch, n, p, law)
 
 
 def null_tail(family, c, n, p, weights=None):
@@ -313,7 +331,7 @@ def null_tail(family, c, n, p, weights=None):
     supplied weights (which are then required).  ``c <= 0`` returns 1
     (statistics are nonnegative, with an atom at zero).
     """
-    tail, _ = _null_law(family, n, p, weights)
+    tail = _null_law(family, n, p, weights)[0]
     return tail(c) if c > 0.0 else 1.0
 
 
@@ -339,36 +357,39 @@ def _ratio_seed(a, b, alpha):
     return x / y, slope
 
 
-def _invert_tail(tail, alpha, n, p):
+def _invert_tail(tail, alpha, n, p, seed=None):
     """Solve ``tail(c) = alpha`` for a nonincreasing tail on (0, inf).
 
     Works on ``F = log(tail / alpha)`` against ``log c``, where the
     chi-square-ratio tails are close to power laws and ``F`` is nearly
-    linear.  The seed is the closed-form root of the k = p ratio branch
-    (the root itself for T2); a Newton step with that branch's slope, then
-    secant steps, walk from it until ``F`` changes sign.  Illinois regula
-    falsi in ``log c`` then shrinks the bracket, bisecting whenever three
-    steps have not halved its width in ``log c``.  Every new point lies at
-    least half the tolerance past the estimate or inside the bracket, so an
-    estimate within tolerance ends the search at the next evaluation, which
-    is when the bracket is narrower than ``1e-12 * min(c, 1) + 4 * eps * c``:
+    linear.  The seed ``(c, slope)`` defaults to the closed-form root of
+    the k = p ratio branch and that branch's slope (the root itself for
+    T2); a Newton step with the slope, then secant steps, walk from it
+    until ``F`` changes sign.  Illinois regula falsi in ``log c`` then
+    shrinks the bracket, bisecting whenever three steps have not halved its
+    width in ``log c``.  Every new point lies at least half the tolerance
+    past the estimate or inside the bracket, so an estimate within
+    tolerance ends the search at the next evaluation, which is when the
+    bracket is narrower than ``1e-12 * min(c, 1) + 4 * eps * c``:
     ``scipy.optimize.brentq``'s rule at ``xtol=1e-12`` for ``c >= 1``, and a
     relative one below, so that a small critical value keeps its digits.
+
+    Returns the root and ``tail`` there.
     """
     if not 0.0 < alpha < 1.0:
         raise CalibrationError(f"alpha must be in (0, 1), got {alpha}")
 
     def log_ratio(c):
         t = tail(c)
-        return math.log(t / alpha) if t > 0.0 else -math.inf
+        return (math.log(t / alpha) if t > 0.0 else -math.inf), t
 
     def tol(c):
         return _XTOL * min(c, 1.0) + _RTOL * c
 
-    c, slope = _ratio_seed(p, n - p, alpha)
-    f = log_ratio(c)
+    c, slope = _ratio_seed(p, n - p, alpha) if seed is None else seed
+    f, t = log_ratio(c)
     if f == 0.0:
-        return c
+        return c, t
     up = f > 0.0
     h = -f / slope if slope < 0.0 else (1.0 if up else -1.0)
     for _ in range(_MAX_STEPS):
@@ -376,28 +397,29 @@ def _invert_tail(tail, alpha, n, p):
         c_new = c * math.exp(h)
         if not 0.0 < c_new < math.inf:
             raise CalibrationError("tail does not cross alpha in floating-point range")
-        f_new = log_ratio(c_new)
+        f_new, t_new = log_ratio(c_new)
         if f_new == 0.0:
-            return c_new
+            return c_new, t_new
         if (f_new > 0.0) != up:
             break
         slope = (f_new - f) / h
         h_new = -f_new / slope if slope < 0.0 else 2.0 * h
         h = h_new if abs(h_new) <= 4.0 * abs(h) else 4.0 * h
-        c, f = c_new, f_new
+        c, f, t = c_new, f_new, t_new
     else:
         raise CalibrationError(f"tail does not cross alpha within {_MAX_STEPS} steps")
 
-    (lo, f_lo), (hi, f_hi) = ((c, f), (c_new, f_new)) if up else ((c_new, f_new), (c, f))
+    ends = ((c, f, t), (c_new, f_new, t_new))
+    (lo, f_lo, t_lo), (hi, f_hi, t_hi) = ends if up else ends[::-1]
     g_lo, g_hi = f_lo, f_hi  # Illinois-weighted copies
     kept = 0  # +1 if the last step kept hi, -1 if it kept lo
     width = math.log1p((hi - lo) / lo)
     halved_at = width
     steps = 0
     while True:
-        best = lo if abs(f_lo) <= abs(f_hi) else hi
+        best, t_best = (lo, t_lo) if abs(f_lo) <= abs(f_hi) else (hi, t_hi)
         if hi - lo <= tol(best):
-            return best
+            return best, t_best
         steps += 1
         if steps > 3 or math.isinf(g_hi):
             frac = 0.5
@@ -406,17 +428,17 @@ def _invert_tail(tail, alpha, n, p):
         x = lo + lo * math.expm1(frac * width)
         x = min(max(x, lo + 0.5 * tol(best)), hi - 0.5 * tol(best))
         if not lo < x < hi:  # no representable point inside (or a NaN tail)
-            return best
-        fx = log_ratio(x)
+            return best, t_best
+        fx, tx = log_ratio(x)
         if fx == 0.0:
-            return x
+            return x, tx
         if fx > 0.0:
-            lo, f_lo, g_lo = x, fx, fx
+            lo, f_lo, g_lo, t_lo = x, fx, fx, tx
             if kept == 1:
                 g_hi *= 0.5
             kept = 1
         else:
-            hi, f_hi, g_hi = x, fx, fx
+            hi, f_hi, g_hi, t_hi = x, fx, fx, tx
             if kept == -1:
                 g_lo *= 0.5
             kept = -1
@@ -425,32 +447,61 @@ def _invert_tail(tail, alpha, n, p):
             halved_at, steps = width, 0
 
 
-def _calibrated_law(family, calibration, n, p, weights):
-    """Null tail of ``family`` under ``calibration`` and its mass on k = 0.
+def _first_rung_root(rung, alpha, n, p):
+    """Root of the first-rung tail ``rung`` at ``alpha`` and ``d log rung / d log c`` there.
+
+    The slope is the secant over a step of ``_SLOPE_STEP`` in ``log c``,
+    wide enough that the rule's rounding does not reach it; the search's
+    last bracket is as narrow as its tolerance.
+    """
+    c, t = _invert_tail(rung, alpha, n, p)
+    return c, math.log(rung(c * math.exp(_SLOPE_STEP)) / t) / _SLOPE_STEP
+
+
+def _law_family(family, calibration):
+    """The family whose null law ``calibration`` calibrates ``family`` by.
 
     ``sup`` takes the supremum over the covariance, which for an orthant
-    family is its halfspace counterpart's tail.
+    family is its halfspace counterpart's law.
     """
     check_calibration(family, calibration)
-    if calibration == "sup":
-        family = _SUPREMUM_LAWS.get(family, family)
-    return _null_law(family, n, p, weights)
+    return _SUPREMUM_LAWS.get(family, family) if calibration == "sup" else family
+
+
+def _calibrated_law(family, calibration, n, p, weights):
+    """:func:`_null_law` of ``family`` under ``calibration``."""
+    return _null_law(_law_family(family, calibration), n, p, weights)
 
 
 def _critical_value(family, calibration, alpha, n, p, weights):
     """Invert the null tail of ``family`` under ``calibration`` at ``alpha``.
 
-    The tail reaches at most one minus its mass on k = 0.
+    A union-intersection tail is first inverted on its first rung
+    (``dist._first_rung``: one uncertified ``betainc`` call per
+    evaluation), and the certified search starts from that root and slope,
+    which it usually confirms in two evaluations.  Where that first search
+    fails, and for ratio laws, the certified search starts from the ratio
+    seed.  The tail reaches at most one minus its mass on k = 0.
     """
-    tail, atom = _calibrated_law(family, calibration, n, p, weights)
+    tail, atom, rung = _calibrated_law(family, calibration, n, p, weights)
     attainable = 1.0 - atom
     if not 0.0 < alpha < attainable:
         raise CalibrationError(
             f"alpha = {alpha} is outside the attainable tail range (0, {attainable:.4g})"
         )
-    value = _invert_tail(tail, alpha, n, p)
+    seed = None
+    approx = rung() if rung is not None else None
+    if approx is not None:
+        try:
+            seed = _first_rung_root(approx, alpha, n, p)
+        except (CalibrationError, ArithmeticError, ValueError):
+            pass  # the certified search starts from the ratio seed
+    value, achieved = _invert_tail(tail, alpha, n, p, seed)
     label = CALIBRATIONS[calibration].label
-    return CriticalValue(value=float(value), alpha=float(alpha), family=family, calibration=label)
+    return CriticalValue(
+        value=float(value), alpha=float(alpha), family=family, calibration=label,
+        achieved_alpha=float(achieved),
+    )
 
 
 def sup_critical_value(family, alpha, n, p):
@@ -603,6 +654,6 @@ def p_value(outcome, mode, weights=None):
     calibration = next((c for c, m in CALIBRATIONS.items() if m.p_value_mode == mode), None)
     if calibration is None:
         raise CalibrationError(f"unknown p-value mode {mode!r}")
-    tail, _ = _calibrated_law(outcome.family, calibration, outcome.n, outcome.p, weights)
+    tail = _calibrated_law(outcome.family, calibration, outcome.n, outcome.p, weights)[0]
     value = stats.calibration_scale(outcome)
     return tail(value) if outcome.statistic > 0.0 and value > 0.0 else 1.0

@@ -406,9 +406,7 @@ def cmd_calibrate(args):
     else:
         unweighted_orthant = family in stats.ORTHANT_FAMILIES and weights is None
         body["critical_value"] = cv.value
-        body["achieved_alpha"] = None if unweighted_orthant else calibrate.null_tail(
-            family, cv.value, args.n, args.p, weights=weights
-        )
+        body["achieved_alpha"] = None if unweighted_orthant else cv.achieved_alpha
     return _report(args, inputs, family, args.n, args.p, body, "n", "p")
 
 

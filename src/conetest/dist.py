@@ -30,6 +30,10 @@ _FLOOR = 1e-280
 # nats of its largest mass, and drops what lies beyond e**-800.
 _WINDOW_NATS = 60.0
 _DROPPED_NATS = 800.0
+# From this half denominator degrees of freedom on, the Jacobi rules correct
+# the rounding of 1/(1+v) in their ratio tails (:func:`_beta_tails`); below
+# it that rounding costs less than about 1e-13 relative.
+_ROUNDED_M2 = 500.0
 
 
 def _check_df(a, b):
@@ -53,18 +57,43 @@ def g_ratio_cdf(a, b, u):
 
 
 def g_ratio_tail(a, b, u):
-    """P{chi2_a / chi2_b >= u}; complement of :func:`g_ratio_cdf`."""
-    _check_df(a, b)
-    if a == 0:
-        return 1.0 if u <= 0.0 else 0.0
-    if u <= 0.0:
-        return 1.0
+    """P{chi2_a / chi2_b >= u}; complement of :func:`g_ratio_cdf`.
+
+    ``a`` may be one numerator dimension or a 1-D sequence of them; the
+    result is then the array of tails from one ``scipy.special`` call, each
+    equal to its scalar call.
+    """
+    # np.ndim costs about 1 us, as much as the betainc call it precedes.
+    if isinstance(a, np.ndarray):
+        scalar = a.ndim == 0
+    else:
+        scalar = isinstance(a, (int, float, np.number)) or np.ndim(a) == 0
+    if scalar:
+        _check_df(a, b)
+        if a == 0:
+            return 1.0 if u <= 0.0 else 0.0
+        if u <= 0.0:
+            return 1.0
+    else:
+        a = np.asarray(a)
+        if a.ndim != 1:
+            raise ValueError("a must be a number or a 1-D sequence")
+        least = min(a.tolist(), default=1)  # a few dimensions: cheaper than a numpy reduction
+        _check_df(least, b)
+        if u <= 0.0:
+            return np.ones(a.shape)
     # r/(1+r) ~ Beta(a/2, b/2).  Below u = 1 the tail is the complement at
     # u/(1+u), which keeps its relative precision where 1/(1+u) rounds;
     # above, 1/(1+r) ~ Beta(b/2, a/2) at 1/(1+u) keeps it at large u.
     if u < 1.0:
-        return float(betaincc(a / 2.0, b / 2.0, u / (1.0 + u)))
-    return float(betainc(b / 2.0, a / 2.0, 1.0 / (1.0 + u)))
+        tail = betaincc(a / 2.0, b / 2.0, u / (1.0 + u))
+    else:
+        tail = betainc(b / 2.0, a / 2.0, 1.0 / (1.0 + u))
+    if scalar:
+        return float(tail)
+    if least == 0:
+        tail[a == 0] = 0.0  # chi2_0 is a point mass at zero
+    return tail
 
 
 @functools.lru_cache(maxsize=None)
@@ -105,6 +134,48 @@ def _mixing_rule(nodes, n, p, dims):
         x.append(r * r)
         w.append(v / v.sum())
     return np.array(x), np.array(w), np.array(dims)[:, None] / 2.0
+
+
+def _beta_tails(m2, a2, v):
+    """``P{chi2_a / chi2_m >= v}`` at an array ``v > 0`` as ``betainc(m2, a2, 1/(1+v))``.
+
+    ``y = 1/(1+v)`` rounds by about ``eps`` relative, which costs the tail
+    about ``eps m2 v`` relative.  From ``m2 = _ROUNDED_M2`` on that is taken
+    out to first order: ``betainc`` is exact at the ``v' = (1-y)/y`` of the
+    rounded ``y``, and the tail's rate of decrease in ``v``, ``y**2`` times
+    the Beta(m2, a2) density at ``y``, carries the value from ``v'`` to ``v``.
+    """
+    y = 1.0 / (1.0 + v)
+    tail = betainc(m2, a2, y)
+    if m2 < _ROUNDED_M2:
+        return tail
+    lv = np.log1p(v)
+    rate = np.exp((a2 - 1.0) * np.log(v) - (m2 + a2) * lv - betaln(m2, a2))
+    return tail + rate * ((1.0 - y) / y - v)
+
+
+def _first_rung(n, dims, p, weights):
+    """``u -> sum_j weights[j] * g_star_tail(n, dims[j], p, u)`` on the first rung alone.
+
+    The ``GJ_NODES``-node rule of every branch, uncertified: an
+    approximation that seeds a root search, not a tail value.  One
+    ``betainc`` call evaluates every branch: the ``a = p`` branch, the ratio
+    tail, is one node at ``r = 1`` with weight 1, and ``a = 0`` and
+    zero-weight branches, which add nothing above ``u = 0``, are left out.
+    ``None`` where no branch with ``0 < a < p`` has weight.
+    """
+    n, p = int(n), int(p)
+    mass = {int(k): float(w) for k, w in zip(dims, weights) if w > 0.0}
+    inner = tuple(k for k in mass if 0 < k < p)
+    if not inner:
+        return None
+    x, w, a2 = _mixing_rule(GJ_NODES, n, p, inner)
+    w = w * np.array([mass[k] for k in inner])[:, None]
+    x, w, a2 = x.ravel(), w.ravel(), np.repeat(a2.ravel(), GJ_NODES)
+    if p in mass:
+        x, w, a2 = np.append(x, 1.0), np.append(w, mass[p]), np.append(a2, p / 2.0)
+    m2 = (n - p) / 2.0
+    return lambda u: float(np.dot(w, _beta_tails(m2, a2, u * x)))
 
 
 def _agree(coarse, fine):
@@ -222,7 +293,7 @@ def _convolution_tails(n, dims, p, u):
 
     def rule(nodes, dims):
         x, w, a2 = _mixing_rule(nodes, n, p, dims)
-        return (w * betainc(m2, a2, 1.0 / (1.0 + u * x))).sum(axis=1)
+        return (w * _beta_tails(m2, a2, u * x)).sum(axis=1)
 
     tails = np.empty(len(dims))
     live = np.arange(len(dims))
@@ -250,7 +321,10 @@ def g_star_tail(n, a, p, u):
     ``GJ_NODES * (1, 2, 4, 8, 16)`` nodes are evaluated in turn; a branch's
     value is the finer rule of the first consecutive pair whose difference
     is within ``QUAD_RTOL`` of it, or which are both below 1e-280 (where
-    ``scipy.special.betainc`` starts to return 0 for the ratio tail).
+    ``scipy.special.betainc`` starts to return 0 for the ratio tail).  From
+    ``(n - p) / 2 = 500`` on, each rule's ratio tails are corrected for the
+    rounding of ``1 / (1 + v)`` (:func:`_beta_tails`), which would otherwise
+    cost about ``eps (n - p) / 2`` relative.
 
     Where no pair agrees, the Jacobi weights' absolute rounding, about
     ``eps`` times the largest weight, can exceed a far-tail value, and a

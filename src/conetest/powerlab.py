@@ -210,6 +210,23 @@ def _resolve_critical(plan, cfg):
     return cv.value
 
 
+def _plan_criticals(cfg):
+    """Critical value of each test plan of ``cfg``, by label, one solve per null law.
+
+    Plans that calibrate by the same law at ``cfg.alpha`` share one value:
+    an orthant family under ``sup`` and its halfspace counterpart under
+    ``sup`` or ``exact``, and T2 under either.  Bayes plans keep their own
+    weights.
+    """
+    solved, criticals = {}, {}
+    for i, plan in enumerate(cfg.tests):
+        law = i if plan.calibration == "bayes" else calibrate._law_family(plan.family, plan.calibration)
+        if law not in solved:
+            solved[law] = _resolve_critical(plan, cfg)
+        criticals[plan.label] = solved[law]
+    return criticals
+
+
 def _batch_values(means, c, n, families, low=-np.inf, high=np.inf, s=None):
     """Calibration-scale statistic values per draw for each of ``families``.
 
@@ -403,7 +420,7 @@ def simulate_power(cfg):
     given ``(cfg, seed)`` and independent of ``workers``.
     """
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
-    criticals = {plan.label: _resolve_critical(plan, cfg) for plan in cfg.tests}
+    criticals = _plan_criticals(cfg)
     tests = [(plan.family, criticals[plan.label]) for plan in cfg.tests]
     rows = []
     grid = _grid_counts(cfg, POWER_KEY, sigmas, cfg.theta_grid, tests, _rejections)

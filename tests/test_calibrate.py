@@ -897,6 +897,14 @@ class TestInvertTail:
             monkeypatch.setattr(
                 calibrate, name, lambda *args, branch=branch: calls.append(1) or branch(*args)
             )
+        # Each evaluation of a first-rung mixture counts as one evaluation.
+        rung = calibrate._first_rung
+
+        def counted_rung(*args):
+            tail = rung(*args)
+            return tail and (lambda c: calls.append(1) or tail(c))
+
+        monkeypatch.setattr(calibrate, "_first_rung", counted_rung)
 
         def evaluations(solve):
             del calls[:]
@@ -915,7 +923,72 @@ class TestInvertTail:
                     reference += evaluations(lambda: brentq_critical_value(tail, alpha))
         # 339 against 748 when written; each part of the solver (seed, Newton
         # step, overshoot, Illinois weights) saves a few percent of these.
+        # Since a mixture's ratio branches are one call and a UIT value starts
+        # on its first rung, every count is one mixture evaluation.
         assert ours < 0.6 * reference
+
+    BAYES_SHAPES = ((20, 3), (30, 5), (40, 6), (60, 8))
+    LARGE_N_SHAPES = ((10**4, 3), (10**5, 3), (10**6, 3))
+
+    def uit_values(self):
+        """(kind, n, p, alpha, solve) for sup and Bayes UIT values at the listed shapes."""
+        for n, p in self.ANALYST_SHAPES + self.BAYES_SHAPES + self.LARGE_N_SHAPES:
+            weights = self.identity_weights(p)
+            for alpha in (0.01, 0.05, 0.1):
+                yield "sup", n, p, alpha, lambda: sup_critical_value(stats.UIT_ORTHANT, alpha, n, p)
+                yield "bayes", n, p, alpha, lambda: bayes_critical_value(
+                    stats.UIT_ORTHANT, alpha, n, p, weights
+                )
+
+    def test_uit_value_takes_at_most_three_certified_tails(self, monkeypatch):
+        from conetest import calibrate
+
+        calls = []
+        star = calibrate.g_star_tail
+        monkeypatch.setattr(calibrate, "g_star_tail", lambda *args: calls.append(1) or star(*args))
+        for kind, n, p, alpha, solve in self.uit_values():
+            del calls[:]
+            solve()
+            assert len(calls) <= 3, (kind, n, p, alpha, len(calls))
+
+    @pytest.mark.parametrize("fault", ["raises", "off"])
+    def test_first_rung_fault_still_matches_brentq(self, monkeypatch, fault):
+        from conetest import calibrate
+
+        root = calibrate._first_rung_root
+
+        def faulty(*args):
+            if fault == "raises":
+                raise CalibrationError("first-rung search failed")
+            c, slope = root(*args)
+            return 1.1 * c, slope
+
+        monkeypatch.setattr(calibrate, "_first_rung_root", faulty)
+        eps = np.finfo(float).eps
+        for n, p in self.ANALYST_SHAPES + self.BAYES_SHAPES:
+            weights = self.identity_weights(p)
+            for family, law_weights in ((stats.UIT_ORTHANT, weights), (stats.UIT_HALFSPACE, None)):
+                tail = lambda c: null_tail(family, c, n, p, weights=law_weights)
+                for alpha in self.ALPHAS:
+                    if law_weights is None:
+                        c = sup_critical_value(family, alpha, n, p).value
+                    else:
+                        c = bayes_critical_value(family, alpha, n, p, law_weights).value
+                    bound = 2e-12 + 8.0 * eps * c
+                    assert abs(c - brentq_critical_value(tail, alpha)) <= bound, (family, n, p, alpha)
+
+    def test_achieved_alpha_is_the_tail_at_the_value(self):
+        for n, p in self.ANALYST_SHAPES + self.LARGE_N_SHAPES:
+            weights = self.identity_weights(p)
+            for family in (stats.T2,) + stats.HALFSPACE_FAMILIES + stats.ORTHANT_FAMILIES:
+                law_weights = weights if family in stats.ORTHANT_FAMILIES else None
+                for alpha in (0.01, 0.05):
+                    if law_weights is None:
+                        cv = exact_halfspace_critical_value(family, alpha, n, p)
+                    else:
+                        cv = bayes_critical_value(family, alpha, n, p, law_weights)
+                    tail = null_tail(family, cv.value, n, p, weights=law_weights)
+                    assert cv.achieved_alpha == tail, (family, n, p, alpha)
 
     @pytest.mark.parametrize("level", [0.5, 0.01])
     def test_unbracketable_tail_raises(self, level):

@@ -731,6 +731,31 @@ class TestCmdCalibrate:
         tail = calibrate.null_tail(stats.UIT_ORTHANT, result["critical_value"], n, p, weights)
         assert abs(tail - 0.05) <= 1e-9 * 0.05
 
+    @pytest.mark.parametrize(
+        "family, cone, calibration",
+        [("uit", "halfspace", "exact"), ("lrt", "halfspace", "exact"), ("t2", "orthant", "sup"),
+         ("t2", "orthant", "exact"), ("uit", "orthant", "bayes"), ("lrt", "orthant", "bayes")],
+    )
+    @pytest.mark.parametrize("n, p", [(30, 3), (60, 8), (10**6, 3)])
+    def test_achieved_alpha_is_null_tail(self, family, cone, calibration, n, p, tmp_path):
+        # The level is the tail the solver certified at the value it returns,
+        # the same number as a fresh null_tail call there.
+        out = tmp_path / "c.json"
+        argv = ["calibrate", "--family", family, "--cone", cone, "--calibration", calibration,
+                "--alpha", "0.05", "--n", str(n), "--p", str(p), "--out", str(out)]
+        if calibration == "bayes":
+            argv += ["--prior-df", str(p + 2), "--seed", "5", "--mc-samples", "20000"]
+        assert main(argv) == 0
+        result = json.loads(out.read_text())["result"]
+        weights = None
+        if calibration == "bayes":
+            weights = calibrate.MixtureWeights(
+                np.array(result["weights"]["values"]), np.array(result["weights"]["std_errors"]),
+                calibrate.MONTE_CARLO, result["weights"]["mc_samples"],
+            )
+        tail = calibrate.null_tail(result["family"], result["critical_value"], n, p, weights)
+        assert result["achieved_alpha"] == tail
+
     @pytest.mark.parametrize("family, p", [("uit", -1), ("fuit", 0), ("t2", 0), ("lrt", 0)])
     def test_p_below_one_is_usage_error(self, family, p, capsys):
         argv = ["calibrate", "--family", family, "--alpha", "0.05", "--n", "20", "--p", str(p)]

@@ -170,6 +170,27 @@ class TestRatioTailLargeArgument:
             assert g_star_tail(6, 2, 4, u) == pytest.approx(expect, rel=1e-14, abs=0.0)
 
 
+class TestRatioTailSequence:
+    """A 1-D sequence of numerator dimensions gives the scalar calls' tails."""
+
+    @pytest.mark.parametrize("n", [3, 10, 30, 1000, 10**6])
+    def test_sequence_equals_scalar_calls(self, n):
+        p = 2 if n == 3 else 8
+        dims = np.arange(p + 1)
+        for u in (0.0, 1e-7, 0.3, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 4.0, 1e9):
+            got = g_ratio_tail(dims, n - p, u)
+            assert isinstance(got, np.ndarray)
+            assert np.array_equal(got, [g_ratio_tail(int(k), n - p, u) for k in dims]), u
+            assert np.array_equal(g_ratio_tail(list(dims[::-1]), n - p, u), got[::-1])
+        assert np.array_equal(g_ratio_tail([], n - p, 0.5), [])
+
+    def test_sequence_checks_every_dimension(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            g_ratio_tail([2, -1], 5, 0.5)
+        with pytest.raises(ValueError, match="1-D"):
+            g_ratio_tail([[1, 2]], 5, 0.5)
+
+
 class TestConvolutionTail:
     def test_degenerate_a_equals_p(self):
         for u in (0.1, 0.7, 2.0):
@@ -295,6 +316,28 @@ class TestRelativeAccuracy:
                 for u in (c / 2.0, c, 2.0 * c):
                     g_star_tail(n, range(p + 1), p, u)
         assert set(rungs) == {dist.GJ_NODES, 2 * dist.GJ_NODES}
+
+
+    def test_large_n_critical_points_certify_on_jacobi_ladder(self, monkeypatch):
+        # From n - p of 1000 on the Jacobi rules correct the rounding of
+        # 1/(1+v), which costs about eps (n-p)/2 relative: uncorrected, the
+        # rules disagree at 1e-12 from n of about 1e5 on, and the branch
+        # ends on the far-tail rule.
+        from conetest import calibrate, stats
+
+        far = []
+        rule = dist._far_tail
+        monkeypatch.setattr(dist, "_far_tail", lambda *a: far.append(a) or rule(*a))
+        for n in (10**4, 10**5, 10**6):
+            for p in (3, 5):
+                for alpha in (0.01, 0.05, 0.1):
+                    c = calibrate.sup_critical_value(stats.UIT_ORTHANT, alpha, n, p).value
+                    for u in (c / 2.0, c, 2.0 * c):
+                        got = g_star_tail(n, range(1, p), p, u)
+                        for a, value in zip(range(1, p), got):
+                            expect = rel_star_tail(n, a, p, u)
+                            assert abs(value - expect) <= 1e-12 * expect, (n, a, p, u)
+        assert far == []
 
 
 class TestStudentT:

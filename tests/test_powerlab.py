@@ -427,6 +427,34 @@ class TestOneCountingPath:
             run()
             assert len(calls) == 1
 
+    def test_one_inversion_per_null_law(self, monkeypatch):
+        # The benchmark's power plans: UIT_orthant/sup and UIT_halfspace/exact
+        # invert one law, the two LRT plans another, T2 a third; FUIT takes
+        # its Bonferroni threshold.  Bayes plans keep their own weights.
+        plans = (
+            TestPlan(stats.UIT_ORTHANT), TestPlan(stats.LRT_ORTHANT),
+            TestPlan(stats.UIT_HALFSPACE, "exact"), TestPlan(stats.LRT_HALFSPACE, "exact"),
+            TestPlan(stats.T2), TestPlan(stats.FUIT),
+        )
+        cfg = small_config(p=3, n=120, replications=200, tests=plans,
+                           sigma_source=SigmaSource.random_correlation(2),
+                           theta_grid=(np.zeros(3),))
+        solves = self.spy(monkeypatch, calibrate, "_critical_value")
+        rep = simulate_power(cfg)
+        assert len(solves) == 3
+        values = rep.metadata["critical_values"]
+        assert values["UIT_orthant/sup"] == values["UIT_halfspace/exact"]
+        assert values["LRT_orthant/sup"] == values["LRT_halfspace/exact"]
+        for plan in plans[:5]:
+            expect = calibrate.CALIBRATIONS[plan.calibration].solve(plan.family, 0.05, 120, 3, None)
+            assert values[plan.label] == expect.value
+
+        prior = PriorSpec.inverse_wishart(np.eye(3), 6.0)
+        bayes = TestPlan(stats.UIT_ORTHANT, "bayes", prior=prior, weight_samples=2000)
+        solves.clear()
+        simulate_power(dataclasses.replace(cfg, tests=(bayes,) + plans[::2]))
+        assert len(solves) == 3  # the Bayes plan's own, UIT and T2
+
     def test_domination_calibrates_each_pair_once(self, monkeypatch):
         calibrations = self.spy(monkeypatch, calibrate, "_calibration")
         solves = self.spy(monkeypatch, calibrate, "sup_critical_value")
