@@ -306,10 +306,20 @@ class TestOrthantKernel:
             orthant_active_set(y, metric)
         assert err.value.details == {"draw": 5, "y": [0.5, -1.0]}
 
-    @pytest.mark.parametrize("p", range(2, 9))
+    @pytest.mark.parametrize("p", [*range(1, 13), 63, 64, 65])
     def test_fixed_metric_equals_its_stack(self, rng, p):
-        reps = 300
-        y = rng.standard_normal((reps, p))
+        # A shared metric builds one step system per pattern code up to
+        # p = 64 and one per row beyond; a stack builds one per row.  The
+        # last 200 rows repeat four patterns: positive multiples of four
+        # rows, and rows with the signs of those four.
+        base = rng.standard_normal((4, p))
+        picks = rng.integers(4, size=200)
+        y = np.concatenate([
+            rng.standard_normal((300, p)),
+            base[picks[:100]] * rng.uniform(0.5, 2.0, (100, 1)),
+            np.abs(rng.standard_normal((100, p))) * np.sign(base[picks[100:]]),
+        ])
+        reps = len(y)
         metric = random_pd_matrix(rng, p)
         free, q_res = orthant_active_set(y, metric)
         free_s, q_res_s = orthant_active_set(y, np.stack([metric] * reps))
@@ -390,15 +400,53 @@ class TestWarmStart:
             assert np.array_equal(q_res, wrong_q_res)
 
     def test_sweeps_solve_fewer_rows(self, monkeypatch):
-        # About 1.18 against 1.98 rows per pending draw at these draws.
+        # Four sweeps: about 1.02 against 1.98 rows per pending draw at these draws.
         p = 6
         metric = 0.5 * np.eye(p) + 0.5 * np.ones((p, p))
         y = substream(71, 0).standard_normal((10000, p)) @ np.linalg.cholesky(metric).T
+        pending = np.count_nonzero((y <= 0.0).any(axis=1))
         warm_rows, warm = solved_rows(monkeypatch, y, metric)
         monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         cold_rows, cold = solved_rows(monkeypatch, y, metric)
         assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
-        assert warm_rows <= 0.65 * cold_rows
+        assert warm_rows <= 1.03 * pending
+        assert warm_rows <= 0.53 * cold_rows
+
+    @pytest.mark.parametrize("rows", [1, 2, 5])
+    def test_lone_pending_row_keeps_the_sign_start(self, rng, monkeypatch, rows):
+        # Sweeping one row costs about what the step it may save costs.
+        calls = []
+        warm_start = _batch._warm_start
+
+        def spy(y, metric):
+            calls.append(len(y))
+            return warm_start(y, metric)
+
+        monkeypatch.setattr(_batch, "_warm_start", spy)
+        metric = random_pd_matrix(rng, 4)
+        y = np.abs(rng.standard_normal((rows + 3, 4)))
+        y[:rows, 1] = -y[:rows, 1]
+        free, q_res = orthant_active_set(y, metric)
+        assert calls == ([] if rows == 1 else [rows])
+        expect = least_index_reference(y, metric)
+        assert np.array_equal(free, expect[0])
+        assert np.allclose(q_res, expect[1], rtol=1e-12, atol=1e-12)
+
+
+class TestPatternCodes:
+    """uint64 pattern codes key a shared-metric step's systems up to p = 64."""
+
+    @pytest.mark.parametrize("p", [1, 2, 62, 63, 64])
+    def test_codes_decode_to_their_masks(self, rng, p):
+        mask = rng.random((500, p)) < 0.5
+        mask[0], mask[1] = True, False  # the largest code, 2**p - 1, and 0
+        mask[2:2 + p] = np.eye(p, dtype=bool)  # every single bit, the top one included
+        codes = _batch._pattern_codes(mask)
+        assert codes.dtype == np.uint64
+        assert int(codes[0]) == 2**p - 1 and int(codes[1]) == 0
+        assert [int(c) for c in codes[2:2 + p]] == [2**j for j in range(p)]
+        assert [int(c) for c in codes] == [sum(2 ** int(j) for j in np.flatnonzero(m)) for m in mask]
+        assert np.array_equal(_batch._pattern_masks(codes, p), mask)
 
     def test_zero_sweeps_give_the_sign_pattern(self, rng, monkeypatch):
         monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
