@@ -432,22 +432,6 @@ class TestWarmStart:
         assert np.array_equal(free, expect[0])
         assert np.allclose(q_res, expect[1], rtol=1e-12, atol=1e-12)
 
-
-class TestPatternCodes:
-    """uint64 pattern codes key a shared-metric step's systems up to p = 64."""
-
-    @pytest.mark.parametrize("p", [1, 2, 62, 63, 64])
-    def test_codes_decode_to_their_masks(self, rng, p):
-        mask = rng.random((500, p)) < 0.5
-        mask[0], mask[1] = True, False  # the largest code, 2**p - 1, and 0
-        mask[2:2 + p] = np.eye(p, dtype=bool)  # every single bit, the top one included
-        codes = _batch._pattern_codes(mask)
-        assert codes.dtype == np.uint64
-        assert int(codes[0]) == 2**p - 1 and int(codes[1]) == 0
-        assert [int(c) for c in codes[2:2 + p]] == [2**j for j in range(p)]
-        assert [int(c) for c in codes] == [sum(2 ** int(j) for j in np.flatnonzero(m)) for m in mask]
-        assert np.array_equal(_batch._pattern_masks(codes, p), mask)
-
     def test_zero_sweeps_give_the_sign_pattern(self, rng, monkeypatch):
         monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         for metric in shared_metrics(rng):
@@ -464,6 +448,22 @@ class TestPatternCodes:
         metric = np.stack([random_pd_matrix(rng, 3) for _ in range(300)])
         free, _ = orthant_active_set(y, metric)
         assert np.array_equal(free, least_index_reference(y, metric)[0])
+
+
+class TestPatternCodes:
+    """uint64 pattern codes key a shared-metric step's systems up to p = 64."""
+
+    @pytest.mark.parametrize("p", [1, 2, 62, 63, 64])
+    def test_codes_decode_to_their_masks(self, rng, p):
+        mask = rng.random((500, p)) < 0.5
+        mask[0], mask[1] = True, False  # the largest code, 2**p - 1, and 0
+        mask[2:2 + p] = np.eye(p, dtype=bool)  # every single bit, the top one included
+        codes = _batch._pattern_codes(mask)
+        assert codes.dtype == np.uint64
+        assert int(codes[0]) == 2**p - 1 and int(codes[1]) == 0
+        assert [int(c) for c in codes[2:2 + p]] == [2**j for j in range(p)]
+        assert [int(c) for c in codes] == [sum(2 ** int(j) for j in np.flatnonzero(m)) for m in mask]
+        assert np.array_equal(_batch._pattern_masks(codes, p), mask)
 
 
 class TestHalfspaceProjection:
