@@ -164,25 +164,18 @@ def scaled_draw(z, a, chol_sigma, n):
 
     Returns means of shape (p, reps) and ``c`` of shape (p, p, reps), so
     each coordinate is one contiguous vector over the draws.  ``chol_sigma``
-    is ``L``: one (p, p) factor (:func:`shared_scaled_draw`), or a (reps,
-    p, p) stack of per-draw factors, whose stacked products are transposed.
+    is ``L``: one (p, p) factor, which takes one gemm for the means and one
+    for ``c`` (:func:`factor_map`), or a (reps, p, p) stack of per-draw
+    factors, whose stacked products are transposed.
     """
-    if chol_sigma.ndim == 2:
-        return shared_scaled_draw(z, a, chol_sigma, factor_map(chol_sigma), n)
     p = chol_sigma.shape[-1]
-    means = np.ascontiguousarray((chol_sigma @ z[..., None])[..., 0].T)
-    c = np.ascontiguousarray(np.moveaxis(chol_sigma @ tril_stack(a, p), 0, -1))
+    if chol_sigma.ndim == 2:
+        means = chol_sigma @ z.T
+        c = (factor_map(chol_sigma).T @ a.T).reshape(p, p, -1)
+    else:
+        means = np.ascontiguousarray((chol_sigma @ z[..., None])[..., 0].T)
+        c = np.ascontiguousarray(np.moveaxis(chol_sigma @ tril_stack(a, p), 0, -1))
     return means / np.sqrt(n), c
-
-
-def shared_scaled_draw(z, a, chol, fmap, n):
-    """:func:`scaled_draw` by one (p, p) factor ``chol`` whose :func:`factor_map` is ``fmap``.
-
-    One gemm for the means and one for ``c``; a caller that scales many
-    draws by one factor builds ``fmap`` once.
-    """
-    p = chol.shape[0]
-    return chol @ z.T / np.sqrt(n), (fmap.T @ a.T).reshape(p, p, -1)
 
 
 def sample_mean_chol(rng, theta, chol_sigma, n, reps):
@@ -289,12 +282,10 @@ def orthant_active_set(y, metric):
     complement ``c`` and the identity's on the free set ``a``: then ``z_c =
     M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``, the adjusted mean.
     A free index with ``z <= 0`` or a complement index with ``z > 0``
-    violates its sign condition.  ``B`` depends only on the metric and the
-    pattern, so on a shared metric of ``p <= 64`` a step builds one ``B``
-    per distinct pattern, keyed by its uint64 code (:func:`_pattern_codes`),
-    and gathers a copy for each draw; each draw is still solved on its own.
-    Under a stack, or beyond 64 indices, each draw's ``B`` is built from
-    its own copy of the metric.
+    violates its sign condition.  On a shared metric a step builds every
+    draw's ``B`` in one ``np.where`` over the metric and the draws'
+    patterns; under a stack each draw's ``B`` is built from its own copy of
+    the metric.
 
     Pivots follow block principal pivoting (Judice & Pires 1994; Kim & Park
     2011).  Each draw keeps the fewest violations it has seen.  A step that
@@ -342,9 +333,6 @@ def orthant_active_set(y, metric):
     pending = np.flatnonzero(free @ ones < p)
     if metric.ndim == 2 and pending.size > 1:
         free[pending] = _warm_start(y[pending], metric)
-    by_pattern = metric.ndim == 2 and p <= 64
-    if not by_pattern:
-        metric = np.broadcast_to(metric, (reps, p, p))
     q_res = np.zeros(reps)
     tol = ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
@@ -356,9 +344,8 @@ def orthant_active_set(y, metric):
             if not todo.size:
                 break
             mask, y_t = free[todo], y[todo]
-            if by_pattern:
-                codes, rows = np.unique(_pattern_codes(mask), return_inverse=True)
-                mats = np.where(_pattern_masks(codes, p)[:, None, :], eye, metric)[rows]
+            if metric.ndim == 2:
+                mats = np.where(mask[:, None, :], eye, metric)
             else:
                 mats = metric[todo]
                 np.copyto(mats, eye, where=mask[:, None, :])
@@ -413,19 +400,6 @@ def _warm_start(y, metric):
         for j in range(len(y)):
             np.minimum(scaled[j] + step[j] @ nu, 0.0, out=nu[j])
     return ((nu == 0.0) & (y - metric @ nu > 0.0)).T
-
-
-def _pattern_codes(mask):
-    """uint64 code of each row of a (rows, p) mask: the sum of ``2**j`` over its set ``j``.
-
-    Exact for ``p <= 64``: the largest code, all bits set, is ``2**64 - 1``.
-    """
-    return mask @ (np.uint64(1) << np.arange(mask.shape[1], dtype=np.uint64))
-
-
-def _pattern_masks(codes, p):
-    """(len(codes), p) masks of uint64 pattern codes, the inverse of :func:`_pattern_codes`."""
-    return (codes[:, None] >> np.arange(p, dtype=np.uint64)) & np.uint64(1) != 0
 
 
 def _draw_error(message, y, draw):

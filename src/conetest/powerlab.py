@@ -26,7 +26,6 @@ from ._batch import (
     SIMILARITY_KEY,
     _count_cells,
     factor_cov,
-    factor_map,
     factor_variances,
     forward_sq_norm,
     halfspace_residual,
@@ -34,7 +33,6 @@ from ._batch import (
     projection_norm,
     sample_invwishart_chol,
     scaled_draw,
-    shared_scaled_draw,
     standard_draw,
     substream,
 )
@@ -349,28 +347,21 @@ def _grid_views(n, p, sigmas, thetas, prior=None):
     inverse-Wishart ``prior``, the chunk then draws per-draw prior factors
     ``G`` (:func:`sample_invwishart_chol`), scored last as the sigma
     ``prior_draws`` with ``L = G``: the compound null of the Bayes
-    calibration.  Each sigma's :func:`factor_map` is built once per cell,
-    not per chunk.  ``c``, its variances ``diag(S)``
-    (:func:`factor_variances`) and the means of ``L z`` are formed once per
-    sigma, when its views are reached; a view is ``(cell, xbar, c,
-    variances)``.  The draw is let go once the last sigma's are formed, so
-    a grid of one sigma holds no more while it is scored than
-    :func:`sample_mean_chol`'s draw would.  A
+    calibration.  ``c``, its variances ``diag(S)`` (:func:`factor_variances`)
+    and the means of ``L z`` are formed once per sigma, when its views are
+    reached; a view is ``(cell, xbar, c, variances)``.  The draw is let go
+    once the last sigma's are formed, so a grid of one sigma holds no more
+    while it is scored than :func:`sample_mean_chol`'s draw would.  A
     sigma's arrays are let go before the next sigma's are formed, provided
     the consumer drops its last view first (as :func:`_grid_counts` does).
     """
-    shared = [(sigma_id, chol, factor_map(chol)) for sigma_id, chol in sigmas]
-
     def views(rng, reps):
         draw = standard_draw(rng, p, n, reps)
-        factors = list(shared)
+        factors = list(sigmas)
         if prior is not None:
-            factors.append(("prior_draws", sample_invwishart_chol(rng, prior.scale, prior.df, reps), None))
-        for i, (sigma_id, chol, fmap) in enumerate(factors, 1):
-            if fmap is None:
-                means, c = scaled_draw(*draw, chol, n)
-            else:
-                means, c = shared_scaled_draw(*draw, chol, fmap, n)
+            factors.append(("prior_draws", sample_invwishart_chol(rng, prior.scale, prior.df, reps)))
+        for i, (sigma_id, chol) in enumerate(factors, 1):
+            means, c = scaled_draw(*draw, chol, n)
             if i == len(factors):
                 del draw
             s = factor_variances(c, n)

@@ -308,10 +308,10 @@ class TestOrthantKernel:
 
     @pytest.mark.parametrize("p", [*range(1, 13), 63, 64, 65])
     def test_fixed_metric_equals_its_stack(self, rng, p):
-        # A shared metric builds one step system per pattern code up to
-        # p = 64 and one per row beyond; a stack builds one per row.  The
-        # last 200 rows repeat four patterns: positive multiples of four
-        # rows, and rows with the signs of those four.
+        # A shared metric builds every row's step system from one metric, a
+        # stack from each row's own.  The last 200 rows repeat four
+        # patterns: positive multiples of four rows, and rows with the
+        # signs of those four.
         base = rng.standard_normal((4, p))
         picks = rng.integers(4, size=200)
         y = np.concatenate([
@@ -448,22 +448,6 @@ class TestWarmStart:
         metric = np.stack([random_pd_matrix(rng, 3) for _ in range(300)])
         free, _ = orthant_active_set(y, metric)
         assert np.array_equal(free, least_index_reference(y, metric)[0])
-
-
-class TestPatternCodes:
-    """uint64 pattern codes key a shared-metric step's systems up to p = 64."""
-
-    @pytest.mark.parametrize("p", [1, 2, 62, 63, 64])
-    def test_codes_decode_to_their_masks(self, rng, p):
-        mask = rng.random((500, p)) < 0.5
-        mask[0], mask[1] = True, False  # the largest code, 2**p - 1, and 0
-        mask[2:2 + p] = np.eye(p, dtype=bool)  # every single bit, the top one included
-        codes = _batch._pattern_codes(mask)
-        assert codes.dtype == np.uint64
-        assert int(codes[0]) == 2**p - 1 and int(codes[1]) == 0
-        assert [int(c) for c in codes[2:2 + p]] == [2**j for j in range(p)]
-        assert [int(c) for c in codes] == [sum(2 ** int(j) for j in np.flatnonzero(m)) for m in mask]
-        assert np.array_equal(_batch._pattern_masks(codes, p), mask)
 
 
 class TestHalfspaceProjection:

@@ -19,7 +19,6 @@ from conetest import (
 )
 from conetest._batch import (
     factor_cov,
-    factor_map,
     factor_variances,
     forward_sq_norm,
     orthant_active_set,
@@ -27,7 +26,6 @@ from conetest._batch import (
     run_chunks,
     sample_mean_chol,
     scaled_draw,
-    shared_scaled_draw,
     standard_draw,
     substream,
 )
@@ -1195,7 +1193,7 @@ class TestBatchMatchesScalar:
 
         def spy(*args):
             assert all(ref() is None for ref in alive)
-            means, c = shared_scaled_draw(*args)
+            means, c = scaled_draw(*args)
             alive.append(weakref.ref(c))
             return means, c
 
@@ -1206,29 +1204,9 @@ class TestBatchMatchesScalar:
             tests=(TestPlan(stats.UIT_ORTHANT), TestPlan(stats.LRT_ORTHANT), TestPlan(stats.T2)),
         )
         table = simulate_power(cfg)
-        monkeypatch.setattr(powerlab, "shared_scaled_draw", spy)
+        monkeypatch.setattr(powerlab, "scaled_draw", spy)
         assert simulate_power(cfg) == table
         assert len(alive) == 3
-
-    def test_factor_map_built_once_per_sigma(self, monkeypatch):
-        # Three chunks of 500 draws at two sigmas: one map per sigma, not per chunk.
-        calls = []
-
-        def spy(chol):
-            calls.append(chol.shape)
-            return factor_map(chol)
-
-        cfg = small_config(
-            replications=1500,
-            sigma_source=SigmaSource.random_correlation(2),
-            theta_grid=(np.zeros(2), np.array([0.3, 0.1])),
-            tests=(TestPlan(stats.UIT_ORTHANT), TestPlan(stats.T2)),
-        )
-        monkeypatch.setattr(_batch, "CHUNK", 500)
-        table = simulate_power(cfg)
-        monkeypatch.setattr(powerlab, "factor_map", spy)
-        assert simulate_power(cfg) == table
-        assert calls == [(2, 2)] * 2
 
     def test_t2_solved_once_per_chunk(self, monkeypatch):
         from itertools import combinations
