@@ -77,7 +77,8 @@ for region in (UIT_ORTHANT_ACCEPTANCE, UIT_HALFSPACE_ACCEPTANCE):
 
 witness = convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=3, n=15, p=2)
 w = witness.witness
-print("\nlikelihood-ratio nonconvexity witness (fixed diagonal covariance):")
-print("  member a :", np.round(w["member_a"], 4))
-print("  member b :", np.round(w["member_b"], 4))
+print(f"\nlikelihood-ratio nonconvexity witness, found at pair {witness.pairs_tested}:")
+print("  covariance :", np.round(w["covariance"], 4).tolist())
+print("  member a   :", np.round(w["member_a"], 4))
+print("  member b   :", np.round(w["member_b"], 4))
 print(f"  midpoint statistic {w['midpoint_statistic']:.4f} > critical {w['critical']:.4f}")

@@ -29,11 +29,9 @@ CHUNK = 10000
 ROUND = 64
 
 # Stream key of each Monte-Carlo consumer.  Chunk j of a cell draws on its
-# key + (j,); the last two draw on one substream each.  The witness key is
-# chunk 10 001 of the convexity cell; the two never run in one probe.
+# key + (j,); the last draws on one substream.
 POWER_KEY = (2,)  # the power grid: simulate_power, domination_experiment
-CONVEXITY_KEY = (3,)  # the union-intersection convexity probe
-LRT_WITNESS_KEY = (3, 10_001)  # the likelihood-ratio witness search
+CONVEXITY_KEY = (3,)  # the midpoint cell of convexity_probe, every region
 SIMILARITY_KEY = (4,)  # similarity_probe
 WEIGHTS_KEY = (10,)  # Monte-Carlo chi-bar and Bayes weights
 CORRELATIONS_KEY = (12, 0)  # random_correlation sigma sources
@@ -82,27 +80,35 @@ def _count_cells(seed, key, count, total, workers):
     integers.  The chunks go to :func:`run_chunks` in rounds of ``ROUND``,
     in chunk order, so memory does not grow with ``total`` and the sum
     does not depend on ``workers``.  A cell of no draws has no chunks and
-    counts 0.  A :class:`SolverError` raised by ``count`` leaves with its
-    replay key: ``details`` gains ``seed``, ``stream_key`` and ``chunk``
-    beside the solver's ``draw`` index within the chunk, and the message
-    names them.  Private, so wrappers installed on this module's public
-    functions (as by ``bench/tracer.py``) see that call as made from the
-    caller's layer.
+    counts 0.  A :class:`SolverError` leaves with its replay key
+    (:func:`_run_chunk`).  Private, so wrappers installed on this module's
+    public functions (as by ``bench/tracer.py``) see that call as made from
+    the caller's layer.
     """
     n_chunks = -(-total // CHUNK)
 
     def worker(j):
-        try:
-            return count(substream(seed, key + (j,)), min(CHUNK, total - j * CHUNK))
-        except SolverError as err:
-            err.add_context(seed=int(seed), stream_key=list(key), chunk=j)
-            raise
+        return _run_chunk(seed, key, j, count, min(CHUNK, total - j * CHUNK))
 
     counts = 0
     for start in range(0, n_chunks, ROUND):
         chunks = run_chunks(lambda i: worker(start + i), min(ROUND, n_chunks - start), workers)
         counts = counts + np.sum(chunks, axis=0)
     return counts
+
+
+def _run_chunk(seed, key, j, count, reps):
+    """``count(rng, reps)`` on the substream ``key + (j,)`` of ``seed``.
+
+    A :class:`SolverError` leaves with its replay key: ``details`` gains
+    ``seed``, ``stream_key`` and ``chunk`` beside the solver's ``draw``
+    index within the chunk, and the message names them.
+    """
+    try:
+        return count(substream(seed, key + (j,)), reps)
+    except SolverError as err:
+        err.add_context(seed=int(seed), stream_key=list(key), chunk=j)
+        raise
 
 
 def _bartlett(rng, dfs, reps):

@@ -46,29 +46,19 @@ class UsageError(Exception):
 # report plumbing
 
 
+def _numpy_json(obj):
+    """``json.dumps`` hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False, default=_numpy_json)
 
 
 def _digest(obj):
     return hashlib.sha256(_canonical_json(obj).encode("utf-8")).hexdigest()
-
-
-def _sanitize(obj):
-    """Recursively convert numpy scalars/arrays for JSON emission."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return _sanitize(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def build_manifest(command, inputs, seed, resolved_config):
@@ -85,7 +75,7 @@ def build_manifest(command, inputs, seed, resolved_config):
         "command": command,
         "input_paths": [path for path, _ in inputs],
         "seed": seed,
-        "config_digest": _digest(_sanitize(config)),
+        "config_digest": _digest(config),
         "tool_version": __version__,
         "library_versions": {
             "python": platform.python_version(),
@@ -106,7 +96,7 @@ def _output(path, what, **kwargs):
 
 
 def emit_report(report, out_path):
-    text = json.dumps(_sanitize(report), sort_keys=True, indent=2) + "\n"
+    text = json.dumps(report, sort_keys=True, indent=2, default=_numpy_json) + "\n"
     if out_path:
         with _output(out_path, "report") as fh:
             fh.write(text)
@@ -533,7 +523,7 @@ def cmd_simulate(args):
     resolved = {"command": "simulate", "config": raw}
     manifest = build_manifest("simulate", inputs, cfg.seed, resolved)
     run = powerlab.simulate_power if experiment == "power" else powerlab.domination_experiment
-    body = _sanitize(dataclasses.asdict(run(cfg)))
+    body = dataclasses.asdict(run(cfg))
     rows = body["rows"]
     body["config"] = raw
     emit_report({"manifest": manifest, "result": body}, args.out)
@@ -543,7 +533,8 @@ def cmd_simulate(args):
             keys = sorted(rows[0])
             writer.writerow(keys)
             for row in rows:
-                writer.writerow([row[k] for k in keys])
+                # A theta cell reads as its JSON list, [0.0, 0.0].
+                writer.writerow([list(row[k]) if isinstance(row[k], tuple) else row[k] for k in keys])
     if args.out:
         print(f"{experiment}: {len(rows)} rows -> {args.out}")
     return 0

@@ -21,10 +21,10 @@ from ._batch import (
     CHUNK,
     CONVEXITY_KEY,
     CORRELATIONS_KEY,
-    LRT_WITNESS_KEY,
     POWER_KEY,
     SIMILARITY_KEY,
     _count_cells,
+    _run_chunk,
     factor_cov,
     factor_variances,
     forward_sq_norm,
@@ -556,7 +556,6 @@ class ConvexityReport:
     pairs_tested: int
     violations: int
     witness: Optional[dict]
-    attempts: int
     metadata: dict = field(default_factory=dict)
 
 
@@ -569,7 +568,8 @@ _REGION_FAMILIES = {
     LRT_ORTHANT_ACCEPTANCE: LRT_ORTHANT,
 }
 
-_WITNESS_CAP = 1_000_000
+# Chunks the likelihood-ratio witness search may draw: 10**6 pairs.
+_WITNESS_CHUNKS = 100
 
 
 def _member_means(family, c, n, p, chol, rng, count):
@@ -586,65 +586,22 @@ def _member_means(family, c, n, p, chol, rng, count):
     return np.concatenate(pool, axis=1)
 
 
-def _search_lrt_witness(c, n, seed):
-    """Find member means whose midpoint leaves the acceptance region.
-
-    Pairs one boundary-adjacent member of the all-positive branch with one
-    deep member of a single-coordinate branch; the acceptance set flares
-    outward along the branch boundary, so midpoints overshoot.
-    """
-    c_unit = np.sqrt(n - 1) * np.eye(2)[..., None]  # (n-1) S = c c' with S = I
-
-    def lrt(x):
-        return float(_batch_values(x[:, None], c_unit, n, {LRT_ORTHANT}, c)[LRT_ORTHANT][0])
-
-    rng = substream(seed, LRT_WITNESS_KEY)
-    attempts = 0
-    while attempts < _WITNESS_CAP:
-        attempts += 1
-        eps = rng.uniform(1e-3, 0.05)
-        phi = rng.uniform(0.01, 0.5)
-        t = rng.uniform(1.0, 6.0)
-        r = np.sqrt(c * (1.0 - eps) * (n - 1.0) / n)
-        a_pt = np.array([r * np.cos(phi), r * np.sin(phi)])
-        b0 = np.sqrt(c * (1.0 - eps) * ((n - 1.0) + n * t * t) / n)
-        b_pt = np.array([b0, -t])
-        if lrt(a_pt) > c or lrt(b_pt) > c:
-            continue
-        mid = 0.5 * (a_pt + b_pt)
-        val = lrt(mid)
-        if val > c * (1.0 + 1e-9):
-            return {
-                "member_a": a_pt.tolist(),
-                "member_b": b_pt.tolist(),
-                "midpoint": mid.tolist(),
-                "midpoint_statistic": val,
-                "critical": c,
-                "fixed_diagonal_cov": [1.0, 1.0],
-            }, attempts
-    raise ConeTestError(
-        f"no nonconvexity witness found within {_WITNESS_CAP} attempts"
-    )
-
-
 def convexity_probe(region, trials, seed, n, p, alpha=0.05):
     """Midpoint convexity probe of an acceptance region.
 
     The acceptance regions are convex slice-wise: for every fixed covariance
     matrix the set of accepted mean vectors is convex (the statistic is not
     jointly convex in the mean and the covariance, so mixing covariances can
-    leave the region).  The probe therefore draws a covariance per block,
-    samples accepted means under it, and tests mean midpoints; the
-    union-intersection regions must show zero violations.  The
-    likelihood-ratio probe runs at ``p = 2`` with a fixed diagonal
-    covariance and must *find* a witness pair whose midpoint falls outside;
-    the witness is returned in the report.  A union-intersection report
-    counts its violations and carries no witness.
+    leave the region).  The probe therefore draws a covariance per chunk,
+    samples accepted means under it, and tests mean midpoints
+    (:func:`_midpoint_pairs`).  A union-intersection probe tests ``trials``
+    pairs, must show zero violations and carries no witness.  The
+    likelihood-ratio region is not convex even slice-wise: its probe ignores
+    ``trials`` and reports the first violating pair as its witness
+    (:func:`_lrt_witness`), with the pairs searched as ``pairs_tested``.
     """
     if region not in _REGION_FAMILIES:
         raise DataError(f"unknown region {region!r}")
-    if region == LRT_ORTHANT_ACCEPTANCE and p != 2:
-        raise DataError("the likelihood-ratio witness search runs at p = 2")
     integer = isinstance(trials, (int, np.integer)) and not isinstance(trials, bool)
     if not (integer and 0 <= trials <= calibrate.MAX_SIZE):
         raise DataError("trials must be an integer from 0 to 2**53")
@@ -653,40 +610,81 @@ def convexity_probe(region, trials, seed, n, p, alpha=0.05):
     c = calibrate.sup_critical_value(family, alpha, n, p).value
     metadata = {"n": n, "p": p, "alpha": alpha, "critical": c, "seed": seed}
     if region == LRT_ORTHANT_ACCEPTANCE:
-        witness, attempts = _search_lrt_witness(c, n, seed)
-        return ConvexityReport(
-            region, pairs_tested=0, violations=0, witness=witness, attempts=attempts, metadata=metadata
-        )
-    violations, metadata["covariances_probed"] = _midpoint_violations(family, c, trials, seed, n, p)
-    return ConvexityReport(
-        region, pairs_tested=trials, violations=violations, witness=None, attempts=0, metadata=metadata
-    )
+        witness, pairs, metadata["covariances_probed"] = _lrt_witness(c, seed, n, p)
+        violations = 1
+    else:
+        witness, pairs = None, trials
+        violations, metadata["covariances_probed"] = _midpoint_violations(family, c, trials, seed, n, p)
+    return ConvexityReport(region, pairs, violations, witness, metadata)
+
+
+def _midpoint_pairs(family, c, n, p, rng, pairs):
+    """One chunk of the midpoint cell: ``(cov, a, b, outside)``.
+
+    Draws a covariance ``cov``, its member pool (:func:`_member_means`) and
+    ``pairs`` pairs of members, ``a`` and ``b`` (p, pairs), on ``rng``;
+    ``outside`` marks the midpoints whose value exceeds ``c (1 + 1e-9)``.
+    """
+    cov = random_correlation_matrix(rng, p) * rng.uniform(0.3, 3.0)
+    chol = np.linalg.cholesky(cov)
+    means = _member_means(family, c, n, p, chol, rng, 20_000)
+    m = means.shape[1]
+    if m < 2:
+        raise ConeTestError(f"{m} member means accepted under a drawn covariance; need 2")
+    a = means[:, rng.integers(0, m, size=pairs)]
+    b = means[:, rng.integers(0, m, size=pairs)]
+    threshold = c * (1.0 + 1e-9)
+    factor = np.sqrt(n - 1) * chol[..., None]
+    values = _batch_values(0.5 * (a + b), factor, n, {family}, threshold, threshold)
+    return cov, a, b, values[family] > threshold
 
 
 def _midpoint_violations(family, c, trials, seed, n, p):
     """Midpoints outside the acceptance slice of ``family``, and the covariances drawn.
 
-    One Monte-Carlo cell on stream key ``CONVEXITY_KEY``: chunk ``j`` of
-    ``CHUNK`` pairs draws a covariance, its members and its pairs.
+    One Monte-Carlo cell on stream key ``CONVEXITY_KEY`` of ``trials``
+    pairs, chunk by chunk (:func:`_midpoint_pairs`).
     """
 
     def count(rng, pairs):
-        cov = random_correlation_matrix(rng, p) * rng.uniform(0.3, 3.0)
-        chol = np.linalg.cholesky(cov)
-        means = _member_means(family, c, n, p, chol, rng, 20_000)
-        m = means.shape[1]
-        if m < 2:
-            raise ConeTestError(f"{m} member means accepted under a drawn covariance; need 2")
-        i = rng.integers(0, m, size=pairs)
-        j = rng.integers(0, m, size=pairs)
-        mid = 0.5 * (means[:, i] + means[:, j])
-        threshold = c * (1.0 + 1e-9)
-        factor = np.sqrt(n - 1) * chol[..., None]
-        values = _batch_values(mid, factor, n, {family}, threshold, threshold)
-        return np.sum(values[family] > threshold)
+        return np.sum(_midpoint_pairs(family, c, n, p, rng, pairs)[-1])
 
     violations = _count_cells(seed, CONVEXITY_KEY, count, trials, 1)
     return int(violations), -(-trials // CHUNK)
+
+
+def _lrt_witness(c, seed, n, p):
+    """``(witness, pairs searched, covariances drawn)`` of the likelihood-ratio slice.
+
+    Runs the chunks of :func:`_midpoint_violations`' cell in order, at
+    most ``_WITNESS_CHUNKS``, up to the first midpoint outside the slice.
+    The witness holds its members, the midpoint, its statistic, ``c`` and
+    the drawn covariance.  The statistic is classified anew, as the cell's
+    bracket may have decided the midpoint without solving for it.
+    """
+
+    def first(rng, pairs):
+        cov, a, b, outside = _midpoint_pairs(LRT_ORTHANT, c, n, p, rng, pairs)
+        if not outside.any():
+            return None
+        k = int(np.argmax(outside))
+        mid = 0.5 * (a[:, k] + b[:, k])
+        factor = np.sqrt(n - 1) * np.linalg.cholesky(cov)[..., None]
+        value = _batch_values(mid[:, None], factor, n, {LRT_ORTHANT})[LRT_ORTHANT][0]
+        return k + 1, {
+            "member_a": a[:, k].tolist(),
+            "member_b": b[:, k].tolist(),
+            "midpoint": mid.tolist(),
+            "midpoint_statistic": float(value),
+            "critical": c,
+            "covariance": cov.tolist(),
+        }
+
+    for j in range(_WITNESS_CHUNKS):
+        found = _run_chunk(seed, CONVEXITY_KEY, j, first, CHUNK)
+        if found is not None:
+            return found[1], j * CHUNK + found[0], j + 1
+    raise ConeTestError(f"no nonconvexity witness found within {_WITNESS_CHUNKS * CHUNK} pairs")
 
 
 @dataclass

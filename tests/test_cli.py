@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import subprocess
@@ -875,6 +876,11 @@ class TestCmdSimulate:
         assert len(body["result"]["rows"]) == 4
         lines = csv_out.read_text().strip().splitlines()
         assert len(lines) == 5  # header + rows
+        # Every cell is its JSON row's value as text; theta reads [0.0, 0.0].
+        with csv_out.open(newline="") as fh:
+            assert list(csv.DictReader(fh)) == [
+                {key: str(value) for key, value in row.items()} for row in body["result"]["rows"]
+            ]
 
     def test_missing_seed_is_usage_error(self, tmp_path):
         cfg = {

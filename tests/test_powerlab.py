@@ -597,25 +597,53 @@ class TestConvexity:
             assert rep.pairs_tested >= 15000
             assert rep.metadata["covariances_probed"] >= 2
 
-    def test_lrt_witness_found_and_reported(self):
-        rep = convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=5, n=15, p=2)
-        assert rep.witness is not None
+    @staticmethod
+    def check_witness(rep, n, p):
         w = rep.witness
+        assert rep.violations == 1 and rep.pairs_tested >= 1
+        assert w["critical"] == rep.metadata["critical"]
         assert w["midpoint_statistic"] > w["critical"]
-        # Both endpoints are members.
-        cov = np.diag(w["fixed_diagonal_cov"])
-        for member in (w["member_a"], w["member_b"]):
-            proj = project(np.sqrt(15) * np.asarray(member), cov, Orthant(2))
+        # Both endpoints are members under the drawn covariance, and the
+        # midpoint is not.
+        cov = np.asarray(w["covariance"])
+        assert cov.shape == (p, p)
+        for point, member in ((w["member_a"], True), (w["member_b"], True), (w["midpoint"], False)):
+            proj = project(np.sqrt(n) * np.asarray(point), cov, Orthant(p))
             value = stats.calibration_value(
-                stats.LRT_ORTHANT, proj.sq_norm_projection, proj.sq_norm_residual, 15
+                stats.LRT_ORTHANT, proj.sq_norm_projection, proj.sq_norm_residual, n
             )
-            assert value <= w["critical"]
+            assert (value <= w["critical"]) == member
         mid = 0.5 * (np.asarray(w["member_a"]) + np.asarray(w["member_b"]))
         assert np.allclose(mid, w["midpoint"])
 
-    def test_lrt_witness_requires_p2(self):
-        with pytest.raises(DataError):
-            convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=5, n=15, p=3)
+    def test_lrt_witness_found_and_reported(self):
+        rep = convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=5, n=15, p=2)
+        self.check_witness(rep, 15, 2)
+
+    def test_lrt_witness_at_p3(self):
+        # The search has no rule on p: it runs the same midpoint cell.
+        rep = convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=5, n=15, p=3)
+        self.check_witness(rep, 15, 3)
+        assert rep.metadata["covariances_probed"] == -(-rep.pairs_tested // 10000)
+
+    def test_lrt_witness_search_is_capped(self, monkeypatch):
+        # Seed 808 first violates at pair 10 433, in the second chunk.
+        rep = convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=808, n=15, p=2)
+        assert (rep.pairs_tested, rep.metadata["covariances_probed"]) == (10_433, 2)
+        monkeypatch.setattr(powerlab, "_WITNESS_CHUNKS", 1)
+        with pytest.raises(ConeTestError, match="no nonconvexity witness found within 10000 pairs"):
+            convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=808, n=15, p=2)
+
+    def test_lrt_witness_solver_error_names_its_replay_key(self, monkeypatch):
+        # With no warm start, a one-step cap fails the first member draw
+        # whose sign pattern is not its final one.
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
+        monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
+        with pytest.raises(SolverError, match=r"seed 808, stream key \[3\], chunk 0") as err:
+            convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=808, n=15, p=2)
+        d = err.value.details
+        assert (d["seed"], d["stream_key"], d["chunk"]) == (808, [3], 0) and "draw" in d
 
 
 class TestMidpointPool:
