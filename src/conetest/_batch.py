@@ -288,10 +288,9 @@ def orthant_active_set(y, metric):
     complement ``c`` and the identity's on the free set ``a``: then ``z_c =
     M_cc^{-1} y_c`` and ``z_a = y_a - M_ac z_c``, the adjusted mean.
     A free index with ``z <= 0`` or a complement index with ``z > 0``
-    violates its sign condition.  On a shared metric a step builds every
-    draw's ``B`` in one ``np.where`` over the metric and the draws'
-    patterns; under a stack each draw's ``B`` is built from its own copy of
-    the metric.
+    violates its sign condition.  A step builds every draw's ``B`` in one
+    ``np.where`` over the draws' patterns and the shared metric, or under a
+    stack the pending draws' own metrics.
 
     Pivots follow block principal pivoting (Judice & Pires 1994; Kim & Park
     2011).  Each draw keeps the fewest violations it has seen.  A step that
@@ -350,11 +349,7 @@ def orthant_active_set(y, metric):
             if not todo.size:
                 break
             mask, y_t = free[todo], y[todo]
-            if metric.ndim == 2:
-                mats = np.where(mask[:, None, :], eye, metric)
-            else:
-                mats = metric[todo]
-                np.copyto(mats, eye, where=mask[:, None, :])
+            mats = np.where(mask[:, None, :], eye, metric if metric.ndim == 2 else metric[todo])
             try:
                 z = np.linalg.solve(mats, y_t[..., None])[..., 0]
             except np.linalg.LinAlgError as err:

@@ -249,53 +249,18 @@ def check_draw_count(count, name):
     return count
 
 
-# Each family's null tail is a mixture of branch tails over the
-# active-subset dimension k.  The branch tail of dimension k is
-# g_ratio_tail(k, n - p, c) for T2 and the likelihood-ratio families and
-# g_star_tail(n, k, p, c) for the union-intersection families; each takes
-# all of a mixture's dimensions in one call.  Both are looked up as module
-# globals at each call, so wrappers installed on them (as by
-# ``bench/tracer.py``) see every evaluation.
-
-
-def _ratio_branch(n, p, dims):
-    if len(dims) == 1:  # T2: a scalar call costs less than a one-element array
-        k = dims[0]
-        return lambda c: [g_ratio_tail(k, n - p, c)]
-    dims = np.array(dims)
-    return lambda c: g_ratio_tail(dims, n - p, c)
-
-
-def _star_branch(n, p, dims):
-    return lambda c: g_star_tail(n, dims, p, c)
-
-
-def _mixture(branch, n, p, weights):
-    """Mixture with mass ``weights[j]`` on k = p - len(weights) + 1 + j.
-
-    Returns its tail, its mass on k = 0, and a function of no arguments
-    that builds the first-rung approximation of a union-intersection tail
-    (``dist._first_rung``; ``None`` for a ratio law).
-    """
-    w = np.asarray(weights, dtype=float)
-    dims = range(p + 1 - w.shape[0], p + 1)
-    branches = branch(n, p, dims)
-    atom = float(w[0]) if dims[0] == 0 else 0.0
-    rung = (lambda: _first_rung(n, dims, p, w)) if branch is _star_branch else None
-    return (lambda c: float(np.dot(w, branches(c)))), atom, rung
-
-
-# Family -> (branch, weights on the top active dimensions).  With m of the p
-# coordinates constrained, the active dimension is k = p - m + j with mass
-# w(m, j) (Perlman 1969; Silvapulle & Sen 2005, ch. 3): T2 has m = 0, the
-# halfspace m = 1 with w(1, .) = (1/2, 1/2), the orthant m = p with the
-# supplied w(p, k; Sigma) or b1(k, n, p) (``None`` here).
+# Family -> (whether its branch is the union-intersection one, weights on
+# the top active dimensions).  With m of the p coordinates constrained, the
+# active dimension is k = p - m + j with mass w(m, j) (Perlman 1969;
+# Silvapulle & Sen 2005, ch. 3): T2 has m = 0, the halfspace m = 1 with
+# w(1, .) = (1/2, 1/2), the orthant m = p with the supplied w(p, k; Sigma) or
+# b1(k, n, p) (``None`` here).
 _NULL_LAWS = {
-    stats.T2: (_ratio_branch, (1.0,)),
-    stats.LRT_HALFSPACE: (_ratio_branch, (0.5, 0.5)),
-    stats.UIT_HALFSPACE: (_star_branch, (0.5, 0.5)),
-    stats.LRT_ORTHANT: (_ratio_branch, None),
-    stats.UIT_ORTHANT: (_star_branch, None),
+    stats.T2: (False, (1.0,)),
+    stats.LRT_HALFSPACE: (False, (0.5, 0.5)),
+    stats.UIT_HALFSPACE: (True, (0.5, 0.5)),
+    stats.LRT_ORTHANT: (False, None),
+    stats.UIT_ORTHANT: (True, None),
 }
 
 # The supremum of an orthant family's null tail over all covariances is the
@@ -306,21 +271,44 @@ _SUPREMUM_LAWS = {
 }
 
 
-def _null_law(family, n, p, weights):
-    """:func:`_mixture` of ``family``'s null law: its tail (for ``c > 0``), atom and first rung."""
+def _null_law(family, n, p, weights, calibration=None):
+    """Null law of ``family``, under ``calibration`` if one is given.
+
+    The law is a mixture with mass ``w[j]`` on the active dimension
+    k = p - len(w) + 1 + j, of branch tails ``g_ratio_tail(k, n - p, c)``
+    (T2 and the likelihood-ratio families) or ``g_star_tail(n, k, p, c)``
+    (the union-intersection families), all dimensions in one call.  Both
+    are looked up as module globals at each call, so wrappers installed on
+    them (as by ``bench/tracer.py``) see every evaluation.
+
+    Returns its tail (for ``c > 0``), its mass on k = 0, and a function of
+    no arguments that builds the first-rung approximation of a
+    union-intersection tail (``dist._first_rung``; ``None`` for a ratio law).
+    """
+    if calibration is not None:
+        family = _law_family(family, calibration)
     n, p = int(n), int(p)
     if n <= p:
         raise DataError(f"need n > p, got n={n}, p={p}")
     if family not in _NULL_LAWS:
         raise CalibrationError(f"no null tail for family {family!r}")
-    branch, law = _NULL_LAWS[family]
-    if law is None:
+    uit, w = _NULL_LAWS[family]
+    if w is None:
         if weights is None:
             raise CalibrationError("orthant null tails require mixture weights")
-        law = weights.weights
-        if len(law) != p + 1:
+        w = weights.weights
+        if len(w) != p + 1:
             raise DataError("weights length does not match p + 1")
-    return _mixture(branch, n, p, law)
+    w = np.asarray(w, dtype=float)
+    dims = range(p + 1 - w.shape[0], p + 1)
+    atom = float(w[0]) if dims[0] == 0 else 0.0
+    if uit:
+        return ((lambda c: float(np.dot(w, g_star_tail(n, dims, p, c)))), atom,
+                lambda: _first_rung(n, dims, p, w))
+    if len(dims) == 1:  # T2: a scalar call costs less than a one-element array
+        return (lambda c: float(np.dot(w, [g_ratio_tail(p, n - p, c)]))), atom, None
+    ks = np.array(dims)
+    return (lambda c: float(np.dot(w, g_ratio_tail(ks, n - p, c)))), atom, None
 
 
 def null_tail(family, c, n, p, weights=None):
@@ -468,11 +456,6 @@ def _law_family(family, calibration):
     return _SUPREMUM_LAWS.get(family, family) if calibration == "sup" else family
 
 
-def _calibrated_law(family, calibration, n, p, weights):
-    """:func:`_null_law` of ``family`` under ``calibration``."""
-    return _null_law(_law_family(family, calibration), n, p, weights)
-
-
 def _critical_value(family, calibration, alpha, n, p, weights):
     """Invert the null tail of ``family`` under ``calibration`` at ``alpha``.
 
@@ -483,7 +466,7 @@ def _critical_value(family, calibration, alpha, n, p, weights):
     fails, and for ratio laws, the certified search starts from the ratio
     seed.  The tail reaches at most one minus its mass on k = 0.
     """
-    tail, atom, rung = _calibrated_law(family, calibration, n, p, weights)
+    tail, atom, rung = _null_law(family, n, p, weights, calibration)
     attainable = 1.0 - atom
     if not 0.0 < alpha < attainable:
         raise CalibrationError(
@@ -654,6 +637,6 @@ def p_value(outcome, mode, weights=None):
     calibration = next((c for c, m in CALIBRATIONS.items() if m.p_value_mode == mode), None)
     if calibration is None:
         raise CalibrationError(f"unknown p-value mode {mode!r}")
-    tail = _calibrated_law(outcome.family, calibration, outcome.n, outcome.p, weights)[0]
+    tail = _null_law(outcome.family, outcome.n, outcome.p, weights, calibration)[0]
     value = stats.calibration_scale(outcome)
     return tail(value) if outcome.statistic > 0.0 and value > 0.0 else 1.0

@@ -30,9 +30,10 @@ _FLOOR = 1e-280
 # nats of its largest mass, and drops what lies beyond e**-800.
 _WINDOW_NATS = 60.0
 _DROPPED_NATS = 800.0
-# From this half denominator degrees of freedom on, the Jacobi rules correct
-# the rounding of 1/(1+v) in their ratio tails (:func:`_beta_tails`); below
-# it that rounding costs less than about 1e-13 relative.
+# From this half denominator degrees of freedom on, the ratio tails of both
+# quadratures, the Jacobi rules' and the far-tail rule's (:func:`_beta_tails`),
+# correct the rounding of 1/(1+v); below it that rounding costs less than
+# about 1e-13 relative.
 _ROUNDED_M2 = 500.0
 
 
@@ -203,33 +204,20 @@ def _log_beta(a, b):
     return float(gammaln(a)) - rise
 
 
-def _ratio_tails(a2, m2, v):
-    """``P{chi2_a / chi2_m >= v}`` at an array ``v > 0``, half degrees of freedom given.
-
-    The split of :func:`g_ratio_tail`: below ``v = 1`` the complement at
-    ``v/(1+v)``, whose relative precision ``1/(1+v)`` would lose at large
-    ``m``.
-    """
-    f = betainc(m2, a2, 1.0 / (1.0 + v))
-    low = v < 1.0
-    f[low] = betaincc(a2, m2, v[low] / (1.0 + v[low]))
-    return f
-
-
 def _far_tail(n, a, p, u):
     """One branch of :func:`g_star_tail` by Gauss rules where its integrand has its mass.
 
     In ``tau = -log(1 - s)`` the Beta(al, be) mixing law has density
     ``exp(-be tau) (1 - exp(-tau))**(al-1) / B(al, be)``, and the integrand
-    multiplies it by the ratio tail at ``u exp(-tau)``; both are evaluated
-    in log space, so that no factor of a weight carries a magnitude the
-    integrand then cancels.  A log-spaced scan finds where ``tau`` times
-    the integrand peaks and ends the range where it has fallen
-    ``_WINDOW_NATS`` below that peak.  The range splits at ``tau = log u``
-    (``r = u**-0.5``), where the ratio tail turns from power-law decay
-    towards 1: a Gauss-Jacobi rule whose weight is the non-analytic part of
-    the mixing law's endpoint factor ``tau**(al-1)`` below, a
-    Gauss-Legendre rule above.
+    multiplies it by the ratio tail at ``u exp(-tau)`` (the ladder's
+    :func:`_beta_tails`); both are evaluated in log space, so that no factor
+    of a weight carries a magnitude the integrand then cancels.  A
+    log-spaced scan finds where ``tau`` times the integrand peaks and ends
+    the range where it has fallen ``_WINDOW_NATS`` below that peak.  The
+    range splits at ``tau = log u`` (``r = u**-0.5``), where the ratio tail
+    turns from power-law decay towards 1: a Gauss-Jacobi rule whose weight
+    is the non-analytic part of the mixing law's endpoint factor
+    ``tau**(al-1)`` below, a Gauss-Legendre rule above.
     """
     al, be = (p - a) / 2.0, (n - p + a) / 2.0
     a2, m2 = a / 2.0, (n - p) / 2.0
@@ -238,7 +226,7 @@ def _far_tail(n, a, p, u):
     def log_integrand(tau):
         with np.errstate(divide="ignore"):
             return (
-                np.log(_ratio_tails(a2, m2, u * np.exp(-tau)))
+                np.log(_beta_tails(m2, a2, u * np.exp(-tau)))
                 - be * tau + (al - 1.0) * np.log(-np.expm1(-tau)) - log_norm
             )
 
@@ -287,29 +275,6 @@ def _far_tail(n, a, p, u):
     )
 
 
-def _convolution_tails(n, dims, p, u):
-    """The ladder of :func:`g_star_tail` for branches ``dims``, all ``0 < a < p``."""
-    m2 = (n - p) / 2.0
-
-    def rule(nodes, dims):
-        x, w, a2 = _mixing_rule(nodes, n, p, dims)
-        return (w * _beta_tails(m2, a2, u * x)).sum(axis=1)
-
-    tails = np.empty(len(dims))
-    live = np.arange(len(dims))
-    coarse = rule(GJ_NODES, dims)
-    for rung in range(1, _RUNGS):
-        fine = rule(GJ_NODES << rung, tuple(dims[i] for i in live))
-        done = _agree(coarse, fine)
-        tails[live[done]] = fine[done]
-        live, coarse = live[~done], fine[~done]
-        if not live.size:
-            return np.minimum(tails, 1.0)
-    for i in live:
-        tails[i] = _far_tail(n, dims[i], p, u)
-    return np.minimum(tails, 1.0)
-
-
 def g_star_tail(n, a, p, u):
     """Upper tail of the two-block statistic on the chi-square-ratio scale.
 
@@ -321,17 +286,20 @@ def g_star_tail(n, a, p, u):
     ``GJ_NODES * (1, 2, 4, 8, 16)`` nodes are evaluated in turn; a branch's
     value is the finer rule of the first consecutive pair whose difference
     is within ``QUAD_RTOL`` of it, or which are both below 1e-280 (where
-    ``scipy.special.betainc`` starts to return 0 for the ratio tail).  From
-    ``(n - p) / 2 = 500`` on, each rule's ratio tails are corrected for the
-    rounding of ``1 / (1 + v)`` (:func:`_beta_tails`), which would otherwise
-    cost about ``eps (n - p) / 2`` relative.
+    ``scipy.special.betainc`` starts to return 0 for the ratio tail).  One
+    loop runs the rungs, each on the branches no earlier pair certified.
+    From ``(n - p) / 2 = 500`` on, the ratio tails of every rule, and of the
+    far-tail rule below, are corrected for the rounding of ``1 / (1 + v)``
+    (:func:`_beta_tails`), which would otherwise cost about
+    ``eps (n - p) / 2`` relative.
 
     Where no pair agrees, the Jacobi weights' absolute rounding, about
     ``eps`` times the largest weight, can exceed a far-tail value, and a
     rule in ``r`` cannot resolve a turn near ``r = u**-0.5`` far from its
     mass.  The branch is then integrated in ``tau = -log(1 - s)`` over the
     range that holds its mass, split at ``r = u**-0.5``, by rules of the
-    same ladder with the integrand evaluated in log space.
+    same ladder with the integrand evaluated in log space (:func:`_far_tail`).
+    Every branch value is clipped at 1.
 
     ``a`` may be one branch dimension or a 1-D sequence of them; each rung
     then evaluates every uncertified branch in one ``betainc`` call, and the
@@ -356,14 +324,25 @@ def g_star_tail(n, a, p, u):
     if not all(0 <= k <= p for k in dims):
         raise ValueError(f"need 0 <= a <= p, got a={a}, p={p}")
     if u <= 0.0:
-        tails = np.ones(len(dims))
-    else:
-        tails = np.zeros(len(dims))
-        live = [i for i, k in enumerate(dims) if 0 < k < p]
-        if live:
-            tails[live] = _convolution_tails(n, tuple(dims[i] for i in live), p, u)
-        if p in dims:
-            tails[[k == p for k in dims]] = g_ratio_tail(p, n - p, u)
+        return 1.0 if scalar else np.ones(len(dims))
+    tails = np.zeros(len(dims))
+    live = np.flatnonzero([0 < k < p for k in dims])
+    m2 = (n - p) / 2.0
+    for rung in range(_RUNGS):
+        if not live.size:
+            break
+        x, w, a2 = _mixing_rule(GJ_NODES << rung, n, p, tuple(dims[i] for i in live))
+        fine = (w * _beta_tails(m2, a2, u * x)).sum(axis=1)
+        if rung:
+            done = _agree(coarse, fine)
+            tails[live[done]] = fine[done]
+            live, fine = live[~done], fine[~done]
+        coarse = fine
+    for i in live:
+        tails[i] = _far_tail(n, dims[i], p, u)
+    tails = np.minimum(tails, 1.0)
+    if p in dims:
+        tails[[k == p for k in dims]] = g_ratio_tail(p, n - p, u)
     return float(tails[0]) if scalar else tails
 
 

@@ -16,9 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from . import calibrate, stats
+from . import _batch, calibrate, stats
 from ._batch import (
-    CHUNK,
     CONVEXITY_KEY,
     CORRELATIONS_KEY,
     POWER_KEY,
@@ -568,7 +567,8 @@ _REGION_FAMILIES = {
     LRT_ORTHANT_ACCEPTANCE: LRT_ORTHANT,
 }
 
-# Chunks the likelihood-ratio witness search may draw: 10**6 pairs.
+# Chunks the likelihood-ratio witness search may draw: 10**6 pairs at the
+# default chunk size.
 _WITNESS_CHUNKS = 100
 
 
@@ -650,7 +650,7 @@ def _midpoint_violations(family, c, trials, seed, n, p):
         return np.sum(_midpoint_pairs(family, c, n, p, rng, pairs)[-1])
 
     violations = _count_cells(seed, CONVEXITY_KEY, count, trials, 1)
-    return int(violations), -(-trials // CHUNK)
+    return int(violations), -(-trials // _batch.CHUNK)
 
 
 def _lrt_witness(c, seed, n, p):
@@ -680,11 +680,12 @@ def _lrt_witness(c, seed, n, p):
             "covariance": cov.tolist(),
         }
 
+    chunk = _batch.CHUNK
     for j in range(_WITNESS_CHUNKS):
-        found = _run_chunk(seed, CONVEXITY_KEY, j, first, CHUNK)
+        found = _run_chunk(seed, CONVEXITY_KEY, j, first, chunk)
         if found is not None:
-            return found[1], j * CHUNK + found[0], j + 1
-    raise ConeTestError(f"no nonconvexity witness found within {_WITNESS_CHUNKS * CHUNK} pairs")
+            return found[1], j * chunk + found[0], j + 1
+    raise ConeTestError(f"no nonconvexity witness found within {_WITNESS_CHUNKS * chunk} pairs")
 
 
 @dataclass

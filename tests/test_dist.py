@@ -290,6 +290,18 @@ class TestRelativeAccuracy:
         # digits given.
         assert g_star_tail(n, a, p, u) == pytest.approx(expect, rel=1e-10, abs=0.0)
 
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_far_tail_ratio_arguments_below_one(self, monkeypatch, a):
+        # No Jacobi pair agrees here, and the far-tail rule's ratio tails
+        # take arguments below 1, where they come from the ladder's
+        # rounding-corrected kernel (n - p = 988).
+        far = []
+        rule = dist._far_tail
+        monkeypatch.setattr(dist, "_far_tail", lambda *args: far.append(args) or rule(*args))
+        got = g_star_tail(1000, a, 12, 1.0)
+        assert far == [(1000, a, 12, 1.0)]
+        assert got == pytest.approx(rel_star_tail(1000, a, 12, 1.0), rel=1e-13, abs=0.0)
+
     @pytest.mark.parametrize("n, p, u", [(30, 3, 0.2), (60, 8, 0.3), (100, 5, 10.0), (11, 8, 1e9)])
     def test_branch_vector_equals_scalar_calls(self, n, p, u):
         # The points take the first pair, later rungs and the far-tail

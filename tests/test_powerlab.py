@@ -634,6 +634,15 @@ class TestConvexity:
         with pytest.raises(ConeTestError, match="no nonconvexity witness found within 10000 pairs"):
             convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=808, n=15, p=2)
 
+    def test_probes_read_the_chunk_size_at_call_time(self, monkeypatch):
+        # Both probes count covariances, one per chunk, in chunks of the
+        # current _batch.CHUNK, whatever it was at import.
+        monkeypatch.setattr(_batch, "CHUNK", 1000)
+        rep = convexity_probe(UIT_ORTHANT_ACCEPTANCE, trials=4000, seed=3, n=15, p=3)
+        assert rep.metadata["covariances_probed"] == 4
+        rep = convexity_probe(LRT_ORTHANT_ACCEPTANCE, trials=0, seed=808, n=15, p=2)
+        assert rep.metadata["covariances_probed"] == -(-rep.pairs_tested // 1000)
+
     def test_lrt_witness_solver_error_names_its_replay_key(self, monkeypatch):
         # With no warm start, a one-step cap fails the first member draw
         # whose sign pattern is not its final one.
