@@ -41,6 +41,9 @@ ITER_CAP_PER_DIM = 10
 ITER_CAP_MIN = 30
 # Pending draws per batched active-set solve; bounds the (block, p, p) systems.
 ACTIVE_SET_BLOCK = 4096
+# Rows per distinct step system from which a residual-free step on a shared
+# metric inverts each distinct system once instead of solving every row.
+GROUP_MIN_ROWS = 4
 # Sign conditions count a value within this fraction of |y| as zero.
 ACTIVE_SET_RTOL = 1e-10
 # Block pivots a draw may take without lowering its fewest violation count.
@@ -275,7 +278,7 @@ def batch_t2(means, covs, n):
     return n * forward_sq_norm(means.T, factor_major(np.linalg.cholesky(covs)))
 
 
-def orthant_active_set(y, metric):
+def orthant_active_set(y, metric, residual=False):
     """Active-set solve of the orthant projection of each row of ``y``.
 
     ``y`` has shape (reps, p) and ``metric`` is one (p, p) positive definite
@@ -290,7 +293,22 @@ def orthant_active_set(y, metric):
     A free index with ``z <= 0`` or a complement index with ``z > 0``
     violates its sign condition.  A step builds every draw's ``B`` in one
     ``np.where`` over the draws' patterns and the shared metric, or under a
-    stack the pending draws' own metrics.
+    stack the pending draws' own metrics, and solves them in one stacked
+    ``np.linalg.solve``.
+
+    Residuals are computed only when asked for (``residual=True``).  A call
+    that asks for none on a shared metric may instead group a step's rows
+    by pattern (:func:`_step_groups`): when the rows number at least
+    ``GROUP_MIN_ROWS`` per distinct pattern, it inverts each distinct ``B``
+    once in one stacked ``np.linalg.inv`` and applies the gathered inverses
+    in one stacked matmul.  At p = 6 and correlation 0.5, 8569 pending rows
+    of 10 000 draws take 180 inverted systems and 155 solved rows.  Most
+    rows at p >= 16 have patterns of their own, so the rule keeps their
+    steps per row.  ``z`` from an inverse differs from the solved one in
+    its last bits, so ``free`` may differ from a residual call's only in
+    the tie class below: a sign condition within rounding of the tolerance.
+    A stack, or a call that asks for residuals, always solves per row, so
+    every ``q_res`` is that of the per-row solve.
 
     Pivots follow block principal pivoting (Judice & Pires 1994; Kim & Park
     2011).  Each draw keeps the fewest violations it has seen.  A step that
@@ -324,16 +342,19 @@ def orthant_active_set(y, metric):
     its own metric; the power lab's stacks, a few hundred p = 3 rows that
     take about 1.5 solves each from the sign start, gained no time.
 
-    Returns ``(free, q_res)``: the free-index mask, on which the adjusted
-    mean exceeds that tolerance while the complement multipliers do not,
-    and the squared residual norm ``y_c' M_cc^{-1} y_c``.  Raises
-    :class:`SolverError` naming the first draw still unresolved after
-    ``max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)`` steps, or the first draw of
-    a block whose system is singular, with the ``LinAlgError`` as its cause.
+    Returns the free-index mask ``free``, on which the adjusted mean
+    exceeds that tolerance while the complement multipliers do not; with
+    ``residual=True``, ``(free, q_res)`` with the squared residual norm
+    ``y_c' M_cc^{-1} y_c``.  Raises :class:`SolverError` naming the first
+    draw still unresolved after ``max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)``
+    steps, or the first draw of a block whose system is singular (under
+    grouping, the first draw with a singular pattern: the same draw), with
+    the ``LinAlgError`` as its cause.
     """
     reps, p = y.shape
     metric = np.asarray(metric, dtype=float)
     eye, ones = np.eye(p), np.ones(p)
+    grouped = metric.ndim == 2 and not residual
     free = y > 0.0
     pending = np.flatnonzero(free @ ones < p)
     if metric.ndim == 2 and pending.size > 1:
@@ -349,19 +370,25 @@ def orthant_active_set(y, metric):
             if not todo.size:
                 break
             mask, y_t = free[todo], y[todo]
-            mats = np.where(mask[:, None, :], eye, metric if metric.ndim == 2 else metric[todo])
+            groups = _step_groups(mask) if grouped else None
+            firsts, rows = groups or (slice(None), slice(None))  # or each row its own
+            mats = np.where(mask[firsts][:, None, :], eye, metric if metric.ndim == 2 else metric[todo])
             try:
-                z = np.linalg.solve(mats, y_t[..., None])[..., 0]
+                if groups is None:
+                    z = np.linalg.solve(mats, y_t[..., None])[..., 0]
+                else:
+                    z = (np.linalg.inv(mats)[rows] @ y_t[..., None])[..., 0]
             except np.linalg.LinAlgError as err:
-                # slogdet's sign is 0 where the LU that solve shares has a zero pivot.
-                bad = todo[np.flatnonzero(np.linalg.slogdet(mats)[0] == 0.0)[0]]
+                # slogdet's sign is 0 where the LU that solve and inv factor has a zero pivot.
+                bad = todo[np.flatnonzero((np.linalg.slogdet(mats)[0] == 0.0)[rows])[0]]
                 raise _draw_error("singular active-set system", y, bad) from err
             # The diagonal is 1 on the free set and M_jj on the complement.
-            zs = z * np.diagonal(mats, axis1=1, axis2=2)
+            zs = z * np.diagonal(mats, axis1=1, axis2=2)[rows]
             viol = (zs > tol[todo]) != mask
             count = viol @ ones  # a sum over the short axis is several times slower
             ok = count == 0
-            q_res[todo[ok]] = np.einsum("ri,ri->r", np.where(mask, 0.0, y_t), z)[ok]
+            if residual:
+                q_res[todo[ok]] = np.einsum("ri,ri->r", np.where(mask, 0.0, y_t), z)[ok]
             keep = ~ok
             todo, mask, viol, count = todo[keep], mask[keep], viol[keep], count[keep]
             chances = np.where(count < fewest[keep], BLOCK_CHANCES, chances[keep] - 1)
@@ -374,7 +401,32 @@ def orthant_active_set(y, metric):
             free[todo] = mask ^ viol
         if todo.size:
             raise _draw_error(f"active-set iteration cap {cap} exceeded", y, todo[0])
-    return free, q_res
+    return (free, q_res) if residual else free
+
+
+def _step_groups(mask):
+    """``(firsts, rows)`` grouping the rows of a step's ``mask`` by pattern.
+
+    ``firsts`` indexes one row of each distinct pattern, in ``np.lexsort``
+    order of the mask's columns packed eight to a byte, and ``rows[i]`` is
+    the place of row ``i``'s pattern in ``firsts``.  ``None``, every row
+    its own system, unless the rows number at least ``GROUP_MIN_ROWS`` per
+    distinct pattern.
+    """
+    n = len(mask)
+    if n < GROUP_MIN_ROWS:
+        return None
+    packed = np.packbits(mask, axis=1)  # an eighth of the sort keys
+    order = np.lexsort(packed.T)
+    ordered = packed[order]
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=first[1:])
+    if np.count_nonzero(first) * GROUP_MIN_ROWS > n:
+        return None
+    rows = np.empty(n, dtype=np.intp)
+    rows[order] = np.cumsum(first) - 1
+    return order[first], rows
 
 
 def _warm_start(y, metric):
@@ -431,7 +483,7 @@ def batch_orthant(means, covs, n):
     and ``q_res`` the squared residual norm.  ``means`` is row-major (reps,
     p), and ``covs`` one (p, p) matrix or a (reps, p, p) stack.
     """
-    free, q_res = orthant_active_set(np.sqrt(n) * means, covs)
+    free, q_res = orthant_active_set(np.sqrt(n) * means, covs, residual=True)
     return free.sum(axis=1), projection_norm(batch_t2(means, covs, n), q_res), q_res
 
 

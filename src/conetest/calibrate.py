@@ -168,7 +168,7 @@ def _active_sizes(y, corr, single):
         return sizes
     rest = ~single
     try:
-        return sizes + orthant_active_set(y[:, rest], corr[np.ix_(rest, rest)])[0].sum(axis=1)
+        return sizes + orthant_active_set(y[:, rest], corr[np.ix_(rest, rest)]).sum(axis=1)
     except SolverError as err:
         err.details["y"] = y[err.details["draw"]].tolist()
         raise
@@ -198,7 +198,11 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     free.  That has probability about 1e-10 per coordinate.  The kernel's
     warm start on this shared metric (projected Gauss-Seidel sweeps) moves
     no size of the sign start either, but for the same class of tie: two
-    sign patterns that both pass its tolerance test.
+    sign patterns that both pass its tolerance test.  The call reads no
+    residual, so a step whose rows share patterns inverts each distinct
+    step system once (``_batch.GROUP_MIN_ROWS``) instead of solving every
+    row; that moves a size only in the same class too, a sign condition
+    within rounding of the tolerance.
 
     Parameters
     ----------

@@ -148,7 +148,7 @@ def _project(x, m, b):
     exactly, with exact zeros for coordinate cones.
     """
     g = b @ m @ b.T
-    free, _ = orthant_active_set((b @ x)[None, :], 0.5 * (g + g.T))
+    free = orthant_active_set((b @ x)[None, :], 0.5 * (g + g.T))
     act = b[~free[0]]
     point, sq_res = x.copy(), 0.0
     if act.shape[0]:  # no 0 x 0 solves when every constraint is slack

@@ -287,9 +287,10 @@ def _orthant_residual(y, c, n, t2, s, families, low, high):
     at ``r_hi`` all exceed ``high * (1 + 1e-9)`` must reject and keeps
     ``r_hi``.  Either value compares with every threshold in ``[low,
     high]`` as the solved one does.  Only the other draws go to
-    :func:`orthant_active_set`, row-major, and ``S`` is multiplied out for
-    them alone.  A draw with no ``y_j < 0`` lies in the orthant: ``q_res =
-    r_lo = 0``.
+    :func:`orthant_active_set`, row-major, which is asked for their
+    residuals and so solves every step row by row, and ``S`` is multiplied
+    out for them alone.  A draw with no ``y_j < 0`` lies in the orthant:
+    ``q_res = r_lo = 0``.
 
     The margins bound how far the solved value may stray from the exact
     one.  The kernel accepts a sign pattern once its conditions hold to
@@ -316,7 +317,7 @@ def _orthant_residual(y, c, n, t2, s, families, low, high):
     rows = rows[~(upper > high * (1.0 + _BRACKET_RTOL))]
     metric = factor_cov(c[..., 0] if shared else np.moveaxis(c, -1, 0)[rows], n)
     try:
-        q_res[rows] = orthant_active_set(np.ascontiguousarray(y[:, rows].T), metric)[1]
+        q_res[rows] = orthant_active_set(np.ascontiguousarray(y[:, rows].T), metric, residual=True)[1]
     except SolverError as err:
         draw = err.details["draw"]
         err.details["draw"] = int(rows[draw])

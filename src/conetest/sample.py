@@ -244,7 +244,7 @@ def active_subset_orthant(s):
     nonpositive, so boundary draws fall to the smaller subset.
     """
     s.require_positive_definite()
-    free, _ = orthant_active_set(
+    free = orthant_active_set(
         np.asarray(s.mean, dtype=float)[None, :], np.asarray(s.cov, dtype=float)
     )
     return SubsetPartition.from_indices(np.flatnonzero(free[0]), s.p)

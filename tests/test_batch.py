@@ -281,7 +281,7 @@ def block_error(draw, ref, n):
 
 
 def same_masks(draw, ref, n):
-    masks = [orthant_active_set(np.sqrt(n) * m, factor_cov(c, n))[0] for m, c in (draw, ref)]
+    masks = [orthant_active_set(np.sqrt(n) * m, factor_cov(c, n)) for m, c in (draw, ref)]
     return np.array_equal(*masks)
 
 
@@ -406,11 +406,11 @@ class TestCandidateMask:
         else:
             metric = random_correlation(rng, p)
         candidates = rng.random(reps) < 0.3
-        free, q_res = orthant_active_set(y, metric)
-        free_m, q_res_m = orthant_active_set(y[candidates], metric[candidates] if per_draw else metric)
+        free, q_res = orthant_active_set(y, metric, residual=True)
+        free_m, q_res_m = orthant_active_set(y[candidates], metric[candidates] if per_draw else metric, residual=True)
         assert np.array_equal(free_m, free[candidates])
         assert np.array_equal(q_res_m, q_res[candidates])
-        none = orthant_active_set(y[:0], metric[:0] if per_draw else metric)
+        none = orthant_active_set(y[:0], metric[:0] if per_draw else metric, residual=True)
         assert none[0].shape == (0, p) and none[1].shape == (0,)
 
     def test_error_names_the_row_of_y(self, monkeypatch):

@@ -248,7 +248,7 @@ class TestSingletonSplit:
             sizes = list(rng.integers(1, 5, size=rng.integers(2, 6)))
             corr = block_diagonal(rng, sizes)
             y = rng.standard_normal((2000, corr.shape[0])) @ np.linalg.cholesky(corr).T
-            assert np.array_equal(active_sizes(y, corr), orthant_active_set(y, corr)[0].sum(axis=1))
+            assert np.array_equal(active_sizes(y, corr), orthant_active_set(y, corr).sum(axis=1))
 
     @pytest.mark.parametrize("sizes", [[1, 1, 1, 1], [2, 1, 2], [3, 1, 2], [1, 4, 1], [5]])
     def test_sizes_match_enumeration(self, sizes):
@@ -272,7 +272,7 @@ class TestSingletonSplit:
 
         def count(rng, reps):
             y = rng.standard_normal((reps, 6)) @ chol.T
-            return np.bincount(orthant_active_set(y, corr)[0].sum(axis=1), minlength=7)
+            return np.bincount(orthant_active_set(y, corr).sum(axis=1), minlength=7)
 
         m = 25_000
         expected = _batch._count_cells(8, _batch.WEIGHTS_KEY, count, m, 1) / m
@@ -302,12 +302,12 @@ class TestSingletonSplit:
         corr[np.ix_(rest, rest)] = interleaved_p5()[0]
         calls = []
 
-        def failing(y, metric):
+        def failing(y, metric, residual=False):
             # The second chunk's call fails at its draw 7.
             calls.append(y.shape[1])
             if len(calls) == 2:
                 raise _batch._draw_error("forced failure", y, 7)
-            return orthant_active_set(y, metric)
+            return orthant_active_set(y, metric, residual=residual)
 
         monkeypatch.setattr(calibrate, "orthant_active_set", failing)
         with pytest.raises(SolverError, match=r"seed 6, stream key \[10\], chunk 1") as err:
@@ -319,6 +319,44 @@ class TestSingletonSplit:
         rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
         y = rng.standard_normal((10_000, 6)) @ np.linalg.cholesky(corr).T
         assert d["y"] == y[7].tolist()
+
+
+    def test_singular_grouped_step_carries_the_replay_key(self, monkeypatch):
+        from conetest import SolverError, _batch
+
+        # No correlation makes a step system singular, so the second chunk's
+        # call is given the all-ones metric, under which a complement of two
+        # or more indices is singular.  Its rows share at most 16 patterns,
+        # so the step that fails is grouped.
+        corr = equicorrelated(4, 0.5)
+        calls, inverted, inv = [], [], np.linalg.inv
+
+        def singular(y, metric, residual=False):
+            calls.append(len(y))
+            if len(calls) == 2:
+                metric = np.ones_like(metric)
+            return orthant_active_set(y, metric, residual=residual)
+
+        def counting(a):
+            inverted.append(len(a))
+            return inv(a)
+
+        monkeypatch.setattr(calibrate, "orthant_active_set", singular)
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        with pytest.raises(SolverError, match=r"singular active-set system at draw \d+ \(seed 6") as err:
+            chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=25_000, seed=6)
+        assert calls == [10_000, 10_000] and inverted
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        d = err.value.details
+        assert (d["seed"], d["stream_key"], d["chunk"]) == (6, [10], 1)
+        # The key replays the draw, which the per-row rule names too.
+        rng = substream(d["seed"], tuple(d["stream_key"]) + (d["chunk"],))
+        y = rng.standard_normal((10_000, 4)) @ np.linalg.cholesky(corr).T
+        assert d["y"] == y[d["draw"]].tolist()
+        monkeypatch.setattr(_batch, "GROUP_MIN_ROWS", 10**9)
+        with pytest.raises(SolverError) as replay:
+            orthant_active_set(y, np.ones((4, 4)))
+        assert replay.value.details["draw"] == d["draw"]
 
 
 class TestNullTail:
@@ -499,7 +537,7 @@ def compound_null_counts(n, prior, mc_samples, seed):
         rng = substream(seed, (ORACLE_STREAM, chunk))
         reps = min(ORACLE_CHUNK, mc_samples - start)
         means, c = row_major(compound_null(rng, prior.scale, prior.df, n, reps))
-        free, _ = orthant_active_set(np.sqrt(n) * means, factor_cov(c, n))
+        free = orthant_active_set(np.sqrt(n) * means, factor_cov(c, n))
         counts += np.bincount(free.sum(axis=1), minlength=p + 1)
     return counts
 

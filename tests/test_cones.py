@@ -179,7 +179,7 @@ class TestOrthantKernel:
             metric = np.stack([random_pd_matrix(rng, p) for _ in range(reps)])
         else:
             metric = random_pd_matrix(rng, p)
-        free, _ = orthant_active_set(y, metric)
+        free = orthant_active_set(y, metric)
         _, q_proj, q_res = batch_orthant(y, metric, 1)
         for i in range(reps):
             m = metric[i] if per_draw else metric
@@ -196,7 +196,7 @@ class TestOrthantKernel:
         # 120-step cap; the least-index rule alone needs up to 21 steps here,
         # block pivoting up to 7.
         y, m = ill_conditioned_draws(seed)
-        free, _ = orthant_active_set(y, m)
+        free = orthant_active_set(y, m)
         for i in range(len(y)):
             assert np.flatnonzero(free[i]).tolist() == nnls_orthant(y[i], m)[0].tolist()
 
@@ -209,18 +209,20 @@ class TestOrthantKernel:
             metric = np.stack([random_pd_matrix(rng, p) for _ in range(reps)])
         else:
             metric = random_pd_matrix(rng, p)
-        free, q_res = orthant_active_set(y, metric)
+        free, q_res = orthant_active_set(y, metric, residual=True)
         ref_free, ref_q_res = least_index_reference(y, metric)
         assert np.array_equal(free, ref_free)
         assert np.array_equal(q_res, ref_q_res)
+        assert np.array_equal(orthant_active_set(y, metric), ref_free)
 
     @pytest.mark.parametrize("seed", [5016, 5094, 5160])
     def test_ill_conditioned_draws_match_least_index_reference(self, seed):
         y, m = ill_conditioned_draws(seed)
-        free, q_res = orthant_active_set(y, m)
+        free, q_res = orthant_active_set(y, m, residual=True)
         ref_free, ref_q_res = least_index_reference(y, m)
         assert np.array_equal(free, ref_free)
         assert np.array_equal(q_res, ref_q_res)
+        assert np.array_equal(orthant_active_set(y, m), ref_free)
 
     @pytest.mark.parametrize("p", [8, 12])
     def test_block_pivots_solve_fewer_rows(self, monkeypatch, p):
@@ -235,7 +237,7 @@ class TestOrthantKernel:
             return solve(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counting_solve)
-        free, q_res = orthant_active_set(y, metric)
+        free, q_res = orthant_active_set(y, metric, residual=True)
         kernel_rows = sum(rows)
         rows.clear()
         ref_free, ref_q_res = least_index_reference(y, metric)
@@ -253,7 +255,7 @@ class TestOrthantKernel:
             [0.225, -0.934, 0.511, -0.064],
             [0.66, 0.262, -0.064, 0.144],
         ])
-        free, q_res = orthant_active_set(y, metric)
+        free, q_res = orthant_active_set(y, metric, residual=True)
         assert np.flatnonzero(free[0]).tolist() == nnls_orthant(y[0], metric)[0].tolist() == [2, 3]
         ref_free, ref_q_res = least_index_reference(y, metric)
         assert np.array_equal(free, ref_free) and np.array_equal(q_res, ref_q_res)
@@ -268,12 +270,12 @@ class TestOrthantKernel:
         # complement condition takes the draw, in either metric form.
         y = np.array([[0.0, -1.0], [0.0, 1.0]])
         for metric in (np.eye(2), np.stack([np.eye(2)] * 2)):
-            free, q_res = orthant_active_set(y, metric)
+            free, q_res = orthant_active_set(y, metric, residual=True)
             assert free.tolist() == [[False, False], [False, True]]
             assert q_res.tolist() == [1.0, 0.0]
         # An adjusted mean of exactly zero leaves the free set as well.
         y, metric = np.array([0.5, -1.0]), np.array([[1.0, -0.5], [-0.5, 1.0]])
-        free, _ = orthant_active_set(y[None, :], metric)
+        free = orthant_active_set(y[None, :], metric)
         assert qualifying_subsets(y, metric) == [()]
         assert free.tolist() == [[False, False]]
 
@@ -321,10 +323,11 @@ class TestOrthantKernel:
         ])
         reps = len(y)
         metric = random_pd_matrix(rng, p)
-        free, q_res = orthant_active_set(y, metric)
-        free_s, q_res_s = orthant_active_set(y, np.stack([metric] * reps))
+        free, q_res = orthant_active_set(y, metric, residual=True)
+        free_s, q_res_s = orthant_active_set(y, np.stack([metric] * reps), residual=True)
         assert np.array_equal(free, free_s)
         assert np.array_equal(q_res, q_res_s)
+        assert np.array_equal(orthant_active_set(y, metric), free)
 
     @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
     def test_block_size_does_not_change_output(self, rng, monkeypatch, per_draw):
@@ -334,11 +337,13 @@ class TestOrthantKernel:
             metric = np.stack([random_pd_matrix(rng, p) for _ in range(reps)])
         else:
             metric = random_pd_matrix(rng, p)
-        free, q_res = orthant_active_set(y, metric)
+        free, q_res = orthant_active_set(y, metric, residual=True)
+        grouped = orthant_active_set(y, metric)
         monkeypatch.setattr(_batch, "ACTIVE_SET_BLOCK", 2)
-        free_b, q_res_b = orthant_active_set(y, metric)
+        free_b, q_res_b = orthant_active_set(y, metric, residual=True)
         assert np.array_equal(free, free_b)
         assert np.array_equal(q_res, q_res_b)
+        assert np.array_equal(orthant_active_set(y, metric), grouped)
 
 
 def shared_metrics(rng):
@@ -353,7 +358,7 @@ def shared_metrics(rng):
 
 
 def solved_rows(monkeypatch, y, metric):
-    """Rows of all batched solves of ``orthant_active_set(y, metric)``, and its output."""
+    """Rows of all batched solves of ``orthant_active_set(y, metric, residual=True)``, and its output."""
     rows = []
     solve = np.linalg.solve
 
@@ -363,7 +368,7 @@ def solved_rows(monkeypatch, y, metric):
 
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "solve", counting_solve)
-        out = orthant_active_set(y, metric)
+        out = orthant_active_set(y, metric, residual=True)
     return sum(rows), out
 
 
@@ -373,10 +378,10 @@ class TestWarmStart:
     def test_warm_and_cold_starts_agree(self, rng, monkeypatch):
         for metric in shared_metrics(rng):
             y = rng.standard_normal((1000, len(metric))) @ np.linalg.cholesky(metric).T
-            free, q_res = orthant_active_set(y, metric)
+            free, q_res = orthant_active_set(y, metric, residual=True)
             with monkeypatch.context() as m:
                 m.setattr(_batch, "WARM_SWEEPS", 0)
-                cold_free, cold_q_res = orthant_active_set(y, metric)
+                cold_free, cold_q_res = orthant_active_set(y, metric, residual=True)
             assert np.array_equal(free, cold_free)
             assert np.array_equal(q_res, cold_q_res)
 
@@ -392,9 +397,9 @@ class TestWarmStart:
         for p in (2, 5, 9):
             metric = random_pd_matrix(rng, p)
             y = rng.standard_normal((1000, p)) @ np.linalg.cholesky(metric).T
-            free, q_res = orthant_active_set(y, metric)
+            free, q_res = orthant_active_set(y, metric, residual=True)
             monkeypatch.setattr(_batch, "_warm_start", wrong_start)
-            wrong_free, wrong_q_res = orthant_active_set(y, metric)
+            wrong_free, wrong_q_res = orthant_active_set(y, metric, residual=True)
             monkeypatch.setattr(_batch, "_warm_start", warm_start)
             assert np.array_equal(free, wrong_free)
             assert np.array_equal(q_res, wrong_q_res)
@@ -426,7 +431,7 @@ class TestWarmStart:
         metric = random_pd_matrix(rng, 4)
         y = np.abs(rng.standard_normal((rows + 3, 4)))
         y[:rows, 1] = -y[:rows, 1]
-        free, q_res = orthant_active_set(y, metric)
+        free, q_res = orthant_active_set(y, metric, residual=True)
         assert calls == ([] if rows == 1 else [rows])
         expect = least_index_reference(y, metric)
         assert np.array_equal(free, expect[0])
@@ -446,8 +451,87 @@ class TestWarmStart:
         monkeypatch.setattr(_batch, "_warm_start", forbidden)
         y = rng.standard_normal((300, 3))
         metric = np.stack([random_pd_matrix(rng, 3) for _ in range(300)])
-        free, _ = orthant_active_set(y, metric)
+        free = orthant_active_set(y, metric)
         assert np.array_equal(free, least_index_reference(y, metric)[0])
+
+
+def counted(monkeypatch, name):
+    """Stack sizes of the calls of ``np.linalg.<name>`` from now on."""
+    sizes = []
+    call = getattr(np.linalg, name)
+
+    def counting(a, *args):
+        sizes.append(a.shape[0])
+        return call(a, *args)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return sizes
+
+
+class TestGroupedSteps:
+    """A residual-free call on a shared metric inverts each distinct step system once."""
+
+    def test_shared_metrics_match_least_index_reference(self, rng, monkeypatch):
+        inverted = counted(monkeypatch, "inv")
+        for metric in shared_metrics(rng):
+            y = rng.standard_normal((2000, len(metric))) @ np.linalg.cholesky(metric).T
+            free = orthant_active_set(y, metric)
+            assert np.array_equal(free, least_index_reference(y, metric)[0])
+        # 125 steps grouped their rows here; the rest solved row by row.
+        assert len(inverted) >= 100
+
+    @pytest.mark.parametrize("group_min_rows", [1, 10**9], ids=["always", "never"])
+    def test_forced_rule_changes_no_free(self, rng, monkeypatch, group_min_rows):
+        cases = [
+            (rng.standard_normal((2000, len(m))) @ np.linalg.cholesky(m).T, m) for m in shared_metrics(rng)
+        ]
+        for p in range(2, 13):
+            cases.append((rng.standard_normal((400, p)), random_pd_matrix(rng, p)))
+        cases.extend(ill_conditioned_draws(seed) for seed in (5016, 5094, 5160))
+        expect = [orthant_active_set(y, m) for y, m in cases]
+        monkeypatch.setattr(_batch, "GROUP_MIN_ROWS", group_min_rows)
+        for (y, m), free in zip(cases, expect):
+            assert np.array_equal(orthant_active_set(y, m), free)
+
+    def test_residual_calls_solve_row_by_row(self, rng, monkeypatch):
+        inverted = counted(monkeypatch, "inv")
+        metric = random_pd_matrix(rng, 5)
+        y = rng.standard_normal((2000, 5))
+        orthant_active_set(y, metric, residual=True)
+        assert inverted == []
+
+    @pytest.mark.parametrize("group_min_rows", [4, 10**9], ids=["grouped", "per_row"])
+    def test_singular_system_names_first_row_of_its_pattern(self, monkeypatch, group_min_rows):
+        # From the sign start, the free set {2} leaves the complement {0, 1},
+        # whose block of ones is singular; the free set {0, 1} leaves {2}.
+        # Rows 1-8 are pending, two patterns: four rows each, so grouped.
+        monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
+        monkeypatch.setattr(_batch, "GROUP_MIN_ROWS", group_min_rows)
+        inverted = counted(monkeypatch, "inv")
+        metric = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        fine, bad = [1.0, 2.0, -1.0], [-1.0, -2.0, 1.0]
+        y = np.array([[1.0, 1.0, 1.0]] + [fine] * 4 + [bad] + [fine] * 2 + [bad])
+        with pytest.raises(SolverError, match="singular active-set system at draw 5") as err:
+            orthant_active_set(y, metric)
+        assert err.value.details == {"draw": 5, "y": bad}
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+        assert inverted == ([2] if group_min_rows == 4 else [])
+
+    def test_grouped_steps_invert_few_systems(self, monkeypatch):
+        # The draws of TestWarmStart.test_sweeps_solve_fewer_rows: 8569
+        # pending rows, whose first two steps invert 63 distinct systems
+        # each and the third 54; the rest solve 155 rows one by one.
+        p = 6
+        metric = 0.5 * np.eye(p) + 0.5 * np.ones((p, p))
+        y = substream(71, 0).standard_normal((10000, p)) @ np.linalg.cholesky(metric).T
+        expect = orthant_active_set(y, metric, residual=True)[0]
+        with monkeypatch.context() as m:
+            inverted = counted(m, "inv")
+            solved = counted(m, "solve")
+            free = orthant_active_set(y, metric)
+        assert np.array_equal(free, expect)
+        assert np.count_nonzero((y <= 0.0).any(axis=1)) == 8569
+        assert inverted == [63, 63, 54] and sum(solved) == 155
 
 
 class TestHalfspaceProjection:

@@ -766,9 +766,9 @@ def classified_spy(monkeypatch):
     """Record the number of rows each kernel call is given."""
     calls = []
 
-    def spy(y, metric):
+    def spy(y, metric, residual=False):
         calls.append(len(y))
-        return orthant_active_set(y, metric)
+        return orthant_active_set(y, metric, residual=residual)
 
     monkeypatch.setattr(powerlab, "orthant_active_set", spy)
     return calls
@@ -1189,14 +1189,25 @@ class TestBatchMatchesScalar:
             )
 
     def test_compound_null_inverts_nothing(self, monkeypatch):
-        from conetest import calibrate
+        # The draws that sample the compound null: the inverse-Wishart
+        # factors and similarity_probe's prior view.  The Bayes weights that
+        # calibrate the probe draw at the prior scale, not from the compound
+        # null, and their classifier may invert its step systems.
+        inv, resolve = np.linalg.inv, powerlab._resolve_critical
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the compound null needs no matrix inverse")
 
+        def calibrated(plan, cfg):
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "inv", inv)
+                return resolve(plan, cfg)
+
         monkeypatch.setattr(np.linalg, "inv", forbidden)
+        monkeypatch.setattr(powerlab, "_resolve_critical", calibrated)
         prior = PriorSpec.inverse_wishart(np.array([[1.0, 0.3], [0.3, 2.0]]), 6.0)
-        calibrate.bayes_weights_b1(12, 2, prior, mc_samples=500, seed=1)
+        factors = _batch.sample_invwishart_chol(substream(1, 0), prior.scale, prior.df, 500)
+        assert factors.shape == (500, 2, 2)
         cfg = small_config(replications=500, theta_grid=(np.zeros(2),))
         rep = similarity_probe(stats.UIT_ORTHANT, "bayes", [], cfg, prior=prior)
         assert [row["sigma_id"] for row in rep.rows] == ["prior_draws"]
