@@ -371,7 +371,7 @@ def orthant_active_set(y, metric, residual=False):
                 break
             mask, y_t = free[todo], y[todo]
             groups = _step_groups(mask) if grouped else None
-            firsts, rows = groups or (slice(None), slice(None))  # or each row its own
+            firsts, rows = groups or (slice(None), slice(None))  # None: each row its own
             mats = np.where(mask[firsts][:, None, :], eye, metric if metric.ndim == 2 else metric[todo])
             try:
                 if groups is None:

@@ -1,4 +1,4 @@
-"""Shared helpers: random positive definite matrices, brute-force oracles and draw layouts."""
+"""Shared helpers: random positive definite matrices, brute-force oracles, draw layouts and LAPACK call counts."""
 
 from itertools import combinations
 
@@ -24,6 +24,19 @@ def random_correlation(rng, p):
     m = random_pd_matrix(rng, p)
     d = 1.0 / np.sqrt(np.diag(m))
     return m * np.outer(d, d)
+
+
+def counted(monkeypatch, name):
+    """Stack sizes of the calls of ``np.linalg.<name>`` from now on."""
+    sizes = []
+    call = getattr(np.linalg, name)
+
+    def counting(a, *args):
+        sizes.append(a.shape[0])
+        return call(a, *args)
+
+    monkeypatch.setattr(np.linalg, name, counting)
+    return sizes
 
 
 def row_major(draw):

@@ -31,7 +31,7 @@ from conetest._batch import (
 )
 from conetest.calibrate import CLOSED_FORM, MONTE_CARLO
 
-from conftest import compound_null, random_correlation, random_pd_matrix, row_major
+from conftest import compound_null, counted, random_correlation, random_pd_matrix, row_major
 from test_sample import make_summary
 
 
@@ -329,7 +329,7 @@ class TestSingletonSplit:
         # or more indices is singular.  Its rows share at most 16 patterns,
         # so the step that fails is grouped.
         corr = equicorrelated(4, 0.5)
-        calls, inverted, inv = [], [], np.linalg.inv
+        calls = []
 
         def singular(y, metric, residual=False):
             calls.append(len(y))
@@ -337,12 +337,8 @@ class TestSingletonSplit:
                 metric = np.ones_like(metric)
             return orthant_active_set(y, metric, residual=residual)
 
-        def counting(a):
-            inverted.append(len(a))
-            return inv(a)
-
         monkeypatch.setattr(calibrate, "orthant_active_set", singular)
-        monkeypatch.setattr(np.linalg, "inv", counting)
+        inverted = counted(monkeypatch, "inv")
         with pytest.raises(SolverError, match=r"singular active-set system at draw \d+ \(seed 6") as err:
             chi_bar_weights(corr, method=MONTE_CARLO, mc_samples=25_000, seed=6)
         assert calls == [10_000, 10_000] and inverted

@@ -24,7 +24,7 @@ from conetest._batch import (
 )
 from conetest.sample import qualifying_subsets
 
-from conftest import compound_null, kkt_enumeration_projection, random_pd_matrix, row_major
+from conftest import compound_null, counted, kkt_enumeration_projection, random_pd_matrix, row_major
 
 
 class TestOrthantProjection:
@@ -229,14 +229,7 @@ class TestOrthantKernel:
         # Rows solved for these 2000 draws: 4473 against 6227 at p = 8 and
         # 5656 against 10515 at p = 12.
         y, metric = bayes_draws(p, 2000, 61)
-        rows = []
-        solve = np.linalg.solve
-
-        def counting_solve(a, b):
-            rows.append(a.shape[0])
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        rows = counted(monkeypatch, "solve")
         free, q_res = orthant_active_set(y, metric, residual=True)
         kernel_rows = sum(rows)
         rows.clear()
@@ -359,15 +352,8 @@ def shared_metrics(rng):
 
 def solved_rows(monkeypatch, y, metric):
     """Rows of all batched solves of ``orthant_active_set(y, metric, residual=True)``, and its output."""
-    rows = []
-    solve = np.linalg.solve
-
-    def counting_solve(a, b):
-        rows.append(a.shape[0])
-        return solve(a, b)
-
     with monkeypatch.context() as m:
-        m.setattr(np.linalg, "solve", counting_solve)
+        rows = counted(m, "solve")
         out = orthant_active_set(y, metric, residual=True)
     return sum(rows), out
 
@@ -453,19 +439,6 @@ class TestWarmStart:
         metric = np.stack([random_pd_matrix(rng, 3) for _ in range(300)])
         free = orthant_active_set(y, metric)
         assert np.array_equal(free, least_index_reference(y, metric)[0])
-
-
-def counted(monkeypatch, name):
-    """Stack sizes of the calls of ``np.linalg.<name>`` from now on."""
-    sizes = []
-    call = getattr(np.linalg, name)
-
-    def counting(a, *args):
-        sizes.append(a.shape[0])
-        return call(a, *args)
-
-    monkeypatch.setattr(np.linalg, name, counting)
-    return sizes
 
 
 class TestGroupedSteps:
