@@ -46,8 +46,8 @@ ACTIVE_SET_BLOCK = 4096
 GROUP_MIN_ROWS = 4
 # Sign conditions count a value within this fraction of |y| as zero.
 ACTIVE_SET_RTOL = 1e-10
-# Block pivots a draw may take without lowering its fewest violation count.
-BLOCK_CHANCES = 3
+# Steps of a block that flip every violating index; later steps flip the lowest.
+BLOCK_STEPS = 3
 # Projected Gauss-Seidel sweeps that pick a draw's start on a shared metric.
 WARM_SWEEPS = 4
 
@@ -311,15 +311,12 @@ def orthant_active_set(y, metric, residual=False):
     every ``q_res`` is that of the per-row solve.
 
     Pivots follow block principal pivoting (Judice & Pires 1994; Kim & Park
-    2011).  Each draw keeps the fewest violations it has seen.  A step that
-    lowers that count switches every violating index at once and restores
-    ``BLOCK_CHANCES`` chances; any other step spends a chance to do the
-    same.  With none left, only the lowest violating index switches, which
-    is Murty's least-index rule (Murty 1974), until the count falls again.
-    Murty's rule terminates for every P-matrix, so for every positive
-    definite metric, and the fewest count can fall at most ``p`` times, so
-    no draw cycles.  As the backup may take exponentially many steps
-    (Fathi 1979), a step cap stays.
+    2011) on a fixed schedule: the first ``BLOCK_STEPS`` steps of a block
+    switch every violating index at once, and later steps switch only the
+    lowest, which is Murty's least-index rule (Murty 1974).  Murty's rule
+    terminates from any pattern for every P-matrix, so for every positive
+    definite metric.  As it may take exponentially many steps (Fathi 1979),
+    a step cap stays.
 
     In floating point a degenerate index, whose adjusted mean and
     multiplier are both zero, would flip on rounding noise forever.  So the
@@ -364,9 +361,7 @@ def orthant_active_set(y, metric, residual=False):
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
     for start in range(0, pending.size, ACTIVE_SET_BLOCK):
         todo = pending[start:start + ACTIVE_SET_BLOCK]
-        fewest = np.full(todo.size, p + 1.0)
-        chances = np.full(todo.size, BLOCK_CHANCES)
-        for _ in range(cap):
+        for step in range(cap):
             if not todo.size:
                 break
             mask, y_t = free[todo], y[todo]
@@ -385,19 +380,13 @@ def orthant_active_set(y, metric, residual=False):
             # The diagonal is 1 on the free set and M_jj on the complement.
             zs = z * np.diagonal(mats, axis1=1, axis2=2)[rows]
             viol = (zs > tol[todo]) != mask
-            count = viol @ ones  # a sum over the short axis is several times slower
-            ok = count == 0
+            ok = viol @ ones == 0  # a sum over the short axis is several times slower
             if residual:
                 q_res[todo[ok]] = np.einsum("ri,ri->r", np.where(mask, 0.0, y_t), z)[ok]
             keep = ~ok
-            todo, mask, viol, count = todo[keep], mask[keep], viol[keep], count[keep]
-            chances = np.where(count < fewest[keep], BLOCK_CHANCES, chances[keep] - 1)
-            fewest = np.minimum(fewest[keep], count)
-            # Draws out of chances flip only their lowest violating index.
-            single = np.flatnonzero(chances < 0)
-            lowest = np.argmax(viol[single], axis=1)
-            viol[single] = False
-            viol[single, lowest] = True
+            todo, mask, viol = todo[keep], mask[keep], viol[keep]
+            if step >= BLOCK_STEPS:  # Murty's rule: the lowest violating index alone
+                viol = np.arange(p) == np.argmax(viol, axis=1)[:, None]
             free[todo] = mask ^ viol
         if todo.size:
             raise _draw_error(f"active-set iteration cap {cap} exceeded", y, todo[0])

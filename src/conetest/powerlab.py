@@ -146,6 +146,11 @@ class ExperimentConfig:
         plans = tuple(self.tests)
         if not plans:
             raise DataError("at least one test plan is required")
+        # A plan's rows and critical value are known by its label alone.
+        labels = [t.label for t in plans]
+        for label in labels:
+            if labels.count(label) > 1:
+                raise DataError(f"two test plans share the label {label!r}")
         object.__setattr__(self, "tests", plans)
         orthant_plans = [
             t for t in plans if t.family in (LRT_ORTHANT, UIT_ORTHANT, FUIT)
@@ -200,29 +205,23 @@ def resolve_sigmas(source, p, seed):
     return [(f"sigma{i}", m) for i, m in enumerate(mats)]
 
 
-def _resolve_critical(plan, cfg):
-    """Critical value on the calibration scale for one test plan."""
-    cv, _ = calibrate._calibration(
-        plan.family, plan.calibration, cfg.alpha, cfg.n, cfg.p, plan.prior,
-        plan.weight_samples, cfg.seed, cfg.workers,
-    )
-    return cv.value
+def _plan_criticals(cfg, plans):
+    """Critical value on the calibration scale of each of ``plans``, in order.
 
-
-def _plan_criticals(cfg):
-    """Critical value of each test plan of ``cfg``, by label, one solve per null law.
-
-    Plans that calibrate by the same law at ``cfg.alpha`` share one value:
-    an orthant family under ``sup`` and its halfspace counterpart under
-    ``sup`` or ``exact``, and T2 under either.  Bayes plans keep their own
-    weights.
+    One solve per null law at ``cfg.alpha``: an orthant family under
+    ``sup`` and its halfspace counterpart under ``sup`` or ``exact`` share
+    one value, and T2 takes one under either.  Each Bayes plan solves with
+    its own weights.
     """
-    solved, criticals = {}, {}
-    for i, plan in enumerate(cfg.tests):
+    solved, criticals = {}, []
+    for i, plan in enumerate(plans):
         law = i if plan.calibration == "bayes" else calibrate._law_family(plan.family, plan.calibration)
         if law not in solved:
-            solved[law] = _resolve_critical(plan, cfg)
-        criticals[plan.label] = solved[law]
+            solved[law] = calibrate._calibration(
+                plan.family, plan.calibration, cfg.alpha, cfg.n, cfg.p, plan.prior,
+                plan.weight_samples, cfg.seed, cfg.workers,
+            )[0].value
+        criticals.append(solved[law])
     return criticals
 
 
@@ -420,8 +419,8 @@ def simulate_power(cfg):
     given ``(cfg, seed)`` and independent of ``workers``.
     """
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
-    criticals = _plan_criticals(cfg)
-    tests = [(plan.family, criticals[plan.label]) for plan in cfg.tests]
+    criticals = _plan_criticals(cfg, cfg.tests)
+    tests = [(plan.family, cv) for plan, cv in zip(cfg.tests, criticals)]
     rows = []
     grid = _grid_counts(cfg, POWER_KEY, sigmas, cfg.theta_grid, tests, _rejections)
     for sigma_id, theta, counts in grid:
@@ -448,7 +447,7 @@ def simulate_power(cfg):
             "seed": cfg.seed,
             "tests": [plan.label for plan in cfg.tests],
             "sigma_ids": [sid for sid, _ in sigmas],
-            "critical_values": {k: float(v) for k, v in criticals.items()},
+            "critical_values": {plan.label: float(cv) for plan, cv in zip(cfg.tests, criticals)},
         },
     )
 
@@ -502,7 +501,7 @@ def domination_experiment(cfg):
             raise DataError("domination grid must lie in the positive orthant")
     sigmas = resolve_sigmas(cfg.sigma_source, cfg.p, cfg.seed)
     # Both members of a pair take the orthant member's supremum value.
-    criticals = {name: _resolve_critical(TestPlan(pair[0]), cfg) for name, pair in _PAIRS.items()}
+    criticals = dict(zip(_PAIRS, _plan_criticals(cfg, [TestPlan(pair[0]) for pair in _PAIRS.values()])))
     tests = [(family, criticals[name]) for name, pair in _PAIRS.items() for family in pair]
     reps = cfg.replications
     rows = []
@@ -717,7 +716,7 @@ def similarity_probe(family, calibration, sigma_list, cfg, prior=None):
     leaves the other rows unchanged.
     """
     plan = TestPlan(family, calibration, prior=prior)
-    critical = _resolve_critical(plan, cfg)
+    (critical,) = _plan_criticals(cfg, [plan])
     if not sigma_list and calibration != "bayes":
         raise DataError("similarity_probe needs a covariance, or a prior with bayes calibration")
     sigmas = resolve_sigmas(SigmaSource.sequence(sigma_list), cfg.p, cfg.seed) if sigma_list else []

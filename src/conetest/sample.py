@@ -91,10 +91,6 @@ class SubsetPartition:
     def full(cls, p):
         return cls.from_indices(range(p), p)
 
-    @classmethod
-    def empty(cls, p):
-        return cls.from_indices((), p)
-
     @property
     def size(self):
         return len(self.a)

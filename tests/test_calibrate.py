@@ -1031,6 +1031,63 @@ class TestInvertTail:
         with pytest.raises(CalibrationError):
             _invert_tail(lambda c: level, 0.1, 20, 3)
 
+    @staticmethod
+    def evaluated(tail):
+        """``tail`` and the list of points it is evaluated at, in order."""
+        points = []
+        return (lambda c: points.append(c) or tail(c)), points
+
+    @pytest.mark.parametrize(
+        "tail, alpha, root, seed, steps_before",
+        [
+            # Zero from c = 4 on: the weighted end of the bracket is F = -inf,
+            # so the first step bisects.
+            (lambda c: 1.0 / c if c < 4.0 else 0.0, 0.3, 1.0 / 0.3, (1.0, -0.4), 0),
+            # F cubic in log c about log 2, finite everywhere: three Illinois
+            # steps leave the bracket more than half as wide, so the fourth
+            # bisects.
+            (lambda c: 0.1 * math.exp(-((math.log(c) - math.log(2.0)) ** 3)),
+             0.1 * math.exp(-0.3), 2.0 * math.exp(0.3 ** (1.0 / 3.0)), (1.5, -1.0), 3),
+        ],
+        ids=["infinite-end", "stalled-illinois"],
+    )
+    def test_bisection_safeguard_still_finds_the_root(self, tail, alpha, root, seed, steps_before):
+        from conetest.calibrate import _RTOL, _XTOL, _invert_tail
+
+        counted_tail, points = self.evaluated(tail)
+        c, t = _invert_tail(counted_tail, alpha, 20, 3, seed=seed)
+        assert abs(c - root) <= _XTOL * min(c, 1.0) + _RTOL * c
+        assert t == tail(c)
+        # Whether each point inside a bracket of the points before it
+        # bisects that bracket in log c; only brackets wider than 1e-6 count,
+        # as any point of a narrower one is near its midpoint.
+        bisects = []
+        for i, x in enumerate(points):
+            lo = max((q for q in points[:i] if tail(q) > alpha), default=None)
+            hi = min((q for q in points[:i] if tail(q) < alpha), default=None)
+            if lo is not None and hi is not None:
+                midpoint = math.sqrt(lo * hi)
+                bisects.append(hi > lo * (1.0 + 1e-6) and x == pytest.approx(midpoint, rel=1e-12))
+        assert bisects.index(True) == steps_before
+
+    def test_bracket_with_no_point_inside_returns_its_better_end(self):
+        # A root among the subnormals, where the tolerance underflows to 0:
+        # the search ends when the bracket's ends are adjacent floats.
+        from conetest.calibrate import _invert_tail
+
+        x0 = 3.3e-321
+        tail = lambda c: 0.11 * (x0 / c) ** 2
+        counted_tail, points = self.evaluated(tail)
+
+        def bounded(c):  # fails a search that keeps evaluating the bracket's ends
+            assert len(points) < 100
+            return counted_tail(c)
+
+        c, t = _invert_tail(bounded, 0.1, 20, 3, seed=(1e-320, -2.0))
+        assert t == tail(c)
+        below, above = np.nextafter(c, 0.0), np.nextafter(c, 1.0)
+        assert (tail(below) > 0.1 >= tail(c)) or (tail(c) >= 0.1 > tail(above))
+
     def test_seed_beyond_scipy_inverse(self):
         # betainccinv(1.5, 8.5, 1e-300) is nan, so the walk starts from c = 1;
         # the root is near 2.3e35.

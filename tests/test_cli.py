@@ -204,6 +204,26 @@ class TestCmdTest:
         s = summarize(data @ np.array([[1.0, -1.0], [0.0, 1.0]]).T)
         assert result["statistic"] == pytest.approx(uit_orthant(s).statistic, rel=1e-9)
 
+    def test_b1_identity_reports_the_b1_equal_b2_statistic(self, tmp_path, rng):
+        # b1 = I keeps the data and induces B; b1 = B maps the data by B and
+        # induces the identity. Both land on the orthant model of data @ B'.
+        data = rng.standard_normal((30, 3)) + [0.6, 0.3, 0.4]
+        b = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -0.5], [0.2, 0.0, 1.0]])
+        paths = {}
+        for name, matrix in (("d", data), ("b", b), ("eye", np.eye(3))):
+            paths[name] = tmp_path / f"{name}.csv"
+            write_csv(paths[name], matrix)
+        statistics = []
+        for b1 in ("eye", "b"):
+            out = tmp_path / f"{b1}.json"
+            argv = ["test", "--data", str(paths["d"]), "--cone", "polyhedral", "--family", "uit",
+                    "--b-matrix", str(paths["b"]), "--b1-matrix", str(paths[b1]), "--out", str(out)]
+            assert main(argv) == 0
+            result = json.loads(out.read_text())["result"]
+            assert result["reduction"]["b1_shape"] == [3, 3]
+            statistics.append(result["statistic"])
+        assert statistics[0] == pytest.approx(statistics[1], rel=1e-12)
+
     def test_bayes_calibration_runs(self, tmp_path, rng):
         data = rng.standard_normal((12, 2)) + 0.5
         dpath = tmp_path / "d.csv"
@@ -614,6 +634,44 @@ class TestExitCodes:
         write_csv(path, rng.standard_normal((3, 4)))
         assert main(["test", "--data", str(path), "--family", "uit"]) == 3
 
+    def test_non_square_induced_matrix_is_3(self, tmp_path, rng, capsys):
+        # b1 = I and a 2 x 3 b2 induce a 2 x 3 constraint matrix.
+        paths = {}
+        for name, matrix in (("d", rng.standard_normal((30, 3)) + 0.5), ("b", np.eye(3)[:2]),
+                             ("eye", np.eye(3))):
+            paths[name] = tmp_path / f"{name}.csv"
+            write_csv(paths[name], matrix)
+        argv = ["test", "--data", str(paths["d"]), "--cone", "polyhedral", "--family", "uit",
+                "--b-matrix", str(paths["b"]), "--b1-matrix", str(paths["eye"])]
+        assert main(argv) == 3
+        assert "induced constraint matrix is not square" in capsys.readouterr().err
+
+    def test_fuit_on_halfspace_is_2(self, dataset, capsys):
+        path, _ = dataset
+        assert main(["test", "--data", str(path), "--family", "fuit", "--cone", "halfspace"]) == 2
+        assert "fuit is defined for the orthant alternative only" in capsys.readouterr().err
+
+    def test_polyhedral_without_b_matrix_is_2(self, dataset, capsys):
+        path, _ = dataset
+        assert main(["test", "--data", str(path), "--family", "uit", "--cone", "polyhedral"]) == 2
+        assert "polyhedral cone requires --b-matrix" in capsys.readouterr().err
+
+    def test_calibrate_n_at_most_p_is_2(self, capsys):
+        assert main(["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "3", "--p", "3"]) == 2
+        assert "need n > p, got n=3, p=3" in capsys.readouterr().err
+
+    def test_prior_scale_of_wrong_shape_is_3(self, tmp_path, monkeypatch, capsys):
+        def forbidden(*args):
+            raise AssertionError("no Monte-Carlo chunk may run")
+
+        monkeypatch.setattr(_batch, "run_chunks", forbidden)
+        scale = tmp_path / "g.csv"
+        write_csv(scale, np.eye(3))
+        argv = ["calibrate", "--family", "uit", "--alpha", "0.05", "--n", "15", "--p", "2",
+                "--calibration", "bayes", "--prior-df", "6", "--seed", "1", "--prior-scale", str(scale)]
+        assert main(argv) == 3
+        assert "prior scale has shape (3, 3), expected (2, 2)" in capsys.readouterr().err
+
     def test_calibration_error_is_4(self, tmp_path, rng):
         path = tmp_path / "d.csv"
         write_csv(path, rng.standard_normal((4, 1)))
@@ -928,6 +986,24 @@ class TestCmdSimulate:
         cfg = self.write_config(tmp_path, **overrides)
         assert main(["simulate", "--config", str(cfg)]) == 3
         assert message in capsys.readouterr().err
+
+    def test_plans_sharing_a_label_are_data_error(self, tmp_path, capsys, monkeypatch):
+        # Two Bayes plans of one family under different priors: their rows
+        # and critical values would carry one label. Refused before any draw.
+        def forbidden(*args):
+            raise AssertionError("no Monte-Carlo chunk may run")
+
+        monkeypatch.setattr(_batch, "run_chunks", forbidden)
+        tests = [
+            {"family": "UIT_orthant", "calibration": "bayes", "weight_samples": 20000,
+             "prior": {"scale": scale, "df": 6}}
+            for scale in (np.eye(3).tolist(), (0.1 * np.eye(3) + 0.9).tolist())
+        ]
+        cfg = self.write_config(tmp_path, p=3, n=30, replications=2000, seed=1,
+                                sigma={"kind": "fixed", "matrix": np.eye(3).tolist()},
+                                theta_grid=[[0.0, 0.0, 0.0]], tests=tests)
+        assert main(["simulate", "--config", str(cfg)]) == 3
+        assert "two test plans share the label 'UIT_orthant/bayes'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("experiment", ["power", "domination"])
     def test_empty_theta_grid_is_data_error(self, tmp_path, capsys, monkeypatch, experiment):

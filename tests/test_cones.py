@@ -194,7 +194,7 @@ class TestOrthantKernel:
         # Greedy pivots (drop the most negative free index, else join the
         # largest multiplier) cycle on some of these draws and hit the
         # 120-step cap; the least-index rule alone needs up to 21 steps here,
-        # block pivoting up to 7.
+        # the kernel's schedule up to 9.
         y, m = ill_conditioned_draws(seed)
         free = orthant_active_set(y, m)
         for i in range(len(y)):
@@ -226,8 +226,8 @@ class TestOrthantKernel:
 
     @pytest.mark.parametrize("p", [8, 12])
     def test_block_pivots_solve_fewer_rows(self, monkeypatch, p):
-        # Rows solved for these 2000 draws: 4473 against 6227 at p = 8 and
-        # 5656 against 10515 at p = 12.
+        # Rows solved for these 2000 draws: 4464 against 6140 at p = 8 and
+        # 5690 against 10443 at p = 12.
         y, metric = bayes_draws(p, 2000, 61)
         rows = counted(monkeypatch, "solve")
         free, q_res = orthant_active_set(y, metric, residual=True)
@@ -239,8 +239,8 @@ class TestOrthantKernel:
 
     def test_least_index_backup_ends_a_block_cycle(self, monkeypatch):
         # Flipping every violating index at every step walks the free sets
-        # {2} -> {3} -> {1, 2, 3} -> {2}, two violations each, forever; once
-        # the count has stalled for its chances the backup step ends it.
+        # {2} -> {3} -> {1, 2, 3} -> {2}, two violations each, forever; the
+        # least-index steps that follow a block's first steps end it.
         y = np.array([[-0.669, -1.656, 0.899, -0.163]])
         metric = np.array([
             [4.72, -0.328, 0.225, 0.66],
@@ -254,7 +254,7 @@ class TestOrthantKernel:
         assert np.array_equal(free, ref_free) and np.array_equal(q_res, ref_q_res)
         # The cycle starts from the sign pattern {2}; the warm start skips it.
         monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
-        monkeypatch.setattr(_batch, "BLOCK_CHANCES", 10**9)
+        monkeypatch.setattr(_batch, "BLOCK_STEPS", 10**9)
         with pytest.raises(SolverError, match="draw 0"):
             orthant_active_set(y, metric)
 
@@ -450,7 +450,7 @@ class TestGroupedSteps:
             y = rng.standard_normal((2000, len(metric))) @ np.linalg.cholesky(metric).T
             free = orthant_active_set(y, metric)
             assert np.array_equal(free, least_index_reference(y, metric)[0])
-        # 125 steps grouped their rows here; the rest solved row by row.
+        # 120 steps grouped their rows here; the rest solved row by row.
         assert len(inverted) >= 100
 
     @pytest.mark.parametrize("group_min_rows", [1, 10**9], ids=["always", "never"])

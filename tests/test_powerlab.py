@@ -107,6 +107,16 @@ class TestConfigValidation:
         for family in (stats.UIT_ORTHANT, stats.LRT_ORTHANT):
             TestPlan(family=family, calibration="bayes", prior=prior)
 
+    def test_plans_sharing_a_label_rejected(self):
+        # Rows and metadata.critical_values know a plan by its label alone.
+        equicorrelated = np.array([[1.0, 0.9], [0.9, 1.0]])
+        priors = [PriorSpec.inverse_wishart(scale, 6.0) for scale in (np.eye(2), equicorrelated)]
+        bayes = tuple(TestPlan(stats.UIT_ORTHANT, "bayes", prior=prior) for prior in priors)
+        with pytest.raises(DataError, match="two test plans share the label 'UIT_orthant/bayes'"):
+            small_config(tests=bayes)
+        with pytest.raises(DataError, match="share the label 'T2/sup'"):
+            small_config(tests=(TestPlan(stats.T2), TestPlan(stats.FUIT), TestPlan(stats.T2)))
+
     def test_sigma_kinds(self, rng):
         assert resolve_sigmas(SigmaSource.fixed(np.eye(2)), 2, 0)[0][0] == "sigma0"
         seq = resolve_sigmas(
@@ -903,7 +913,7 @@ class TestT2Screen:
         means, c = row_major(sample_mean_chol(rng, np.zeros(2), np.linalg.cholesky(sigma), cfg.n, 500))
         y = np.sqrt(cfg.n) * means
         assert y[d["draw"]].tolist() == d["y"]
-        critical = powerlab._resolve_critical(cfg.tests[0], cfg)
+        (critical,) = powerlab._plan_criticals(cfg, cfg.tests)
         t2, r_lo, r_hi = bracket(means, c, cfg.n)
         pending = r_lo > 0.0
         open_ = (
@@ -1193,18 +1203,18 @@ class TestBatchMatchesScalar:
         # factors and similarity_probe's prior view.  The Bayes weights that
         # calibrate the probe draw at the prior scale, not from the compound
         # null, and their classifier may invert its step systems.
-        inv, resolve = np.linalg.inv, powerlab._resolve_critical
+        inv, resolve = np.linalg.inv, powerlab._plan_criticals
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the compound null needs no matrix inverse")
 
-        def calibrated(plan, cfg):
+        def calibrated(cfg, plans):
             with monkeypatch.context() as m:
                 m.setattr(np.linalg, "inv", inv)
-                return resolve(plan, cfg)
+                return resolve(cfg, plans)
 
         monkeypatch.setattr(np.linalg, "inv", forbidden)
-        monkeypatch.setattr(powerlab, "_resolve_critical", calibrated)
+        monkeypatch.setattr(powerlab, "_plan_criticals", calibrated)
         prior = PriorSpec.inverse_wishart(np.array([[1.0, 0.3], [0.3, 2.0]]), 6.0)
         factors = _batch.sample_invwishart_chol(substream(1, 0), prior.scale, prior.df, 500)
         assert factors.shape == (500, 2, 2)
