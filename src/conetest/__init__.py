@@ -86,6 +86,6 @@ from .stats import (
     uit_orthant,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

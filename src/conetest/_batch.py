@@ -1,10 +1,10 @@
 """Vectorized Monte-Carlo kernels (internal).
 
 These kernels replicate the scalar classification and statistic code paths
-across many draws at once.  Randomness comes from counter-based Philox
-substreams keyed by ``(seed, stream index)``, so a computation split into
-fixed-size chunks gives identical results regardless of how many workers
-process the chunks.
+across many draws at once.  Randomness comes from SFC64 substreams, each
+seeded by ``SeedSequence(seed, spawn_key=key)`` (:func:`substream`), so a
+computation split into fixed-size chunks gives identical results
+regardless of how many workers process the chunks.
 
 The power lab's sampler (``standard_draw``, then ``scaled_draw`` by one
 covariance factor or by per-draw factors such as the prior draws of
@@ -55,15 +55,15 @@ WARM_SWEEPS = 4
 def substream(seed, key):
     """Independent generator for one stream of a seeded family.
 
-    ``key`` is an int or tuple of ints; distinct keys give independent
-    counter-based streams for the same seed.
+    ``key`` is an int or tuple of ints; distinct keys seed distinct SFC64
+    states, whose 64-bit counter keeps them apart for 2**64 outputs.
     """
     if isinstance(key, (int, np.integer)):
         key = (int(key),)
     else:
         key = tuple(int(k) for k in key)
     seq = np.random.SeedSequence(entropy=int(seed), spawn_key=key)
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def run_chunks(worker, n_chunks, workers=1):
@@ -301,8 +301,8 @@ def orthant_active_set(y, metric, residual=False):
     by pattern (:func:`_step_groups`): when the rows number at least
     ``GROUP_MIN_ROWS`` per distinct pattern, it inverts each distinct ``B``
     once in one stacked ``np.linalg.inv`` and applies the gathered inverses
-    in one stacked matmul.  At p = 6 and correlation 0.5, 8569 pending rows
-    of 10 000 draws take 180 inverted systems and 155 solved rows.  Most
+    in one stacked matmul.  At p = 6 and correlation 0.5, 8589 pending rows
+    of 10 000 draws take 179 inverted systems and 150 solved rows.  Most
     rows at p >= 16 have patterns of their own, so the rule keeps their
     steps per row.  ``z`` from an inverse differs from the solved one in
     its last bits, so ``free`` may differ from a residual call's only in

@@ -213,7 +213,7 @@ def chi_bar_weights(sigma, method="auto", mc_samples=DEFAULT_MC_SAMPLES, seed=No
     mc_samples : int
         Monte-Carlo sample count (``monte_carlo`` only).
     seed : int
-        Required for Monte Carlo; drives counter-based substreams.
+        Required for Monte Carlo; seeds the keyed SFC64 substreams.
     workers : int
         Worker threads for the Monte-Carlo chunks; does not affect results.
     """

@@ -7,8 +7,8 @@ orthant tests by their halfspace counterparts, convexity of the
 union-intersection acceptance regions, and nonconvexity of the
 likelihood-ratio acceptance region.
 
-Randomness is organized in fixed-size chunks driven by counter-based
-substreams, so results are bit-identical for any worker count.
+Randomness is organized in fixed-size chunks, each on its own keyed SFC64
+substream, so results are bit-identical for any worker count.
 """
 
 from dataclasses import dataclass, field

@@ -432,3 +432,24 @@ class TestCandidateMask:
 def test_cell_of_no_draws_counts_zero():
     # No chunks, so no count is called.
     assert float(_batch._count_cells(1, (0,), None, 0, 2)) == 0.0
+
+
+class TestSubstream:
+    """Every Monte-Carlo stream is an SFC64 generator on its own ``SeedSequence`` spawn key."""
+
+    def test_bit_generator_is_sfc64(self):
+        for key in (0, (2, 0), _batch.WEIGHTS_KEY + (3,), _batch.CORRELATIONS_KEY):
+            assert isinstance(substream(7, key).bit_generator, np.random.SFC64)
+
+    def test_chunk_and_weight_streams_are_distinct(self):
+        # Four chunks of the power grid and the first weights chunk, one
+        # seed: no two streams agree, and every pairwise sample correlation
+        # is within 4 / sqrt(N), about 4 standard errors of zero.
+        n = 100_000
+        keys = [_batch.POWER_KEY + (j,) for j in range(4)] + [_batch.WEIGHTS_KEY + (0,)]
+        draws = np.array([substream(1, key).standard_normal(n) for key in keys])
+        corr = np.corrcoef(draws)
+        for i in range(len(keys)):
+            for j in range(i):
+                assert not np.array_equal(draws[i], draws[j])
+                assert abs(corr[i, j]) <= 4 / np.sqrt(n), (keys[i], keys[j])

@@ -454,6 +454,23 @@ class TestManifest:
         manifest = json.loads(out.read_text())["manifest"]
         assert manifest["input_paths"] == [str(dpath), str(gpath)]
 
+    def test_bayes_test_is_the_same_at_every_worker_count(self, tmp_path, rng):
+        # 25 000 weight draws are three chunks, one per worker at three; a
+        # dense prior scale sends the draws through the orthant kernel.
+        dpath = tmp_path / "d.csv"
+        write_csv(dpath, rng.standard_normal((20, 3)) + 0.3)
+        gpath = tmp_path / "g.csv"
+        write_csv(gpath, 0.5 * np.eye(3) + 0.5)
+        reports = []
+        for workers in (1, 2, 3):
+            out = tmp_path / f"r{workers}.json"
+            args = ["test", "--data", str(dpath), "--family", "uit", "--calibration", "bayes",
+                    "--prior-scale", str(gpath), "--prior-df", "7", "--mc-samples", "25000",
+                    "--seed", "3", "--workers", str(workers), "--out", str(out)]
+            assert main(args) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1] == reports[2]
+
     def test_b_matrix_contents_enter_digest(self, tmp_path, rng):
         dpath = tmp_path / "d.csv"
         write_csv(dpath, rng.standard_normal((20, 2)) + [0.5, 0.2])

@@ -391,7 +391,7 @@ class TestWarmStart:
             assert np.array_equal(q_res, wrong_q_res)
 
     def test_sweeps_solve_fewer_rows(self, monkeypatch):
-        # Four sweeps: about 1.02 against 1.98 rows per pending draw at these draws.
+        # Four sweeps: about 1.02 against 1.97 rows per pending draw at these draws.
         p = 6
         metric = 0.5 * np.eye(p) + 0.5 * np.ones((p, p))
         y = substream(71, 0).standard_normal((10000, p)) @ np.linalg.cholesky(metric).T
@@ -491,9 +491,9 @@ class TestGroupedSteps:
         assert inverted == ([2] if group_min_rows == 4 else [])
 
     def test_grouped_steps_invert_few_systems(self, monkeypatch):
-        # The draws of TestWarmStart.test_sweeps_solve_fewer_rows: 8569
+        # The draws of TestWarmStart.test_sweeps_solve_fewer_rows: 8589
         # pending rows, whose first two steps invert 63 distinct systems
-        # each and the third 54; the rest solve 155 rows one by one.
+        # each and the third 53; the rest solve 150 rows one by one.
         p = 6
         metric = 0.5 * np.eye(p) + 0.5 * np.ones((p, p))
         y = substream(71, 0).standard_normal((10000, p)) @ np.linalg.cholesky(metric).T
@@ -503,8 +503,8 @@ class TestGroupedSteps:
             solved = counted(m, "solve")
             free = orthant_active_set(y, metric)
         assert np.array_equal(free, expect)
-        assert np.count_nonzero((y <= 0.0).any(axis=1)) == 8569
-        assert inverted == [63, 63, 54] and sum(solved) == 155
+        assert np.count_nonzero((y <= 0.0).any(axis=1)) == 8589
+        assert inverted == [63, 63, 53] and sum(solved) == 150
 
 
 class TestHalfspaceProjection:
