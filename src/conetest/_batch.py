@@ -39,8 +39,9 @@ CORRELATIONS_KEY = (12, 0)  # random_correlation sigma sources
 # Active-set steps allowed per draw: max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN).
 ITER_CAP_PER_DIM = 10
 ITER_CAP_MIN = 30
-# Pending draws per batched active-set solve; bounds the (block, p, p) systems.
-ACTIVE_SET_BLOCK = 4096
+# Bytes of (rows, p, p) step systems per block of pending draws: a block
+# takes max(1, ACTIVE_SET_BYTES // (8 p^2)) rows, at least 4096 up to p = 12.
+ACTIVE_SET_BYTES = 4096 * 8 * 12**2
 # Rows per distinct step system from which a residual-free step on a shared
 # metric inverts each distinct system once instead of solving every row.
 GROUP_MIN_ROWS = 4
@@ -301,14 +302,14 @@ def orthant_active_set(y, metric, residual=False):
     by pattern (:func:`_step_groups`): when the rows number at least
     ``GROUP_MIN_ROWS`` per distinct pattern, it inverts each distinct ``B``
     once in one stacked ``np.linalg.inv`` and applies the gathered inverses
-    in one stacked matmul.  At p = 6 and correlation 0.5, 8589 pending rows
-    of 10 000 draws take 179 inverted systems and 150 solved rows.  Most
-    rows at p >= 16 have patterns of their own, so the rule keeps their
-    steps per row.  ``z`` from an inverse differs from the solved one in
-    its last bits, so ``free`` may differ from a residual call's only in
-    the tie class below: a sign condition within rounding of the tolerance.
-    A stack, or a call that asks for residuals, always solves per row, so
-    every ``q_res`` is that of the per-row solve.
+    in one ``einsum``.  At p = 6 and correlation 0.5, 8589 pending rows of
+    10 000 draws are one block and take 63 inverted systems and 150 solved
+    rows.  Most rows at p >= 16 have patterns of their own, so the rule
+    keeps their steps per row.  ``z`` from an inverse differs from the
+    solved one in its last bits, so ``free`` may differ from a residual
+    call's only in the tie class below: a sign condition within rounding of
+    the tolerance.  A stack, or a call that asks for residuals, always solves
+    per row, so every ``q_res`` is that of the per-row solve.
 
     Pivots follow block principal pivoting (Judice & Pires 1994; Kim & Park
     2011) on a fixed schedule: the first ``BLOCK_STEPS`` steps of a block
@@ -323,7 +324,9 @@ def orthant_active_set(y, metric, residual=False):
     conditions compare ``z``, with complement entries times ``M_jj`` to put
     them in units of ``y``, against ``ACTIVE_SET_RTOL * |y|`` instead of 0,
     and such an index stays in the complement.  Pending draws go through in
-    blocks of ``ACTIVE_SET_BLOCK`` to bound the stacked systems.
+    blocks whose (rows, p, p) systems fit ``ACTIVE_SET_BYTES`` (4.7 MB): at
+    least 4096 rows up to p = 12, 36 at p = 128.  No output depends on the
+    block, as a row's pivots depend on the step alone.
 
     The start only picks the first pattern tried: whatever its start, a
     draw is accepted by the same solve and sign test, and its ``q_res``
@@ -351,6 +354,7 @@ def orthant_active_set(y, metric, residual=False):
     reps, p = y.shape
     metric = np.asarray(metric, dtype=float)
     eye, ones = np.eye(p), np.ones(p)
+    block = max(1, ACTIVE_SET_BYTES // max(8 * p * p, 1))  # p = 0 has no pending rows
     grouped = metric.ndim == 2 and not residual
     free = y > 0.0
     pending = np.flatnonzero(free @ ones < p)
@@ -359,8 +363,8 @@ def orthant_active_set(y, metric, residual=False):
     q_res = np.zeros(reps)
     tol = ACTIVE_SET_RTOL * np.sqrt(np.einsum("ri,ri->r", y, y))[:, None]
     cap = max(ITER_CAP_PER_DIM * p, ITER_CAP_MIN)
-    for start in range(0, pending.size, ACTIVE_SET_BLOCK):
-        todo = pending[start:start + ACTIVE_SET_BLOCK]
+    for start in range(0, pending.size, block):
+        todo = pending[start:start + block]
         for step in range(cap):
             if not todo.size:
                 break
@@ -372,7 +376,7 @@ def orthant_active_set(y, metric, residual=False):
                 if groups is None:
                     z = np.linalg.solve(mats, y_t[..., None])[..., 0]
                 else:
-                    z = (np.linalg.inv(mats)[rows] @ y_t[..., None])[..., 0]
+                    z = np.einsum("rij,rj->ri", np.linalg.inv(mats)[rows], y_t)
             except np.linalg.LinAlgError as err:
                 # slogdet's sign is 0 where the LU that solve and inv factor has a zero pivot.
                 bad = todo[np.flatnonzero((np.linalg.slogdet(mats)[0] == 0.0)[rows])[0]]

@@ -166,9 +166,12 @@ def _active_sizes(y, corr, single):
     sizes = np.count_nonzero(y[:, single] > 0.0, axis=1)
     if single.all():
         return sizes
-    rest = ~single
+    linked, metric = y, corr  # no copy unless some index is a singleton
+    if single.any():
+        rest = ~single
+        linked, metric = y[:, rest], corr[np.ix_(rest, rest)]
     try:
-        return sizes + orthant_active_set(y[:, rest], corr[np.ix_(rest, rest)]).sum(axis=1)
+        return sizes + orthant_active_set(linked, metric).sum(axis=1)
     except SolverError as err:
         err.details["y"] = y[err.details["draw"]].tolist()
         raise

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from itertools import combinations
 
 import numpy as np
@@ -138,6 +140,25 @@ class TestChiBarWeights:
             for workers in (2, 4):
                 w = chi_bar_weights(sigma, mc_samples=60_000, seed=3, workers=workers)
                 assert np.array_equal(w1.weights, w.weights)
+
+    def test_large_p_memory_is_bounded(self):
+        # A child interpreter, whose peak RSS this process's own tests do not
+        # set.  The kernel's blocks are sized by bytes, so at p = 128 a block
+        # of step systems holds 36 rows; 4096-row blocks grew the peak by
+        # about 207 MiB on Linux with numpy 2.4.
+        pytest.importorskip("resource")
+        code = (
+            "import resource, numpy as np\n"
+            "from conetest import chi_bar_weights\n"
+            "g = np.random.default_rng(128).standard_normal((256, 128))\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "chi_bar_weights(g.T @ g, method='monte_carlo', mc_samples=1000, seed=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        grown_kb = int(proc.stdout)  # ru_maxrss is in KiB on Linux
+        assert grown_kb < 64 * 1024, f"peak RSS grew by {grown_kb / 1024:.0f} MiB"
 
     @staticmethod
     def arcsine_weights(corr):

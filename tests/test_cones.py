@@ -294,7 +294,7 @@ class TestOrthantKernel:
         monkeypatch.setattr(_batch, "WARM_SWEEPS", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_PER_DIM", 0)
         monkeypatch.setattr(_batch, "ITER_CAP_MIN", 1)
-        monkeypatch.setattr(_batch, "ACTIVE_SET_BLOCK", 2)
+        monkeypatch.setattr(_batch, "ACTIVE_SET_BYTES", 2 * 8 * 2**2)  # two rows at p = 2
         metric = np.array([[1.0, -0.9], [-0.9, 1.0]])
         y = np.array([[1.0, 1.0], [-1.0, -1.0], [2.0, 1.0], [-0.5, -2.0], [-1.0, -0.1], [0.5, -1.0]])
         with pytest.raises(SolverError, match="draw 5") as err:
@@ -322,9 +322,14 @@ class TestOrthantKernel:
         assert np.array_equal(q_res, q_res_s)
         assert np.array_equal(orthant_active_set(y, metric), free)
 
-    @pytest.mark.parametrize("per_draw", [False, True], ids=["fixed", "per_draw"])
-    def test_block_size_does_not_change_output(self, rng, monkeypatch, per_draw):
-        p, reps = 6, 501
+    @pytest.mark.parametrize("per_draw, p", [
+        pytest.param(False, 6, id="fixed"),
+        pytest.param(True, 6, id="per_draw"),
+        pytest.param(False, 64, id="fixed_p64"),
+        pytest.param(True, 64, id="per_draw_p64"),
+    ])
+    def test_block_size_does_not_change_output(self, rng, monkeypatch, per_draw, p):
+        reps = 501
         y = rng.standard_normal((reps, p))
         if per_draw:
             metric = np.stack([random_pd_matrix(rng, p) for _ in range(reps)])
@@ -332,11 +337,16 @@ class TestOrthantKernel:
             metric = random_pd_matrix(rng, p)
         free, q_res = orthant_active_set(y, metric, residual=True)
         grouped = orthant_active_set(y, metric)
-        monkeypatch.setattr(_batch, "ACTIVE_SET_BLOCK", 2)
+        monkeypatch.setattr(_batch, "ACTIVE_SET_BYTES", 2 * 8 * p**2)  # blocks of two rows
         free_b, q_res_b = orthant_active_set(y, metric, residual=True)
         assert np.array_equal(free, free_b)
         assert np.array_equal(q_res, q_res_b)
         assert np.array_equal(orthant_active_set(y, metric), grouped)
+
+    def test_rows_of_no_index_are_solved_on_entry(self):
+        # The block size divides by p squared; at p = 0 no row is pending.
+        free, q_res = orthant_active_set(np.zeros((3, 0)), np.zeros((0, 0)), residual=True)
+        assert free.shape == (3, 0) and q_res.tolist() == [0.0, 0.0, 0.0]
 
 
 def shared_metrics(rng):
@@ -492,8 +502,8 @@ class TestGroupedSteps:
 
     def test_grouped_steps_invert_few_systems(self, monkeypatch):
         # The draws of TestWarmStart.test_sweeps_solve_fewer_rows: 8589
-        # pending rows, whose first two steps invert 63 distinct systems
-        # each and the third 53; the rest solve 150 rows one by one.
+        # pending rows in one block, whose first step inverts 63 distinct
+        # systems; the rest solve 150 rows one by one.
         p = 6
         metric = 0.5 * np.eye(p) + 0.5 * np.ones((p, p))
         y = substream(71, 0).standard_normal((10000, p)) @ np.linalg.cholesky(metric).T
@@ -504,7 +514,7 @@ class TestGroupedSteps:
             free = orthant_active_set(y, metric)
         assert np.array_equal(free, expect)
         assert np.count_nonzero((y <= 0.0).any(axis=1)) == 8589
-        assert inverted == [63, 63, 53] and sum(solved) == 150
+        assert inverted == [63] and sum(solved) == 150
 
 
 class TestHalfspaceProjection:
